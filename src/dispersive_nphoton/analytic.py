@@ -1,9 +1,10 @@
 """Closed-form spectra and effective parameters for n-photon couplings.
 
 This module is pure scalar arithmetic on top of :mod:`.combinatorics`; it
-never builds matrices.  The matrix builders in :mod:`.models` call directly
-into these functions for their diagonal entries, so closed-form levels and
-numerically assembled dispersive Hamiltonians agree bit-for-bit.
+never builds matrices.  The matrix builders in :mod:`.models` evaluate
+:func:`dispersive_level`'s expression in its operation order for their
+diagonal entries, so closed-form levels and numerically assembled
+dispersive Hamiltonians agree bit-for-bit.
 
 Physical setup and reduced units
 --------------------------------
@@ -25,23 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .combinatorics import c_coeff, stirling2
+from .combinatorics import commutator_poly, eval_int_poly, stirling2
 from .errors import ResonanceError
 
 REGIMES = ("rwa", "nonrwa")
 MOMENT_CONVENTIONS = ("coherent_exact", "amplitude_literal")
-
-
-@lru_cache(maxsize=None)
-def _cplus_row(n: int) -> tuple[int, ...]:
-    return tuple(c_coeff(n, k, "plus") for k in range(n + 1))
-
-
-@lru_cache(maxsize=None)
-def _cminus_row(n: int) -> tuple[int, ...]:
-    return tuple(c_coeff(n, k, "minus") for k in range(n + 1))
 
 
 def _check_regime(regime: str) -> str:
@@ -232,17 +222,9 @@ def dispersive_level(
     chi = params.chi
     xi = params.xi if regime == "nonrwa" else 0.0
 
-    cplus = _cplus_row(n)
-    cminus = _cminus_row(n)
-
-    p_plus = 0
-    p_minus = 0
-    jk = 1  # exact integer j**k
-    for k in range(n + 1):
-        p_plus += cplus[k] * jk
-        if 1 <= k <= n - 1:
-            p_minus += cminus[k] * jk
-        jk *= j
+    cplus, cminus = commutator_poly(n)
+    p_plus = eval_int_poly(cplus, j)
+    p_minus = eval_int_poly((0,) + cminus[1:], j)
 
     sign = 1.0 if qubit == "e" else -1.0
     return (
@@ -372,7 +354,7 @@ def dressed_qubit_frequency(
         raise ValueError("alpha_abs must be non-negative")
     params.require_dispersive(regime)
     shift = params.chi + (params.xi if regime == "nonrwa" else 0.0)
-    cplus = _cplus_row(params.n)
+    cplus = commutator_poly(params.n)[0]
     acc = 0.0
     for k in range(params.n + 1):
         acc += cplus[k] * _number_moment(k, alpha_abs, moment_convention)
@@ -444,7 +426,7 @@ def effective_two_qubit_params(
     w2 = dressed_qubit_frequency(p2, alpha_abs, moment_convention)
 
     chi_x = p1.g * p2.g * (1.0 / p1.delta + 1.0 / p2.delta)
-    cminus = _cminus_row(n)
+    cminus = commutator_poly(n)[1]
     k0 = 0 if cross_k0 else 1
     acc = 0.0
     for k in range(k0, n):

@@ -63,19 +63,7 @@ from .eigensolve import (
     track_levels,
 )
 from .errors import ConfigError, DispersiveNphotonError, ResonanceError, SolverError
-from .models import (
-    SystemSpec,
-    build_dispersive,
-    build_full_nR,
-    build_multimode,
-    build_multimode_dispersive,
-    build_multiqubit_dispersive,
-    build_nDicke,
-    build_nJC,
-    build_nR,
-    build_nTC,
-    with_swept,
-)
+from .models import SystemSpec, _dispersive_model, _exact_model, with_swept
 
 SCHEMA_VERSION = 1
 THREADS_ENV_VAR = "DISPERSIVE_NPHOTON_THREADS"
@@ -108,6 +96,13 @@ MODELS_BY_TOPOLOGY = {
 }
 
 ALL_MODELS = ("nR", "nJC", "full_nR", "dispersive", "nDicke", "nTC", "mmr", "mmjc")
+
+#: Interaction kind of every exact model; ``dispersive`` is the other path.
+_EXACT_KINDS = {
+    **dict.fromkeys(("nR", "nDicke", "mmr"), "ladder"),
+    **dict.fromkeys(("nJC", "nTC", "mmjc"), "rotating"),
+    "full_nR": "position",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -216,25 +211,9 @@ def build_model(
             f"model {model!r} is not available for topology "
             f"{spec.topology!r}; choose from {allowed}"
         )
-    if spec.topology == "single":
-        if model == "nR":
-            return build_nR(spec)
-        if model == "nJC":
-            return build_nJC(spec)
-        if model == "full_nR":
-            return build_full_nR(spec)
-        return build_dispersive(spec, regime, include_squeezing=squeezing)
-    if spec.topology == "multiqubit":
-        if model == "nDicke":
-            return build_nDicke(spec, rwa=False)
-        if model == "nTC":
-            return build_nTC(spec)
-        return build_multiqubit_dispersive(
-            spec, regime, cross_k0=cross_k0, include_squeezing=squeezing
-        )
-    if model in ("mmr", "mmjc"):
-        return build_multimode(spec, model)
-    return build_multimode_dispersive(spec, regime, include_squeezing=squeezing)
+    if model == "dispersive":
+        return _dispersive_model(spec, regime, squeezing, cross_k0)
+    return _exact_model(spec, _EXACT_KINDS[model])
 
 
 def _solve_lowest(h, k: int, method: str, max_iters: Optional[int]) -> SpectrumResult:

@@ -165,6 +165,7 @@ def c_coeff(n: int, k: int, sign: str) -> int:
     return first + second if sign == "plus" else first - second
 
 
+@lru_cache(maxsize=None)
 def commutator_poly(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Both ladder-polynomial coefficient rows for order ``n``.
 

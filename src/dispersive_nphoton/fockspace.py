@@ -486,6 +486,14 @@ def embed(
             not match the layout slot.
         CapacityError: If the layout dimension exceeds the supported maximum.
     """
+    return SparseOperator(layout, _embed_entries(layout, factors))
+
+
+def _embed_entries(
+    layout: HilbertLayout,
+    factors: Iterable[tuple[int, SparseOperator]],
+) -> sp.csr_matrix:
+    """Raw CSR matrix of :func:`embed`, for sums that canonicalize once."""
     factor_map: dict[int, SparseOperator] = {}
     for index, op in factors:
         index = int(index)
@@ -517,7 +525,7 @@ def embed(
         else:
             block = sp.identity(dim, format="csr", dtype=np.complex128)
         acc = sp.kron(acc, block, format="csr")
-    return SparseOperator(layout, acc)
+    return acc
 
 
 def guard_band_mask(

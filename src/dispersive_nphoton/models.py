@@ -8,7 +8,10 @@ A :class:`SystemSpec` declaratively describes one of three topologies:
   its own exchange order.
 
 From a spec the builders assemble sparse Hamiltonians on the corresponding
-:class:`.fockspace.HilbertLayout` (qubits first, then oscillators):
+:class:`.fockspace.HilbertLayout` (qubits first, then oscillators).  Every
+model is one dense diagonal plus a list of terms
+``(coefficient, {layout slot: local factor})`` built over one normalized
+coupling list; the list is summed once and certified Hermitian once.
 
 * :func:`build_nR` / :func:`build_nJC` — exact n-quantum exchange models,
   with the interaction ``g (a†^n + a^n)`` attached to ``sigma_x`` (both
@@ -38,19 +41,17 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .analytic import DispersiveParams, dispersive_level
-from .combinatorics import c_coeff
+from .analytic import DispersiveParams, _check_regime
+from .combinatorics import commutator_poly, eval_int_poly
 from .errors import ConfigError, TruncationError
 from .fockspace import (
     HilbertLayout,
     SparseOperator,
+    _embed_entries,
     destroy,
-    embed,
-    number,
     op_pow,
     pauli,
     qubit_oscillator_layout,
-    zeros,
 )
 
 TOPOLOGIES = ("single", "multiqubit", "multimode")
@@ -316,8 +317,16 @@ class SystemSpec:
             }
 
         Raises:
-            ConfigError: On unknown keys, missing fields, or wrong types.
+            ConfigError: On unknown keys, missing fields, or wrong types
+                (integer fields refuse booleans and fractional numbers).
         """
+
+        def _int(value) -> int:
+            if isinstance(value, bool) or (
+                isinstance(value, float) and not value.is_integer()
+            ):
+                raise ValueError(f"{value!r} is not an integer")
+            return int(value)
 
         def _get(d: dict, allowed: dict, what: str) -> dict:
             if not isinstance(d, dict):
@@ -355,7 +364,7 @@ class SystemSpec:
                     q,
                     {
                         "omega_q": (True, float),
-                        "n": (False, int),
+                        "n": (False, _int),
                         "g": (False, float),
                     },
                     "qubit",
@@ -366,7 +375,7 @@ class SystemSpec:
         oscillators = []
         for o in top["oscillators"]:
             entry = _get(
-                o, {"omega": (False, float), "trunc": (True, int)}, "oscillator"
+                o, {"omega": (False, float), "trunc": (True, _int)}, "oscillator"
             )
             entry.setdefault("omega", 1.0)
             oscillators.append(OscillatorSpec(**entry))
@@ -376,9 +385,9 @@ class SystemSpec:
                 **_get(
                     c,
                     {
-                        "qubit": (True, int),
-                        "oscillator": (True, int),
-                        "n": (True, int),
+                        "qubit": (True, _int),
+                        "oscillator": (True, _int),
+                        "n": (True, _int),
                         "g": (True, float),
                     },
                     "coupling",
@@ -390,7 +399,7 @@ class SystemSpec:
         if "stabilizer" in top:
             stab = _get(
                 top["stabilizer"],
-                {"form": (True, str), "eta": (True, float), "m": (False, int)},
+                {"form": (True, str), "eta": (True, float), "m": (False, _int)},
                 "stabilizer",
             )
             stabilizer = StabilizerSpec(**stab)
@@ -487,7 +496,7 @@ def with_swept(spec: SystemSpec, var: str, value: float) -> SystemSpec:
 
 
 # ---------------------------------------------------------------------------
-# Builder helpers
+# Term-list assembly
 # ---------------------------------------------------------------------------
 
 
@@ -499,48 +508,163 @@ def _require_topology(spec: SystemSpec, *allowed: str) -> None:
         )
 
 
-def _check_order(n: int, trunc: int) -> None:
-    if n >= trunc:
-        raise TruncationError(
-            f"exchange order n={n} must be strictly below the truncation "
-            f"dimension {trunc}"
-        )
-
-
-def _poly_of_number(trunc: int, coeffs: Sequence[float]) -> SparseOperator:
-    """Diagonal operator ``sum_k coeffs[k] N^k`` on one oscillator.
-
-    Each diagonal entry is accumulated over exact integer powers of ``j``
-    before float multiplication.
-    """
-    diag = np.zeros(trunc)
-    for j in range(trunc):
-        jk = 1
-        acc = 0.0
-        for c in coeffs:
-            acc += float(c) * jk
-            jk *= j
-        diag[j] = acc
-    layout = HilbertLayout((("oscillator", trunc),))
-    return SparseOperator(layout, sp.diags(diag))
-
-
-def _stabilizer_term(
-    spec: SystemSpec, layout: HilbertLayout, osc_position: int
-) -> SparseOperator:
-    """Stabilizer contribution on the full layout (zero when unconfigured)."""
-    if spec.stabilizer is None:
-        return zeros(layout)
-    stab = spec.stabilizer
-    q = spec.qubits[0]
-    trunc = spec.oscillators[0].trunc
-    m = stab.power(q.n)
-    a = destroy(trunc)
-    if stab.form == "number_power":
-        local = op_pow(a, m).dagger() @ op_pow(a, m)
+def _couplings(spec: SystemSpec) -> list[tuple[int, int, int, float]]:
+    """``(qubit slot, oscillator slot, n, g)`` of every coupling, checked
+    against the truncation; multimode couplings are ordered by oscillator."""
+    nq = len(spec.qubits)
+    if spec.topology == "multimode":
+        couplings = sorted(spec.couplings, key=lambda c: c.oscillator)
+        entries = [(c.qubit, nq + c.oscillator, c.n, c.g) for c in couplings]
     else:
-        local = op_pow(a + a.dagger(), m)
-    return stab.eta * q.g * embed(layout, [(osc_position, local)])
+        entries = [(l, nq, q.n, q.g) for l, q in enumerate(spec.qubits)]
+    for _, k, n, _ in entries:
+        trunc = spec.oscillators[k - nq].trunc
+        if n >= trunc:
+            raise TruncationError(
+                f"exchange order n={n} must be strictly below the truncation "
+                f"dimension {trunc}"
+            )
+    return entries
+
+
+def _number_poly(coeffs: Sequence[int], trunc: int) -> np.ndarray:
+    """``sum_k coeffs[k] j^k`` for ``j < trunc``, exact until one final rounding."""
+    return np.array([float(eval_int_poly(coeffs, j)) for j in range(trunc)])
+
+
+def _assemble(
+    layout: HilbertLayout, diag: np.ndarray, terms: list
+) -> SparseOperator:
+    """Sum a dense diagonal and the terms ``(coefficient, {layout slot:
+    local factor})``, in list order, into one certified operator."""
+    acc = sp.diags(diag, format="csr")
+    for coef, factors in terms:
+        acc = acc + coef * _embed_entries(layout, factors.items())
+    return SparseOperator(layout, acc)
+
+
+def _exchange(coef: float, rotating: bool, ops: dict, fixed: dict) -> list:
+    """Terms ``coef (prod A + prod A†)`` if ``rotating``, else
+    ``coef prod (A + A†)``, over the factors ``ops``; ``fixed`` multiplies
+    either form."""
+    if rotating:
+        daggers = {slot: op.dagger() for slot, op in ops.items()}
+        return [(coef, {**fixed, **ops}), (coef, {**fixed, **daggers})]
+    return [(coef, {**fixed, **{s: op + op.dagger() for s, op in ops.items()}})]
+
+
+def _exact_model(spec: SystemSpec, kind: str) -> SparseOperator:
+    """Exact model with a ``"ladder"``, ``"rotating"`` or ``"position"``
+    interaction on every coupling, plus the configured stabilizer."""
+    stab = spec.stabilizer
+    if kind == "position" and stab is not None and stab.form != "full_position_power":
+        raise ConfigError(
+            "the position-power model supports only full_position_power "
+            "stabilizers"
+        )
+    layout = spec.layout()
+    nq = len(spec.qubits)
+    occ = layout.occupation_vectors()
+    splittings = [
+        (0.5 * q.omega_q, 1.0 - 2.0 * occ[:, l]) for l, q in enumerate(spec.qubits)
+    ]
+    energies = [(o.omega, occ[:, nq + k]) for k, o in enumerate(spec.oscillators)]
+    # The summation order is part of the output: any other order moves
+    # entries of multimode models by roundoff.
+    diag = sum(c * v for c, v in energies[:1] + splittings + energies[1:])
+
+    terms = []
+    for l, k, n, g in _couplings(spec):
+        a = destroy(layout.dims[k])
+        if kind == "position":
+            terms.append((g, {l: pauli("x"), k: op_pow(a + a.dagger(), n)}))
+        else:
+            ops = {l: pauli("plus"), k: op_pow(a, n)}
+            terms += _exchange(g, kind == "rotating", ops, {})
+    if stab is not None:
+        q = spec.qubits[0]
+        a = destroy(spec.oscillators[0].trunc)
+        m = stab.power(q.n)
+        if stab.form == "number_power":
+            local = op_pow(a, m).dagger() @ op_pow(a, m)
+        else:
+            local = op_pow(a + a.dagger(), m)
+        terms.append((stab.eta * q.g, {nq: local}))
+    return _assemble(layout, diag, terms)
+
+
+def _cross_strengths(
+    pl: DispersiveParams, pm: DispersiveParams, regime: str
+) -> tuple[float, float]:
+    """Exchange strengths ``(chi_x, xi_x)`` of two couplings."""
+    chi_x = pl.g * pm.g * (1.0 / pl.delta + 1.0 / pm.delta)
+    if regime == "nonrwa":
+        xi_x = pl.g * pm.g * (1.0 / pl.sigma + 1.0 / pm.sigma)
+    else:
+        xi_x = 0.0
+    return chi_x, xi_x
+
+
+def _dispersive_model(
+    spec: SystemSpec,
+    regime: str,
+    include_squeezing: bool = True,
+    cross_k0: bool = True,
+) -> SparseOperator:
+    """Second-order effective model of every coupling and coupling pair."""
+    _check_regime(regime)
+    spec.common_n()  # qubits that share a mode must share its exchange order
+    rotating = regime == "rwa"
+    layout = spec.layout()
+    dims = layout.dims
+    couplings = _couplings(spec)
+    nq = len(spec.qubits)
+    omega_q = {l: q.omega_q for l, q in enumerate(spec.qubits)}
+    omega = {nq + k: o.omega for k, o in enumerate(spec.oscillators)}
+    params = [
+        DispersiveParams.from_frequencies(omega_q[l], n, g, omega[k])
+        for l, k, n, g in couplings
+    ]
+    # Like dispersive_level, take each frequency back from (delta, sigma) of
+    # its first coupling, so one coupling reproduces that level bit for bit.
+    for (l, k, _, _), p in reversed(list(zip(couplings, params))):
+        omega_q[l], omega[k] = p.omega_q, p.omega_o
+
+    occ = layout.occupation_vectors()
+    diag = sum(w * occ[:, k] for k, w in omega.items())
+    shift = dict.fromkeys(omega_q, 0.0)
+    terms = []
+    for (l, k, n, _), p in zip(couplings, params):
+        chi, xi = p.chi, (0.0 if rotating else p.xi)
+        cplus, cminus = commutator_poly(n)
+        j = occ[:, k]
+        diag = diag + 0.5 * (chi - xi) * _number_poly((0,) + cminus[1:], dims[k])[j]
+        shift[l] = shift[l] + 0.5 * (chi + xi) * _number_poly(cplus, dims[k])[j]
+        if not rotating and include_squeezing:
+            a2n = op_pow(destroy(dims[k]), 2 * n)
+            terms += _exchange(0.5 * (chi + xi), False, {k: a2n}, {l: pauli("z")})
+    for l, w in omega_q.items():
+        diag = diag + (1.0 - 2.0 * occ[:, l]) * (shift[l] + 0.5 * w)
+
+    k0 = 0 if cross_k0 else 1
+    for i, ((li, ki, ni, _), pi) in enumerate(zip(couplings, params)):
+        for (lj, kj, nj, _), pj in zip(couplings[:i], params[:i]):
+            chi_x, xi_x = _cross_strengths(pi, pj, regime)
+            if ki == kj:  # qubit exchange times P_cross(N) of the shared mode
+                cminus = commutator_poly(ni)[1]
+                p_cross = _number_poly((0,) * k0 + cminus[k0:], dims[ki])
+                mode = HilbertLayout((layout.subsystems[ki],))
+                fixed = {ki: SparseOperator(mode, sp.diags(p_cross))}
+                ops = {li: pauli("plus"), lj: pauli("minus")}
+                terms += _exchange(0.5 * (chi_x - xi_x), rotating, ops, fixed)
+            else:  # the topologies leave a shared qubit: mode exchange
+                ops = {
+                    ki: op_pow(destroy(dims[ki]), ni),
+                    kj: op_pow(destroy(dims[kj]), nj).dagger(),
+                }
+                fixed = {li: pauli("z")}
+                terms += _exchange(0.5 * (chi_x + xi_x), rotating, ops, fixed)
+    return _assemble(layout, diag, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -559,19 +683,7 @@ def build_nR(spec: SystemSpec) -> SparseOperator:
         TruncationError: If ``n >= trunc``.
     """
     _require_topology(spec, "single")
-    q = spec.qubits[0]
-    osc = spec.oscillators[0]
-    _check_order(q.n, osc.trunc)
-    layout = spec.layout()
-    a = destroy(osc.trunc)
-    an = op_pow(a, q.n)
-    ladder = embed(layout, [(1, an.dagger() + an)])
-    h = (
-        osc.omega * embed(layout, [(1, number(osc.trunc))])
-        + 0.5 * q.omega_q * embed(layout, [(0, pauli("z"))])
-        + q.g * (embed(layout, [(0, pauli("x"))]) @ ladder)
-    )
-    return h + _stabilizer_term(spec, layout, 1)
+    return _exact_model(spec, "ladder")
 
 
 def build_nJC(spec: SystemSpec) -> SparseOperator:
@@ -587,18 +699,7 @@ def build_nJC(spec: SystemSpec) -> SparseOperator:
         TruncationError: If ``n >= trunc``.
     """
     _require_topology(spec, "single")
-    q = spec.qubits[0]
-    osc = spec.oscillators[0]
-    _check_order(q.n, osc.trunc)
-    layout = spec.layout()
-    an = op_pow(destroy(osc.trunc), q.n)
-    flip = embed(layout, [(0, pauli("plus"))]) @ embed(layout, [(1, an)])
-    h = (
-        osc.omega * embed(layout, [(1, number(osc.trunc))])
-        + 0.5 * q.omega_q * embed(layout, [(0, pauli("z"))])
-        + q.g * (flip + flip.dagger())
-    )
-    return h + _stabilizer_term(spec, layout, 1)
+    return _exact_model(spec, "rotating")
 
 
 def build_full_nR(spec: SystemSpec) -> SparseOperator:
@@ -616,23 +717,7 @@ def build_full_nR(spec: SystemSpec) -> SparseOperator:
         TruncationError: If ``n >= trunc``.
     """
     _require_topology(spec, "single")
-    q = spec.qubits[0]
-    osc = spec.oscillators[0]
-    _check_order(q.n, osc.trunc)
-    if spec.stabilizer is not None and spec.stabilizer.form != "full_position_power":
-        raise ConfigError(
-            "the position-power model supports only full_position_power "
-            "stabilizers"
-        )
-    layout = spec.layout()
-    a = destroy(osc.trunc)
-    pos_n = op_pow(a + a.dagger(), q.n)
-    h = (
-        osc.omega * embed(layout, [(1, number(osc.trunc))])
-        + 0.5 * q.omega_q * embed(layout, [(0, pauli("z"))])
-        + q.g * (embed(layout, [(0, pauli("x"))]) @ embed(layout, [(1, pos_n)]))
-    )
-    return h + _stabilizer_term(spec, layout, 1)
+    return _exact_model(spec, "position")
 
 
 def charge_operator(spec: SystemSpec) -> SparseOperator:
@@ -644,12 +729,9 @@ def charge_operator(spec: SystemSpec) -> SparseOperator:
     _require_topology(spec, "single", "multiqubit")
     n = spec.common_n()
     layout = spec.layout()
-    osc_pos = len(spec.qubits)
-    op = embed(layout, [(osc_pos, number(spec.oscillators[0].trunc))])
-    excited = pauli("plus") @ pauli("minus")
-    for l in range(len(spec.qubits)):
-        op = op + float(n) * embed(layout, [(l, excited)])
-    return op
+    nq = len(spec.qubits)
+    occ = layout.occupation_vectors()
+    return _assemble(layout, occ[:, nq] + float(n) * (occ[:, :nq] == 0).sum(axis=1), [])
 
 
 # ---------------------------------------------------------------------------
@@ -664,40 +746,21 @@ def build_dispersive(
 ) -> SparseOperator:
     """Second-order effective model of one n-photon coupled qubit.
 
-    The diagonal entry of basis state ``|qubit, j>`` is computed by calling
-    :func:`.analytic.dispersive_level` directly, so closed-form levels and
-    this matrix agree *exactly* (bit-for-bit), not merely to rounding.  In
-    the ``"nonrwa"`` regime with ``include_squeezing`` the off-diagonal
-    two-step exchange term
+    The diagonal entry of basis state ``|qubit, j>`` is evaluated in the
+    operation order of :func:`.analytic.dispersive_level`, so closed-form
+    levels and this matrix agree *exactly* (bit-for-bit), not merely to
+    rounding.  In the ``"nonrwa"`` regime with ``include_squeezing`` the
+    off-diagonal two-step exchange term
     ``(chi + xi)/2 sigma_z (a†^(2n) + a^(2n))`` is added as well.
 
     Raises:
         ConfigError: For a non-single topology.
         TruncationError: If ``n >= trunc``.
         ResonanceError: If a required detuning denominator vanishes.
+        ValueError: For an unknown regime.
     """
     _require_topology(spec, "single")
-    q = spec.qubits[0]
-    osc = spec.oscillators[0]
-    _check_order(q.n, osc.trunc)
-    params = spec.qubit_params()
-    layout = spec.layout()
-
-    diag = np.zeros(2 * osc.trunc)
-    for qubit_idx, qubit in enumerate(("e", "g")):
-        for j in range(osc.trunc):
-            diag[qubit_idx * osc.trunc + j] = dispersive_level(
-                params, qubit, j, regime
-            )
-    h = SparseOperator(layout, sp.diags(diag))
-
-    if regime == "nonrwa" and include_squeezing:
-        a2n = op_pow(destroy(osc.trunc), 2 * q.n)
-        term = embed(layout, [(0, pauli("z"))]) @ embed(
-            layout, [(1, a2n.dagger() + a2n)]
-        )
-        h = h + (0.5 * (params.chi + params.xi)) * term
-    return h
+    return _dispersive_model(spec, regime, include_squeezing)
 
 
 # ---------------------------------------------------------------------------
@@ -718,45 +781,12 @@ def build_nDicke(spec: SystemSpec, rwa: bool = False) -> SparseOperator:
         TruncationError: If any ``n_l >= trunc``.
     """
     _require_topology(spec, "multiqubit")
-    osc = spec.oscillators[0]
-    layout = spec.layout()
-    osc_pos = len(spec.qubits)
-    a = destroy(osc.trunc)
-    h = osc.omega * embed(layout, [(osc_pos, number(osc.trunc))])
-    for l, q in enumerate(spec.qubits):
-        _check_order(q.n, osc.trunc)
-        h = h + 0.5 * q.omega_q * embed(layout, [(l, pauli("z"))])
-        an = op_pow(a, q.n)
-        if rwa:
-            flip = embed(layout, [(l, pauli("plus"))]) @ embed(
-                layout, [(osc_pos, an)]
-            )
-            h = h + q.g * (flip + flip.dagger())
-        else:
-            h = h + q.g * (
-                embed(layout, [(l, pauli("x"))])
-                @ embed(layout, [(osc_pos, an.dagger() + an)])
-            )
-    if spec.stabilizer is not None:
-        h = h + _stabilizer_term(spec, layout, osc_pos)
-    return h
+    return _exact_model(spec, "rotating" if rwa else "ladder")
 
 
 def build_nTC(spec: SystemSpec) -> SparseOperator:
     """Rotating multiqubit model (shortcut for ``build_nDicke(spec, rwa=True)``)."""
     return build_nDicke(spec, rwa=True)
-
-
-def _cross_strengths(
-    pl: DispersiveParams, pm: DispersiveParams, regime: str
-) -> tuple[float, float]:
-    """Exchange strengths ``(chi_x, xi_x)`` between two qubits."""
-    chi_x = pl.g * pm.g * (1.0 / pl.delta + 1.0 / pm.delta)
-    if regime == "nonrwa":
-        xi_x = pl.g * pm.g * (1.0 / pl.sigma + 1.0 / pm.sigma)
-    else:
-        xi_x = 0.0
-    return chi_x, xi_x
 
 
 def build_multiqubit_dispersive(
@@ -786,59 +816,10 @@ def build_multiqubit_dispersive(
     Raises:
         ConfigError: For a non-multiqubit topology or mismatched orders.
         ResonanceError: If any detuning denominator vanishes.
+        ValueError: For an unknown regime.
     """
     _require_topology(spec, "multiqubit")
-    n = spec.common_n()
-    osc = spec.oscillators[0]
-    _check_order(n, osc.trunc)
-    layout = spec.layout()
-    osc_pos = len(spec.qubits)
-    params = [spec.qubit_params(l) for l in range(len(spec.qubits))]
-
-    cplus = [c_coeff(n, k, "plus") for k in range(n + 1)]
-    cminus_trim = [
-        c_coeff(n, k, "minus") if 1 <= k <= n - 1 else 0 for k in range(n)
-    ]
-    p_plus = embed(layout, [(osc_pos, _poly_of_number(osc.trunc, cplus))])
-    p_minus = embed(layout, [(osc_pos, _poly_of_number(osc.trunc, cminus_trim))])
-
-    a2n = op_pow(destroy(osc.trunc), 2 * n)
-    squeeze = embed(layout, [(osc_pos, a2n.dagger() + a2n)])
-
-    h = osc.omega * embed(layout, [(osc_pos, number(osc.trunc))])
-    for l, p in enumerate(params):
-        chi = p.chi
-        xi = p.xi if regime == "nonrwa" else 0.0
-        sz = embed(layout, [(l, pauli("z"))])
-        h = h + 0.5 * p.omega_q * sz
-        h = h + (0.5 * (chi + xi)) * (sz @ p_plus)
-        h = h + (0.5 * (chi - xi)) * p_minus
-        if regime == "nonrwa" and include_squeezing:
-            h = h + (0.5 * (chi + xi)) * (sz @ squeeze)
-
-    k0 = 0 if cross_k0 else 1
-    cross_coeffs = [
-        c_coeff(n, k, "minus") if k >= k0 else 0 for k in range(max(n, 1))
-    ]
-    p_cross = embed(
-        layout, [(osc_pos, _poly_of_number(osc.trunc, cross_coeffs))]
-    )
-    for l in range(len(params)):
-        for m in range(l):
-            chi_x, xi_x = _cross_strengths(params[l], params[m], regime)
-            if regime == "rwa":
-                flip = embed(layout, [(l, pauli("plus"))]) @ embed(
-                    layout, [(m, pauli("minus"))]
-                )
-                pair = flip + flip.dagger()
-                coef = 0.5 * chi_x
-            else:
-                pair = embed(layout, [(l, pauli("x"))]) @ embed(
-                    layout, [(m, pauli("x"))]
-                )
-                coef = 0.5 * (chi_x - xi_x)
-            h = h + coef * (pair @ p_cross)
-    return h
+    return _dispersive_model(spec, regime, include_squeezing, cross_k0)
 
 
 def two_qubit_block(
@@ -861,10 +842,12 @@ def two_qubit_block(
     Raises:
         ConfigError: Unless ``spec`` holds exactly two qubits of equal order.
         ResonanceError: If any detuning denominator vanishes.
+        ValueError: For a negative ``j`` or an unknown regime.
     """
     _require_topology(spec, "multiqubit")
     if len(spec.qubits) != 2:
         raise ConfigError("two_qubit_block requires exactly two qubits")
+    _check_regime(regime)
     j = int(j)
     if j < 0:
         raise ValueError("photon number j must be non-negative")
@@ -879,18 +862,11 @@ def two_qubit_block(
     xi2 = p2.xi if regime == "nonrwa" else 0.0
     chi_x, xi_x = _cross_strengths(p1, p2, regime)
 
-    jk = 1
-    p_plus = 0
-    p_minus = 0
-    p_cross = 0
+    cplus, cminus = commutator_poly(n)
     k0 = 0 if cross_k0 else 1
-    for k in range(n + 1):
-        p_plus += c_coeff(n, k, "plus") * jk
-        if 1 <= k <= n - 1:
-            p_minus += c_coeff(n, k, "minus") * jk
-        if k0 <= k <= n - 1:
-            p_cross += c_coeff(n, k, "minus") * jk
-        jk *= j
+    p_plus = eval_int_poly(cplus, j)
+    p_minus = eval_int_poly((0,) + cminus[1:], j)
+    p_cross = eval_int_poly((0,) * k0 + cminus[k0:], j)
 
     sig = p1.omega_q + p2.omega_q
     del_q = p1.omega_q - p2.omega_q
@@ -915,15 +891,6 @@ def two_qubit_block(
 # ---------------------------------------------------------------------------
 
 
-def _multimode_prelude(spec: SystemSpec):
-    _require_topology(spec, "multimode")
-    layout = spec.layout()
-    q = spec.qubits[0]
-    for c in spec.couplings:
-        _check_order(c.n, spec.oscillators[c.oscillator].trunc)
-    return layout, q
-
-
 def build_multimode(spec: SystemSpec, variant: str = "mmr") -> SparseOperator:
     """Exact model of one qubit exchanging quanta with several oscillators.
 
@@ -938,23 +905,8 @@ def build_multimode(spec: SystemSpec, variant: str = "mmr") -> SparseOperator:
     """
     if variant not in ("mmr", "mmjc"):
         raise ConfigError(f"variant must be 'mmr' or 'mmjc', got {variant!r}")
-    layout, q = _multimode_prelude(spec)
-    h = 0.5 * q.omega_q * embed(layout, [(0, pauli("z"))])
-    for k, osc in enumerate(spec.oscillators):
-        h = h + osc.omega * embed(layout, [(1 + k, number(osc.trunc))])
-    for c in spec.couplings:
-        osc = spec.oscillators[c.oscillator]
-        an = op_pow(destroy(osc.trunc), c.n)
-        pos = 1 + c.oscillator
-        if variant == "mmr":
-            h = h + c.g * (
-                embed(layout, [(0, pauli("x"))])
-                @ embed(layout, [(pos, an.dagger() + an)])
-            )
-        else:
-            flip = embed(layout, [(0, pauli("plus"))]) @ embed(layout, [(pos, an)])
-            h = h + c.g * (flip + flip.dagger())
-    return h
+    _require_topology(spec, "multimode")
+    return _exact_model(spec, "ladder" if variant == "mmr" else "rotating")
 
 
 def build_multimode_dispersive(
@@ -979,60 +931,7 @@ def build_multimode_dispersive(
     Raises:
         ConfigError: For a non-multimode topology.
         ResonanceError: If any detuning denominator vanishes.
+        ValueError: For an unknown regime.
     """
-    if regime not in ("rwa", "nonrwa"):
-        raise ValueError(f"regime must be 'rwa' or 'nonrwa', got {regime!r}")
-    layout, q = _multimode_prelude(spec)
-    sz = embed(layout, [(0, pauli("z"))])
-    h = 0.5 * q.omega_q * sz
-    for k, osc in enumerate(spec.oscillators):
-        h = h + osc.omega * embed(layout, [(1 + k, number(osc.trunc))])
-
-    params = {c.oscillator: spec.coupling_params(c) for c in spec.couplings}
-    for c in spec.couplings:
-        osc = spec.oscillators[c.oscillator]
-        pos = 1 + c.oscillator
-        p = params[c.oscillator]
-        chi = p.chi
-        xi = p.xi if regime == "nonrwa" else 0.0
-        cplus = [c_coeff(c.n, k, "plus") for k in range(c.n + 1)]
-        cminus_trim = [
-            c_coeff(c.n, k, "minus") if 1 <= k <= c.n - 1 else 0
-            for k in range(c.n)
-        ]
-        h = h + (0.5 * (chi + xi)) * (
-            sz @ embed(layout, [(pos, _poly_of_number(osc.trunc, cplus))])
-        )
-        h = h + (0.5 * (chi - xi)) * embed(
-            layout, [(pos, _poly_of_number(osc.trunc, cminus_trim))]
-        )
-        if regime == "nonrwa" and include_squeezing:
-            a2n = op_pow(destroy(osc.trunc), 2 * c.n)
-            h = h + (0.5 * (chi + xi)) * (
-                sz @ embed(layout, [(pos, a2n.dagger() + a2n)])
-            )
-
-    couplings = sorted(spec.couplings, key=lambda c: c.oscillator)
-    for i in range(len(couplings)):
-        for jdx in range(i):
-            ck = couplings[jdx]
-            cl = couplings[i]
-            pk = params[ck.oscillator]
-            pl = params[cl.oscillator]
-            chi_x = ck.g * cl.g * (1.0 / pk.delta + 1.0 / pl.delta)
-            ak = op_pow(destroy(spec.oscillators[ck.oscillator].trunc), ck.n)
-            al = op_pow(destroy(spec.oscillators[cl.oscillator].trunc), cl.n)
-            pos_k = 1 + ck.oscillator
-            pos_l = 1 + cl.oscillator
-            if regime == "rwa":
-                hop = embed(layout, [(pos_k, ak.dagger())]) @ embed(
-                    layout, [(pos_l, al)]
-                )
-                h = h + (0.5 * chi_x) * (sz @ (hop + hop.dagger()))
-            else:
-                xi_x = ck.g * cl.g * (1.0 / pk.sigma + 1.0 / pl.sigma)
-                both = embed(layout, [(pos_k, ak.dagger() + ak)]) @ embed(
-                    layout, [(pos_l, al.dagger() + al)]
-                )
-                h = h + (0.5 * (chi_x + xi_x)) * (sz @ both)
-    return h
+    _require_topology(spec, "multimode")
+    return _dispersive_model(spec, regime, include_squeezing)

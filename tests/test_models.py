@@ -223,6 +223,54 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             SystemSpec.from_json_file(tmp_path / "nope.json")
 
+    @staticmethod
+    def _payload(n=2, trunc=8, m=None, qubit=0, oscillator=0):
+        stab = {"form": "number_power", "eta": 0.01}
+        if m is not None:
+            stab["m"] = m
+        return [
+            {
+                "topology": "single",
+                "qubits": [{"omega_q": 2.5, "n": n, "g": 0.01}],
+                "oscillators": [{"trunc": trunc}],
+                "stabilizer": stab,
+            },
+            {
+                "topology": "multimode",
+                "qubits": [{"omega_q": 2.5}],
+                "oscillators": [{"trunc": trunc}],
+                "couplings": [
+                    {"qubit": qubit, "oscillator": oscillator, "n": n, "g": 0.1}
+                ],
+            },
+        ]
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"n": 2.7},
+            {"trunc": 120.9},
+            {"m": 1.5},
+            {"qubit": 0.5},
+            {"oscillator": 0.5},
+            {"n": True},
+            {"m": True},
+            {"qubit": False},
+        ],
+    )
+    def test_non_integer_integer_fields_rejected(self, field):
+        payloads = self._payload(**field)
+        target = payloads[1] if {"qubit", "oscillator"} & set(field) else payloads[0]
+        with pytest.raises(ConfigError):
+            SystemSpec.from_dict(target)
+
+    def test_integral_values_still_load(self):
+        single_p, multi_p = self._payload(n=3, trunc=8.0, m=3)
+        spec = SystemSpec.from_dict(single_p)
+        assert (spec.qubits[0].n, spec.oscillators[0].trunc) == (3, 8)
+        assert spec.stabilizer.m == 3
+        assert SystemSpec.from_dict(multi_p).couplings[0].n == 3
+
 
 class TestWithSwept:
     def test_global_g(self):
@@ -264,6 +312,22 @@ ALL_BUILDERS = [
     lambda: build_multimode(two_mode(), "mmjc"),
     lambda: build_multimode_dispersive(two_mode()),
     lambda: build_multimode_dispersive(two_mode(), "rwa"),
+    lambda: build_nR(single(n=3, stabilizer=StabilizerSpec("number_power", 0.02))),
+    lambda: build_nJC(single(n=3, stabilizer=StabilizerSpec("number_power", 0.02))),
+    lambda: build_full_nR(
+        single(n=3, stabilizer=StabilizerSpec("full_position_power", 0.02, m=4))
+    ),
+    lambda: build_nDicke(
+        SystemSpec(
+            topology="multiqubit",
+            qubits=(QubitSpec(omega_q=3.1, n=3, g=0.05),),
+            oscillators=(OscillatorSpec(omega=1.0, trunc=20),),
+            stabilizer=StabilizerSpec("number_power", 0.02),
+        )
+    ),
+    lambda: build_multiqubit_dispersive(pair(trunc=10), cross_k0=False),
+    lambda: build_multiqubit_dispersive(pair(trunc=10), include_squeezing=False),
+    lambda: build_multimode_dispersive(two_mode(), include_squeezing=False),
 ]
 
 
@@ -283,6 +347,16 @@ class TestBuilderBasics:
             build_multimode(single())
         with pytest.raises(ConfigError):
             build_multimode(two_mode(), "bogus")
+
+    def test_unknown_regime_rejected(self):
+        with pytest.raises(ValueError):
+            build_dispersive(single(), "bogus")
+        with pytest.raises(ValueError):
+            build_multiqubit_dispersive(pair(), "bogus")
+        with pytest.raises(ValueError):
+            build_multimode_dispersive(two_mode(), "bogus")
+        with pytest.raises(ValueError):
+            two_qubit_block(0, pair(), "bogus")
 
     def test_order_must_fit_truncation(self):
         with pytest.raises(TruncationError):
@@ -437,7 +511,7 @@ class TestReductions:
             diff = build_multimode_dispersive(mm, regime) - build_dispersive(
                 mono, regime
             )
-            assert diff.max_abs() <= 1e-12  # assembly-order roundoff only
+            assert diff.max_abs() == 0.0
 
     def test_single_qubit_multiqubit_dispersive_matches(self):
         q = QubitSpec(omega_q=2.5, n=2, g=0.08)
@@ -448,7 +522,7 @@ class TestReductions:
             diff = build_multiqubit_dispersive(multi, regime) - build_dispersive(
                 mono, regime
             )
-            assert diff.max_abs() <= 1e-12
+            assert diff.max_abs() == 0.0
 
 
 class TestTwoQubitBlock:
