@@ -54,14 +54,7 @@ from .analytic import (
 )
 from .combinatorics import commutator_poly, normal_order_aadag
 from .dynamics import STATE_PRESETS, evolve, fidelity, partial_trace, preset_state
-from .eigensolve import (
-    DENSE_LIMIT,
-    SpectrumResult,
-    eigh_dense,
-    eigs_lowest,
-    label_by_overlap,
-    track_levels,
-)
+from .eigensolve import DENSE_LIMIT, label_by_overlap, solve_lowest, track_levels
 from .errors import ConfigError, DispersiveNphotonError, ResonanceError, SolverError
 from .models import SystemSpec, _dispersive_model, _exact_model, with_swept
 
@@ -216,20 +209,6 @@ def build_model(
     return _exact_model(spec, _EXACT_KINDS[model])
 
 
-def _solve_lowest(h, k: int, method: str, max_iters: Optional[int]) -> SpectrumResult:
-    dim = h.layout.total_dim
-    k = min(int(k), dim)
-    if method == "dense" or (method == "auto" and dim <= DENSE_LIMIT):
-        full = eigh_dense(h)
-        return SpectrumResult(
-            energies=full.energies[:k],
-            states=full.states[:, :k],
-            layout=full.layout,
-            mean_photons=full.mean_photons[:k],
-        )
-    return eigs_lowest(h, k, max_iters=max_iters)
-
-
 def _analytic_pair(spec: SystemSpec, model: str):
     """Closed-form (rwa, nonrwa) level columns, or blanks outside the domain.
 
@@ -328,7 +307,7 @@ def _spectrum_point(task: _PointTask):
     h = build_model(spec, task.model, task.regime, task.squeezing, task.cross_k0)
     analytic = _analytic_pair(spec, task.model)
     try:
-        result = _solve_lowest(h, task.k, task.method, task.max_iters)
+        result = solve_lowest(h, task.k, task.method, task.max_iters)
     except SolverError as exc:
         return task.index, None, str(exc)
     result = label_by_overlap(result)
@@ -363,6 +342,8 @@ def _run_grid(tasks: list, threads: int) -> list:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise ConfigError("-k/--num-levels must be >= 1")
     spec = SystemSpec.from_json_file(args.config)
     build_model(spec, args.model, args.regime, args.squeezing, args.cross_k0)
 
@@ -449,6 +430,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_levels(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise ConfigError("-k/--num-levels must be >= 1")
     spec = SystemSpec.from_json_file(args.config)
     build_model(spec, args.model, args.regime, args.squeezing, args.cross_k0)
     sweep_name, values = parse_sweep(args.sweep)
@@ -479,7 +462,7 @@ def _cmd_levels(args: argparse.Namespace) -> int:
         swept = with_swept(spec, sweep_name, float(value))
         h = build_model(swept, args.model, args.regime, args.squeezing, args.cross_k0)
         try:
-            result = _solve_lowest(h, args.k, args.method, args.max_iters)
+            result = solve_lowest(h, args.k, args.method, args.max_iters)
         except SolverError as exc:
             failure = (float(value), str(exc))
             break
@@ -528,6 +511,12 @@ def _cmd_levels(args: argparse.Namespace) -> int:
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
+    if args.steps < 1:
+        raise ConfigError("--steps must be >= 1")
+    if not math.isfinite(args.t_end):
+        raise ConfigError(f"--t-end must be finite, got {args.t_end!r}")
+    if args.krylov_dim < 2:
+        raise ConfigError("--krylov-dim must be >= 2")
     spec = SystemSpec.from_json_file(args.config)
     if spec.topology != "single":
         raise ConfigError("dynamics presets require the 'single' topology")

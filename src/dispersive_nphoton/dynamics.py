@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
+from .eigensolve import _lanczos_step, _tridiagonal_eigh, eigh_dense
 from .errors import PropagationError, TruncationError
 from .fockspace import HilbertLayout, SparseOperator
 
@@ -198,16 +198,6 @@ def expectation(op: SparseOperator, state: StateVector) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _dense_evolve(h: SparseOperator, psi: np.ndarray, t: float) -> np.ndarray:
-    mat = h.toarray()
-    if np.all(mat.imag == 0.0):
-        energies, vecs = np.linalg.eigh(mat.real)
-    else:
-        energies, vecs = np.linalg.eigh(mat)
-    phases = np.exp(-1j * energies * t)
-    return vecs @ (phases * (vecs.conj().T @ psi))
-
-
 def evolve(
     h: SparseOperator,
     psi0: StateVector,
@@ -236,7 +226,8 @@ def evolve(
         dense_cutoff: Largest dimension for the dense shortcut.
 
     Raises:
-        ValueError: On a non-Hermitian generator or mismatched layout.
+        ValueError: On a non-Hermitian generator, a mismatched layout or a
+            non-finite ``t``.
         PropagationError: If adaptive halving underflows the step size.
     """
     if not h.hermitian:
@@ -244,12 +235,17 @@ def evolve(
     if h.layout != psi0.layout:
         raise ValueError("generator and state live on different layouts")
     t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"evolution time {t!r} is not finite")
     dim = h.total_dim
     if t == 0.0:
         return StateVector(h.layout, psi0.amplitudes, norm_tol=1e-8)
 
     if dim <= dense_cutoff:
-        psi = _dense_evolve(h, psi0.amplitudes, t)
+        full = eigh_dense(h, dense_limit=dense_cutoff)
+        vecs = full.states
+        phases = np.exp(-1j * full.energies * t)
+        psi = vecs @ (phases * (vecs.conj().T @ psi0.amplitudes))
         return StateVector(h.layout, psi, norm_tol=1e-8)
 
     krylov_dim = max(2, min(int(krylov_dim), dim))
@@ -270,39 +266,21 @@ def evolve(
         basis[:, 0] = psi / nrm
         alphas = []
         betas = []
-        m = 0
         invariant = False
         for i in range(krylov_dim):
-            v = basis[:, i]
-            w = mat @ v - theta * v
-            alphas.append(float(np.real(np.vdot(v, w))))
-            w = w - alphas[-1] * v
-            if i > 0:
-                w = w - betas[-1] * basis[:, i - 1]
-            block = basis[:, : i + 1]
-            for _ in range(2):
-                w = w - block @ (block.conj().T @ w)
-            beta = float(np.linalg.norm(w))
-            m = i + 1
+            w, beta = _lanczos_step(mat, basis, alphas, betas, shift=theta)
+            betas.append(beta)
             if i == krylov_dim - 1:
-                betas.append(beta)
                 break
             if beta <= breakdown_floor:
                 # psi spans an exact invariant subspace: the subspace
                 # exponential is exact for any step size.
                 invariant = True
-                betas.append(0.0)
                 break
-            betas.append(beta)
             basis[:, i + 1] = w / beta
 
-        a = np.asarray(alphas)
-        b = np.asarray(betas[: m - 1]) if m > 1 else np.zeros(0)
-        if m == 1:
-            evals = a.copy()
-            evecs = np.ones((1, 1))
-        else:
-            evals, evecs = scipy.linalg.eigh_tridiagonal(a, b)
+        m = len(alphas)
+        evals, evecs = _tridiagonal_eigh(alphas, betas)
         first_row = evecs[0, :].conj()
         beta_exit = betas[m - 1]
 

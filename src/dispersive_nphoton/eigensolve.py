@@ -2,11 +2,13 @@
 
 Provides a dense reference path (:func:`eigh_dense`), a deterministic
 Lanczos path with full reorthogonalization for the lowest part of large
-spectra (:func:`eigs_lowest`), and the bookkeeping used by spectral sweeps:
-labeling eigenstates by dominant bare basis state
-(:func:`label_by_overlap`), discarding truncation-band artifacts by mean
-photon number (:func:`filter_by_mean_photon`), and following levels through
-a parameter sweep by state overlap (:func:`track_levels`).
+spectra (:func:`eigs_lowest`, whose Lanczos step the Krylov propagator
+shares), the ``--method`` dispatch between them (:func:`solve_lowest`), and
+the bookkeeping used by spectral sweeps: labeling eigenstates by dominant
+bare basis state (:func:`label_by_overlap`), discarding truncation-band
+artifacts by mean photon number (:func:`filter_by_mean_photon`), and
+following levels through a parameter sweep by state overlap
+(:func:`track_levels`).
 
 Determinism: every routine here is free of randomness — the Lanczos start
 vector is the normalized all-ones vector and breakdown restarts inject
@@ -143,22 +145,37 @@ def eigh_dense(
 # ---------------------------------------------------------------------------
 
 
-def _lowest_ritz(alphas, betas, k, want_vectors):
-    """Lowest-k Ritz values (and tridiagonal eigenvectors) of T."""
+def _reorthogonalize(block: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Project the orthonormal columns of ``block`` out of ``w``, twice."""
+    for _ in range(2):
+        w = w - block @ (block.conj().T @ w)
+    return w
+
+
+def _lanczos_step(mat, basis, alphas, betas, shift=0.0):
+    """Lanczos step on ``mat - shift`` from column ``len(alphas)`` of ``basis``.
+
+    Appends alpha and returns the fully reorthogonalized residual and its
+    norm; the caller appends beta (zero marks a restart) and goes on.
+    """
+    m = len(alphas)
+    v = basis[:, m]
+    w = mat @ v - shift * v
+    alphas.append(float(np.real(np.vdot(v, w))))
+    w = w - alphas[-1] * v
+    if m > 0 and betas[m - 1] != 0.0:
+        w = w - betas[m - 1] * basis[:, m - 1]
+    w = _reorthogonalize(basis[:, : m + 1], w)
+    return w, float(np.linalg.norm(w))
+
+
+def _tridiagonal_eigh(alphas, betas, k: Optional[int] = None):
+    """Lowest ``min(k, m)`` eigenpairs of the Lanczos ``T``; all when k is None."""
     a = np.asarray(alphas, dtype=float)
-    b = np.asarray(betas, dtype=float)
-    m = len(a)
-    kk = min(k, m)
-    if m == 1:
-        vals = a.copy()
-        vecs = np.ones((1, 1))
-    else:
-        vals, vecs = scipy.linalg.eigh_tridiagonal(
-            a, b[: m - 1], select="i", select_range=(0, kk - 1)
-        )
-    if want_vectors:
-        return vals[:kk], vecs[:, :kk]
-    return vals[:kk], None
+    b = np.asarray(betas[: len(a) - 1], dtype=float)
+    # The full (stevd) and by-index (stebz) drivers differ in the last bits.
+    idx = {} if k is None else dict(select="i", select_range=(0, min(k, len(a)) - 1))
+    return scipy.linalg.eigh_tridiagonal(a, b, **idx)
 
 
 def eigs_lowest(
@@ -231,36 +248,24 @@ def eigs_lowest(
         grown[:, : basis.shape[1]] = basis
         basis = grown
 
-    def _reorthogonalize(w: np.ndarray, cols: int) -> np.ndarray:
-        block = basis[:, :cols]
-        for _ in range(2):
-            w = w - block @ (block.conj().T @ w)
-        return w
-
     def _next_start(cols: int) -> Optional[np.ndarray]:
         nonlocal next_restart_index
         while next_restart_index < dim:
             e = np.zeros(dim, dtype=dtype)
             e[next_restart_index] = 1.0
             next_restart_index += 1
-            e = _reorthogonalize(e, cols)
+            e = _reorthogonalize(basis[:, :cols], e)
             nrm = np.linalg.norm(e)
             if nrm > 1e-8:
                 return e / nrm
         return None
 
-    def _result(want_vectors: bool = True) -> SpectrumResult:
-        vals, small = _lowest_ritz(alphas, betas, k, want_vectors)
-        if not want_vectors or small is None:
-            return SpectrumResult(
-                energies=np.asarray(vals, dtype=float),
-                states=None,
-                layout=h.layout,
-            )
+    def _result() -> SpectrumResult:
+        vals, small = _tridiagonal_eigh(alphas, betas, k)
         states = basis[:, : len(alphas)] @ small.astype(dtype)
         states /= np.linalg.norm(states, axis=0, keepdims=True)
         return SpectrumResult(
-            energies=np.asarray(vals, dtype=float),
+            energies=vals,
             states=states,
             layout=h.layout,
             mean_photons=_mean_photons(h.layout, states),
@@ -269,15 +274,7 @@ def eigs_lowest(
     next_check = min(max_iters, max(k + 2, 20))
     m = 0
     while m < max_iters:
-        v = basis[:, m]
-        w = mat @ v
-        alpha = float(np.real(np.vdot(v, w)))
-        alphas.append(alpha)
-        w = w - alpha * v
-        if m > 0 and betas[m - 1] != 0.0:
-            w = w - betas[m - 1] * basis[:, m - 1]
-        w = _reorthogonalize(w, m + 1)
-        beta = float(np.linalg.norm(w))
+        w, beta = _lanczos_step(mat, basis, alphas, betas)
         m += 1
 
         exhausted_space = m >= dim
@@ -303,11 +300,10 @@ def eigs_lowest(
             return _result()
 
         if m >= next_check and m >= k and not broke_down:
-            vals, small = _lowest_ritz(alphas, betas, k, True)
-            if len(vals) >= k:
-                residuals = abs(betas[m - 1]) * np.abs(small[m - 1, :])
-                if np.all(residuals <= resid_floor):
-                    return _result()
+            _, small = _tridiagonal_eigh(alphas, betas, k)
+            residuals = abs(betas[m - 1]) * np.abs(small[m - 1, :])
+            if np.all(residuals <= resid_floor):
+                return _result()
             next_check = min(max_iters, m + max(20, m // 5))
 
     partial = _result()
@@ -316,6 +312,35 @@ def eigs_lowest(
         f"(k={k}, dim={dim}, tol={tol:g})",
         partial=partial,
     )
+
+
+def solve_lowest(
+    h: SparseOperator,
+    k: int,
+    method: str = "auto",
+    max_iters: Optional[int] = None,
+) -> SpectrumResult:
+    """Lowest ``min(k, dim)`` eigenpairs by ``"dense"``, ``"lanczos"`` or
+    ``"auto"`` (dense up to :data:`DENSE_LIMIT` states, Lanczos above).
+
+    Raises:
+        ValueError: If ``k < 1`` or the method is unknown.
+    """
+    if method not in ("auto", "dense", "lanczos"):
+        raise ValueError(f"unknown eigensolver method {method!r}")
+    if int(k) < 1:
+        raise ValueError(f"k={k} must be at least 1")
+    dim = h.total_dim
+    k = min(int(k), dim)
+    if method == "dense" or (method == "auto" and dim <= DENSE_LIMIT):
+        full = eigh_dense(h)
+        return SpectrumResult(
+            energies=full.energies[:k],
+            states=full.states[:, :k],
+            layout=full.layout,
+            mean_photons=full.mean_photons[:k],
+        )
+    return eigs_lowest(h, k, max_iters=max_iters)
 
 
 # ---------------------------------------------------------------------------

@@ -453,6 +453,23 @@ class TestExitCodes:
         assert {row[1] for row in rows} == {"0", "0.02"}
         assert any(row[8] == "1" for row in rows)
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("spectrum", ["-k", "-3"]),
+            ("spectrum", ["-k", "0", "--method", "lanczos"]),
+            ("levels", ["--num-levels", "0", "--sweep", "g:0:0.02:2"]),
+        ],
+    )
+    def test_num_levels_below_one_exits_2(self, tmp_path, command, extra):
+        cfg = write_config(tmp_path, SINGLE)
+        code, out, err = run_cli(
+            [command, "--config", cfg, "--model", "nR", *extra]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "num-levels" in err
+
 
 class TestLevelsCommand:
     def test_tracks_curves_across_sweep(self, tmp_path):
@@ -564,6 +581,30 @@ class TestDynamicsCommand:
                     "--t-end", "1",
                 ]
             )
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--t-end", "1", "--steps", "0"],
+            ["--t-end", "nan"],
+            ["--t-end", "inf"],
+            ["--t-end", "1", "--krylov-dim", "1"],
+        ],
+    )
+    def test_rejects_bad_run_parameters(self, tmp_path, extra):
+        cfg = write_config(tmp_path, DYN)
+        code, out, err = run_cli(
+            [
+                "dynamics",
+                "--config", cfg,
+                "--model", "nR",
+                "--state", "bell",
+                *extra,
+            ]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestEffectiveTwoQubit:

@@ -203,6 +203,23 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(non_herm, basis_state(spec.layout(), (0, 0)), 1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        spec = single(trunc=8)
+        psi0 = basis_state(spec.layout(), (0, 0))
+        with pytest.raises(ValueError, match="not finite"):
+            evolve(build_nR(spec), psi0, t)
+
+    @pytest.mark.parametrize("krylov_dim", [30, 4])
+    def test_krylov_bit_identical_reruns(self, krylov_dim):
+        spec = single(g=0.15, trunc=40)
+        h = build_nR(spec)
+        assert h.total_dim > 64  # above the default dense cutoff
+        psi0 = preset_state("plus_coherent_1", spec.layout())
+        a = evolve(h, psi0, 6.0, krylov_dim=krylov_dim)
+        b = evolve(h, psi0, 6.0, krylov_dim=krylov_dim)
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+
     def test_step_underflow_raises(self):
         spec = single(g=0.3, trunc=40)
         h = build_nR(spec)

@@ -12,6 +12,7 @@ from dispersive_nphoton.eigensolve import (
     eigs_lowest,
     filter_by_mean_photon,
     label_by_overlap,
+    solve_lowest,
     track_levels,
 )
 from dispersive_nphoton.errors import (
@@ -154,6 +155,33 @@ class TestLanczos:
         b = eigs_lowest(h, 5)
         assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.states, b.states)
+
+
+class TestSolveLowest:
+    @pytest.mark.parametrize("k", [1, 6, 40])
+    def test_pair_count_and_methods_agree(self, k):
+        h = build_nR(single(omega_q=3.1, n=3, g=0.05, trunc=16))
+        dense = solve_lowest(h, k, "dense")
+        lanczos = solve_lowest(h, k, "lanczos")
+        want = min(k, h.total_dim)
+        for res in (dense, lanczos):
+            assert res.k == want
+            assert res.states.shape == (h.total_dim, want)
+            assert res.mean_photons.shape == (want,)
+        assert np.max(np.abs(dense.energies - lanczos.energies)) <= 1e-9
+        auto = solve_lowest(h, k)
+        assert np.array_equal(auto.energies, dense.energies)
+
+    @pytest.mark.parametrize("method", ["auto", "dense", "lanczos"])
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_rejects_k_below_one(self, method, k):
+        h = build_nR(single(trunc=8))
+        with pytest.raises(ValueError, match="at least 1"):
+            solve_lowest(h, k, method)
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown"):
+            solve_lowest(build_nR(single(trunc=8)), 2, "arnoldi")
 
 
 class TestLabeling:
