@@ -17,7 +17,7 @@ def level_table(omega_q, g=0.02, n=2, trunc=120):
         qubits=(dn.QubitSpec(omega_q=omega_q, n=n, g=g),),
         oscillators=(dn.OscillatorSpec(omega=1.0, trunc=trunc),),
     )
-    result = dn.label_by_overlap(dn.eigh_dense(dn.build_nR(spec)))
+    result = dn.label_by_overlap(dn.eigh_dense(dn.build_model(spec, "nR")))
     params = spec.qubit_params()
     print(f"--- omega_q = {omega_q} (detuning {params.delta:+g}), g = {g} ---")
     print(f"{'state':>8} {'numeric':>16} {'|err| plain':>12} {'|err| corrected':>16}")

@@ -23,7 +23,7 @@ def doublet_sweep(n, l_values=(0, 2, 5), g_values=(0.0, 0.1, 0.2, 0.3)):
             qubits=(dn.QubitSpec(omega_q=omega_q, n=n, g=g),),
             oscillators=(dn.OscillatorSpec(omega=1.0, trunc=80),),
         )
-        result = dn.label_by_overlap(dn.eigh_dense(dn.build_nJC(spec)))
+        result = dn.label_by_overlap(dn.eigh_dense(dn.build_model(spec, "nJC")))
         params = dn.DispersiveParams.from_frequencies(omega_q, n, g)
         for l in l_values:
             e_up_num = result.energy_of("e", (l,))

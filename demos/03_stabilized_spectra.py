@@ -24,7 +24,7 @@ def spec(g, trunc, eta=None):
 
 
 def ground(g, trunc, eta=None):
-    h = dn.build_nR(spec(g, trunc, eta))
+    h = dn.build_model(spec(g, trunc, eta), "nR")
     if h.total_dim <= 2048:
         return dn.eigh_dense(h, want_states=False).energies[0]
     return dn.eigs_lowest(h, 8).energies[0]
@@ -46,7 +46,7 @@ def main():
     print("--- stabilized low-photon level count vs coupling (eta = 0.02) ---")
     print("  levels with mean photon number < 20, k = 48, trunc = 1000:")
     for g in (0.0, 0.01, 0.02, 0.025, 0.03):
-        h = dn.build_nR(spec(g, 1000, eta=0.02))
+        h = dn.build_model(spec(g, 1000, eta=0.02), "nR")
         result = dn.eigs_lowest(h, 48)
         kept = dn.filter_by_mean_photon(result, 20.0)
         print(f"  g={g:<6g} count={kept.k}")

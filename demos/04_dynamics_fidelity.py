@@ -21,8 +21,8 @@ def main():
         oscillators=(dn.OscillatorSpec(omega=1.0, trunc=40),),
     )
     layout = spec.layout()
-    h_full = dn.build_nR(spec)
-    h_disp = dn.build_dispersive(spec, "rwa")
+    h_full = dn.build_model(spec, "nR")
+    h_disp = dn.build_model(spec, "dispersive", "rwa")
     chi = spec.qubit_params().chi
     print(f"dispersive shift chi = {chi:.6e}, comparing over chi*t in [0, 2]")
 

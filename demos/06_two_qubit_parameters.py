@@ -32,7 +32,7 @@ def main():
     trunc = spec.oscillators[0].trunc
     worst = 0.0
     for regime in ("rwa", "nonrwa"):
-        h = dn.build_multiqubit_dispersive(spec, regime).toarray()
+        h = dn.build_model(spec, "dispersive", regime).toarray()
         for j in range(8):
             sector = [(q1 * 2 + q2) * trunc + j for q1 in (0, 1) for q2 in (0, 1)]
             eig_full = np.linalg.eigvalsh(h[np.ix_(sector, sector)])

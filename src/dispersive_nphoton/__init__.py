@@ -28,13 +28,10 @@ from .analytic import (
     njc_doublet,
 )
 from .combinatorics import (
-    CoeffTable,
     c_coeff,
     commutator_poly,
     eval_int_poly,
-    falling_factorial_coeffs,
     normal_order_aadag,
-    stirling1_signed,
     stirling2,
 )
 from .dynamics import (
@@ -77,13 +74,11 @@ from .fockspace import (
     embed,
     guard_band_mask,
     identity,
-    kron,
     number,
     op_pow,
     pauli,
     position,
     qubit_oscillator_layout,
-    zeros,
 )
 from .models import (
     CouplingSpec,
@@ -91,15 +86,7 @@ from .models import (
     QubitSpec,
     StabilizerSpec,
     SystemSpec,
-    build_dispersive,
-    build_full_nR,
-    build_multimode,
-    build_multimode_dispersive,
-    build_multiqubit_dispersive,
-    build_nDicke,
-    build_nJC,
-    build_nR,
-    build_nTC,
+    build_model,
     charge_operator,
     two_qubit_block,
     with_swept,
@@ -127,19 +114,14 @@ __all__ = [
     "identity",
     "position",
     "pauli",
-    "zeros",
-    "kron",
     "op_pow",
     "embed",
     "guard_band_mask",
     "qubit_oscillator_layout",
     # combinatorics
-    "CoeffTable",
-    "stirling1_signed",
     "stirling2",
     "c_coeff",
     "normal_order_aadag",
-    "falling_factorial_coeffs",
     "commutator_poly",
     "eval_int_poly",
     # analytic
@@ -156,16 +138,8 @@ __all__ = [
     "StabilizerSpec",
     "SystemSpec",
     "with_swept",
-    "build_nR",
-    "build_nJC",
-    "build_full_nR",
-    "build_dispersive",
-    "build_nDicke",
-    "build_nTC",
-    "build_multiqubit_dispersive",
+    "build_model",
     "two_qubit_block",
-    "build_multimode",
-    "build_multimode_dispersive",
     "charge_operator",
     # eigensolve
     "SpectrumResult",

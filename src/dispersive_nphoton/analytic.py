@@ -273,7 +273,10 @@ def critical_photon_number(n: int, g: float, delta: float) -> float:
     Args:
         n: Coupling order (``n >= 1``).
         g: Coupling strength (``g >= 0``; ``g = 0`` returns ``inf``).
-        delta: Detuning.
+        delta: Detuning (finite).
+
+    Raises:
+        ValueError: For ``n < 1``, a negative ``g`` or a non-finite ``delta``.
     """
     n = int(n)
     if n < 1:
@@ -281,6 +284,8 @@ def critical_photon_number(n: int, g: float, delta: float) -> float:
     g = float(g)
     if g < 0:
         raise ValueError("coupling strength g must be non-negative")
+    if not math.isfinite(delta):
+        raise ValueError(f"detuning delta must be finite, got {delta!r}")
     if g == 0.0:
         return math.inf
     if n == 1:
@@ -320,6 +325,26 @@ def _number_moment(k: int, alpha_abs: float, moment_convention: str) -> float:
     return total
 
 
+def _moment_poly(
+    coeffs, alpha_abs: float, moment_convention: str, k0: int = 0
+) -> float:
+    """Coherent-state average ``sum_{k>=k0} coeffs[k] <N^k>``, summed in
+    order of rising ``k``."""
+    acc = 0.0
+    for k in range(k0, len(coeffs)):
+        acc += coeffs[k] * _number_moment(k, alpha_abs, moment_convention)
+    return acc
+
+
+def _check_alpha(alpha_abs: float) -> float:
+    alpha_abs = float(alpha_abs)
+    if not (math.isfinite(alpha_abs) and alpha_abs >= 0):
+        raise ValueError(
+            f"alpha_abs must be finite and non-negative, got {alpha_abs!r}"
+        )
+    return alpha_abs
+
+
 def dressed_qubit_frequency(
     params: DispersiveParams,
     alpha_abs: float,
@@ -338,27 +363,23 @@ def dressed_qubit_frequency(
 
     Args:
         params: Coupling parameters.
-        alpha_abs: Coherent amplitude modulus (``>= 0``).
+        alpha_abs: Coherent amplitude modulus (finite, ``>= 0``).
         moment_convention: ``"coherent_exact"`` (default) or
             ``"amplitude_literal"``; see :func:`_number_moment`.
         regime: ``"rwa"`` or ``"nonrwa"``.
 
     Raises:
+        ValueError: For a negative or non-finite ``alpha_abs``.
         ResonanceError: Outside the dispersive regime (see
             :meth:`DispersiveParams.require_dispersive`).
     """
     _check_moment_convention(moment_convention)
     _check_regime(regime)
-    alpha_abs = float(alpha_abs)
-    if alpha_abs < 0:
-        raise ValueError("alpha_abs must be non-negative")
+    alpha_abs = _check_alpha(alpha_abs)
     params.require_dispersive(regime)
     shift = params.chi + (params.xi if regime == "nonrwa" else 0.0)
     cplus = commutator_poly(params.n)[0]
-    acc = 0.0
-    for k in range(params.n + 1):
-        acc += cplus[k] * _number_moment(k, alpha_abs, moment_convention)
-    return params.omega_q + shift * acc
+    return params.omega_q + shift * _moment_poly(cplus, alpha_abs, moment_convention)
 
 
 def effective_two_qubit_params(
@@ -393,7 +414,8 @@ def effective_two_qubit_params(
 
     Raises:
         ValueError: If the description does not contain exactly two qubits
-            and one oscillator, or the qubit orders differ.
+            and one oscillator, the qubit orders differ, or ``alpha_abs`` is
+            negative or non-finite.
         ResonanceError: If a detuning vanishes or an expansion parameter is
             not small.
     """
@@ -417,18 +439,12 @@ def effective_two_qubit_params(
     p1.require_dispersive("rwa")
     p2.require_dispersive("rwa")
 
-    n = p1.n
-    alpha_abs = float(alpha_abs)
-    if alpha_abs < 0:
-        raise ValueError("alpha_abs must be non-negative")
+    alpha_abs = _check_alpha(alpha_abs)
 
     w1 = dressed_qubit_frequency(p1, alpha_abs, moment_convention)
     w2 = dressed_qubit_frequency(p2, alpha_abs, moment_convention)
 
     chi_x = p1.g * p2.g * (1.0 / p1.delta + 1.0 / p2.delta)
-    cminus = commutator_poly(n)[1]
+    cminus = commutator_poly(p1.n)[1]
     k0 = 0 if cross_k0 else 1
-    acc = 0.0
-    for k in range(k0, n):
-        acc += cminus[k] * _number_moment(k, alpha_abs, moment_convention)
-    return w1, w2, chi_x * acc
+    return w1, w2, chi_x * _moment_poly(cminus, alpha_abs, moment_convention, k0)

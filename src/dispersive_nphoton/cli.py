@@ -56,7 +56,13 @@ from .combinatorics import commutator_poly, normal_order_aadag
 from .dynamics import STATE_PRESETS, evolve, fidelity, partial_trace, preset_state
 from .eigensolve import DENSE_LIMIT, label_by_overlap, solve_lowest, track_levels
 from .errors import ConfigError, DispersiveNphotonError, ResonanceError, SolverError
-from .models import SystemSpec, _dispersive_model, _exact_model, with_swept
+from .models import (
+    ALL_MODELS,
+    CLOSED_FORM_MODELS,
+    SystemSpec,
+    build_model,
+    with_swept,
+)
 
 SCHEMA_VERSION = 1
 THREADS_ENV_VAR = "DISPERSIVE_NPHOTON_THREADS"
@@ -81,21 +87,6 @@ DYNAMICS_COLUMNS = (
     "mean_photon",
     "norm_drift",
 )
-
-MODELS_BY_TOPOLOGY = {
-    "single": ("nR", "nJC", "full_nR", "dispersive"),
-    "multiqubit": ("nDicke", "nTC", "dispersive"),
-    "multimode": ("mmr", "mmjc", "dispersive"),
-}
-
-ALL_MODELS = ("nR", "nJC", "full_nR", "dispersive", "nDicke", "nTC", "mmr", "mmjc")
-
-#: Interaction kind of every exact model; ``dispersive`` is the other path.
-_EXACT_KINDS = {
-    **dict.fromkeys(("nR", "nDicke", "mmr"), "ladder"),
-    **dict.fromkeys(("nJC", "nTC", "mmjc"), "rotating"),
-    "full_nR": "position",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +181,6 @@ def resolve_threads(flag_value: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
-def build_model(
-    spec: SystemSpec,
-    model: str,
-    regime: str = "nonrwa",
-    squeezing: bool = True,
-    cross_k0: bool = True,
-):
-    """Build the named Hamiltonian, validating it against the topology."""
-    allowed = MODELS_BY_TOPOLOGY[spec.topology]
-    if model not in allowed:
-        raise ConfigError(
-            f"model {model!r} is not available for topology "
-            f"{spec.topology!r}; choose from {allowed}"
-        )
-    if model == "dispersive":
-        return _dispersive_model(spec, regime, squeezing, cross_k0)
-    return _exact_model(spec, _EXACT_KINDS[model])
-
-
 def _analytic_pair(spec: SystemSpec, model: str):
     """Closed-form (rwa, nonrwa) level columns, or blanks outside the domain.
 
@@ -218,7 +190,7 @@ def _analytic_pair(spec: SystemSpec, model: str):
     """
     if (
         spec.topology != "single"
-        or model not in ("nR", "nJC", "dispersive")
+        or model not in CLOSED_FORM_MODELS
         or spec.stabilizer is not None
     ):
         return lambda config, fock: (None, None)
@@ -625,6 +597,8 @@ def _scalar_params(args: argparse.Namespace) -> DispersiveParams:
 
 
 def _cmd_critical_nph(args: argparse.Namespace) -> int:
+    if not args.omega_o > 0:
+        raise ConfigError(f"--omega-o must be positive, got {args.omega_o!r}")
     if args.delta is not None:
         delta = args.delta
     else:
@@ -639,13 +613,13 @@ def _cmd_critical_nph(args: argparse.Namespace) -> int:
 
 def _cmd_dressed_freq(args: argparse.Namespace) -> int:
     params = _scalar_params(args)
-    print(
-        _fmt(
-            dressed_qubit_frequency(
-                params, args.alpha, args.moment_convention, args.regime
-            )
+    try:
+        value = dressed_qubit_frequency(
+            params, args.alpha, args.moment_convention, args.regime
         )
-    )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    print(_fmt(value))
     return 0
 
 
@@ -653,9 +627,12 @@ def _cmd_eff_2q(args: argparse.Namespace) -> int:
     spec = SystemSpec.from_json_file(args.config)
     if spec.topology != "multiqubit" or len(spec.qubits) != 2:
         raise ConfigError("eff-2q requires a 'multiqubit' system with two qubits")
-    w1, w2, gbar = effective_two_qubit_params(
-        spec, args.alpha, args.moment_convention, cross_k0=args.cross_k0
-    )
+    try:
+        w1, w2, gbar = effective_two_qubit_params(
+            spec, args.alpha, args.moment_convention, cross_k0=args.cross_k0
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     lines = [
         _provenance_line(
             {

@@ -5,8 +5,8 @@ no overflow).  The central objects are the signed Stirling numbers of the
 first kind and the Stirling numbers of the second kind, from which the
 package derives:
 
-* the normal-ordered expansion of ``a^n a†^n`` and ``a†^n a^n`` as
-  polynomials in the number operator ``N``,
+* the normal-ordered expansion of ``a^n a†^n`` as a polynomial in the
+  number operator ``N``,
 * the commutator/anticommutator coefficient polynomials ``C+`` and ``C-``
   that govern every n-photon dispersive expression in this package:
   with ``X- = [a^n, a†^n]`` and ``X+ = {a^n, a†^n}`` one has, on states far
@@ -24,11 +24,7 @@ Conventions: ``s1`` is *signed* (``x(x-1)...(x-n+1) = sum_k s1(n,k) x^k``),
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-
-#: Default polynomial order retained by :meth:`CoeffTable.build`.
-DEFAULT_N_MAX = 12
 
 
 # ---------------------------------------------------------------------------
@@ -74,19 +70,6 @@ def _check_range(n: int, k: int, what: str) -> tuple[int, int]:
     return n, k
 
 
-def stirling1_signed(n: int, k: int) -> int:
-    """Signed Stirling number of the first kind ``s1(n, k)``.
-
-    Defined by ``x (x-1) ... (x-n+1) = sum_k s1(n, k) x^k``; satisfies
-    ``s1(n+1, k) = s1(n, k-1) - n s1(n, k)`` with ``s1(0, 0) = 1``.
-
-    Raises:
-        ValueError: Unless ``0 <= k <= n``.
-    """
-    n, k = _check_range(n, k, "stirling1_signed")
-    return _s1_rows(n)[n][k]
-
-
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind ``s2(n, k)`` (non-negative).
 
@@ -119,19 +102,6 @@ def normal_order_aadag(n: int) -> tuple[int, ...]:
         raise ValueError("normal_order_aadag requires n >= 0")
     row = _s1_rows(n + 1)[n + 1]
     return tuple((-1) ** (n + k) * row[k + 1] for k in range(n + 1))
-
-
-def falling_factorial_coeffs(n: int) -> tuple[int, ...]:
-    """Coefficients of ``a†^n a^n = N (N-1) ... (N-n+1)`` in powers of ``N``.
-
-    Returns:
-        Tuple of length ``n + 1``: exactly the signed Stirling row
-        ``s1(n, k)`` for ``k = 0..n``.
-    """
-    n = int(n)
-    if n < 0:
-        raise ValueError("falling_factorial_coeffs requires n >= 0")
-    return tuple(_s1_rows(n)[n])
 
 
 def c_coeff(n: int, k: int, sign: str) -> int:
@@ -190,80 +160,3 @@ def eval_int_poly(coeffs, x: int) -> int:
     for c in reversed(tuple(coeffs)):
         acc = acc * x + int(c)
     return acc
-
-
-# ---------------------------------------------------------------------------
-# Frozen table
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """Immutable precomputed coefficient table up to a fixed order.
-
-    Attributes:
-        n_max: Largest multiphoton order tabulated.
-        s1: Signed first-kind Stirling rows for ``0 <= n <= n_max + 1``
-            (row ``n`` has entries ``k = 0..n``).
-        s2: Second-kind Stirling rows over the same range.
-        cplus: Anticommutator polynomial rows for ``0 <= n <= n_max``
-            (row ``n`` has entries ``k = 0..n``).
-        cminus: Commutator polynomial rows over the same range; each row
-            keeps its identically-zero top entry so that rows of ``cplus``
-            and ``cminus`` are index-aligned.
-    """
-
-    n_max: int
-    s1: tuple[tuple[int, ...], ...]
-    s2: tuple[tuple[int, ...], ...]
-    cplus: tuple[tuple[int, ...], ...]
-    cminus: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, n_max: int = DEFAULT_N_MAX) -> "CoeffTable":
-        """Compute every row exactly up to ``n_max``.
-
-        Args:
-            n_max: Largest order to tabulate (``n_max >= 1``).  Arbitrary
-                precision integers are used throughout, so large orders are
-                exact, merely slower.
-        """
-        n_max = int(n_max)
-        if n_max < 1:
-            raise ValueError("CoeffTable requires n_max >= 1")
-        s1 = _s1_rows(n_max + 1)
-        s2 = _s2_rows(n_max + 1)
-        # Degenerate order-0 row: the anticommutator of two identities is 2,
-        # the commutator is 0.
-        cplus = [(2,)]
-        cminus = [(0,)]
-        for n in range(1, n_max + 1):
-            cplus.append(tuple(c_coeff(n, k, "plus") for k in range(n + 1)))
-            cminus.append(tuple(c_coeff(n, k, "minus") for k in range(n + 1)))
-        return cls(
-            n_max=n_max,
-            s1=s1,
-            s2=s2,
-            cplus=tuple(cplus),
-            cminus=tuple(cminus),
-        )
-
-    def _row(self, table: tuple[tuple[int, ...], ...], n: int, what: str):
-        n = int(n)
-        if not 0 <= n < len(table):
-            raise ValueError(f"{what} row n={n} out of tabulated range")
-        return table[n]
-
-    def cplus_row(self, n: int) -> tuple[int, ...]:
-        """Anticommutator coefficients ``C+(n, k)`` for ``k = 0..n``."""
-        return self._row(self.cplus, n, "cplus")
-
-    def cminus_row(self, n: int) -> tuple[int, ...]:
-        """Commutator coefficients ``C-(n, k)`` for ``k = 0..n`` (top entry 0)."""
-        return self._row(self.cminus, n, "cminus")
-
-    def s1_row(self, n: int) -> tuple[int, ...]:
-        return self._row(self.s1, n, "s1")
-
-    def s2_row(self, n: int) -> tuple[int, ...]:
-        return self._row(self.s2, n, "s2")

@@ -221,13 +221,14 @@ def evolve(
         h: Certified-Hermitian generator.
         psi0: Initial state on the same layout.
         t: Total evolution time (may be negative or zero).
-        krylov_dim: Lanczos subspace size per substep.
+        krylov_dim: Lanczos subspace size per substep (``>= 2``; capped at
+            the dimension).
         local_tol: Per-substep error budget.
         dense_cutoff: Largest dimension for the dense shortcut.
 
     Raises:
-        ValueError: On a non-Hermitian generator, a mismatched layout or a
-            non-finite ``t``.
+        ValueError: On a non-Hermitian generator, a mismatched layout, a
+            non-finite ``t`` or ``krylov_dim < 2``.
         PropagationError: If adaptive halving underflows the step size.
     """
     if not h.hermitian:
@@ -237,6 +238,8 @@ def evolve(
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"evolution time {t!r} is not finite")
+    if int(krylov_dim) < 2:
+        raise ValueError(f"krylov_dim must be >= 2, got {krylov_dim!r}")
     dim = h.total_dim
     if t == 0.0:
         return StateVector(h.layout, psi0.amplitudes, norm_tol=1e-8)
@@ -248,7 +251,7 @@ def evolve(
         psi = vecs @ (phases * (vecs.conj().T @ psi0.amplitudes))
         return StateVector(h.layout, psi, norm_tol=1e-8)
 
-    krylov_dim = max(2, min(int(krylov_dim), dim))
+    krylov_dim = min(int(krylov_dim), dim)
     theta = float(np.real(h.diagonal()).mean())
     mat = h.entries
     scale = h.one_norm() or 1.0

@@ -4,7 +4,7 @@ This module provides the numerical substrate for everything else in the
 package: a declarative description of a composite Hilbert space
 (:class:`HilbertLayout`), an immutable canonical sparse operator wrapper
 (:class:`SparseOperator`), single-subsystem ladder/Pauli constructors, and
-the tensor-product machinery (:func:`kron`, :func:`embed`, :func:`op_pow`)
+the tensor-product machinery (:func:`embed`, :func:`op_pow`)
 used to place operators inside a composite space.
 
 Conventions
@@ -421,27 +421,9 @@ def pauli(which: str) -> SparseOperator:
     return SparseOperator.from_dense(_qubit_layout(), mat)
 
 
-def zeros(layout: HilbertLayout) -> SparseOperator:
-    """Zero operator on a layout (useful as a sum accumulator)."""
-    dim = layout.total_dim
-    return SparseOperator(layout, sp.csr_matrix((dim, dim), dtype=np.complex128))
-
-
 # ---------------------------------------------------------------------------
 # Composite-space machinery
 # ---------------------------------------------------------------------------
-
-
-def kron(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    """Tensor product; ``a``'s subsystems precede ``b``'s in the result."""
-    total = a.layout.total_dim * b.layout.total_dim
-    if total > MAX_TOTAL_DIM:
-        raise CapacityError(
-            f"tensor product dimension {total} exceeds the supported maximum "
-            f"{MAX_TOTAL_DIM}"
-        )
-    layout = HilbertLayout(a.layout.subsystems + b.layout.subsystems)
-    return SparseOperator(layout, sp.kron(a.entries, b.entries, format="csr"))
 
 
 def op_pow(a: SparseOperator, exponent: int) -> SparseOperator:

@@ -7,25 +7,15 @@ A :class:`SystemSpec` declaratively describes one of three topologies:
 * ``"multimode"``  — one qubit coupled to several oscillators, each through
   its own exchange order.
 
-From a spec the builders assemble sparse Hamiltonians on the corresponding
-:class:`.fockspace.HilbertLayout` (qubits first, then oscillators).  Every
-model is one dense diagonal plus a list of terms
+From a spec, :func:`build_model` assembles any of the models offered for
+its topology (``MODELS_BY_TOPOLOGY``) as a sparse Hamiltonian on the
+corresponding :class:`.fockspace.HilbertLayout` (qubits first, then
+oscillators).  Every model is one dense diagonal plus a list of terms
 ``(coefficient, {layout slot: local factor})`` built over one normalized
 coupling list; the list is summed once and certified Hermitian once.
-
-* :func:`build_nR` / :func:`build_nJC` — exact n-quantum exchange models,
-  with the interaction ``g (a†^n + a^n)`` attached to ``sigma_x`` (both
-  rotating and counter-rotating terms) or to ``sigma_+/sigma_-`` (rotating
-  only, conserving ``N + n |e><e|``);
-* :func:`build_full_nR` — position-power interaction ``g (a + a†)^n`` with
-  an optional even-power stabilizer;
-* :func:`build_dispersive` — the second-order effective model whose diagonal
-  is *bit-identical* to :func:`.analytic.dispersive_level`;
-* :func:`build_nDicke` / :func:`build_nTC` — the multiqubit exact models;
-* :func:`build_multiqubit_dispersive` and :func:`two_qubit_block` — the
-  effective multiqubit model and its closed-form fixed-photon-number block;
-* :func:`build_multimode` / :func:`build_multimode_dispersive` — the
-  multimode exact and effective models.
+:func:`charge_operator` is the conserved charge of the rotating models and
+:func:`two_qubit_block` the closed-form fixed-photon-number block of the
+two-qubit effective model.
 
 All frequencies are in units of the (first) oscillator frequency unless the
 spec says otherwise.
@@ -56,6 +46,26 @@ from .fockspace import (
 
 TOPOLOGIES = ("single", "multiqubit", "multimode")
 STABILIZER_FORMS = ("number_power", "full_position_power")
+
+#: Models :func:`build_model` accepts for each topology.
+MODELS_BY_TOPOLOGY = {
+    "single": ("nR", "nJC", "full_nR", "dispersive"),
+    "multiqubit": ("nDicke", "nTC", "dispersive"),
+    "multimode": ("mmr", "mmjc", "dispersive"),
+}
+#: Every model name, in the order of ``MODELS_BY_TOPOLOGY``.
+ALL_MODELS = tuple(dict.fromkeys(m for ms in MODELS_BY_TOPOLOGY.values() for m in ms))
+
+#: Single-topology models whose unstabilized levels
+#: :func:`.analytic.dispersive_level` describes.
+CLOSED_FORM_MODELS = ("nR", "nJC", "dispersive")
+
+#: Interaction kind of every exact model; ``dispersive`` is the other path.
+_EXACT_KINDS = {
+    **dict.fromkeys(("nR", "nDicke", "mmr"), "ladder"),
+    **dict.fromkeys(("nJC", "nTC", "mmjc"), "rotating"),
+    "full_nR": "position",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +299,6 @@ class SystemSpec:
         q = self.qubits[index]
         return DispersiveParams.from_frequencies(
             q.omega_q, q.n, q.g, self.oscillators[0].omega
-        )
-
-    def coupling_params(self, coupling: CouplingSpec) -> DispersiveParams:
-        """Dispersive parameters of one multimode coupling entry."""
-        q = self.qubits[coupling.qubit]
-        osc = self.oscillators[coupling.oscillator]
-        return DispersiveParams.from_frequencies(
-            q.omega_q, coupling.n, coupling.g, osc.omega
         )
 
     # -- serialization ---------------------------------------------------------
@@ -668,63 +670,93 @@ def _dispersive_model(
 
 
 # ---------------------------------------------------------------------------
-# Exact single-qubit models
+# Public builders
 # ---------------------------------------------------------------------------
 
 
-def build_nR(spec: SystemSpec) -> SparseOperator:
-    """n-quantum exchange model with counter-rotating terms retained.
+def build_model(
+    spec: SystemSpec,
+    model: str,
+    regime: str = "nonrwa",
+    squeezing: bool = True,
+    cross_k0: bool = True,
+) -> SparseOperator:
+    """Hamiltonian ``model`` of the system ``spec``.
 
-    ``H = omega N + (omega_q / 2) sigma_z + g sigma_x (a†^n + a^n)``
-    plus the configured stabilizer, on the layout ``(qubit, oscillator)``.
+    Every model carries the bare part ``sum_k omega_k N_k + sum_l (omega_q,l
+    / 2) sigma_z^l`` and, per coupling (qubit ``l``, mode ``k``, order ``n``,
+    strength ``g``), one interaction term::
+
+        topology     model       interaction per coupling
+        single       nR          g sigma_x (a†^n + a^n)
+                     nJC         g (sigma_+ a^n + sigma_- a†^n)
+                     full_nR     g sigma_x (a + a†)^n
+        multiqubit   nDicke      g_l sigma_x^l (a†^n + a^n)
+                     nTC         g_l (sigma_+^l a^n + sigma_-^l a†^n)
+        multimode    mmr         g_k sigma_x (a_k†^n_k + a_k^n_k)
+                     mmjc        g_k (sigma_+ a_k^n_k + sigma_- a_k†^n_k)
+        any          dispersive  second-order effective model (below)
+
+    The exact models add the configured stabilizer, ``eta g a†^m a^m`` or
+    ``eta g (a + a†)^m``.  ``nJC`` and ``nTC`` conserve ``N + n |e><e|``
+    (see :func:`charge_operator`), so the ``nJC`` spectrum splits into an
+    uncoupled ladder ``|g, j < n>`` plus two-level doublets.  ``full_nR``
+    holds every multiphoton process up to order ``n`` and takes only the
+    ``full_position_power`` stabilizer (even ``m > n``), which restores a
+    bounded-below continuum limit.  With one qubit or one mode,
+    ``nDicke``/``mmr`` reduce entrywise to ``nR`` and ``nTC``/``mmjc`` to
+    ``nJC``.
+
+    The ``dispersive`` model holds, per coupling, the diagonal of
+    :func:`.analytic.dispersive_level`, evaluated in its operation order so
+    the two agree bit for bit; in the ``"nonrwa"`` regime with ``squeezing``
+    it adds ``(chi + xi)/2 sigma_z (a†^(2n) + a^(2n))``.  Each pair of
+    couplings ``l``, ``m`` adds an exchange through the shared mode
+    (multiqubit: qubits ``l``, ``m``) or the shared qubit (multimode: modes
+    ``l``, ``m``)::
+
+        multiqubit rwa:     (chi_x / 2)         (s+_l s-_m + s-_l s+_m) P(N)
+        multiqubit nonrwa:  ((chi_x - xi_x)/2)  sigma_x^l sigma_x^m     P(N)
+        multimode rwa:      (chi_x / 2)         sigma_z (a_l†^n_l a_m^n_m + h.c.)
+        multimode nonrwa:   ((chi_x + xi_x)/2)  sigma_z (a_l^n_l + a_l†^n_l)
+                                                        (a_m^n_m + a_m†^n_m)
+
+    with ``P(N) = sum_{k=k0}^{n-1} Cminus(n,k) N^k`` (``k0 = 0`` when
+    ``cross_k0``, else 1), ``chi_x = g_l g_m (1/delta_l + 1/delta_m)`` and
+    ``xi_x`` likewise with sum frequencies.  Qubits sharing a mode must share
+    its order ``n``; their exchange vanishes for ``delta_l = -delta_m``.
+
+    Args:
+        spec: System description.
+        model: One of ``MODELS_BY_TOPOLOGY[spec.topology]``.
+        regime: ``"rwa"`` or ``"nonrwa"`` (``dispersive`` only).
+        squeezing: Keep the nonrwa squeezing-like term (``dispersive`` only).
+        cross_k0: Keep the constant term of ``P(N)`` (``dispersive`` only).
 
     Raises:
-        ConfigError: For a non-single topology.
-        TruncationError: If ``n >= trunc``.
+        ConfigError: For a model the topology does not offer, qubits of
+            different orders on a shared mode (``dispersive``), or a
+            stabilizer of the wrong form (``full_nR``).
+        TruncationError: If any ``n >= trunc``.
+        ResonanceError: If a detuning denominator vanishes (``dispersive``).
+        ValueError: For an unknown regime (``dispersive``).
     """
-    _require_topology(spec, "single")
-    return _exact_model(spec, "ladder")
-
-
-def build_nJC(spec: SystemSpec) -> SparseOperator:
-    """Rotating (number-conserving) n-quantum exchange model.
-
-    ``H = omega N + (omega_q / 2) sigma_z + g (sigma_+ a^n + sigma_- a†^n)``
-    plus the configured stabilizer.  Conserves
-    ``N + n |e><e|`` (see :func:`charge_operator`), so the spectrum splits
-    into an uncoupled ladder ``|g, j < n>`` plus two-level doublets.
-
-    Raises:
-        ConfigError: For a non-single topology.
-        TruncationError: If ``n >= trunc``.
-    """
-    _require_topology(spec, "single")
-    return _exact_model(spec, "rotating")
-
-
-def build_full_nR(spec: SystemSpec) -> SparseOperator:
-    """Position-power interaction model, optionally stabilized.
-
-    ``H = omega N + (omega_q / 2) sigma_z + g sigma_x (a + a†)^n
-    [+ eta g (a + a†)^m]``.  The interaction contains every multiphoton
-    process up to order ``n``; the optional stabilizer must use the
-    ``full_position_power`` form (even ``m > n``), which restores a bounded-
-    below continuum limit.
-
-    Raises:
-        ConfigError: For a non-single topology or a stabilizer of the wrong
-            form.
-        TruncationError: If ``n >= trunc``.
-    """
-    _require_topology(spec, "single")
-    return _exact_model(spec, "position")
+    allowed = MODELS_BY_TOPOLOGY[spec.topology]
+    if model not in allowed:
+        raise ConfigError(
+            f"model {model!r} is not available for topology "
+            f"{spec.topology!r}; choose from {allowed}"
+        )
+    if model == "dispersive":
+        return _dispersive_model(spec, regime, squeezing, cross_k0)
+    return _exact_model(spec, _EXACT_KINDS[model])
 
 
 def charge_operator(spec: SystemSpec) -> SparseOperator:
     """Conserved charge ``N + n sum_l |e><e|_l`` of the rotating models.
 
-    Commutes exactly with :func:`build_nJC` (single topology) and
-    :func:`build_nTC` (multiqubit topology with a shared order).
+    Commutes exactly with the ``nJC`` (single topology) and ``nTC``
+    (multiqubit topology with a shared order) models of :func:`build_model`.
     """
     _require_topology(spec, "single", "multiqubit")
     n = spec.common_n()
@@ -732,94 +764,6 @@ def charge_operator(spec: SystemSpec) -> SparseOperator:
     nq = len(spec.qubits)
     occ = layout.occupation_vectors()
     return _assemble(layout, occ[:, nq] + float(n) * (occ[:, :nq] == 0).sum(axis=1), [])
-
-
-# ---------------------------------------------------------------------------
-# Single-qubit dispersive model
-# ---------------------------------------------------------------------------
-
-
-def build_dispersive(
-    spec: SystemSpec,
-    regime: str = "nonrwa",
-    include_squeezing: bool = True,
-) -> SparseOperator:
-    """Second-order effective model of one n-photon coupled qubit.
-
-    The diagonal entry of basis state ``|qubit, j>`` is evaluated in the
-    operation order of :func:`.analytic.dispersive_level`, so closed-form
-    levels and this matrix agree *exactly* (bit-for-bit), not merely to
-    rounding.  In the ``"nonrwa"`` regime with ``include_squeezing`` the
-    off-diagonal two-step exchange term
-    ``(chi + xi)/2 sigma_z (a†^(2n) + a^(2n))`` is added as well.
-
-    Raises:
-        ConfigError: For a non-single topology.
-        TruncationError: If ``n >= trunc``.
-        ResonanceError: If a required detuning denominator vanishes.
-        ValueError: For an unknown regime.
-    """
-    _require_topology(spec, "single")
-    return _dispersive_model(spec, regime, include_squeezing)
-
-
-# ---------------------------------------------------------------------------
-# Multiqubit models
-# ---------------------------------------------------------------------------
-
-
-def build_nDicke(spec: SystemSpec, rwa: bool = False) -> SparseOperator:
-    """Several qubits sharing one oscillator through n-quantum exchanges.
-
-    With ``rwa=False`` each qubit couples as ``g_l sigma_x^l (a†^n_l + a^n_l)``;
-    with ``rwa=True`` as ``g_l (sigma_+^l a^n_l + sigma_-^l a†^n_l)``.  With a
-    single qubit this reduces entrywise to :func:`build_nR` /
-    :func:`build_nJC`.
-
-    Raises:
-        ConfigError: For a non-multiqubit topology.
-        TruncationError: If any ``n_l >= trunc``.
-    """
-    _require_topology(spec, "multiqubit")
-    return _exact_model(spec, "rotating" if rwa else "ladder")
-
-
-def build_nTC(spec: SystemSpec) -> SparseOperator:
-    """Rotating multiqubit model (shortcut for ``build_nDicke(spec, rwa=True)``)."""
-    return build_nDicke(spec, rwa=True)
-
-
-def build_multiqubit_dispersive(
-    spec: SystemSpec,
-    regime: str = "nonrwa",
-    cross_k0: bool = True,
-    include_squeezing: bool = True,
-) -> SparseOperator:
-    """Second-order effective model of several qubits sharing one oscillator.
-
-    Contains, for each qubit ``l``, the single-qubit dispersive terms
-    (qubit splitting, photon-number polynomial shifts, and — in the
-    ``"nonrwa"`` regime — the squeezing-like off-diagonal term), plus for
-    each pair ``l > m`` an oscillator-mediated exchange::
-
-        rwa:    (chi_x / 2)          (s+_l s-_m + s-_l s+_m) P(N)
-        nonrwa: ((chi_x - xi_x) / 2)  sigma_x^l sigma_x^m    P(N)
-
-    with ``P(N) = sum_{k=k0}^{n-1} Cminus(n,k) N^k``, ``k0 = 0`` when
-    ``cross_k0`` (keeping the photon-independent exchange) and 1 otherwise,
-    and ``chi_x = g_l g_m (1/delta_l + 1/delta_m)`` (``xi_x`` likewise with
-    sum frequencies).
-
-    Requires every qubit to share the same exchange order ``n``; the
-    exchange strength vanishes identically for ``delta_l = -delta_m``.
-
-    Raises:
-        ConfigError: For a non-multiqubit topology or mismatched orders.
-        ResonanceError: If any detuning denominator vanishes.
-        ValueError: For an unknown regime.
-    """
-    _require_topology(spec, "multiqubit")
-    return _dispersive_model(spec, regime, include_squeezing, cross_k0)
 
 
 def two_qubit_block(
@@ -831,7 +775,7 @@ def two_qubit_block(
     """Closed-form 4x4 block of the two-qubit effective model at photon number j.
 
     Basis ordering ``{|ee>, |eg>, |ge>, |gg>} (x) |j>``.  Because every term
-    of :func:`build_multiqubit_dispersive` except the squeezing-like one
+    of the multiqubit ``dispersive`` model except the squeezing-like one
     conserves photon number (and the squeezing term moves ``2n`` quanta,
     having no elements inside a fixed-``j`` sector), the eigenvalues of this
     block coincide with those of the projected full model.
@@ -884,54 +828,3 @@ def two_qubit_block(
     if regime == "nonrwa":
         block[0, 3] = block[3, 0] = exch
     return 0.5 * block
-
-
-# ---------------------------------------------------------------------------
-# Multimode models
-# ---------------------------------------------------------------------------
-
-
-def build_multimode(spec: SystemSpec, variant: str = "mmr") -> SparseOperator:
-    """Exact model of one qubit exchanging quanta with several oscillators.
-
-    ``variant="mmr"`` keeps counter-rotating terms
-    (``g_k sigma_x (a_k†^n_k + a_k^n_k)`` per coupled mode);
-    ``variant="mmjc"`` keeps only rotating terms
-    (``g_k (sigma_+ a_k^n_k + sigma_- a_k†^n_k)``).
-
-    Raises:
-        ConfigError: For a non-multimode topology or unknown variant.
-        TruncationError: If any ``n_k >= trunc_k``.
-    """
-    if variant not in ("mmr", "mmjc"):
-        raise ConfigError(f"variant must be 'mmr' or 'mmjc', got {variant!r}")
-    _require_topology(spec, "multimode")
-    return _exact_model(spec, "ladder" if variant == "mmr" else "rotating")
-
-
-def build_multimode_dispersive(
-    spec: SystemSpec,
-    regime: str = "nonrwa",
-    include_squeezing: bool = True,
-) -> SparseOperator:
-    """Second-order effective model of one qubit coupled to several modes.
-
-    Per coupled mode ``k`` the single-mode dispersive terms appear (with
-    strengths ``chi_k = g_k^2 / delta_k``, ``xi_k = g_k^2 / sigma_k``,
-    ``delta_k = omega_q - n_k omega_k``); each coupled pair ``k < l``
-    acquires a qubit-state-conditioned beam-splitter-like exchange::
-
-        rwa:    (chi_x / 2)        sigma_z (a_k†^n_k a_l^n_l + h.c.)
-        nonrwa: ((chi_x + xi_x)/2) sigma_z (a_k^n_k + a_k†^n_k)
-                                           (a_l^n_l + a_l†^n_l)
-
-    with ``chi_x = g_k g_l (1/delta_k + 1/delta_l)`` and ``xi_x`` likewise
-    with sum frequencies.
-
-    Raises:
-        ConfigError: For a non-multimode topology.
-        ResonanceError: If any detuning denominator vanishes.
-        ValueError: For an unknown regime.
-    """
-    _require_topology(spec, "multimode")
-    return _dispersive_model(spec, regime, include_squeezing)

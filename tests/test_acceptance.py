@@ -166,7 +166,7 @@ def test_criterion_3_doublet_spectra(capfd):
         omega_q = n + 0.5  # detuning 0.5 keeps every doublet gapped
         results = []
         for g in grid:
-            res = eigh_dense(dn.build_nJC(_single(omega_q, n, float(g), 300)))
+            res = eigh_dense(dn.build_model(_single(omega_q, n, float(g), 300), "nJC"))
             if not results:
                 res = label_by_overlap(res)
             results.append(res)
@@ -198,7 +198,7 @@ def test_criterion_3_doublet_spectra(capfd):
 
 def _labeled_errors(omega_q, g):
     spec = _single(omega_q, 2, g, 300)
-    res = label_by_overlap(eigh_dense(dn.build_nR(spec)))
+    res = label_by_overlap(eigh_dense(dn.build_model(spec, "nR")))
     params = spec.qubit_params()
     rows = []
     for qubit in ("e", "g"):
@@ -253,17 +253,23 @@ def test_criterion_5_spectral_stabilization(capfd):
     # Degree-3 coupling at omega_q=3.1.  (a) unstabilized spectra are
     # truncation-dependent: doubling the basis moves the lowest eigenvalue
     # macroscopically at both a dense-reachable and a large-basis point.
-    e300 = eigh_dense(dn.build_nR(_single(3.1, 3, 0.03, 300)), want_states=False)
-    e600 = eigh_dense(dn.build_nR(_single(3.1, 3, 0.03, 600)), want_states=False)
+    e300 = eigh_dense(
+        dn.build_model(_single(3.1, 3, 0.03, 300), "nR"), want_states=False
+    )
+    e600 = eigh_dense(
+        dn.build_model(_single(3.1, 3, 0.03, 600), "nR"), want_states=False
+    )
     shift_dense = abs(e600.energies[0] - e300.energies[0])
-    e2k = eigh_dense(dn.build_nR(_single(3.1, 3, 0.01, 2000)), want_states=False)
-    e4k = eigs_lowest(dn.build_nR(_single(3.1, 3, 0.01, 4000)), 8)
+    e2k = eigh_dense(
+        dn.build_model(_single(3.1, 3, 0.01, 2000), "nR"), want_states=False
+    )
+    e4k = eigs_lowest(dn.build_model(_single(3.1, 3, 0.01, 4000), "nR"), 8)
     shift_large = abs(e4k.energies[0] - e2k.energies[0])
     ok = shift_dense > 0.1 and shift_large > 0.1
     # (b) the quartic-in-number stabilizer restores convergence under the
     # same doubling.
-    s2k = eigs_lowest(dn.build_nR(_single(3.1, 3, 0.01, 2000, eta=0.02)), 8)
-    s4k = eigs_lowest(dn.build_nR(_single(3.1, 3, 0.01, 4000, eta=0.02)), 8)
+    s2k = eigs_lowest(dn.build_model(_single(3.1, 3, 0.01, 2000, eta=0.02), "nR"), 8)
+    s4k = eigs_lowest(dn.build_model(_single(3.1, 3, 0.01, 4000, eta=0.02), "nR"), 8)
     drift = abs(s4k.energies[0] - s2k.energies[0])
     ok = ok and drift < 1e-6
     # (c) the low-photon (nbar < 20) level count collapses to zero once the
@@ -273,7 +279,7 @@ def test_criterion_5_spectral_stabilization(capfd):
     grid = [0.0, 0.005, 0.01, 0.015, 0.018, 0.02, 0.0225, 0.025, 0.03]
     counts = []
     for g in grid:
-        res = eigs_lowest(dn.build_nR(_single(3.1, 3, g, 2000, eta=0.02)), 96)
+        res = eigs_lowest(dn.build_model(_single(3.1, 3, g, 2000, eta=0.02), "nR"), 96)
         counts.append(filter_by_mean_photon(res, 20.0).k)
     ok = ok and counts == [40, 41, 41, 41, 40, 40, 0, 0, 0]
     ok = ok and all(c >= 40 for g, c in zip(grid, counts) if g <= 0.02)
@@ -297,8 +303,8 @@ def test_criterion_6_dispersive_dynamics_fidelity(capfd):
     start = time.perf_counter()
     spec = _single(8.0, 2, 0.02, 60)
     layout = spec.layout()
-    h_exact = dn.build_nR(spec)
-    h_disp = dn.build_dispersive(spec, "rwa")
+    h_exact = dn.build_model(spec, "nR")
+    h_disp = dn.build_model(spec, "dispersive", "rwa")
     chi = spec.qubit_params().chi
     chi_times = np.linspace(0.0, 2.0, 21)
 
@@ -359,8 +365,8 @@ def test_criterion_7_two_qubit_block_reduction(capfd):
     worst = 0.0
     for regime in ("rwa", "nonrwa"):
         for cross_k0 in (True, False):
-            h = dn.build_multiqubit_dispersive(
-                spec, regime, cross_k0=cross_k0
+            h = dn.build_model(
+                spec, "dispersive", regime, cross_k0=cross_k0
             ).toarray()
             for j in range(11):
                 sector = [(q1 * 2 + q2) * trunc + j for q1 in (0, 1) for q2 in (0, 1)]

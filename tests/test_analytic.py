@@ -28,7 +28,7 @@ from dispersive_nphoton.models import (
     OscillatorSpec,
     QubitSpec,
     SystemSpec,
-    build_nJC,
+    build_model,
 )
 from dispersive_nphoton.eigensolve import eigh_dense, label_by_overlap
 
@@ -166,7 +166,7 @@ class TestDoublets:
             qubits=(QubitSpec(omega_q=2.5, n=2, g=0.1),),
             oscillators=(OscillatorSpec(omega=1.0, trunc=40),),
         )
-        result = label_by_overlap(eigh_dense(build_nJC(spec)))
+        result = label_by_overlap(eigh_dense(build_model(spec, "nJC")))
         p = spec.qubit_params()
         up, down = njc_doublet(p, 0)
         assert result.energy_of("e", (0,)) == pytest.approx(up, abs=1e-12)

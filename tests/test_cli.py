@@ -635,6 +635,46 @@ class TestEffectiveTwoQubit:
         assert err.startswith("error:")
 
 
+MIXED_ORDER_PAIR = {
+    **PAIR,
+    "qubits": [PAIR["qubits"][0], {**PAIR["qubits"][1], "n": 3}],
+}
+SCALAR_ARGS = ["--omega-q", "2.5", "--n", "2", "--g", "0.01"]
+
+
+class TestScalarInputValidation:
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["dressed-freq", *SCALAR_ARGS, "--alpha", "-1"], None),
+            (["dressed-freq", *SCALAR_ARGS, "--alpha", "nan"], None),
+            (["dressed-freq", *SCALAR_ARGS, "--alpha", "inf"], None),
+            (["eff-2q", "--alpha", "-1"], PAIR),
+            (["eff-2q", "--alpha", "nan"], PAIR),
+            (["eff-2q", "--alpha", "1"], MIXED_ORDER_PAIR),
+            (["critical-nph", *SCALAR_ARGS, "--omega-o", "-1"], None),
+            (["critical-nph", "--n", "2", "--g", "0.01", "--delta", "nan"], None),
+        ],
+        ids=[
+            "dressed-alpha-negative",
+            "dressed-alpha-nan",
+            "dressed-alpha-inf",
+            "eff2q-alpha-negative",
+            "eff2q-alpha-nan",
+            "eff2q-mixed-orders",
+            "critical-omega-o-negative",
+            "critical-delta-nan",
+        ],
+    )
+    def test_invalid_input_exits_2(self, tmp_path, argv, config):
+        if config is not None:
+            argv = [*argv, "--config", write_config(tmp_path, config)]
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs(self):
         proc = subprocess.run(

@@ -3,14 +3,10 @@
 import pytest
 
 from dispersive_nphoton.combinatorics import (
-    DEFAULT_N_MAX,
-    CoeffTable,
     c_coeff,
     commutator_poly,
     eval_int_poly,
-    falling_factorial_coeffs,
     normal_order_aadag,
-    stirling1_signed,
     stirling2,
 )
 
@@ -30,13 +26,32 @@ CMINUS_ROWS = {
 }
 
 
+def s1(n, k):
+    """Signed Stirling number of the first kind, read off the normal-ordering
+    row: ``s1(n+1, k+1) = (-1)^(n+k) normal_order_aadag(n)[k]``."""
+    if n < 0 or not 0 <= k <= n:
+        raise ValueError(f"s1 index (n={n}, k={k}) out of range")
+    if k == 0:
+        return 1 if n == 0 else 0
+    return (-1) ** (n + k) * normal_order_aadag(n - 1)[k - 1]
+
+
+def falling_factorial_row(n):
+    """Coefficients of ``x (x-1) ... (x-n+1)``, multiplied out one factor
+    ``(x - i)`` at a time."""
+    row = [1]
+    for i in range(n):
+        row = [a - i * b for a, b in zip([0] + row, row + [0])]
+    return tuple(row)
+
+
 class TestStirling:
     def test_first_kind_signed_values(self):
-        assert stirling1_signed(0, 0) == 1
-        assert stirling1_signed(3, 2) == -3
-        assert stirling1_signed(4, 2) == 11
-        assert stirling1_signed(5, 2) == -50
-        assert stirling1_signed(5, 3) == 35
+        assert s1(0, 0) == 1
+        assert s1(3, 2) == -3
+        assert s1(4, 2) == 11
+        assert s1(5, 2) == -50
+        assert s1(5, 3) == 35
 
     def test_second_kind_values(self):
         assert stirling2(0, 0) == 1
@@ -46,17 +61,15 @@ class TestStirling:
 
     def test_row_edges(self):
         for n in range(1, 8):
-            assert stirling1_signed(n, 0) == 0
-            assert stirling1_signed(n, n) == 1
+            assert s1(n, 0) == 0
+            assert s1(n, n) == 1
             assert stirling2(n, 0) == 0
             assert stirling2(n, n) == 1
 
     def test_first_kind_recurrence(self):
         for n in range(1, 10):
             for k in range(1, n + 1):
-                assert stirling1_signed(n + 1, k) == stirling1_signed(
-                    n, k - 1
-                ) - n * stirling1_signed(n, k)
+                assert s1(n + 1, k) == s1(n, k - 1) - n * s1(n, k)
 
     def test_second_kind_recurrence(self):
         for n in range(1, 10):
@@ -67,7 +80,7 @@ class TestStirling:
 
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
-            stirling1_signed(-1, 0)
+            normal_order_aadag(-1)
         with pytest.raises(ValueError):
             stirling2(3, 4)
 
@@ -89,10 +102,9 @@ class TestCCoeff:
         # Both rows share the reordering part; they differ by the falling
         # factorial row: plus - minus = 2 * s1(n, k).
         for n in range(1, 13):
+            row = falling_factorial_row(n)
             for k in range(n + 1):
-                assert c_coeff(n, k, "plus") - c_coeff(n, k, "minus") == 2 * (
-                    stirling1_signed(n, k)
-                )
+                assert c_coeff(n, k, "plus") - c_coeff(n, k, "minus") == 2 * row[k]
 
     def test_constant_term_is_factorial(self):
         fact = 1
@@ -118,9 +130,9 @@ class TestReorderingRows:
         assert normal_order_aadag(4) == (24, 50, 35, 10, 1)
 
     def test_falling_factorial_rows(self):
-        assert falling_factorial_coeffs(1) == (0, 1)
-        assert falling_factorial_coeffs(2) == (0, -1, 1)
-        assert falling_factorial_coeffs(3) == (0, 2, -3, 1)
+        assert tuple(s1(1, k) for k in range(2)) == (0, 1)
+        assert tuple(s1(2, k) for k in range(3)) == (0, -1, 1)
+        assert tuple(s1(3, k) for k in range(4)) == (0, 2, -3, 1)
 
     def test_normal_order_matches_product_evaluation(self):
         # a^n adag^n |j> = (j+1)(j+2)...(j+n) |j>.
@@ -135,7 +147,7 @@ class TestReorderingRows:
     def test_falling_factorial_matches_product_evaluation(self):
         # adag^n a^n |j> = j(j-1)...(j-n+1) |j>.
         for n in range(1, 8):
-            row = falling_factorial_coeffs(n)
+            row = [s1(n, k) for k in range(n + 1)]
             for j in range(8):
                 expected = 1
                 for i in range(n):
@@ -163,24 +175,3 @@ class TestEvalIntPoly:
         # Exact integers well beyond float precision.
         value = eval_int_poly((1, 1, 1), 10**9)
         assert value == 1 + 10**9 + 10**18
-
-
-class TestCoeffTable:
-    def test_build_and_rows(self):
-        table = CoeffTable.build(4)
-        assert table.n_max == 4
-        assert table.cplus_row(3) == CPLUS_ROWS[3]
-        # Stored minus rows keep the k = n zero entry.
-        assert table.cminus_row(4) == CMINUS_ROWS[4] + (0,)
-
-    def test_default_covers_max_order(self):
-        table = CoeffTable.build()
-        assert table.n_max == DEFAULT_N_MAX
-        assert table.cplus_row(DEFAULT_N_MAX)[0] > 0
-
-    def test_row_range_errors(self):
-        table = CoeffTable.build(3)
-        with pytest.raises(ValueError):
-            table.cplus_row(4)
-        with pytest.raises(ValueError):
-            table.cminus_row(-1)

@@ -31,9 +31,7 @@ from dispersive_nphoton.models import (
     OscillatorSpec,
     QubitSpec,
     SystemSpec,
-    build_dispersive,
-    build_nJC,
-    build_nR,
+    build_model,
 )
 
 QUBIT = HilbertLayout((("qubit", 2),))
@@ -134,7 +132,7 @@ class TestEvolve:
         # returns at t = pi/g.
         g = 0.05
         spec = single(omega_q=1.0, n=1, g=g, trunc=16)
-        h = build_nJC(spec)
+        h = build_model(spec, "nJC")
         layout = spec.layout()
         psi0 = basis_state(layout, (0, 0))
         half = evolve(h, psi0, math.pi / (2 * g))
@@ -152,7 +150,7 @@ class TestEvolve:
 
     def test_krylov_matches_dense(self):
         spec = single(omega_q=2.5, n=2, g=0.1, trunc=24)
-        h = build_nR(spec)
+        h = build_model(spec, "nR")
         psi0 = preset_state("bell", spec.layout())
         t = 7.5
         dense = evolve(h, psi0, t, dense_cutoff=10_000)
@@ -164,7 +162,7 @@ class TestEvolve:
         # Forces the Krylov path onto an exactly invariant one-dimensional
         # subspace: the returned amplitude must be the exact level phase.
         spec = single(trunc=40)
-        h = build_dispersive(spec, "rwa", include_squeezing=False)
+        h = build_model(spec, "dispersive", "rwa", squeezing=False)
         layout = spec.layout()
         p = spec.qubit_params()
         t = 3.25
@@ -175,7 +173,7 @@ class TestEvolve:
 
     def test_time_reversal(self):
         spec = single(g=0.15, trunc=36)
-        h = build_nR(spec)
+        h = build_model(spec, "nR")
         psi0 = preset_state("plus_coherent_1", spec.layout())
         there = evolve(h, psi0, 4.0, dense_cutoff=1)
         back = evolve(h, there, -4.0, dense_cutoff=1)
@@ -186,12 +184,12 @@ class TestEvolve:
     def test_zero_time_is_identity(self):
         spec = single(trunc=8)
         psi0 = basis_state(spec.layout(), (1, 3))
-        out = evolve(build_nR(spec), psi0, 0.0)
+        out = evolve(build_model(spec, "nR"), psi0, 0.0)
         np.testing.assert_array_equal(out.amplitudes, psi0.amplitudes)
 
     def test_validation(self):
         spec = single(trunc=8)
-        h = build_nR(spec)
+        h = build_model(spec, "nR")
         psi = basis_state(qubit_oscillator_layout(1, [9]), (0, 0))
         with pytest.raises(ValueError):
             evolve(h, psi, 1.0)
@@ -208,12 +206,19 @@ class TestEvolve:
         spec = single(trunc=8)
         psi0 = basis_state(spec.layout(), (0, 0))
         with pytest.raises(ValueError, match="not finite"):
-            evolve(build_nR(spec), psi0, t)
+            evolve(build_model(spec, "nR"), psi0, t)
+
+    @pytest.mark.parametrize("krylov_dim", [1, 0, -3])
+    def test_krylov_dim_below_two_rejected(self, krylov_dim):
+        spec = single(g=0.15, trunc=40)
+        psi0 = basis_state(spec.layout(), (0, 0))
+        with pytest.raises(ValueError, match="krylov_dim"):
+            evolve(build_model(spec, "nR"), psi0, 1.0, krylov_dim=krylov_dim)
 
     @pytest.mark.parametrize("krylov_dim", [30, 4])
     def test_krylov_bit_identical_reruns(self, krylov_dim):
         spec = single(g=0.15, trunc=40)
-        h = build_nR(spec)
+        h = build_model(spec, "nR")
         assert h.total_dim > 64  # above the default dense cutoff
         psi0 = preset_state("plus_coherent_1", spec.layout())
         a = evolve(h, psi0, 6.0, krylov_dim=krylov_dim)
@@ -222,7 +227,7 @@ class TestEvolve:
 
     def test_step_underflow_raises(self):
         spec = single(g=0.3, trunc=40)
-        h = build_nR(spec)
+        h = build_model(spec, "nR")
         psi0 = basis_state(spec.layout(), (0, 0))
         with pytest.raises(PropagationError):
             evolve(h, psi0, 1.0, krylov_dim=3, local_tol=0.0, dense_cutoff=1)
@@ -320,7 +325,7 @@ class TestDispersiveDynamicsSmoke:
         # Under a photon-number-conserving diagonal model both marginals of
         # any initial state are stationary, so fidelity to t=0 stays 1.
         spec = single(omega_q=8.0, n=2, g=0.02, trunc=16)
-        h = build_dispersive(spec, "rwa", include_squeezing=False)
+        h = build_model(spec, "dispersive", "rwa", squeezing=False)
         layout = spec.layout()
         psi0 = preset_state("bell", layout)
         q0 = partial_trace(psi0, [0])

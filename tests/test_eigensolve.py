@@ -37,9 +37,7 @@ from dispersive_nphoton.models import (
     QubitSpec,
     StabilizerSpec,
     SystemSpec,
-    build_dispersive,
-    build_nJC,
-    build_nR,
+    build_model,
 )
 
 
@@ -61,7 +59,7 @@ def residuals(h, result):
 
 class TestDense:
     def test_spectrum_properties(self):
-        h = build_nR(single(trunc=24))
+        h = build_model(single(trunc=24), "nR")
         res = eigh_dense(h)
         assert res.k == 48
         assert np.all(np.diff(res.energies) >= 0)
@@ -73,7 +71,7 @@ class TestDense:
         assert np.all(res.mean_photons >= -1e-12)
 
     def test_energies_only(self):
-        res = eigh_dense(build_nR(single(trunc=10)), want_states=False)
+        res = eigh_dense(build_model(single(trunc=10), "nR"), want_states=False)
         assert res.states is None and res.mean_photons is None
         with pytest.raises(ValueError):
             label_by_overlap(res)
@@ -88,7 +86,7 @@ class TestDense:
             eigs_lowest(lop, 1)
 
     def test_dense_limit(self):
-        h = build_nR(single(trunc=16))  # dim 32
+        h = build_model(single(trunc=16), "nR")  # dim 32
         with pytest.raises(CapacityError):
             eigh_dense(h, dense_limit=31)
         assert DENSE_LIMIT == 4096
@@ -96,7 +94,7 @@ class TestDense:
 
 class TestLanczos:
     def test_matches_dense_reference(self):
-        h = build_nR(single(omega_q=3.1, n=3, g=0.05, trunc=80))
+        h = build_model(single(omega_q=3.1, n=3, g=0.05, trunc=80), "nR")
         dense = eigh_dense(h, want_states=False)
         low = eigs_lowest(h, 10)
         scale = max(1.0, abs(dense.energies[0]))
@@ -119,7 +117,7 @@ class TestLanczos:
         np.testing.assert_allclose(res.energies, [0, 0, 1, 1], atol=1e-12)
 
     def test_iteration_limit_carries_partial(self):
-        h = build_nR(single(trunc=100))
+        h = build_model(single(trunc=100), "nR")
         with pytest.raises(IterationLimitError) as exc_info:
             eigs_lowest(h, 6, max_iters=5)
         partial = exc_info.value.partial
@@ -127,29 +125,28 @@ class TestLanczos:
         assert 1 <= partial.k <= 6
 
     def test_zero_operator(self):
-        from dispersive_nphoton.fockspace import zeros
-
         layout = qubit_oscillator_layout(1, [5])
-        res = eigs_lowest(zeros(layout), 3)
+        res = eigs_lowest(SparseOperator.from_dense(layout, np.zeros((10, 10))), 3)
         np.testing.assert_array_equal(res.energies, np.zeros(3))
         assert res.states.shape == (10, 3)
 
     def test_k_range_validation(self):
-        h = build_nR(single(trunc=8))
+        h = build_model(single(trunc=8), "nR")
         with pytest.raises(ValueError):
             eigs_lowest(h, 0)
         with pytest.raises(ValueError):
             eigs_lowest(h, 17)
 
     def test_bit_identical_reruns(self):
-        h = build_nR(
+        h = build_model(
             single(
                 omega_q=3.1,
                 n=3,
                 g=0.01,
                 trunc=150,
                 stabilizer=StabilizerSpec("number_power", 0.02),
-            )
+            ),
+            "nR",
         )
         a = eigs_lowest(h, 5)
         b = eigs_lowest(h, 5)
@@ -160,7 +157,7 @@ class TestLanczos:
 class TestSolveLowest:
     @pytest.mark.parametrize("k", [1, 6, 40])
     def test_pair_count_and_methods_agree(self, k):
-        h = build_nR(single(omega_q=3.1, n=3, g=0.05, trunc=16))
+        h = build_model(single(omega_q=3.1, n=3, g=0.05, trunc=16), "nR")
         dense = solve_lowest(h, k, "dense")
         lanczos = solve_lowest(h, k, "lanczos")
         want = min(k, h.total_dim)
@@ -175,20 +172,20 @@ class TestSolveLowest:
     @pytest.mark.parametrize("method", ["auto", "dense", "lanczos"])
     @pytest.mark.parametrize("k", [0, -3])
     def test_rejects_k_below_one(self, method, k):
-        h = build_nR(single(trunc=8))
+        h = build_model(single(trunc=8), "nR")
         with pytest.raises(ValueError, match="at least 1"):
             solve_lowest(h, k, method)
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown"):
-            solve_lowest(build_nR(single(trunc=8)), 2, "arnoldi")
+            solve_lowest(build_model(single(trunc=8), "nR"), 2, "arnoldi")
 
 
 class TestLabeling:
     def test_diagonal_model_labels_exactly(self):
         spec = single(trunc=12)
         res = label_by_overlap(
-            eigh_dense(build_dispersive(spec, "rwa", include_squeezing=False))
+            eigh_dense(build_model(spec, "dispersive", "rwa", squeezing=False))
         )
         p = spec.qubit_params()
         for config, fock, overlap in res.labels:
@@ -199,7 +196,7 @@ class TestLabeling:
             )
 
     def test_weakly_coupled_labels_have_high_overlap(self):
-        res = label_by_overlap(eigh_dense(build_nR(single(g=0.02, trunc=20))))
+        res = label_by_overlap(eigh_dense(build_model(single(g=0.02, trunc=20), "nR")))
         # Every label is unambiguous; low-lying states are nearly bare (mixing
         # grows with the Fock index as g sqrt(j (j-1)) approaches the detuning).
         assert all(entry[2] > 0.5 for entry in res.labels)
@@ -222,7 +219,7 @@ class TestLabeling:
         assert labels[1] == ("g", (0,), pytest.approx(0.5))
 
     def test_energy_of_key_errors(self):
-        res = eigh_dense(build_nR(single(trunc=8)))
+        res = eigh_dense(build_model(single(trunc=8), "nR"))
         with pytest.raises(KeyError):
             res.energy_of("e", (0,))  # unlabeled
         labeled = label_by_overlap(res)
@@ -326,7 +323,7 @@ class TestTracking:
 
     def test_real_sweep_keeps_weakly_coupled_levels(self):
         specs = [single(g=g, trunc=20) for g in (0.0, 0.05, 0.1)]
-        pts = [label_by_overlap(eigh_dense(build_nJC(s))) for s in specs]
+        pts = [label_by_overlap(eigh_dense(build_model(s, "nJC"))) for s in specs]
         curves = track_levels(pts)
         tracked = {c.label: c for c in curves}
         ground = tracked[("g", (0,))]

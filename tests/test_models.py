@@ -6,23 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from dispersive_nphoton.analytic import dispersive_level
+from dispersive_nphoton.analytic import DispersiveParams, dispersive_level
 from dispersive_nphoton.errors import ConfigError, TruncationError
 from dispersive_nphoton.models import (
+    ALL_MODELS,
+    MODELS_BY_TOPOLOGY,
+    TOPOLOGIES,
     CouplingSpec,
     OscillatorSpec,
     QubitSpec,
     StabilizerSpec,
     SystemSpec,
-    build_dispersive,
-    build_full_nR,
-    build_multimode,
-    build_multimode_dispersive,
-    build_multiqubit_dispersive,
-    build_nDicke,
-    build_nJC,
-    build_nR,
-    build_nTC,
+    build_model,
     charge_operator,
     two_qubit_block,
     with_swept,
@@ -165,7 +160,7 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             spec.common_n()
         with pytest.raises(ConfigError):
-            build_multiqubit_dispersive(spec)
+            build_model(spec, "dispersive")
 
 
 class TestSerialization:
@@ -299,35 +294,41 @@ class TestWithSwept:
 
 
 ALL_BUILDERS = [
-    lambda: build_nR(single()),
-    lambda: build_nJC(single()),
-    lambda: build_full_nR(single(n=3)),
-    lambda: build_dispersive(single(), "nonrwa"),
-    lambda: build_dispersive(single(), "rwa"),
-    lambda: build_nDicke(pair(trunc=10)),
-    lambda: build_nTC(pair(trunc=10)),
-    lambda: build_multiqubit_dispersive(pair(trunc=10)),
-    lambda: build_multiqubit_dispersive(pair(trunc=10), "rwa"),
-    lambda: build_multimode(two_mode(), "mmr"),
-    lambda: build_multimode(two_mode(), "mmjc"),
-    lambda: build_multimode_dispersive(two_mode()),
-    lambda: build_multimode_dispersive(two_mode(), "rwa"),
-    lambda: build_nR(single(n=3, stabilizer=StabilizerSpec("number_power", 0.02))),
-    lambda: build_nJC(single(n=3, stabilizer=StabilizerSpec("number_power", 0.02))),
-    lambda: build_full_nR(
-        single(n=3, stabilizer=StabilizerSpec("full_position_power", 0.02, m=4))
+    lambda: build_model(single(), "nR"),
+    lambda: build_model(single(), "nJC"),
+    lambda: build_model(single(n=3), "full_nR"),
+    lambda: build_model(single(), "dispersive", "nonrwa"),
+    lambda: build_model(single(), "dispersive", "rwa"),
+    lambda: build_model(pair(trunc=10), "nDicke"),
+    lambda: build_model(pair(trunc=10), "nTC"),
+    lambda: build_model(pair(trunc=10), "dispersive"),
+    lambda: build_model(pair(trunc=10), "dispersive", "rwa"),
+    lambda: build_model(two_mode(), "mmr"),
+    lambda: build_model(two_mode(), "mmjc"),
+    lambda: build_model(two_mode(), "dispersive"),
+    lambda: build_model(two_mode(), "dispersive", "rwa"),
+    lambda: build_model(
+        single(n=3, stabilizer=StabilizerSpec("number_power", 0.02)), "nR"
     ),
-    lambda: build_nDicke(
+    lambda: build_model(
+        single(n=3, stabilizer=StabilizerSpec("number_power", 0.02)), "nJC"
+    ),
+    lambda: build_model(
+        single(n=3, stabilizer=StabilizerSpec("full_position_power", 0.02, m=4)),
+        "full_nR",
+    ),
+    lambda: build_model(
         SystemSpec(
             topology="multiqubit",
             qubits=(QubitSpec(omega_q=3.1, n=3, g=0.05),),
             oscillators=(OscillatorSpec(omega=1.0, trunc=20),),
             stabilizer=StabilizerSpec("number_power", 0.02),
-        )
+        ),
+        "nDicke",
     ),
-    lambda: build_multiqubit_dispersive(pair(trunc=10), cross_k0=False),
-    lambda: build_multiqubit_dispersive(pair(trunc=10), include_squeezing=False),
-    lambda: build_multimode_dispersive(two_mode(), include_squeezing=False),
+    lambda: build_model(pair(trunc=10), "dispersive", cross_k0=False),
+    lambda: build_model(pair(trunc=10), "dispersive", squeezing=False),
+    lambda: build_model(two_mode(), "dispersive", squeezing=False),
 ]
 
 
@@ -340,51 +341,65 @@ class TestBuilderBasics:
 
     def test_topology_guards(self):
         with pytest.raises(ConfigError):
-            build_nR(pair())
+            build_model(pair(), "nR")
         with pytest.raises(ConfigError):
-            build_nDicke(single())
+            build_model(single(), "nDicke")
         with pytest.raises(ConfigError):
-            build_multimode(single())
+            build_model(single(), "mmr")
         with pytest.raises(ConfigError):
-            build_multimode(two_mode(), "bogus")
+            build_model(two_mode(), "bogus")
+
+    @pytest.mark.parametrize("model", ALL_MODELS + ("bogus",))
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_topology_guard_every_pair(self, topology, model):
+        spec = {"single": single, "multiqubit": pair, "multimode": two_mode}[
+            topology
+        ]()
+        if model in MODELS_BY_TOPOLOGY[topology]:
+            assert build_model(spec, model).hermitian
+        else:
+            with pytest.raises(ConfigError, match=f"topology '{topology}'"):
+                build_model(spec, model)
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValueError):
-            build_dispersive(single(), "bogus")
+            build_model(single(), "dispersive", "bogus")
         with pytest.raises(ValueError):
-            build_multiqubit_dispersive(pair(), "bogus")
+            build_model(pair(), "dispersive", "bogus")
         with pytest.raises(ValueError):
-            build_multimode_dispersive(two_mode(), "bogus")
+            build_model(two_mode(), "dispersive", "bogus")
         with pytest.raises(ValueError):
             two_qubit_block(0, pair(), "bogus")
 
     def test_order_must_fit_truncation(self):
         with pytest.raises(TruncationError):
-            build_nR(single(n=5, trunc=4))
+            build_model(single(n=5, trunc=4), "nR")
         with pytest.raises(TruncationError):
-            build_dispersive(single(n=5, trunc=4))
+            build_model(single(n=5, trunc=4), "dispersive")
 
     def test_njc_charge_conservation_exact(self):
         for n in (1, 2, 3):
             spec = single(n=n, g=0.17, trunc=24)
-            h = build_nJC(spec)
+            h = build_model(spec, "nJC")
             q = charge_operator(spec)
             assert h.commutator(q).max_abs() == 0.0
 
     def test_ntc_charge_conservation_exact(self):
         spec = pair(trunc=12)
-        assert build_nTC(spec).commutator(charge_operator(spec)).max_abs() == 0.0
+        h = build_model(spec, "nTC")
+        assert h.commutator(charge_operator(spec)).max_abs() == 0.0
 
     def test_nr_breaks_charge_conservation(self):
         spec = single(g=0.1)
-        assert build_nR(spec).commutator(charge_operator(spec)).max_abs() > 0.0
+        h = build_model(spec, "nR")
+        assert h.commutator(charge_operator(spec)).max_abs() > 0.0
 
 
 class TestSingleQubitStructure:
     def test_nr_matrix_elements(self):
         # <e, j+n | H | g, j> = g sqrt((j+1)...(j+n)) from sigma_x a†^n.
         spec = single(omega_q=2.5, n=2, g=0.3, trunc=8)
-        h = build_nR(spec).toarray()
+        h = build_model(spec, "nR").toarray()
         t = 8
         for j in range(4):
             elem = h[0 * t + j + 2, 1 * t + j]
@@ -397,7 +412,7 @@ class TestSingleQubitStructure:
 
     def test_njc_has_no_counter_rotating_elements(self):
         spec = single(n=2, g=0.3, trunc=8)
-        h = build_nJC(spec).toarray()
+        h = build_model(spec, "nJC").toarray()
         # sigma_+ a^n only: <e, j | H | g, j+n> nonzero, <e, j+n | H | g, j> zero.
         assert h[0 * 8 + 0, 1 * 8 + 2] != 0.0
         assert h[0 * 8 + 2, 1 * 8 + 0] == 0.0
@@ -405,7 +420,7 @@ class TestSingleQubitStructure:
     def test_full_nr_contains_all_parities(self):
         # (a + a†)^3 has both one- and three-quantum elements.
         spec = single(n=3, g=0.1, trunc=10)
-        h = build_full_nR(spec).toarray()
+        h = build_model(spec, "full_nR").toarray()
         assert h[0 * 10 + 1, 1 * 10 + 0] != 0.0  # one quantum
         assert h[0 * 10 + 3, 1 * 10 + 0] != 0.0  # three quanta
 
@@ -416,7 +431,7 @@ class TestSingleQubitStructure:
         stab = single(
             n=3, g=g, trunc=12, stabilizer=StabilizerSpec("number_power", eta)
         )
-        diff = (build_nR(stab) - build_nR(base)).toarray()
+        diff = (build_model(stab, "nR") - build_model(base, "nR")).toarray()
         expected = np.zeros((24, 24))
         for q in range(2):
             for j in range(12):
@@ -431,7 +446,8 @@ class TestSingleQubitStructure:
             trunc=40,
             stabilizer=StabilizerSpec("full_position_power", 0.05, m=4),
         )
-        diff = build_full_nR(stab) - build_full_nR(single(n=3, g=g, trunc=40))
+        base = single(n=3, g=g, trunc=40)
+        diff = build_model(stab, "full_nR") - build_model(base, "full_nR")
         # eta g (a + a†)^4: positive semidefinite up to truncation effects.
         evals = np.linalg.eigvalsh(diff.toarray())
         assert evals[0] > -1e-12
@@ -439,13 +455,13 @@ class TestSingleQubitStructure:
     def test_full_nr_rejects_number_power_stabilizer(self):
         spec = single(n=3, stabilizer=StabilizerSpec("number_power", 0.1))
         with pytest.raises(ConfigError):
-            build_full_nR(spec)
+            build_model(spec, "full_nR")
 
     def test_dispersive_diagonal_is_level_formula_bitwise(self):
         spec = single(omega_q=2.5, n=2, g=0.02, trunc=30)
         p = spec.qubit_params()
         for regime in ("rwa", "nonrwa"):
-            h = build_dispersive(spec, regime, include_squeezing=False)
+            h = build_model(spec, "dispersive", regime, squeezing=False)
             diag = h.diagonal().real
             assert h.nnz == 60  # purely diagonal
             for qubit_idx, qubit in enumerate(("e", "g")):
@@ -459,7 +475,7 @@ class TestSingleQubitStructure:
         # nonrwa adds (chi+xi)/2 sigma_z (a†^2n + a^2n): signed on e/g branches.
         spec = single(omega_q=2.5, n=1, g=0.05, trunc=10)
         p = spec.qubit_params()
-        h = build_dispersive(spec, "nonrwa", include_squeezing=True).toarray()
+        h = build_model(spec, "dispersive", "nonrwa", squeezing=True).toarray()
         coef = 0.5 * (p.chi + p.xi)
         assert h[0 * 10 + 2, 0 * 10 + 0] == pytest.approx(
             coef * math.sqrt(2), rel=1e-14
@@ -467,12 +483,12 @@ class TestSingleQubitStructure:
         assert h[1 * 10 + 2, 1 * 10 + 0] == pytest.approx(
             -coef * math.sqrt(2), rel=1e-14
         )
-        off = build_dispersive(spec, "nonrwa", include_squeezing=False)
+        off = build_model(spec, "dispersive", "nonrwa", squeezing=False)
         assert off.nnz == 20
 
     def test_dispersive_rwa_never_has_squeezing(self):
         spec = single(n=1, g=0.05, trunc=10)
-        assert build_dispersive(spec, "rwa", include_squeezing=True).nnz == 20
+        assert build_model(spec, "dispersive", "rwa", squeezing=True).nnz == 20
 
 
 class TestReductions:
@@ -481,8 +497,8 @@ class TestReductions:
         osc = OscillatorSpec(omega=1.0, trunc=18)
         multi = SystemSpec(topology="multiqubit", qubits=(q,), oscillators=(osc,))
         mono = SystemSpec(topology="single", qubits=(q,), oscillators=(osc,))
-        assert (build_nDicke(multi) - build_nR(mono)).max_abs() == 0.0
-        assert (build_nTC(multi) - build_nJC(mono)).max_abs() == 0.0
+        assert (build_model(multi, "nDicke") - build_model(mono, "nR")).max_abs() == 0.0
+        assert (build_model(multi, "nTC") - build_model(mono, "nJC")).max_abs() == 0.0
 
     def test_single_mode_multimode_equals_single_exactly(self):
         q = QubitSpec(omega_q=2.5, n=2, g=0.08)
@@ -494,8 +510,8 @@ class TestReductions:
             couplings=(CouplingSpec(0, 0, 2, 0.08),),
         )
         mono = SystemSpec(topology="single", qubits=(q,), oscillators=(osc,))
-        assert (build_multimode(mm, "mmr") - build_nR(mono)).max_abs() == 0.0
-        assert (build_multimode(mm, "mmjc") - build_nJC(mono)).max_abs() == 0.0
+        assert (build_model(mm, "mmr") - build_model(mono, "nR")).max_abs() == 0.0
+        assert (build_model(mm, "mmjc") - build_model(mono, "nJC")).max_abs() == 0.0
 
     def test_single_mode_multimode_dispersive_matches(self):
         q = QubitSpec(omega_q=2.5, n=2, g=0.08)
@@ -508,8 +524,8 @@ class TestReductions:
         )
         mono = SystemSpec(topology="single", qubits=(q,), oscillators=(osc,))
         for regime in ("rwa", "nonrwa"):
-            diff = build_multimode_dispersive(mm, regime) - build_dispersive(
-                mono, regime
+            diff = build_model(mm, "dispersive", regime) - build_model(
+                mono, "dispersive", regime
             )
             assert diff.max_abs() == 0.0
 
@@ -519,8 +535,8 @@ class TestReductions:
         multi = SystemSpec(topology="multiqubit", qubits=(q,), oscillators=(osc,))
         mono = SystemSpec(topology="single", qubits=(q,), oscillators=(osc,))
         for regime in ("rwa", "nonrwa"):
-            diff = build_multiqubit_dispersive(multi, regime) - build_dispersive(
-                mono, regime
+            diff = build_model(multi, "dispersive", regime) - build_model(
+                mono, "dispersive", regime
             )
             assert diff.max_abs() == 0.0
 
@@ -530,7 +546,7 @@ class TestTwoQubitBlock:
     @pytest.mark.parametrize("cross_k0", [True, False])
     def test_matches_projected_full_model(self, regime, cross_k0):
         spec = pair(trunc=16)
-        h = build_multiqubit_dispersive(spec, regime, cross_k0=cross_k0).toarray()
+        h = build_model(spec, "dispersive", regime, cross_k0=cross_k0).toarray()
         t = 16
         for j in (0, 3, 7):
             idx = [((q1 * 2 + q2) * t + j) for q1 in (0, 1) for q2 in (0, 1)]
@@ -577,10 +593,10 @@ class TestMultimodeStructure:
         # <e; 1, 0 | H | e; 0, 2>: one quantum into mode 0, two out of mode 1,
         # strength chi_x/2 with sigma_z = +1 on the excited branch.
         spec = two_mode(n2=2, trunc=6)
-        p0 = spec.coupling_params(spec.couplings[0])
-        p1 = spec.coupling_params(spec.couplings[1])
+        p0 = DispersiveParams.from_frequencies(3.0, 1, 0.1, 1.0)
+        p1 = DispersiveParams.from_frequencies(3.0, 2, 0.1, 1.0)
         chi_x = 0.1 * 0.1 * (1 / p0.delta + 1 / p1.delta)
-        h = build_multimode_dispersive(spec, "rwa").toarray()
+        h = build_model(spec, "dispersive", "rwa").toarray()
         t = 6
         row = (0 * t + 1) * t + 0  # |e; 1, 0>
         col = (0 * t + 0) * t + 2  # |e; 0, 2>
@@ -596,8 +612,8 @@ class TestMultimodeStructure:
     def test_nonrwa_cross_term_adds_joint_raising(self):
         # (a0 + a0†)(a1^2 + a1†^2) includes <e; 1, 2 | ... | e; 0, 0>.
         spec = two_mode(n2=2, trunc=6)
-        h_rwa = build_multimode_dispersive(spec, "rwa").toarray()
-        h_non = build_multimode_dispersive(spec, "nonrwa").toarray()
+        h_rwa = build_model(spec, "dispersive", "rwa").toarray()
+        h_non = build_model(spec, "dispersive", "nonrwa").toarray()
         t = 6
         row = (0 * t + 1) * t + 2
         col = (0 * t + 0) * t + 0
