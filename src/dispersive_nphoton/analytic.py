@@ -54,6 +54,8 @@ class DispersiveParams:
         g: Coupling strength (``g >= 0``).
         delta: Detuning ``omega_q - n * omega_o``.
         sigma: Sum frequency ``omega_q + n * omega_o``.
+
+    ``g``, ``delta`` and ``sigma`` must be finite (``ValueError`` otherwise).
     """
 
     n: int
@@ -68,6 +70,10 @@ class DispersiveParams:
         object.__setattr__(self, "sigma", float(self.sigma))
         if self.n < 1:
             raise ValueError("coupling order n must be >= 1")
+        for name in ("g", "delta", "sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.g < 0:
             raise ValueError("coupling strength g must be non-negative")
         if self.sigma <= self.delta:
@@ -272,16 +278,19 @@ def critical_photon_number(n: int, g: float, delta: float) -> float:
 
     Args:
         n: Coupling order (``n >= 1``).
-        g: Coupling strength (``g >= 0``; ``g = 0`` returns ``inf``).
+        g: Coupling strength (finite, ``g >= 0``; ``g = 0`` returns ``inf``).
         delta: Detuning (finite).
 
     Raises:
-        ValueError: For ``n < 1``, a negative ``g`` or a non-finite ``delta``.
+        ValueError: For ``n < 1``, a negative or non-finite ``g`` or a
+            non-finite ``delta``.
     """
     n = int(n)
     if n < 1:
         raise ValueError("coupling order n must be >= 1")
     g = float(g)
+    if not math.isfinite(g):
+        raise ValueError(f"coupling strength g must be finite, got {g!r}")
     if g < 0:
         raise ValueError("coupling strength g must be non-negative")
     if not math.isfinite(delta):

@@ -19,10 +19,13 @@ input that influenced the numbers; the embedded ``config`` value feeds back
 into :meth:`SystemSpec.from_dict`.  Floats are rendered with ``%.12g``,
 booleans as ``0``/``1``, missing values as empty fields.
 
-Exit codes: ``0`` success, ``2`` configuration problems, ``3`` solver
-failures.  A solver failure still writes the output file: rows for the grid
-points that succeeded, plus one flag row (empty labels, ``terminated=1``)
-per failed point.
+``spectrum`` and ``levels`` share one grid-point solve (build, solve, label,
+closed-form columns), one provenance record and one failure report.
+
+Exit codes: ``0`` success, ``2`` configuration problems (non-finite numbers
+included), ``3`` solver failures.  A solver failure still writes the output
+file: rows for the grid points that succeeded, plus one flag row (empty
+labels, ``terminated=1``) per failed point; ``levels`` stops at its first.
 
 Sweep grids run in parallel worker processes.  ``--threads`` chooses the
 worker count (default: CPU count); the environment variable
@@ -33,12 +36,13 @@ merged in grid order, so output bytes do not depend on the worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +58,13 @@ from .analytic import (
 )
 from .combinatorics import commutator_poly, normal_order_aadag
 from .dynamics import STATE_PRESETS, evolve, fidelity, partial_trace, preset_state
-from .eigensolve import DENSE_LIMIT, label_by_overlap, solve_lowest, track_levels
+from .eigensolve import (
+    DENSE_LIMIT,
+    SpectrumResult,
+    label_by_overlap,
+    solve_lowest,
+    track_levels,
+)
 from .errors import ConfigError, DispersiveNphotonError, ResonanceError, SolverError
 from .models import (
     ALL_MODELS,
@@ -108,12 +118,6 @@ def _fmt(value) -> str:
     return "%.12g" % v
 
 
-def _fmt_fock(fock) -> str:
-    if fock is None:
-        return ""
-    return ";".join(str(int(j)) for j in fock)
-
-
 def _provenance_line(record: dict) -> str:
     payload = dict(record)
     payload["schema_version"] = SCHEMA_VERSION
@@ -141,7 +145,8 @@ def parse_sweep(text: str) -> tuple[str, np.ndarray]:
     coupling entry ``i``), ``eta`` (stabilizer strength).
 
     Raises:
-        ConfigError: On malformed syntax or an unknown variable.
+        ConfigError: On malformed syntax, a non-finite endpoint or an unknown
+            variable.
     """
     parts = text.split(":")
     if len(parts) != 4:
@@ -161,6 +166,8 @@ def parse_sweep(text: str) -> tuple[str, np.ndarray]:
         steps = int(parts[3])
     except ValueError as exc:
         raise ConfigError(f"sweep {text!r}: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"sweep {text!r} endpoints must be finite")
     if steps < 1:
         raise ConfigError(f"sweep {text!r} must have at least one step")
     return var, np.linspace(start, stop, steps)
@@ -181,59 +188,99 @@ def resolve_threads(flag_value: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
-def _analytic_pair(spec: SystemSpec, model: str):
-    """Closed-form (rwa, nonrwa) level columns, or blanks outside the domain.
+# ---------------------------------------------------------------------------
+# spectrum and levels: one point solve, one row format, one failure report
+# ---------------------------------------------------------------------------
+
+
+def _sweep_start(args: argparse.Namespace, extra: str) -> tuple[SystemSpec, list]:
+    """Validate a ``spectrum`` or ``levels`` run; return its spec and header.
+
+    The header is the provenance line and the column line.  The provenance
+    record holds the inputs both commands share plus the command's own
+    option ``extra`` (``nbar_max`` or ``continuity_floor``).
+    """
+    if args.k < 1:
+        raise ConfigError("-k/--num-levels must be >= 1")
+    for key in ("physical_scale", extra):
+        value = getattr(args, key)
+        if value is not None and not math.isfinite(value):
+            flag = "--" + key.replace("_", "-")
+            raise ConfigError(f"{flag} must be finite, got {value!r}")
+    spec = SystemSpec.from_json_file(args.config)
+    build_model(spec, args.model, args.regime, args.squeezing, args.cross_k0)
+    shared = "model regime squeezing cross_k0 k method sweep physical_scale"
+    record = {key: getattr(args, key) for key in [*shared.split(), extra]}
+    record.update(command=args.command, config=spec.to_dict())
+    return spec, [_provenance_line(record), ",".join(SWEEP_COLUMNS)]
+
+
+def _solve_point(
+    spec: SystemSpec, args: argparse.Namespace, name: Optional[str], value
+) -> tuple[SystemSpec, SpectrumResult]:
+    """Build, solve and label one grid point (``name`` None: ``spec`` as is).
+
+    Returns the swept spec and the labeled lowest ``args.k`` eigenpairs.
+
+    Raises:
+        SolverError: When the eigensolver fails; the caller flags the point.
+    """
+    if name is not None:
+        spec = with_swept(spec, name, value)
+    h = build_model(spec, args.model, args.regime, args.squeezing, args.cross_k0)
+    result = solve_lowest(h, args.k, args.method, args.max_iters)
+    return spec, label_by_overlap(result)
+
+
+def _closed_form_params(spec: SystemSpec, model: str) -> Optional[DispersiveParams]:
+    """Parameters for the closed-form level columns, or None to leave them blank.
 
     The columns are filled only for single-topology, unstabilized models
-    whose parameters sit inside the dispersive domain of the respective
-    regime; everything else stays blank.
+    that have a closed form (``CLOSED_FORM_MODELS``).
     """
     if (
         spec.topology != "single"
         or model not in CLOSED_FORM_MODELS
         or spec.stabilizer is not None
     ):
-        return lambda config, fock: (None, None)
-    params = spec.qubit_params(0)
+        return None
+    return spec.qubit_params(0)
 
-    def pair(config: str, fock) -> tuple:
-        out = []
-        for regime in REGIMES:
+
+def _row(
+    args: argparse.Namespace,
+    name: Optional[str],
+    value: Optional[float],
+    params: Optional[DispersiveParams] = None,
+    config: str = "",
+    fock: Sequence[int] = (),
+    energy: Optional[float] = None,
+    overlap: Optional[float] = None,
+    terminated: bool = True,
+    filtered: bool = False,
+) -> str:
+    """One ``SWEEP_COLUMNS`` row; the defaults give a failed point's flag row.
+
+    The closed-form column of each regime is filled when ``params`` lies
+    inside that regime's dispersive domain.  Energy columns are multiplied
+    by ``--physical-scale``.
+    """
+    energies = [energy, None, None]
+    if params is not None:
+        for column, regime in enumerate(REGIMES, start=1):
             try:
                 params.require_dispersive(regime)
-                out.append(dispersive_level(params, config, int(fock[0]), regime))
             except ResonanceError:
-                out.append(None)
-        return tuple(out)
-
-    return pair
-
-
-def _sweep_row(
-    sweep_name: Optional[str],
-    sweep_value: Optional[float],
-    config: str,
-    fock,
-    e_numeric,
-    e_rwa,
-    e_nonrwa,
-    overlap,
-    terminated: bool,
-    filtered: bool,
-    scale: float,
-) -> str:
-    def scaled(e):
-        return None if e is None else e * scale
-
+                continue
+            energies[column] = dispersive_level(params, config, int(fock[0]), regime)
+    scale = args.physical_scale
     return ",".join(
         [
-            sweep_name or "",
-            _fmt(sweep_value),
+            name or "",
+            _fmt(value),
             config,
-            _fmt_fock(fock),
-            _fmt(scaled(e_numeric)),
-            _fmt(scaled(e_rwa)),
-            _fmt(scaled(e_nonrwa)),
+            ";".join(str(int(j)) for j in fock),
+            *(_fmt(None if e is None else e * scale) for e in energies),
             _fmt(overlap),
             _fmt(bool(terminated)),
             _fmt(bool(filtered)),
@@ -241,240 +288,96 @@ def _sweep_row(
     )
 
 
-def _flag_row(sweep_name: Optional[str], sweep_value: Optional[float]) -> str:
-    return _sweep_row(
-        sweep_name, sweep_value, "", None, None, None, None, None, True, False, 1.0
-    )
+def _finish(out: Optional[str], lines: list, failures: list) -> int:
+    """Write the output and report each failed grid point; return 0 or 3.
 
-
-# ---------------------------------------------------------------------------
-# spectrum
-# ---------------------------------------------------------------------------
-
-
-class _PointTask(NamedTuple):
-    index: int
-    spec_payload: dict
-    model: str
-    regime: str
-    squeezing: bool
-    cross_k0: bool
-    k: int
-    method: str
-    max_iters: Optional[int]
-    nbar_max: Optional[float]
-    sweep_name: Optional[str]
-    sweep_value: Optional[float]
-
-
-def _spectrum_point(task: _PointTask):
-    """Solve one grid point; runs inside a worker process.
-
-    Returns ``(index, rows, error_message)`` where ``rows`` is a list of
-    plain tuples (picklable) and ``error_message`` is set on solver failure.
+    ``failures`` holds ``(sweep value, solver error message)`` pairs.
     """
-    spec = SystemSpec.from_dict(task.spec_payload)
-    if task.sweep_name is not None:
-        spec = with_swept(spec, task.sweep_name, task.sweep_value)
-    h = build_model(spec, task.model, task.regime, task.squeezing, task.cross_k0)
-    analytic = _analytic_pair(spec, task.model)
+    _write_lines(out, lines)
+    for value, error in failures:
+        print(
+            f"solver failure at sweep value {_fmt(value) or '<none>'}: {error}",
+            file=sys.stderr,
+        )
+    return 3 if failures else 0
+
+
+def _spectrum_point(
+    spec: SystemSpec, args: argparse.Namespace, point: tuple
+) -> tuple[list, Optional[str]]:
+    """CSV rows of one ``spectrum`` grid point ``(name, value)``.
+
+    Returns ``(rows, None)``, or ``([flag row], message)`` on solver failure.
+    Runs inside a worker process when the grid is split across several.
+    """
+    name, value = point
     try:
-        result = solve_lowest(h, task.k, task.method, task.max_iters)
+        swept, result = _solve_point(spec, args, name, value)
     except SolverError as exc:
-        return task.index, None, str(exc)
-    result = label_by_overlap(result)
+        return [_row(args, name, value)], str(exc)
+    params = _closed_form_params(swept, args.model)
     rows = []
-    for i in range(result.k):
-        config, fock, overlap = result.labels[i]
-        e_rwa, e_nonrwa = analytic(config, fock)
+    for i, (config, fock, overlap) in enumerate(result.labels):
         filtered = (
-            task.nbar_max is not None
-            and not result.mean_photons[i] < task.nbar_max
+            args.nbar_max is not None
+            and not result.mean_photons[i] < args.nbar_max
         )
-        rows.append(
-            (
-                config,
-                tuple(fock),
-                float(result.energies[i]),
-                e_rwa,
-                e_nonrwa,
-                overlap,
-                False,
-                bool(filtered),
-            )
-        )
-    return task.index, rows, None
-
-
-def _run_grid(tasks: list, threads: int) -> list:
-    if threads <= 1 or len(tasks) <= 1:
-        return [_spectrum_point(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-        return list(pool.map(_spectrum_point, tasks))
+        energy = float(result.energies[i])
+        row = (params, config, fock, energy, overlap, False, filtered)
+        rows.append(_row(args, name, value, *row))
+    return rows, None
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise ConfigError("-k/--num-levels must be >= 1")
-    spec = SystemSpec.from_json_file(args.config)
-    build_model(spec, args.model, args.regime, args.squeezing, args.cross_k0)
-
+    spec, lines = _sweep_start(args, "nbar_max")
     if args.sweep is not None:
         sweep_name, values = parse_sweep(args.sweep)
         points = [(sweep_name, float(v)) for v in values]
     else:
         points = [(None, None)]
 
-    tasks = [
-        _PointTask(
-            index=i,
-            spec_payload=spec.to_dict(),
-            model=args.model,
-            regime=args.regime,
-            squeezing=args.squeezing,
-            cross_k0=args.cross_k0,
-            k=args.k,
-            method=args.method,
-            max_iters=args.max_iters,
-            nbar_max=args.nbar_max,
-            sweep_name=name,
-            sweep_value=value,
-        )
-        for i, (name, value) in enumerate(points)
-    ]
-    outcomes = _run_grid(tasks, resolve_threads(args.threads))
+    solve = functools.partial(_spectrum_point, spec, args)
+    workers = min(resolve_threads(args.threads), len(points))
+    if workers <= 1:
+        outcomes = [solve(point) for point in points]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(solve, points))
 
-    lines = [
-        _provenance_line(
-            {
-                "command": "spectrum",
-                "config": spec.to_dict(),
-                "model": args.model,
-                "regime": args.regime,
-                "squeezing": args.squeezing,
-                "cross_k0": args.cross_k0,
-                "k": args.k,
-                "method": args.method,
-                "sweep": args.sweep,
-                "nbar_max": args.nbar_max,
-                "physical_scale": args.physical_scale,
-            }
-        ),
-        ",".join(SWEEP_COLUMNS),
-    ]
     failures = []
-    for index, rows, error in outcomes:
-        name, value = points[index]
+    for (_, value), (rows, error) in zip(points, outcomes):
+        lines.extend(rows)
         if error is not None:
             failures.append((value, error))
-            lines.append(_flag_row(name, value))
-            continue
-        for config, fock, e_num, e_rwa, e_nonrwa, overlap, term, filt in rows:
-            lines.append(
-                _sweep_row(
-                    name,
-                    value,
-                    config,
-                    fock,
-                    e_num,
-                    e_rwa,
-                    e_nonrwa,
-                    overlap,
-                    term,
-                    filt,
-                    args.physical_scale,
-                )
-            )
-    _write_lines(args.out, lines)
-    if failures:
-        for value, error in failures:
-            print(
-                f"solver failure at sweep value {_fmt(value) or '<none>'}: {error}",
-                file=sys.stderr,
-            )
-        return 3
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# levels
-# ---------------------------------------------------------------------------
+    return _finish(args.out, lines, failures)
 
 
 def _cmd_levels(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise ConfigError("-k/--num-levels must be >= 1")
-    spec = SystemSpec.from_json_file(args.config)
-    build_model(spec, args.model, args.regime, args.squeezing, args.cross_k0)
+    spec, lines = _sweep_start(args, "continuity_floor")
     sweep_name, values = parse_sweep(args.sweep)
 
-    lines = [
-        _provenance_line(
-            {
-                "command": "levels",
-                "config": spec.to_dict(),
-                "model": args.model,
-                "regime": args.regime,
-                "squeezing": args.squeezing,
-                "cross_k0": args.cross_k0,
-                "k": args.k,
-                "method": args.method,
-                "sweep": args.sweep,
-                "continuity_floor": args.continuity_floor,
-                "physical_scale": args.physical_scale,
-            }
-        ),
-        ",".join(SWEEP_COLUMNS),
-    ]
-
-    results = []
-    specs = []
-    failure = None
+    specs, results, failures = [], [], []
     for value in values:
-        swept = with_swept(spec, sweep_name, float(value))
-        h = build_model(swept, args.model, args.regime, args.squeezing, args.cross_k0)
         try:
-            result = solve_lowest(h, args.k, args.method, args.max_iters)
+            swept, result = _solve_point(spec, args, sweep_name, float(value))
         except SolverError as exc:
-            failure = (float(value), str(exc))
+            failures.append((float(value), str(exc)))
             break
-        results.append(label_by_overlap(result))
         specs.append(swept)
+        results.append(result)
 
     if results:
         curves = track_levels(results, continuity_floor=args.continuity_floor)
-        pairs = [_analytic_pair(s, args.model) for s in specs]
-        for t in range(len(results)):
-            value = float(values[t])
+        for t, swept in enumerate(specs):
+            params = _closed_form_params(swept, args.model)
             for curve in curves:
                 config, fock = curve.label
-                e_rwa, e_nonrwa = pairs[t](config, fock)
+                energy, overlap = float(curve.energies[t]), curve.overlaps[t]
                 dead = curve.terminated and t >= curve.terminated_at
-                lines.append(
-                    _sweep_row(
-                        sweep_name,
-                        value,
-                        config,
-                        fock,
-                        float(curve.energies[t]),
-                        e_rwa,
-                        e_nonrwa,
-                        curve.overlaps[t],
-                        dead,
-                        False,
-                        args.physical_scale,
-                    )
-                )
-    if failure is not None:
-        lines.append(_flag_row(sweep_name, failure[0]))
-    _write_lines(args.out, lines)
-    if failure is not None:
-        print(
-            f"solver failure at sweep value {_fmt(failure[0])}: {failure[1]}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+                row = (params, config, fock, energy, overlap, dead)
+                lines.append(_row(args, sweep_name, float(values[t]), *row))
+    lines.extend(_row(args, sweep_name, value) for value, _ in failures)
+    return _finish(args.out, lines, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +594,11 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_solver_options(p: argparse.ArgumentParser) -> None:
+def _add_sweep_command(sub, name: str, summary: str, sweep_required: bool):
+    """Subparser with the options ``spectrum`` and ``levels`` share."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--config", required=True, metavar="FILE")
+    _add_model_options(p)
     p.add_argument(
         "-k",
         "--num-levels",
@@ -714,6 +621,13 @@ def _add_solver_options(p: argparse.ArgumentParser) -> None:
         metavar="S",
         help="multiply displayed energy columns by S (display only)",
     )
+    p.add_argument(
+        "--sweep",
+        required=sweep_required,
+        metavar="VAR:FROM:TO:STEPS",
+        help="sweep grid, e.g. g:0:0.05:11 (vars: g, g<i>, eta)",
+    )
+    return p
 
 
 def _add_scalar_frequency_options(p: argparse.ArgumentParser) -> None:
@@ -738,18 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser(
-        "spectrum",
-        help="lowest-k labeled spectrum, optionally on a sweep grid",
-    )
-    p.add_argument("--config", required=True, metavar="FILE")
-    _add_model_options(p)
-    _add_solver_options(p)
-    p.add_argument(
-        "--sweep",
-        metavar="VAR:FROM:TO:STEPS",
-        default=None,
-        help="sweep grid, e.g. g:0:0.05:11 (vars: g, g<i>, eta)",
+    p = _add_sweep_command(
+        sub, "spectrum", "lowest-k labeled spectrum, optionally on a sweep grid", False
     )
     p.add_argument(
         "--nbar-max",
@@ -767,17 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser(
-        "levels", help="levels tracked by state continuity across a sweep"
-    )
-    p.add_argument("--config", required=True, metavar="FILE")
-    _add_model_options(p)
-    _add_solver_options(p)
-    p.add_argument(
-        "--sweep",
-        required=True,
-        metavar="VAR:FROM:TO:STEPS",
-        help="sweep grid, e.g. g:0:0.05:11 (vars: g, g<i>, eta)",
+    p = _add_sweep_command(
+        sub, "levels", "levels tracked by state continuity across a sweep", True
     )
     p.add_argument(
         "--continuity-floor",

@@ -334,11 +334,12 @@ def solve_lowest(
     k = min(int(k), dim)
     if method == "dense" or (method == "auto" and dim <= DENSE_LIMIT):
         full = eigh_dense(h)
+        # Copies, so the result does not keep the dim x dim matrix alive.
         return SpectrumResult(
-            energies=full.energies[:k],
-            states=full.states[:, :k],
+            energies=full.energies[:k].copy(),
+            states=np.ascontiguousarray(full.states[:, :k]),
             layout=full.layout,
-            mean_photons=full.mean_photons[:k],
+            mean_photons=full.mean_photons[:k].copy(),
         )
     return eigs_lowest(h, k, max_iters=max_iters)
 

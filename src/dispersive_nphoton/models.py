@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -73,6 +74,14 @@ _EXACT_KINDS = {
 # ---------------------------------------------------------------------------
 
 
+def _finite(what: str, value) -> float:
+    """``float(value)``, or :class:`ConfigError` naming ``what`` if not finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class QubitSpec:
     """One qubit and (for single/multiqubit topologies) its coupling.
@@ -89,9 +98,9 @@ class QubitSpec:
     g: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega_q", float(self.omega_q))
+        object.__setattr__(self, "omega_q", _finite("qubit frequency", self.omega_q))
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "g", float(self.g))
+        object.__setattr__(self, "g", _finite("qubit coupling strength g", self.g))
         if self.n < 1:
             raise ConfigError("qubit coupling order n must be >= 1")
         if self.g < 0:
@@ -112,7 +121,7 @@ class OscillatorSpec:
     trunc: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "omega", _finite("oscillator frequency", self.omega))
         object.__setattr__(self, "trunc", int(self.trunc))
         if self.omega <= 0:
             raise ConfigError("oscillator frequency must be positive")
@@ -140,7 +149,7 @@ class CouplingSpec:
         object.__setattr__(self, "qubit", int(self.qubit))
         object.__setattr__(self, "oscillator", int(self.oscillator))
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "g", float(self.g))
+        object.__setattr__(self, "g", _finite("coupling strength g", self.g))
         if self.n < 1:
             raise ConfigError("coupling order n must be >= 1")
         if self.g < 0:
@@ -167,7 +176,7 @@ class StabilizerSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "form", str(self.form))
-        object.__setattr__(self, "eta", float(self.eta))
+        object.__setattr__(self, "eta", _finite("stabilizer strength eta", self.eta))
         if self.m is not None:
             object.__setattr__(self, "m", int(self.m))
         if self.form not in STABILIZER_FORMS:

@@ -71,6 +71,21 @@ class TestDispersiveParams:
             DispersiveParams.from_frequencies(2.0, 1, 0.1, omega_o=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(bad):
+    for kwargs in (
+        dict(n=2, g=bad, delta=0.5, sigma=4.5),
+        dict(n=2, g=0.02, delta=bad, sigma=4.5),
+        dict(n=2, g=0.02, delta=0.5, sigma=bad),
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            DispersiveParams(**kwargs)
+    with pytest.raises(ValueError, match="must be finite"):
+        DispersiveParams.from_frequencies(bad, 2, 0.02)
+    with pytest.raises(ValueError, match="finite"):
+        critical_photon_number(2, bad, 0.5)
+
+
 class TestDispersiveLevel:
     """Hand-evaluated polynomial values for n = 2 (rows [2,2,2] and [2,4])."""
 

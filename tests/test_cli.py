@@ -18,6 +18,7 @@ import pytest
 
 import dispersive_nphoton
 from dispersive_nphoton import SystemSpec, effective_two_qubit_params
+from dispersive_nphoton.models import with_swept
 from dispersive_nphoton.cli import (
     DYNAMICS_COLUMNS,
     SCHEMA_VERSION,
@@ -673,6 +674,101 @@ class TestScalarInputValidation:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+NAN_G = {**SINGLE, "qubits": [{**SINGLE["qubits"][0], "g": float("nan")}]}
+NAN_OMEGA = {**SINGLE, "oscillators": [{"omega": float("nan"), "trunc": 25}]}
+SPECTRUM = ["spectrum", "--model", "nR", "-k", "2"]
+LEVELS = ["levels", "--model", "nR", "-k", "2", "--sweep", "g:0:0.02:2"]
+DRESSED = ["dressed-freq", "--n", "2", "--alpha", "1"]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["critical-nph", "--n", "2", "--g", "nan", "--delta", "0.5"], None),
+            (["critical-nph", "--n", "2", "--g", "inf", "--delta", "0.5"], None),
+            ([*DRESSED, "--omega-q", "2.5", "--g", "nan"], None),
+            ([*DRESSED, "--omega-q", "nan", "--g", "0.01"], None),
+            (SPECTRUM, NAN_G),
+            (SPECTRUM, NAN_OMEGA),
+            (LEVELS, NAN_G),
+            ([*SPECTRUM, "--sweep", "g:0:nan:2"], SINGLE),
+            (["levels", "--model", "nR", "--sweep", "g:inf:0:2"], SINGLE),
+            ([*SPECTRUM, "--physical-scale", "nan"], SINGLE),
+            ([*LEVELS, "--physical-scale", "inf"], SINGLE),
+            ([*SPECTRUM, "--nbar-max", "nan"], SINGLE),
+            ([*LEVELS, "--continuity-floor", "nan"], SINGLE),
+        ],
+        ids=[
+            "critical-g-nan",
+            "critical-g-inf",
+            "dressed-g-nan",
+            "dressed-omega-q-nan",
+            "spectrum-config-g-nan",
+            "spectrum-config-omega-nan",
+            "levels-config-g-nan",
+            "spectrum-sweep-nan",
+            "levels-sweep-inf",
+            "spectrum-physical-scale-nan",
+            "levels-physical-scale-inf",
+            "spectrum-nbar-max-nan",
+            "levels-continuity-floor-nan",
+        ],
+    )
+    def test_exits_2(self, tmp_path, argv, config):
+        if config is not None:
+            argv = [*argv, "--config", write_config(tmp_path, config)]
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+        assert len(err.splitlines()) == 1
+
+
+def rows_by_value(rows):
+    """Group sweep rows by their sweep value, dropping the two sweep columns."""
+    grouped = {}
+    for row in rows:
+        grouped.setdefault(row[1], []).append(row[2:])
+    return grouped
+
+
+class TestSweepMatchesPointRuns:
+    """``spectrum --sweep`` and ``levels`` agree with point runs."""
+
+    SWEEP = "g:0:0.04:3"
+
+    @pytest.mark.parametrize("model", ["nJC", "dispersive"])
+    def test_sweep_rows_equal_point_runs(self, tmp_path, model):
+        cfg = write_config(tmp_path, SINGLE)
+        base = ["spectrum", "--model", model, "-k", "5"]
+        code, out, _ = run_cli([*base, "--config", cfg, "--sweep", self.SWEEP])
+        assert code == 0
+        swept = rows_by_value(parse_csv(out)[2])
+        assert list(swept) == ["0", "0.02", "0.04"]
+        spec = SystemSpec.from_dict(SINGLE)
+        for value in parse_sweep(self.SWEEP)[1]:
+            point = with_swept(spec, "g", float(value)).to_dict()
+            point_cfg = write_config(tmp_path, point, name=f"point_{value}.json")
+            code, out, _ = run_cli([*base, "--config", point_cfg])
+            assert code == 0
+            point_rows = [row[2:] for row in parse_csv(out)[2]]
+            assert swept["%.12g" % value] == point_rows
+
+    @pytest.mark.parametrize("model", ["nJC", "dispersive"])
+    def test_levels_first_point_equals_spectrum(self, tmp_path, model):
+        cfg = write_config(tmp_path, SINGLE)
+        argv = ["--config", cfg, "--model", model, "-k", "5", "--sweep", self.SWEEP]
+        outputs = {}
+        for command in ("spectrum", "levels"):
+            code, out, _ = run_cli([command, *argv])
+            assert code == 0
+            first = rows_by_value(parse_csv(out)[2])["0"]
+            outputs[command] = {tuple(row[:5]) for row in first}
+        assert len(outputs["levels"]) == 5
+        assert outputs["levels"] == outputs["spectrum"]
 
 
 class TestModuleEntryPoint:

@@ -180,6 +180,16 @@ class TestSolveLowest:
         with pytest.raises(ValueError, match="unknown"):
             solve_lowest(build_model(single(trunc=8), "nR"), 2, "arnoldi")
 
+    @pytest.mark.parametrize("method", ["auto", "dense"])
+    def test_dense_path_returns_owned_arrays(self, method):
+        # A view would keep the whole dim x dim eigenvector matrix alive.
+        h = build_model(single(trunc=300), "nR")
+        res = solve_lowest(h, 4, method)
+        assert res.states.shape == (600, 4)
+        for array in (res.energies, res.states, res.mean_photons):
+            assert array.base is None
+        assert res.states.flags.c_contiguous
+
 
 class TestLabeling:
     def test_diagonal_model_labels_exactly(self):

@@ -293,6 +293,61 @@ class TestWithSwept:
             with_swept(single(), "omega", 1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+STABILIZED = single(stabilizer=StabilizerSpec("number_power", 0.01))
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: QubitSpec(omega_q=NAN),
+            lambda: QubitSpec(omega_q=INF),
+            lambda: QubitSpec(omega_q=2.5, g=NAN),
+            lambda: QubitSpec(omega_q=2.5, g=INF),
+            lambda: OscillatorSpec(omega=NAN, trunc=8),
+            lambda: OscillatorSpec(omega=INF, trunc=8),
+            lambda: CouplingSpec(qubit=0, oscillator=0, n=1, g=NAN),
+            lambda: CouplingSpec(qubit=0, oscillator=0, n=1, g=INF),
+            lambda: StabilizerSpec("number_power", eta=NAN),
+            lambda: StabilizerSpec("number_power", eta=INF),
+            lambda: with_swept(single(), "g", NAN),
+            lambda: with_swept(pair(), "g1", INF),
+            lambda: with_swept(two_mode(), "g0", NAN),
+            lambda: with_swept(STABILIZED, "eta", INF),
+            lambda: SystemSpec.from_json(
+                '{"topology": "single", "qubits": [{"omega_q": 2.5, "g": NaN}],'
+                ' "oscillators": [{"trunc": 8}]}'
+            ),
+            lambda: SystemSpec.from_json(
+                '{"topology": "single", "qubits": [{"omega_q": 2.5}],'
+                ' "oscillators": [{"omega": NaN, "trunc": 8}]}'
+            ),
+        ],
+        ids=[
+            "qubit-omega-nan",
+            "qubit-omega-inf",
+            "qubit-g-nan",
+            "qubit-g-inf",
+            "oscillator-omega-nan",
+            "oscillator-omega-inf",
+            "coupling-g-nan",
+            "coupling-g-inf",
+            "stabilizer-eta-nan",
+            "stabilizer-eta-inf",
+            "swept-g-nan",
+            "swept-g1-inf",
+            "swept-coupling-g0-nan",
+            "swept-eta-inf",
+            "json-g-nan",
+            "json-omega-nan",
+        ],
+    )
+    def test_config_error(self, make):
+        with pytest.raises(ConfigError, match="must be finite"):
+            make()
+
+
 ALL_BUILDERS = [
     lambda: build_model(single(), "nR"),
     lambda: build_model(single(), "nJC"),
