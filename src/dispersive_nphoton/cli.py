@@ -354,6 +354,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_levels(args: argparse.Namespace) -> int:
     spec, lines = _sweep_start(args, "continuity_floor")
+    if not 0.0 <= args.continuity_floor <= 1.0:
+        raise ConfigError(
+            f"--continuity-floor must lie in [0, 1], got {args.continuity_floor!r}"
+        )
     sweep_name, values = parse_sweep(args.sweep)
 
     specs, results, failures = [], [], []
@@ -611,7 +615,8 @@ def _add_sweep_command(sub, name: str, summary: str, sweep_required: bool):
         "--method",
         choices=("auto", "dense", "lanczos"),
         default="auto",
-        help="eigenpair method (auto: dense up to %d states)" % DENSE_LIMIT,
+        help="eigenpair method (auto: exact per block while the largest block "
+        "has at most %d states, Lanczos above)" % DENSE_LIMIT,
     )
     p.add_argument("--max-iters", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument(
@@ -679,7 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.5,
         metavar="W",
-        help="minimum squared overlap to keep following a level (default 0.5)",
+        help="minimum squared overlap, in [0, 1], to keep following a level "
+        "(default 0.5)",
     )
     _add_out(p)
     p.set_defaults(func=_cmd_levels)

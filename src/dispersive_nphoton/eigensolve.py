@@ -1,19 +1,29 @@
 """Eigensolvers and spectral bookkeeping for sparse Hermitian operators.
 
-Provides a dense reference path (:func:`eigh_dense`), a deterministic
-Lanczos path with full reorthogonalization for the lowest part of large
-spectra (:func:`eigs_lowest`, whose Lanczos step the Krylov propagator
-shares), the ``--method`` dispatch between them (:func:`solve_lowest`), and
-the bookkeeping used by spectral sweeps: labeling eigenstates by dominant
-bare basis state (:func:`label_by_overlap`), discarding truncation-band
-artifacts by mean photon number (:func:`filter_by_mean_photon`), and
-following levels through a parameter sweep by state overlap
-(:func:`track_levels`).
+Every solver here works block by block: the connected components of the
+operator's sparsity pattern (:func:`_blocks`) are decoupled blocks, so each
+is solved on its own and the lowest levels of all blocks are merged.  The
+blocks are the models' conserved parities (Z_2, Z_4 and the like) found
+from the matrix alone.  The merge keeps the lowest ``k`` by a stable sort on
+(energy, block, index within the block); blocks are numbered by their lowest
+basis index, so exact degeneracies across blocks come out in a fixed order.
+
+Provides an exact dense path (:func:`eigh_dense`; small blocks in one
+batched call, larger ones by index-subset LAPACK), a deterministic Lanczos
+path with full reorthogonalization for the lowest part of large spectra
+(:func:`eigs_lowest`: one Lanczos run per block, ``max_iters`` per block,
+whose Lanczos step the Krylov propagator shares), the ``--method`` dispatch
+between them (:func:`solve_lowest`: ``auto`` is exact while the largest
+block has at most :data:`DENSE_LIMIT` states), and the bookkeeping used by
+spectral sweeps: labeling eigenstates by dominant bare basis state
+(:func:`label_by_overlap`), discarding truncation-band artifacts by mean
+photon number (:func:`filter_by_mean_photon`), and following levels
+through a parameter sweep by state overlap (:func:`track_levels`).
 
 Determinism: every routine here is free of randomness — the Lanczos start
-vector is the normalized all-ones vector and breakdown restarts inject
-canonical basis vectors in index order — so repeated runs give bit-identical
-results.
+vector is the normalized all-ones vector of each block and breakdown
+restarts inject canonical basis vectors in index order — so repeated runs
+give bit-identical results.
 """
 
 from __future__ import annotations
@@ -96,8 +106,126 @@ def _real_csr_if_possible(op: SparseOperator):
 
 
 # ---------------------------------------------------------------------------
-# Dense reference solver
+# Blocks and the merge of per-block spectra
 # ---------------------------------------------------------------------------
+
+#: Blocks of at most this many states are diagonalized together in one
+#: batched ``numpy.linalg.eigh`` call; larger ones one at a time.
+_BATCH_MAX = 64
+
+
+def _blocks(mat) -> tuple[np.ndarray, np.ndarray]:
+    """Connected blocks of the sparsity pattern of the square matrix ``mat``.
+
+    Returns ``(members, starts)``: block ``b`` is the ascending basis
+    indices ``members[starts[b]:starts[b + 1]]``.  Blocks are numbered by
+    their lowest basis index.
+    """
+    # Imported here: loading csgraph costs about 25 ms, paid by solves only.
+    from scipy.sparse import csgraph
+
+    pattern = sp.csr_matrix(
+        (np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape
+    )
+    n_blocks, labels = csgraph.connected_components(pattern, directed=False)
+    members = np.argsort(labels, kind="stable")
+    starts = np.searchsorted(labels[members], np.arange(n_blocks + 1))
+    return members, starts
+
+
+def _merge_lowest(h, members, starts, parts, k, dtype, want_states=True):
+    """Lowest ``k`` of the per-block eigenpairs, scattered to the full basis.
+
+    Each part is ``(ids, energies, vectors)`` for blocks ``ids`` of one size
+    ``s``: ``energies`` has shape ``(len(ids), c)`` and ``vectors`` (or
+    ``None``) shape ``(len(ids), s, c)``.  Ties break by a stable sort on
+    (energy, block, index within the block).
+    """
+    energies = np.concatenate([e.ravel() for _, e, _ in parts])
+    block = np.concatenate([np.repeat(ids, e.shape[1]) for ids, e, _ in parts])
+    index = np.concatenate(
+        [np.tile(np.arange(e.shape[1]), len(ids)) for ids, e, _ in parts]
+    )
+    order = np.lexsort((index, block, energies))[:k]
+    if not want_states:
+        return SpectrumResult(energies=energies[order], states=None, layout=h.layout)
+    states = np.zeros((h.total_dim, len(order)), dtype=dtype)
+    offset = 0
+    for ids, e, vectors in parts:
+        cols = np.flatnonzero((order >= offset) & (order < offset + e.size))
+        local, j = np.divmod(order[cols] - offset, e.shape[1])
+        rows = members[starts[ids[local], None] + np.arange(vectors.shape[1])]
+        states[rows, cols[:, None]] = vectors[local, :, j]
+        offset += e.size
+    return SpectrumResult(
+        energies=energies[order],
+        states=states,
+        layout=h.layout,
+        mean_photons=_mean_photons(h.layout, states),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Exact solver
+# ---------------------------------------------------------------------------
+
+
+def _exact_lowest(
+    h: SparseOperator,
+    k: int,
+    want_states: bool = True,
+    dense_limit: int = DENSE_LIMIT,
+) -> SpectrumResult:
+    """Exact lowest ``min(k, dim)`` eigenpairs, one dense solve per block.
+
+    Blocks of equal size up to ``_BATCH_MAX`` states share one batched
+    ``numpy.linalg.eigh``; each larger block gets ``scipy.linalg.eigh`` for
+    its lowest ``k`` pairs only, or ``numpy.linalg.eigh`` when all of them
+    are wanted (the subset driver loses orthogonality on full spectra).
+    Memory beyond the largest dense block is O(dim k).
+
+    Raises:
+        CapacityError: If the largest block exceeds ``dense_limit`` states.
+    """
+    mat, _ = _real_csr_if_possible(h)
+    members, starts = _blocks(mat)
+    sizes = np.diff(starts)
+    if sizes.max() > dense_limit:
+        raise CapacityError(
+            f"largest block of {sizes.max()} states exceeds the dense limit "
+            f"{dense_limit}; use eigs_lowest for the low end of the spectrum"
+        )
+    parts = []
+    for s in np.unique(sizes):
+        keep = min(k, s)
+        ids = np.flatnonzero(sizes == s)
+        for group in [ids] if s <= _BATCH_MAX else np.split(ids, len(ids)):
+            # The group's blocks in a row, so entry (r, c) of the sub-matrix
+            # is entry (r % s, c % s) of block r // s.
+            idx = members[starts[group, None] + np.arange(s)].ravel()
+            sub = mat[idx][:, idx].tocoo()
+            stack = np.zeros((len(group), s, s), dtype=mat.dtype)
+            stack[sub.row // s, sub.row % s, sub.col % s] = sub.data
+            if s <= _BATCH_MAX or keep == s:
+                vals, vecs = (
+                    np.linalg.eigh(stack)
+                    if want_states
+                    else (np.linalg.eigvalsh(stack), None)
+                )
+            else:
+                out = scipy.linalg.eigh(
+                    stack[0],
+                    eigvals_only=not want_states,
+                    subset_by_index=(0, keep - 1),
+                    overwrite_a=True,
+                )
+                vals, vecs = (
+                    (out[0][None], out[1][None]) if want_states else (out[None], None)
+                )
+            if vecs is not None:
+                vecs = vecs[:, :, :keep]
+            parts.append((group, vals[:, :keep], vecs))
+    return _merge_lowest(h, members, starts, parts, k, mat.dtype, want_states)
 
 
 def eigh_dense(
@@ -105,12 +233,12 @@ def eigh_dense(
     want_states: bool = True,
     dense_limit: int = DENSE_LIMIT,
 ) -> SpectrumResult:
-    """Full dense spectrum of a certified-Hermitian operator.
+    """Full spectrum of a certified-Hermitian operator, exact per block.
 
     Args:
         h: Operator whose ``hermitian`` flag must be True.
         want_states: Also return eigenvectors (and mean photon numbers).
-        dense_limit: Largest dimension to densify.
+        dense_limit: Largest total dimension accepted.
 
     Raises:
         ValueError: If the operator is not certified Hermitian.
@@ -125,19 +253,7 @@ def eigh_dense(
             f"dimension {dim} exceeds the dense limit {dense_limit}; "
             "use eigs_lowest for the low end of the spectrum"
         )
-    mat, _ = _real_csr_if_possible(h)
-    dense = mat.toarray()
-    if want_states:
-        energies, states = np.linalg.eigh(dense)
-        states = np.ascontiguousarray(states)
-        return SpectrumResult(
-            energies=energies,
-            states=states,
-            layout=h.layout,
-            mean_photons=_mean_photons(h.layout, states),
-        )
-    energies = np.linalg.eigvalsh(dense)
-    return SpectrumResult(energies=energies, states=None, layout=h.layout)
+    return _exact_lowest(h, dim, want_states, dense_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -178,56 +294,19 @@ def _tridiagonal_eigh(alphas, betas, k: Optional[int] = None):
     return scipy.linalg.eigh_tridiagonal(a, b, **idx)
 
 
-def eigs_lowest(
-    h: SparseOperator,
-    k: int,
-    tol: float = 1e-10,
-    max_iters: Optional[int] = None,
-) -> SpectrumResult:
-    """Lowest ``k`` eigenpairs by Lanczos with full reorthogonalization.
+def _lanczos(mat, k: int, tol: float, max_iters: int):
+    """Lowest ``k`` Ritz pairs of the Hermitian CSR matrix ``mat``.
 
-    Deterministic: the start vector is the normalized all-ones vector; on
-    an exact invariant-subspace breakdown the iteration restarts with the
-    first canonical basis vector having a non-negligible component outside
-    the converged subspace.  Convergence requires every requested Ritz
-    residual ``|beta_m s_{m,i}|`` to fall below ``tol * ||H||_1``.
-
-    Args:
-        h: Certified-Hermitian operator.
-        k: Number of lowest eigenpairs.
-        tol: Relative residual tolerance.
-        max_iters: Iteration budget; default ``min(dim, max(30 k, 2500))``
-            (deep spectra of stabilized unbounded models need on the order
-            of ``sqrt(spectral_width / gap)`` iterations).
-
-    Raises:
-        ValueError: If the operator is not certified Hermitian or ``k`` is
-            out of range.
-        IterationLimitError: If the budget is exhausted; the exception's
-            ``partial`` attribute carries the best available result.
+    Returns ``(energies, states, converged)``; when the budget runs out,
+    ``converged`` is False and the pairs are the best available.
     """
-    if not h.hermitian:
-        raise ValueError("eigs_lowest requires a certified-hermitian operator")
-    dim = h.total_dim
-    k = int(k)
-    if not 1 <= k <= dim:
-        raise ValueError(f"k={k} out of range for dimension {dim}")
-    if max_iters is None:
-        max_iters = min(dim, max(30 * k, 2500))
-    max_iters = max(int(max_iters), 1)
-
-    mat, is_real = _real_csr_if_possible(h)
-    dtype = np.float64 if is_real else np.complex128
-    norm1 = h.one_norm()
+    dim = mat.shape[0]
+    dtype = mat.dtype
+    norm1 = float(abs(mat).sum(axis=0).max()) if mat.nnz else 0.0
     if norm1 == 0.0:
         states = np.zeros((dim, k), dtype=dtype)
         states[np.arange(k), np.arange(k)] = 1.0
-        return SpectrumResult(
-            energies=np.zeros(k),
-            states=states,
-            layout=h.layout,
-            mean_photons=_mean_photons(h.layout, states),
-        )
+        return np.zeros(k), states, True
     resid_floor = tol * norm1
     breakdown_floor = 1e-14 * norm1
 
@@ -260,16 +339,11 @@ def eigs_lowest(
                 return e / nrm
         return None
 
-    def _result() -> SpectrumResult:
+    def _result(converged: bool):
         vals, small = _tridiagonal_eigh(alphas, betas, k)
         states = basis[:, : len(alphas)] @ small.astype(dtype)
         states /= np.linalg.norm(states, axis=0, keepdims=True)
-        return SpectrumResult(
-            energies=vals,
-            states=states,
-            layout=h.layout,
-            mean_photons=_mean_photons(h.layout, states),
-        )
+        return vals, states, converged
 
     next_check = min(max_iters, max(k + 2, 20))
     m = 0
@@ -297,21 +371,84 @@ def eigs_lowest(
         if exhausted_space:
             # The Krylov recursion closed over the whole space, so the
             # tridiagonal matrix is an exact representation.
-            return _result()
+            return _result(True)
 
         if m >= next_check and m >= k and not broke_down:
             _, small = _tridiagonal_eigh(alphas, betas, k)
             residuals = abs(betas[m - 1]) * np.abs(small[m - 1, :])
             if np.all(residuals <= resid_floor):
-                return _result()
+                return _result(True)
             next_check = min(max_iters, m + max(20, m // 5))
 
-    partial = _result()
-    raise IterationLimitError(
-        f"Lanczos did not converge within {max_iters} iterations "
-        f"(k={k}, dim={dim}, tol={tol:g})",
-        partial=partial,
-    )
+    return _result(False)
+
+
+def eigs_lowest(
+    h: SparseOperator,
+    k: int,
+    tol: float = 1e-10,
+    max_iters: Optional[int] = None,
+) -> SpectrumResult:
+    """Lowest ``k`` eigenpairs by Lanczos with full reorthogonalization.
+
+    Each block of the operator (see :func:`_blocks`) runs its own Lanczos
+    iteration for its lowest ``min(k, s)`` pairs; a one-state block is read
+    off its diagonal.  Deterministic: the start vector is the normalized
+    all-ones vector of the block; on an exact invariant-subspace breakdown
+    the iteration restarts with the first canonical basis vector having a
+    non-negligible component outside the converged subspace.  Convergence
+    requires every requested Ritz residual ``|beta_m s_{m,i}|`` to fall
+    below ``tol`` times the block's 1-norm.
+
+    Args:
+        h: Certified-Hermitian operator.
+        k: Number of lowest eigenpairs.
+        tol: Relative residual tolerance.
+        max_iters: Iteration budget of each block; default
+            ``min(s, max(30 min(k, s), 2500))`` for a block of ``s`` states
+            (deep spectra of stabilized unbounded models need on the order
+            of ``sqrt(spectral_width / gap)`` iterations).
+
+    Raises:
+        ValueError: If the operator is not certified Hermitian or ``k`` is
+            out of range.
+        IterationLimitError: If a block exhausts its budget; the
+            exception's ``partial`` attribute carries the best available
+            result, merged over all blocks.
+    """
+    if not h.hermitian:
+        raise ValueError("eigs_lowest requires a certified-hermitian operator")
+    dim = h.total_dim
+    k = int(k)
+    if not 1 <= k <= dim:
+        raise ValueError(f"k={k} out of range for dimension {dim}")
+
+    mat, _ = _real_csr_if_possible(h)
+    members, starts = _blocks(mat)
+    sizes = np.diff(starts)
+    ones = np.flatnonzero(sizes == 1)
+    diagonal = mat.diagonal()[members[starts[ones]]].real
+    parts = [(ones, diagonal[:, None], np.ones((len(ones), 1, 1), dtype=mat.dtype))]
+    failed = []
+    for b in np.flatnonzero(sizes > 1):
+        idx = members[starts[b] : starts[b + 1]]
+        keep = min(k, len(idx))
+        budget = min(len(idx), max(30 * keep, 2500)) if max_iters is None else max_iters
+        budget = max(int(budget), 1)
+        vals, states, converged = _lanczos(mat[idx][:, idx], keep, tol, budget)
+        parts.append((np.array([b]), vals[None], states[None]))
+        if not converged:
+            failed.append((len(idx), budget))
+    result = _merge_lowest(h, members, starts, parts, k, mat.dtype)
+    if failed:
+        size, budget = failed[0]
+        raise IterationLimitError(
+            f"Lanczos did not converge within {budget} iterations in "
+            f"{len(failed)} of {len(sizes)} blocks (first: {size} states; "
+            f"k={k}, dim={dim}, tol={tol:g})",
+            partial=result,
+        )
+    return result
 
 
 def solve_lowest(
@@ -321,26 +458,29 @@ def solve_lowest(
     max_iters: Optional[int] = None,
 ) -> SpectrumResult:
     """Lowest ``min(k, dim)`` eigenpairs by ``"dense"``, ``"lanczos"`` or
-    ``"auto"`` (dense up to :data:`DENSE_LIMIT` states, Lanczos above).
+    ``"auto"``.
+
+    ``"dense"`` solves every block exactly and ``"lanczos"`` runs
+    :func:`eigs_lowest`; ``"auto"`` is exact while the largest block has at
+    most :data:`DENSE_LIMIT` states, Lanczos above.
 
     Raises:
         ValueError: If ``k < 1`` or the method is unknown.
+        CapacityError: If ``"dense"`` meets a block above the dense limit.
     """
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown eigensolver method {method!r}")
     if int(k) < 1:
         raise ValueError(f"k={k} must be at least 1")
-    dim = h.total_dim
-    k = min(int(k), dim)
-    if method == "dense" or (method == "auto" and dim <= DENSE_LIMIT):
-        full = eigh_dense(h)
-        # Copies, so the result does not keep the dim x dim matrix alive.
-        return SpectrumResult(
-            energies=full.energies[:k].copy(),
-            states=np.ascontiguousarray(full.states[:, :k]),
-            layout=full.layout,
-            mean_photons=full.mean_photons[:k].copy(),
-        )
+    k = min(int(k), h.total_dim)
+    if method != "lanczos":
+        if not h.hermitian:
+            raise ValueError("solve_lowest requires a certified-hermitian operator")
+        try:
+            return _exact_lowest(h, k)
+        except CapacityError:
+            if method == "dense":
+                raise
     return eigs_lowest(h, k, max_iters=max_iters)
 
 
@@ -451,11 +591,17 @@ def track_levels(
 
     Args:
         results: Spectra (with eigenvectors, on one layout) along the sweep.
-        continuity_floor: Minimum squared overlap to keep following a level.
+        continuity_floor: Minimum squared overlap to keep following a level,
+            in [0, 1].
 
     Raises:
-        ValueError: On empty input, missing eigenvectors, or mixed layouts.
+        ValueError: On empty input, missing eigenvectors, mixed layouts, or
+            a floor outside [0, 1].
     """
+    if not 0.0 <= continuity_floor <= 1.0:
+        raise ValueError(
+            f"continuity_floor must lie in [0, 1], got {continuity_floor!r}"
+        )
     results = list(results)
     if not results:
         raise ValueError("track_levels requires at least one result")

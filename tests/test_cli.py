@@ -727,6 +727,16 @@ class TestNonFiniteInputs:
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("floor", ["2", "-0.1"])
+def test_continuity_floor_outside_unit_interval_exits_2(tmp_path, floor):
+    argv = [*LEVELS, "--continuity-floor", floor, "--config"]
+    code, out, err = run_cli([*argv, write_config(tmp_path, SINGLE)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "[0, 1]" in err
+    assert len(err.splitlines()) == 1
+
+
 def rows_by_value(rows):
     """Group sweep rows by their sweep value, dropping the two sweep columns."""
     grouped = {}

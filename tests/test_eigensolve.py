@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from test_models import ALL_BUILDERS
 
 from dispersive_nphoton.analytic import dispersive_level
 from dispersive_nphoton.eigensolve import (
@@ -47,6 +50,14 @@ def single(omega_q=2.5, n=2, g=0.02, trunc=30, stabilizer=None):
         qubits=(QubitSpec(omega_q=omega_q, n=n, g=g),),
         oscillators=(OscillatorSpec(omega=1.0, trunc=trunc),),
         stabilizer=stabilizer,
+    )
+
+
+def identical_pair(trunc=300):
+    return SystemSpec(
+        topology="multiqubit",
+        qubits=(QubitSpec(omega_q=8.0, n=2, g=0.02),) * 2,
+        oscillators=(OscillatorSpec(omega=1.0, trunc=trunc),),
     )
 
 
@@ -191,6 +202,98 @@ class TestSolveLowest:
         assert res.states.flags.c_contiguous
 
 
+class TestDegeneracyAcrossBlocks:
+    """Exact degeneracies between blocks, which one Lanczos run missed."""
+
+    SOLVERS = [
+        ("auto", lambda h, k: solve_lowest(h, k, "auto")),
+        ("dense", lambda h, k: solve_lowest(h, k, "dense")),
+        ("lanczos", lambda h, k: solve_lowest(h, k, "lanczos")),
+        ("eigs_lowest", eigs_lowest),
+    ]
+
+    @pytest.mark.parametrize("name, solve", SOLVERS, ids=[s[0] for s in SOLVERS])
+    def test_uncoupled_ladder(self, name, solve):
+        # g = 0: |e,m> and |g,m+2> share the energy m + 1.
+        h = build_model(single(omega_q=2.0, n=1, g=0.0, trunc=300), "nR")
+        res = solve(h, 10)
+        np.testing.assert_allclose(
+            res.energies, [-1, 0, 1, 1, 2, 2, 3, 3, 4, 4], atol=1e-12
+        )
+
+    @pytest.mark.parametrize("name, solve", SOLVERS, ids=[s[0] for s in SOLVERS])
+    def test_identical_qubits(self, name, solve):
+        h = build_model(identical_pair(), "nTC")
+        want = eigh_dense(h, want_states=False).energies[:10]
+        assert np.max(np.abs(solve(h, 10).energies - want)) <= 1e-9
+
+
+def _block_labels(h):
+    """Block of each basis index: components of the nonzero pattern."""
+    return connected_components(h.entries != 0, directed=False)[1]
+
+
+#: Every builder input, plus one with blocks above the batched size (2 x 100).
+BLOCK_INPUTS = ALL_BUILDERS + [
+    lambda: build_model(single(omega_q=3.1, n=3, g=0.05, trunc=100), "full_nR")
+]
+
+
+class TestBlockSolver:
+    @pytest.mark.parametrize("method", ["auto", "dense"])
+    @pytest.mark.parametrize("k", [5, None])
+    @pytest.mark.parametrize("make", BLOCK_INPUTS)
+    def test_exact_block_properties(self, make, k, method):
+        h = make()
+        dim = h.total_dim
+        k = dim if k is None else k
+        res = solve_lowest(h, k, method)
+        hmat = h.toarray()
+        want = np.linalg.eigvalsh(hmat)[:k]
+        assert res.k == k
+        assert np.all(
+            np.abs(res.energies - want) <= 1e-12 * np.maximum(1.0, np.abs(want))
+        )
+        scale = max(1.0, float(np.abs(res.energies).max()))
+        assert residuals(h, res).max() <= 1e-12 * scale
+        gram = res.states.conj().T @ res.states
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-12
+        labels = _block_labels(h)
+        for column in res.states.T:
+            assert len(set(labels[np.flatnonzero(column)])) == 1
+        again = solve_lowest(h, k, method)
+        assert np.array_equal(res.energies, again.energies)
+        assert np.array_equal(res.states, again.states)
+        for array in (res.energies, res.states, res.mean_photons):
+            assert array.base is None
+        assert res.states.flags.c_contiguous
+
+    @pytest.mark.parametrize("method", ["lanczos", "auto", "dense"])
+    def test_two_identical_blocks(self, method):
+        # Two copies of one random Hermitian block on interleaved indices:
+        # every level is exactly doubly degenerate, and each pair is
+        # ordered by block (the copy holding index 0 first).
+        rng = np.random.default_rng(7)
+        s = 90
+        a = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+        a = a + a.conj().T
+        full = sp.block_diag([a, a]).toarray()
+        perm = np.argsort(np.r_[np.arange(s) * 2, np.arange(s) * 2 + 1])
+        full = full[np.ix_(perm, perm)]
+        layout = qubit_oscillator_layout(0, (2 * s,))
+        h = SparseOperator.from_dense(layout, full)
+        assert h.hermitian
+        k = 12
+        res = solve_lowest(h, k, method)
+        np.testing.assert_array_equal(res.energies[0::2], res.energies[1::2])
+        want = np.linalg.eigvalsh(a)[: k // 2]
+        assert np.max(np.abs(res.energies[0::2] - want)) <= 1e-9 * s
+        assert np.all(res.states[1::2, 0::2] == 0)  # first copy: even indices
+        assert np.all(res.states[0::2, 1::2] == 0)
+        np.testing.assert_array_equal(res.states[0::2, 0::2], res.states[1::2, 1::2])
+        assert residuals(h, res).max() <= 1e-8 * h.one_norm()
+
+
 class TestLabeling:
     def test_diagonal_model_labels_exactly(self):
         spec = single(trunc=12)
@@ -309,6 +412,13 @@ class TestTracking:
         # Exactly at the floor the connection is kept (termination is strict <).
         curves = track_levels(pts, continuity_floor=s * s)
         assert not any(c.terminated for c in curves)
+
+    @pytest.mark.parametrize("floor", [2.0, -0.1, float("nan")])
+    def test_floor_outside_unit_interval_rejected(self, floor):
+        eye = np.eye(2)
+        pts = [_point(self.layout, [0.0, 1.0], eye)] * 2
+        with pytest.raises(ValueError, match="continuity_floor"):
+            track_levels(pts, continuity_floor=floor)
 
     def test_unlabeled_seed_gives_none_labels(self):
         eye = np.eye(2)
