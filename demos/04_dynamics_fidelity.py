@@ -35,8 +35,8 @@ def main():
         for chit in np.linspace(0.0, 2.0, 11):
             t = chit / chi
             if t > prev:
-                psi_full = dn.evolve(h_full, psi_full, t - prev, dense_cutoff=128)
-                psi_disp = dn.evolve(h_disp, psi_disp, t - prev, dense_cutoff=128)
+                psi_full = dn.evolve(h_full, psi_full, t - prev)
+                psi_disp = dn.evolve(h_disp, psi_disp, t - prev)
             prev = t
             fid_q = dn.fidelity(
                 dn.partial_trace(psi_full, [0]), dn.partial_trace(psi_disp, [0])

@@ -202,6 +202,8 @@ def _sweep_start(args: argparse.Namespace, extra: str) -> tuple[SystemSpec, list
     """
     if args.k < 1:
         raise ConfigError("-k/--num-levels must be >= 1")
+    if args.max_iters is not None and args.max_iters < 1:
+        raise ConfigError("--max-iters must be >= 1")
     for key in ("physical_scale", extra):
         value = getattr(args, key)
         if value is not None and not math.isfinite(value):
@@ -396,6 +398,10 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
         raise ConfigError(f"--t-end must be finite, got {args.t_end!r}")
     if args.krylov_dim < 2:
         raise ConfigError("--krylov-dim must be >= 2")
+    if not (math.isfinite(args.local_tol) and args.local_tol > 0):
+        raise ConfigError(
+            f"--local-tol must be finite and positive, got {args.local_tol!r}"
+        )
     spec = SystemSpec.from_json_file(args.config)
     if spec.topology != "single":
         raise ConfigError("dynamics presets require the 'single' topology")
@@ -436,7 +442,6 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
                 "steps": args.steps,
                 "krylov_dim": args.krylov_dim,
                 "local_tol": args.local_tol,
-                "dense_cutoff": args.dense_cutoff,
             }
         ),
         ",".join(DYNAMICS_COLUMNS),
@@ -451,7 +456,6 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
                 float(times[i] - times[i - 1]),
                 krylov_dim=args.krylov_dim,
                 local_tol=args.local_tol,
-                dense_cutoff=args.dense_cutoff,
             )
         except SolverError as exc:
             failure = (float(times[i]), str(exc))
@@ -710,12 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--local-tol", type=float, default=1e-10, help="per-substep error target"
-    )
-    p.add_argument(
-        "--dense-cutoff",
-        type=int,
-        default=64,
-        help="largest dimension propagated by the exact dense path",
     )
     _add_out(p)
     p.set_defaults(func=_cmd_dynamics)

@@ -1,11 +1,12 @@
 """State preparation, time evolution, reduced states, and fidelity.
 
-The propagator (:func:`evolve`) is a shifted Krylov-Lanczos matrix
-exponential with adaptive substepping: small systems take an exact dense
-spectral shortcut, large ones build a fresh Lanczos subspace per substep and
-halve the step until the a-posteriori error estimate clears the local
-tolerance.  No renormalization is ever applied — norm drift is a diagnostic
-of propagator quality, not something to hide.
+The propagator (:func:`evolve`) reads its path off the operator.  When every
+connected block has at most 64 states (the rotating and dispersive models at
+any truncation), each block is propagated exactly through its eigenpairs.
+Otherwise a shifted Krylov-Lanczos matrix exponential builds a fresh Lanczos
+subspace per substep and halves the step until the a-posteriori error
+estimate clears the local tolerance.  No renormalization is ever applied —
+norm drift is a diagnostic of propagator quality, not something to hide.
 
 Initial states come from :func:`basis_state`, :func:`superposition`,
 :func:`coherent_state`, :func:`tensor_state`, or the named presets of
@@ -22,7 +23,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .eigensolve import _lanczos_step, _tridiagonal_eigh, eigh_dense
+from .eigensolve import (
+    _BATCH_MAX,
+    _block_eigh,
+    _blocks,
+    _lanczos_step,
+    _tridiagonal_eigh,
+)
 from .errors import PropagationError, TruncationError
 from .fockspace import HilbertLayout, SparseOperator
 
@@ -204,18 +211,17 @@ def evolve(
     t: float,
     krylov_dim: int = 30,
     local_tol: float = 1e-10,
-    dense_cutoff: int = 64,
 ) -> StateVector:
     """Propagate ``|psi(t)> = exp(-i H t) |psi(0)>``.
 
-    Dimensions up to ``dense_cutoff`` use an exact dense spectral
-    propagator.  Larger systems use a shifted Krylov-Lanczos exponential:
-    the mean of the diagonal is subtracted (restoring its phase exactly at
-    the end), each substep builds a fresh ``krylov_dim``-dimensional Lanczos
-    basis with full reorthogonalization, and the step is halved until the
-    a-posteriori estimate ``|dt| * beta_m * |u_m(dt)|`` falls below
-    ``local_tol``.  The result is never renormalized; its norm drift is a
-    propagation diagnostic (well below 1e-9 per substep by construction).
+    When no block of ``h`` has more than 64 states, each block is propagated
+    exactly, ``V exp(-i E t) V^H psi_b``.  Otherwise a shifted Krylov-Lanczos
+    exponential runs on the whole operator: the mean of the diagonal is
+    subtracted (restoring its phase exactly at the end), each substep builds
+    a fresh ``krylov_dim``-dimensional Lanczos basis with full
+    reorthogonalization, and the step is halved until the a-posteriori
+    estimate ``|dt| * beta_m * |u_m(dt)|`` falls below ``local_tol``.  The
+    result is never renormalized; its norm drift is a propagation diagnostic.
 
     Args:
         h: Certified-Hermitian generator.
@@ -223,12 +229,12 @@ def evolve(
         t: Total evolution time (may be negative or zero).
         krylov_dim: Lanczos subspace size per substep (``>= 2``; capped at
             the dimension).
-        local_tol: Per-substep error budget.
-        dense_cutoff: Largest dimension for the dense shortcut.
+        local_tol: Per-substep error budget (finite and positive).
 
     Raises:
         ValueError: On a non-Hermitian generator, a mismatched layout, a
-            non-finite ``t`` or ``krylov_dim < 2``.
+            non-finite ``t``, ``krylov_dim < 2`` or a ``local_tol`` that is
+            not finite and positive.
         PropagationError: If adaptive halving underflows the step size.
     """
     if not h.hermitian:
@@ -240,24 +246,34 @@ def evolve(
         raise ValueError(f"evolution time {t!r} is not finite")
     if int(krylov_dim) < 2:
         raise ValueError(f"krylov_dim must be >= 2, got {krylov_dim!r}")
-    dim = h.total_dim
+    if not (math.isfinite(local_tol) and local_tol > 0):
+        raise ValueError(
+            f"local_tol must be finite and positive, got {local_tol!r}"
+        )
     if t == 0.0:
         return StateVector(h.layout, psi0.amplitudes, norm_tol=1e-8)
 
-    if dim <= dense_cutoff:
-        full = eigh_dense(h, dense_limit=dense_cutoff)
-        vecs = full.states
-        phases = np.exp(-1j * full.energies * t)
-        psi = vecs @ (phases * (vecs.conj().T @ psi0.amplitudes))
+    mat, members, starts = _blocks(h)
+    if np.diff(starts).max() > _BATCH_MAX:
+        psi = _krylov_evolve(h.entries, psi0.amplitudes, t, krylov_dim, local_tol)
         return StateVector(h.layout, psi, norm_tol=1e-8)
+    psi = np.empty_like(psi0.amplitudes)
+    for group, energies, vecs in _block_eigh(mat, members, starts, h.total_dim):
+        rows = members[starts[group, None] + np.arange(vecs.shape[1])]
+        coeffs = np.einsum("bij,bi->bj", vecs.conj(), psi0.amplitudes[rows])
+        coeffs *= np.exp(-1j * energies * t)
+        psi[rows] = np.einsum("bij,bj->bi", vecs, coeffs)
+    return StateVector(h.layout, psi, norm_tol=1e-8)
 
+
+def _krylov_evolve(mat, psi, t, krylov_dim, local_tol):
+    """``exp(-i mat t) psi`` by adaptive Krylov substeps (see :func:`evolve`)."""
+    dim = mat.shape[0]
     krylov_dim = min(int(krylov_dim), dim)
-    theta = float(np.real(h.diagonal()).mean())
-    mat = h.entries
-    scale = h.one_norm() or 1.0
+    theta = float(np.real(mat.diagonal()).mean())
+    scale = float(abs(mat).sum(axis=0).max()) or 1.0
     breakdown_floor = 1e-14 * scale
 
-    psi = psi0.amplitudes.copy()
     sign = 1.0 if t >= 0 else -1.0
     remaining = abs(t)
     dt_next = remaining
@@ -306,8 +322,7 @@ def evolve(
         else:
             dt_next = dt * (2.0 if err <= 0.125 * local_tol else 1.0)
 
-    psi = psi * np.exp(-1j * theta * t)
-    return StateVector(h.layout, psi, norm_tol=1e-8)
+    return psi * np.exp(-1j * theta * t)
 
 
 # ---------------------------------------------------------------------------

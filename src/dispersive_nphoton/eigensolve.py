@@ -9,8 +9,9 @@ from the matrix alone.  The merge keeps the lowest ``k`` by a stable sort on
 basis index, so exact degeneracies across blocks come out in a fixed order.
 
 Provides an exact dense path (:func:`eigh_dense`; small blocks in one
-batched call, larger ones by index-subset LAPACK), a deterministic Lanczos
-path with full reorthogonalization for the lowest part of large spectra
+batched call, larger ones by index-subset LAPACK; the exact propagator
+shares this per-block solve), a deterministic Lanczos path with full
+reorthogonalization for the lowest part of large spectra
 (:func:`eigs_lowest`: one Lanczos run per block, ``max_iters`` per block,
 whose Lanczos step the Krylov propagator shares), the ``--method`` dispatch
 between them (:func:`solve_lowest`: ``auto`` is exact while the largest
@@ -93,18 +94,6 @@ def _mean_photons(layout: HilbertLayout, states: np.ndarray) -> np.ndarray:
     return (nvec[:, None] * np.abs(states) ** 2).sum(axis=0)
 
 
-def _real_csr_if_possible(op: SparseOperator):
-    """Return (matrix, is_real); real symmetric inputs use a float64 path."""
-    mat = op.entries
-    if mat.data.size == 0 or np.all(mat.data.imag == 0.0):
-        real = sp.csr_matrix(
-            (mat.data.real.copy(), mat.indices.copy(), mat.indptr.copy()),
-            shape=mat.shape,
-        )
-        return real, True
-    return mat, False
-
-
 # ---------------------------------------------------------------------------
 # Blocks and the merge of per-block spectra
 # ---------------------------------------------------------------------------
@@ -114,23 +103,30 @@ def _real_csr_if_possible(op: SparseOperator):
 _BATCH_MAX = 64
 
 
-def _blocks(mat) -> tuple[np.ndarray, np.ndarray]:
-    """Connected blocks of the sparsity pattern of the square matrix ``mat``.
+def _blocks(op: SparseOperator):
+    """CSR matrix of ``op`` and the connected blocks of its sparsity pattern.
 
-    Returns ``(members, starts)``: block ``b`` is the ascending basis
-    indices ``members[starts[b]:starts[b + 1]]``.  Blocks are numbered by
-    their lowest basis index.
+    Returns ``(mat, members, starts)``: ``mat`` is float64 when every entry
+    is real (real symmetric inputs take a float64 path), and block ``b`` is
+    the ascending basis indices ``members[starts[b]:starts[b + 1]]``.
+    Blocks are numbered by their lowest basis index.
     """
     # Imported here: loading csgraph costs about 25 ms, paid by solves only.
     from scipy.sparse import csgraph
 
+    mat = op.entries
+    if mat.data.size == 0 or np.all(mat.data.imag == 0.0):
+        mat = sp.csr_matrix(
+            (mat.data.real.copy(), mat.indices.copy(), mat.indptr.copy()),
+            shape=mat.shape,
+        )
     pattern = sp.csr_matrix(
         (np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape
     )
     n_blocks, labels = csgraph.connected_components(pattern, directed=False)
     members = np.argsort(labels, kind="stable")
     starts = np.searchsorted(labels[members], np.arange(n_blocks + 1))
-    return members, starts
+    return mat, members, starts
 
 
 def _merge_lowest(h, members, starts, parts, k, dtype, want_states=True):
@@ -170,31 +166,17 @@ def _merge_lowest(h, members, starts, parts, k, dtype, want_states=True):
 # ---------------------------------------------------------------------------
 
 
-def _exact_lowest(
-    h: SparseOperator,
-    k: int,
-    want_states: bool = True,
-    dense_limit: int = DENSE_LIMIT,
-) -> SpectrumResult:
-    """Exact lowest ``min(k, dim)`` eigenpairs, one dense solve per block.
+def _block_eigh(mat, members, starts, k, want_states=True):
+    """Exact lowest ``min(k, s)`` eigenpairs of every block of ``mat``.
 
-    Blocks of equal size up to ``_BATCH_MAX`` states share one batched
-    ``numpy.linalg.eigh``; each larger block gets ``scipy.linalg.eigh`` for
-    its lowest ``k`` pairs only, or ``numpy.linalg.eigh`` when all of them
-    are wanted (the subset driver loses orthogonality on full spectra).
-    Memory beyond the largest dense block is O(dim k).
-
-    Raises:
-        CapacityError: If the largest block exceeds ``dense_limit`` states.
+    Returns the parts that :func:`_merge_lowest` takes.  Blocks of equal
+    size up to ``_BATCH_MAX`` states share one batched ``numpy.linalg.eigh``;
+    each larger block gets ``scipy.linalg.eigh`` for its lowest ``k`` pairs
+    only, or ``numpy.linalg.eigh`` when all of them are wanted (the subset
+    driver loses orthogonality on full spectra).  Memory beyond the largest
+    block is O(dim k).
     """
-    mat, _ = _real_csr_if_possible(h)
-    members, starts = _blocks(mat)
     sizes = np.diff(starts)
-    if sizes.max() > dense_limit:
-        raise CapacityError(
-            f"largest block of {sizes.max()} states exceeds the dense limit "
-            f"{dense_limit}; use eigs_lowest for the low end of the spectrum"
-        )
     parts = []
     for s in np.unique(sizes):
         keep = min(k, s)
@@ -225,35 +207,49 @@ def _exact_lowest(
             if vecs is not None:
                 vecs = vecs[:, :, :keep]
             parts.append((group, vals[:, :keep], vecs))
+    return parts
+
+
+def _exact_lowest(
+    h: SparseOperator, k: int, want_states: bool = True
+) -> SpectrumResult:
+    """Exact lowest ``min(k, dim)`` eigenpairs, one dense solve per block.
+
+    Raises:
+        CapacityError: If the largest block exceeds ``DENSE_LIMIT`` states.
+    """
+    mat, members, starts = _blocks(h)
+    largest = np.diff(starts).max()
+    if largest > DENSE_LIMIT:
+        raise CapacityError(
+            f"largest block of {largest} states exceeds the dense limit "
+            f"{DENSE_LIMIT}; use eigs_lowest for the low end of the spectrum"
+        )
+    parts = _block_eigh(mat, members, starts, k, want_states)
     return _merge_lowest(h, members, starts, parts, k, mat.dtype, want_states)
 
 
-def eigh_dense(
-    h: SparseOperator,
-    want_states: bool = True,
-    dense_limit: int = DENSE_LIMIT,
-) -> SpectrumResult:
+def eigh_dense(h: SparseOperator, want_states: bool = True) -> SpectrumResult:
     """Full spectrum of a certified-Hermitian operator, exact per block.
 
     Args:
         h: Operator whose ``hermitian`` flag must be True.
         want_states: Also return eigenvectors (and mean photon numbers).
-        dense_limit: Largest total dimension accepted.
 
     Raises:
         ValueError: If the operator is not certified Hermitian.
-        CapacityError: If the dimension exceeds ``dense_limit`` (use
+        CapacityError: If the dimension exceeds :data:`DENSE_LIMIT` (use
             :func:`eigs_lowest` instead).
     """
     if not h.hermitian:
         raise ValueError("eigh_dense requires a certified-hermitian operator")
     dim = h.total_dim
-    if dim > dense_limit:
+    if dim > DENSE_LIMIT:
         raise CapacityError(
-            f"dimension {dim} exceeds the dense limit {dense_limit}; "
+            f"dimension {dim} exceeds the dense limit {DENSE_LIMIT}; "
             "use eigs_lowest for the low end of the spectrum"
         )
-    return _exact_lowest(h, dim, want_states, dense_limit)
+    return _exact_lowest(h, dim, want_states)
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +399,16 @@ def eigs_lowest(
     Args:
         h: Certified-Hermitian operator.
         k: Number of lowest eigenpairs.
-        tol: Relative residual tolerance.
-        max_iters: Iteration budget of each block; default
+        tol: Relative residual tolerance (finite and positive).
+        max_iters: Iteration budget of each block (``>= 1``); default
             ``min(s, max(30 min(k, s), 2500))`` for a block of ``s`` states
             (deep spectra of stabilized unbounded models need on the order
             of ``sqrt(spectral_width / gap)`` iterations).
 
     Raises:
-        ValueError: If the operator is not certified Hermitian or ``k`` is
-            out of range.
+        ValueError: If the operator is not certified Hermitian, ``k`` is
+            out of range, ``tol`` is not finite and positive, or
+            ``max_iters < 1``.
         IterationLimitError: If a block exhausts its budget; the
             exception's ``partial`` attribute carries the best available
             result, merged over all blocks.
@@ -422,9 +419,12 @@ def eigs_lowest(
     k = int(k)
     if not 1 <= k <= dim:
         raise ValueError(f"k={k} out of range for dimension {dim}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iters is not None and int(max_iters) < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
 
-    mat, _ = _real_csr_if_possible(h)
-    members, starts = _blocks(mat)
+    mat, members, starts = _blocks(h)
     sizes = np.diff(starts)
     ones = np.flatnonzero(sizes == 1)
     diagonal = mat.diagonal()[members[starts[ones]]].real
@@ -434,7 +434,7 @@ def eigs_lowest(
         idx = members[starts[b] : starts[b + 1]]
         keep = min(k, len(idx))
         budget = min(len(idx), max(30 * keep, 2500)) if max_iters is None else max_iters
-        budget = max(int(budget), 1)
+        budget = int(budget)
         vals, states, converged = _lanczos(mat[idx][:, idx], keep, tol, budget)
         parts.append((np.array([b]), vals[None], states[None]))
         if not converged:
@@ -465,13 +465,15 @@ def solve_lowest(
     most :data:`DENSE_LIMIT` states, Lanczos above.
 
     Raises:
-        ValueError: If ``k < 1`` or the method is unknown.
+        ValueError: If ``k < 1``, ``max_iters < 1`` or the method is unknown.
         CapacityError: If ``"dense"`` meets a block above the dense limit.
     """
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown eigensolver method {method!r}")
     if int(k) < 1:
         raise ValueError(f"k={k} must be at least 1")
+    if max_iters is not None and int(max_iters) < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     k = min(int(k), h.total_dim)
     if method != "lanczos":
         if not h.hermitian:
@@ -494,9 +496,11 @@ def label_by_overlap(result: SpectrumResult) -> SpectrumResult:
 
     All (bare state, eigenstate) overlap weights are visited in descending
     order; a pair is labelled when neither side is taken yet, so each bare
-    label is used at most once.  Exact ties break deterministically toward
-    the lower bare index and lower eigenindex (a degenerate pair is labelled
-    in ascending order on both sides).
+    label is used at most once.  The order is taken on weights rounded to
+    1e-10, so that ties which roundoff breaks still count as ties; they
+    break deterministically toward the lower bare index and lower eigenindex
+    (a degenerate pair is labelled in ascending order on both sides).  The
+    label keeps the unrounded weight.
 
     Returns:
         A copy of ``result`` with ``labels[i] = (config, fock, overlap)``.
@@ -508,7 +512,7 @@ def label_by_overlap(result: SpectrumResult) -> SpectrumResult:
         raise ValueError("label_by_overlap requires eigenvectors")
     weights = np.abs(result.states) ** 2  # (dim, k)
     dim, k = weights.shape
-    order = np.argsort(-weights, axis=None, kind="stable")
+    order = np.argsort(-np.round(weights, 10), axis=None, kind="stable")
     labels: list = [None] * k
     used_bare = np.zeros(dim, dtype=bool)
     remaining = k

@@ -471,6 +471,25 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and "num-levels" in err
 
+    @pytest.mark.parametrize("max_iters", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("spectrum", []),
+            ("spectrum", ["--method", "lanczos"]),
+            ("levels", ["--sweep", "g:0:0.02:2"]),
+        ],
+    )
+    def test_max_iters_below_one_exits_2(self, tmp_path, command, extra, max_iters):
+        cfg = write_config(tmp_path, SINGLE)
+        code, out, err = run_cli(
+            [command, "--config", cfg, "--model", "nR", "--max-iters", max_iters]
+            + extra
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "max-iters" in err
+
 
 class TestLevelsCommand:
     def test_tracks_curves_across_sweep(self, tmp_path):
@@ -590,6 +609,10 @@ class TestDynamicsCommand:
             ["--t-end", "nan"],
             ["--t-end", "inf"],
             ["--t-end", "1", "--krylov-dim", "1"],
+            ["--t-end", "1", "--local-tol", "nan"],
+            ["--t-end", "1", "--local-tol", "inf"],
+            ["--t-end", "1", "--local-tol", "0"],
+            ["--t-end", "1", "--local-tol", "-1"],
         ],
     )
     def test_rejects_bad_run_parameters(self, tmp_path, extra):

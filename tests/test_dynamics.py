@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from test_models import ALL_BUILDERS
 
+from dispersive_nphoton import dynamics
 from dispersive_nphoton.analytic import dispersive_level
 from dispersive_nphoton.dynamics import (
     STATE_PRESETS,
@@ -20,9 +23,11 @@ from dispersive_nphoton.dynamics import (
     superposition,
     tensor_state,
 )
+from dispersive_nphoton.eigensolve import _BATCH_MAX, _blocks
 from dispersive_nphoton.errors import PropagationError, TruncationError
 from dispersive_nphoton.fockspace import (
     HilbertLayout,
+    SparseOperator,
     embed,
     number,
     qubit_oscillator_layout,
@@ -43,6 +48,28 @@ def single(omega_q=2.5, n=2, g=0.02, trunc=20):
         qubits=(QubitSpec(omega_q=omega_q, n=n, g=g),),
         oscillators=(OscillatorSpec(omega=1.0, trunc=trunc),),
     )
+
+
+def largest_block(h):
+    return int(np.diff(_blocks(h)[2]).max())
+
+
+def spread_state(layout):
+    """Deterministic state with support on every basis state."""
+    j = np.arange(layout.total_dim)
+    amps = (1.0 + j % 3) * np.exp(0.7j * j)
+    return StateVector(layout, amps / np.linalg.norm(amps))
+
+
+def krylov(h, psi, t, krylov_dim=30, local_tol=1e-10):
+    """The Krylov propagator of :func:`evolve`, whatever the block sizes."""
+    amps = psi.amplitudes
+    return dynamics._krylov_evolve(h.entries, amps, t, krylov_dim, local_tol)
+
+
+BLOCK_PATH_BUILDERS = [
+    make for make in ALL_BUILDERS if largest_block(make()) <= _BATCH_MAX
+] + [lambda: build_model(single(n=2, trunc=200), "nJC")]
 
 
 class TestStates:
@@ -153,10 +180,10 @@ class TestEvolve:
         h = build_model(spec, "nR")
         psi0 = preset_state("bell", spec.layout())
         t = 7.5
-        dense = evolve(h, psi0, t, dense_cutoff=10_000)
-        krylov = evolve(h, psi0, t, dense_cutoff=1)
-        assert np.max(np.abs(dense.amplitudes - krylov.amplitudes)) <= 1e-9
-        assert abs(krylov.norm() - 1.0) <= 1e-9
+        exact = evolve(h, psi0, t)
+        approx = krylov(h, psi0, t)
+        assert np.max(np.abs(exact.amplitudes - approx)) <= 1e-9
+        assert abs(np.linalg.norm(approx) - 1.0) <= 1e-9
 
     def test_diagonal_generator_pure_phases(self):
         # Forces the Krylov path onto an exactly invariant one-dimensional
@@ -166,20 +193,18 @@ class TestEvolve:
         layout = spec.layout()
         p = spec.qubit_params()
         t = 3.25
-        psi = evolve(h, basis_state(layout, (0, 5)), t, dense_cutoff=1)
+        psi = krylov(h, basis_state(layout, (0, 5)), t)
         expected = np.exp(-1j * dispersive_level(p, "e", 5, "rwa") * t)
-        assert psi.amplitudes[5] == pytest.approx(expected, abs=1e-12)
-        assert np.max(np.abs(np.delete(psi.amplitudes, 5))) == 0.0
+        assert psi[5] == pytest.approx(expected, abs=1e-12)
+        assert np.max(np.abs(np.delete(psi, 5))) == 0.0
 
     def test_time_reversal(self):
         spec = single(g=0.15, trunc=36)
         h = build_model(spec, "nR")
         psi0 = preset_state("plus_coherent_1", spec.layout())
-        there = evolve(h, psi0, 4.0, dense_cutoff=1)
-        back = evolve(h, there, -4.0, dense_cutoff=1)
-        assert abs(np.vdot(psi0.amplitudes, back.amplitudes)) == pytest.approx(
-            1.0, abs=1e-9
-        )
+        there = StateVector(h.layout, krylov(h, psi0, 4.0), norm_tol=1e-8)
+        back = krylov(h, there, -4.0)
+        assert abs(np.vdot(psi0.amplitudes, back)) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_time_is_identity(self):
         spec = single(trunc=8)
@@ -193,8 +218,6 @@ class TestEvolve:
         psi = basis_state(qubit_oscillator_layout(1, [9]), (0, 0))
         with pytest.raises(ValueError):
             evolve(h, psi, 1.0)
-        from dispersive_nphoton.fockspace import SparseOperator
-
         non_herm = SparseOperator.from_dense(
             spec.layout(), np.triu(np.ones((16, 16)))
         )
@@ -215,22 +238,92 @@ class TestEvolve:
         with pytest.raises(ValueError, match="krylov_dim"):
             evolve(build_model(spec, "nR"), psi0, 1.0, krylov_dim=krylov_dim)
 
+    @pytest.mark.parametrize("local_tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_local_tol_not_finite_positive_rejected(self, local_tol):
+        spec = single(g=0.15, trunc=40)
+        psi0 = basis_state(spec.layout(), (0, 0))
+        with pytest.raises(ValueError, match="local_tol"):
+            evolve(build_model(spec, "nR"), psi0, 1.0, local_tol=local_tol)
+
     @pytest.mark.parametrize("krylov_dim", [30, 4])
     def test_krylov_bit_identical_reruns(self, krylov_dim):
         spec = single(g=0.15, trunc=40)
         h = build_model(spec, "nR")
-        assert h.total_dim > 64  # above the default dense cutoff
         psi0 = preset_state("plus_coherent_1", spec.layout())
-        a = evolve(h, psi0, 6.0, krylov_dim=krylov_dim)
-        b = evolve(h, psi0, 6.0, krylov_dim=krylov_dim)
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+        a = krylov(h, psi0, 6.0, krylov_dim=krylov_dim)
+        b = krylov(h, psi0, 6.0, krylov_dim=krylov_dim)
+        assert np.array_equal(a, b)
 
     def test_step_underflow_raises(self):
         spec = single(g=0.3, trunc=40)
         h = build_model(spec, "nR")
         psi0 = basis_state(spec.layout(), (0, 0))
         with pytest.raises(PropagationError):
-            evolve(h, psi0, 1.0, krylov_dim=3, local_tol=0.0, dense_cutoff=1)
+            krylov(h, psi0, 1.0, krylov_dim=3, local_tol=0.0)
+
+
+class TestBlockPath:
+    @pytest.fixture(autouse=True)
+    def no_krylov(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the Krylov path ran")
+
+        monkeypatch.setattr(dynamics, "_krylov_evolve", fail)
+
+    @pytest.mark.parametrize("make", BLOCK_PATH_BUILDERS)
+    def test_matches_expm(self, make):
+        h = make()
+        psi0 = spread_state(h.layout)
+        t = 3.7
+        expected = scipy.linalg.expm(-1j * t * h.toarray()) @ psi0.amplitudes
+        psi = evolve(h, psi0, t)
+        assert np.max(np.abs(psi.amplitudes - expected)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "model, regime", [("nR", "nonrwa"), ("nJC", "rwa"), ("dispersive", "nonrwa")]
+    )
+    def test_blocks_without_support_stay_zero(self, model, regime):
+        spec = single(omega_q=8.0, n=2, trunc=60)
+        h = build_model(spec, model, regime)
+        psi0 = preset_state("bell", spec.layout())
+        _, members, starts = _blocks(h)
+        support = np.zeros(h.total_dim, dtype=bool)
+        for b in range(len(starts) - 1):
+            idx = members[starts[b] : starts[b + 1]]
+            support[idx] = np.any(psi0.amplitudes[idx] != 0)
+        assert 0 < support.sum() < h.total_dim
+        psi = evolve(h, psi0, 50.0)
+        assert np.all(psi.amplitudes[~support] == 0)
+        assert np.all(psi.amplitudes[support] != 0)
+
+    @pytest.mark.parametrize("model", ["nR", "dispersive"])
+    def test_bit_identical_reruns(self, model):
+        spec = single(omega_q=8.0, n=2, trunc=60)
+        h = build_model(spec, model)
+        psi0 = preset_state("plus_coherent_2", spec.layout())
+        a = evolve(h, psi0, 99.0)
+        b = evolve(h, psi0, 99.0)
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+@pytest.mark.parametrize(
+    "size, krylov_runs", [(_BATCH_MAX, False), (_BATCH_MAX + 1, True)]
+)
+def test_path_follows_largest_block(monkeypatch, size, krylov_runs):
+    layout = HilbertLayout((("oscillator", size),))
+    hop = np.diag(np.ones(size - 1), 1)
+    h = SparseOperator.from_dense(layout, hop + hop.T)
+    assert largest_block(h) == size
+    calls = []
+    real = dynamics._krylov_evolve
+    monkeypatch.setattr(
+        dynamics, "_krylov_evolve", lambda *args: calls.append(args) or real(*args)
+    )
+    psi0 = basis_state(layout, (0,))
+    psi = evolve(h, psi0, 2.0)
+    assert bool(calls) == krylov_runs
+    expected = scipy.linalg.expm(-2j * h.toarray()) @ psi0.amplitudes
+    assert np.max(np.abs(psi.amplitudes - expected)) <= 1e-9
 
 
 class TestDensityMatrices:

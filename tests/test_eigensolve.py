@@ -97,9 +97,9 @@ class TestDense:
             eigs_lowest(lop, 1)
 
     def test_dense_limit(self):
-        h = build_model(single(trunc=16), "nR")  # dim 32
+        h = build_model(single(trunc=2049), "nR")  # dim 4098, blocks of ~1025
         with pytest.raises(CapacityError):
-            eigh_dense(h, dense_limit=31)
+            eigh_dense(h)
         assert DENSE_LIMIT == 4096
 
 
@@ -148,6 +148,18 @@ class TestLanczos:
         with pytest.raises(ValueError):
             eigs_lowest(h, 17)
 
+    @pytest.mark.parametrize("max_iters", [0, -5])
+    def test_rejects_max_iters_below_one(self, max_iters):
+        h = build_model(single(trunc=100), "nR")
+        with pytest.raises(ValueError, match="max_iters"):
+            eigs_lowest(h, 6, max_iters=max_iters)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-10])
+    def test_rejects_tol_not_finite_positive(self, tol):
+        h = build_model(single(trunc=100), "nR")
+        with pytest.raises(ValueError, match="tol"):
+            eigs_lowest(h, 6, tol=tol)
+
     def test_bit_identical_reruns(self):
         h = build_model(
             single(
@@ -186,6 +198,13 @@ class TestSolveLowest:
         h = build_model(single(trunc=8), "nR")
         with pytest.raises(ValueError, match="at least 1"):
             solve_lowest(h, k, method)
+
+    @pytest.mark.parametrize("method", ["auto", "dense", "lanczos"])
+    @pytest.mark.parametrize("max_iters", [0, -5])
+    def test_rejects_max_iters_below_one(self, method, max_iters):
+        h = build_model(single(trunc=100), "nR")
+        with pytest.raises(ValueError, match="max_iters"):
+            solve_lowest(h, 6, method, max_iters)
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -330,6 +349,26 @@ class TestLabeling:
         labels = label_by_overlap(res).labels
         assert labels[0] == ("e", (0,), pytest.approx(0.5))
         assert labels[1] == ("g", (0,), pytest.approx(0.5))
+
+    @pytest.mark.parametrize("delta", [1e-13, -1e-13])
+    def test_roundoff_tie_keeps_lower_bare_label(self, delta):
+        # The dark state (|eg,0> - |ge,0>)/sqrt(2) of two identical qubits
+        # weighs 0.5 on both bare states up to roundoff (0.5 + 9e-13 on ge
+        # here); roundoff must not pick its label.
+        h = build_model(identical_pair(trunc=60), "nTC")
+        res = eigh_dense(h)
+        eg, ge = (res.layout.basis_index(occ) for occ in [(0, 1, 0), (1, 0, 0)])
+        weights = np.abs(res.states) ** 2
+        dark = np.argmax(np.minimum(weights[eg], weights[ge]))
+        assert weights[eg, dark] == pytest.approx(0.5, abs=1e-11)
+        state = res.states[:, dark].copy()
+        state[eg] += delta
+        one = SpectrumResult(
+            energies=res.energies[dark : dark + 1],
+            states=state[:, None],
+            layout=res.layout,
+        )
+        assert label_by_overlap(one).labels[0][:2] == ("eg", (0,))
 
     def test_energy_of_key_errors(self):
         res = eigh_dense(build_model(single(trunc=8), "nR"))
