@@ -29,8 +29,9 @@ labels, ``terminated=1``) per failed point; ``levels`` stops at its first.
 
 Sweep grids run in parallel worker processes.  ``--threads`` chooses the
 worker count (default: CPU count); the environment variable
-``DISPERSIVE_NPHOTON_THREADS``, when set, overrides the flag.  Results are
-merged in grid order, so output bytes do not depend on the worker count.
+``DISPERSIVE_NPHOTON_THREADS``, when set, overrides the flag; a count below
+1 from either is a configuration problem.  Results are merged in grid
+order, so output bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -174,18 +175,24 @@ def parse_sweep(text: str) -> tuple[str, np.ndarray]:
 
 
 def resolve_threads(flag_value: Optional[int]) -> int:
-    """Worker count: the environment variable overrides the flag."""
+    """Worker count: the environment variable overrides the flag.
+
+    Raises:
+        ConfigError: If the flag or the variable is below 1, or the
+            variable is not an integer.
+    """
+    if flag_value is not None and int(flag_value) < 1:
+        raise ConfigError(f"--threads must be >= 1, got {flag_value}")
     env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None and env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(
-                f"{THREADS_ENV_VAR}={env!r} is not an integer"
-            ) from None
-    if flag_value is not None:
-        return max(1, int(flag_value))
-    return os.cpu_count() or 1
+    if env is None or not env.strip():
+        return int(flag_value) if flag_value is not None else os.cpu_count() or 1
+    try:
+        count = int(env)
+    except ValueError:
+        raise ConfigError(f"{THREADS_ENV_VAR}={env!r} is not an integer") from None
+    if count < 1:
+        raise ConfigError(f"{THREADS_ENV_VAR}={env!r} must be >= 1")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +338,7 @@ def _spectrum_point(
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    threads = resolve_threads(args.threads)
     spec, lines = _sweep_start(args, "nbar_max")
     if args.sweep is not None:
         sweep_name, values = parse_sweep(args.sweep)
@@ -339,7 +347,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         points = [(None, None)]
 
     solve = functools.partial(_spectrum_point, spec, args)
-    workers = min(resolve_threads(args.threads), len(points))
+    workers = min(threads, len(points))
     if workers <= 1:
         outcomes = [solve(point) for point in points]
     else:

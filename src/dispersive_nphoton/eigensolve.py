@@ -8,9 +8,11 @@ from the matrix alone.  The merge keeps the lowest ``k`` by a stable sort on
 (energy, block, index within the block); blocks are numbered by their lowest
 basis index, so exact degeneracies across blocks come out in a fixed order.
 
-Provides an exact dense path (:func:`eigh_dense`; small blocks in one
-batched call, larger ones by index-subset LAPACK; the exact propagator
-shares this per-block solve), a deterministic Lanczos path with full
+Provides an exact path (:func:`eigh_dense`; small blocks in one batched
+call; larger chain blocks, tridiagonal in reverse Cuthill-McKee order as
+every n-photon Rabi parity block is, by the tridiagonal solver; other
+larger blocks by index-subset LAPACK; the exact propagator shares this
+per-block solve), a deterministic Lanczos path with full
 reorthogonalization for the lowest part of large spectra
 (:func:`eigs_lowest`: one Lanczos run per block, ``max_iters`` per block,
 whose Lanczos step the Krylov propagator shares), the ``--method`` dispatch
@@ -170,12 +172,18 @@ def _block_eigh(mat, members, starts, k, want_states=True):
     """Exact lowest ``min(k, s)`` eigenpairs of every block of ``mat``.
 
     Returns the parts that :func:`_merge_lowest` takes.  Blocks of equal
-    size up to ``_BATCH_MAX`` states share one batched ``numpy.linalg.eigh``;
-    each larger block gets ``scipy.linalg.eigh`` for its lowest ``k`` pairs
-    only, or ``numpy.linalg.eigh`` when all of them are wanted (the subset
-    driver loses orthogonality on full spectra).  Memory beyond the largest
-    block is O(dim k).
+    size up to ``_BATCH_MAX`` states share one batched ``numpy.linalg.eigh``.
+    A larger real block that is a chain (tridiagonal in its reverse
+    Cuthill-McKee order, as every parity block of the n-photon Rabi model
+    is) goes to the tridiagonal solver :func:`_tridiagonal_eigh`, with no
+    dense copy.  Any other larger block gets ``scipy.linalg.eigh`` for its
+    lowest ``k`` pairs only, or ``numpy.linalg.eigh`` when all of them are
+    wanted (the subset driver loses orthogonality on full spectra).  Memory
+    beyond the largest dense block is O(dim k).
     """
+    # Imported here, as in _blocks, which has already loaded it.
+    from scipy.sparse import csgraph
+
     sizes = np.diff(starts)
     parts = []
     for s in np.unique(sizes):
@@ -185,7 +193,29 @@ def _block_eigh(mat, members, starts, k, want_states=True):
             # The group's blocks in a row, so entry (r, c) of the sub-matrix
             # is entry (r % s, c % s) of block r // s.
             idx = members[starts[group, None] + np.arange(s)].ravel()
-            sub = mat[idx][:, idx].tocoo()
+            sub = mat[idx][:, idx]
+            if s > _BATCH_MAX and not np.iscomplexobj(sub):
+                # The strict upper triangle, so that a zero on the diagonal
+                # cannot give an inner state the low degree of a chain end,
+                # where RCM would start.
+                order = csgraph.reverse_cuthill_mckee(sp.triu(sub, 1, format="csr"))
+                chain = sub[order][:, order]
+                band = chain.tocoo()
+                if np.all(np.abs(band.row - band.col) <= 1):
+                    out = _tridiagonal_eigh(
+                        chain.diagonal(),
+                        chain.diagonal(1),
+                        keep if keep < s else None,
+                        eigvals_only=not want_states,
+                    )
+                    if want_states:
+                        vecs = np.empty_like(out[1])
+                        vecs[order] = out[1]
+                        parts.append((group, out[0][None], vecs[None]))
+                    else:
+                        parts.append((group, out[None], None))
+                    continue
+            sub = sub.tocoo()
             stack = np.zeros((len(group), s, s), dtype=mat.dtype)
             stack[sub.row // s, sub.row % s, sub.col % s] = sub.data
             if s <= _BATCH_MAX or keep == s:
@@ -281,13 +311,17 @@ def _lanczos_step(mat, basis, alphas, betas, shift=0.0):
     return w, float(np.linalg.norm(w))
 
 
-def _tridiagonal_eigh(alphas, betas, k: Optional[int] = None):
-    """Lowest ``min(k, m)`` eigenpairs of the Lanczos ``T``; all when k is None."""
+def _tridiagonal_eigh(
+    alphas, betas, k: Optional[int] = None, eigvals_only: bool = False
+):
+    """Lowest ``min(k, m)`` eigenpairs of the symmetric tridiagonal ``T``
+    with diagonal ``alphas`` and off-diagonal ``betas``; all when k is None,
+    eigenvalues only when ``eigvals_only``."""
     a = np.asarray(alphas, dtype=float)
     b = np.asarray(betas[: len(a) - 1], dtype=float)
     # The full (stevd) and by-index (stebz) drivers differ in the last bits.
     idx = {} if k is None else dict(select="i", select_range=(0, min(k, len(a)) - 1))
-    return scipy.linalg.eigh_tridiagonal(a, b, **idx)
+    return scipy.linalg.eigh_tridiagonal(a, b, eigvals_only=eigvals_only, **idx)
 
 
 def _lanczos(mat, k: int, tol: float, max_iters: int):

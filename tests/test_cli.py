@@ -119,6 +119,22 @@ class TestHelpers:
         monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
         assert resolve_threads(None) >= 1
 
+    @pytest.mark.parametrize("flag", [0, -3])
+    def test_resolve_threads_rejects_flag_below_one(self, monkeypatch, flag):
+        from dispersive_nphoton import ConfigError
+
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        with pytest.raises(ConfigError, match="--threads"):
+            resolve_threads(flag)
+
+    @pytest.mark.parametrize("env", ["0", "-4"])
+    def test_resolve_threads_rejects_env_below_one(self, monkeypatch, env):
+        from dispersive_nphoton import ConfigError
+
+        monkeypatch.setenv(THREADS_ENV_VAR, env)
+        with pytest.raises(ConfigError, match=THREADS_ENV_VAR):
+            resolve_threads(None)
+
 
 class TestScalarCommands:
     def test_coeff_table_golden_bytes(self):
@@ -489,6 +505,28 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "max-iters" in err
+
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "-4")])
+    def test_threads_below_one_exits_2(self, tmp_path, monkeypatch, flag, env):
+        # The count is refused before any worker pool is made.
+        import dispersive_nphoton.cli as cli
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        if env is None:
+            monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(THREADS_ENV_VAR, env)
+        cfg = write_config(tmp_path, SINGLE)
+        argv = ["spectrum", "--config", cfg, "--model", "nR", "-k", "2"]
+        argv += ["--sweep", "g:0:0.02:3"]
+        code, out, err = run_cli(argv + ([] if flag is None else ["--threads", flag]))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert ("--threads" if env is None else THREADS_ENV_VAR) in err
 
 
 class TestLevelsCommand:

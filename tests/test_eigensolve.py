@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from test_models import ALL_BUILDERS
@@ -311,6 +312,113 @@ class TestBlockSolver:
         assert np.all(res.states[0::2, 1::2] == 0)
         np.testing.assert_array_equal(res.states[0::2, 0::2], res.states[1::2, 1::2])
         assert residuals(h, res).max() <= 1e-8 * h.one_norm()
+
+
+def _stabilized_n3(trunc=2100):
+    """The benchmark's stabilized n=3 ``nR``: 6 chain blocks of trunc/3."""
+    stab = StabilizerSpec(form="number_power", eta=0.02)
+    return build_model(
+        single(omega_q=3.1, n=3, g=0.0175, trunc=trunc, stabilizer=stab), "nR"
+    )
+
+
+def _per_block_eigvalsh(h):
+    """Ascending eigenvalues of ``h``, one dense solve per block."""
+    labels = _block_labels(h)
+    mat = h.entries.tocsr()
+    return np.sort(
+        np.concatenate(
+            [
+                np.linalg.eigvalsh(mat[idx][:, idx].toarray())
+                for idx in (np.flatnonzero(labels == b) for b in np.unique(labels))
+            ]
+        )
+    )
+
+
+def _forbid_dense_drivers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
+class TestChainBlocks:
+    """Blocks that are chains (tridiagonal in reverse Cuthill-McKee order,
+    as every ``nR`` parity block is) take the tridiagonal solver."""
+
+    @pytest.mark.parametrize("method", ["auto", "dense"])
+    def test_stabilized_n3_lowest(self, method):
+        h = _stabilized_n3()
+        k = 8
+        res = solve_lowest(h, k, method)
+        want = _per_block_eigvalsh(h)[:k]
+        assert res.k == k
+        assert np.all(
+            np.abs(res.energies - want) <= 1e-12 * np.maximum(1.0, np.abs(want))
+        )
+        scale = max(1.0, float(np.abs(res.energies).max()))
+        resid = h.entries @ res.states - res.states * res.energies
+        assert np.linalg.norm(resid, axis=0).max() <= 1e-12 * scale
+        gram = res.states.conj().T @ res.states
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-12 * scale
+        labels = _block_labels(h)
+        for column in res.states.T:
+            assert len(set(labels[np.flatnonzero(column)])) == 1
+        again = solve_lowest(h, k, method)
+        assert np.array_equal(res.energies, again.energies)
+        assert np.array_equal(res.states, again.states)
+        for array in (res.energies, res.states, res.mean_photons):
+            assert array.base is None
+        assert res.states.flags.c_contiguous
+
+    @pytest.mark.parametrize("want_states", [True, False])
+    def test_full_spectrum_of_two_chains(self, want_states):
+        h = build_model(single(omega_q=2.0, n=1, g=0.05, trunc=400), "nR")
+        assert sorted(np.bincount(_block_labels(h))) == [400, 400]
+        res = eigh_dense(h, want_states=want_states)
+        want = np.linalg.eigvalsh(h.toarray())
+        assert np.all(
+            np.abs(res.energies - want) <= 1e-12 * np.maximum(1.0, np.abs(want))
+        )
+        if want_states:
+            scale = max(1.0, float(np.abs(res.energies).max()))
+            assert residuals(h, res).max() <= 1e-12 * scale
+            gram = res.states.conj().T @ res.states
+            assert np.max(np.abs(gram - np.eye(h.total_dim))) <= 1e-12
+        else:
+            assert res.states is None
+
+    @pytest.mark.parametrize("k", [5, None])
+    def test_chains_need_no_dense_driver(self, monkeypatch, k):
+        # omega_q = 2 puts an exact zero on the diagonal (the state |g,1>).
+        h = build_model(single(omega_q=2.0, n=1, g=0.05, trunc=400), "nR")
+        want = _per_block_eigvalsh(h)
+        k = h.total_dim if k is None else k
+        _forbid_dense_drivers(monkeypatch)
+        res = solve_lowest(h, k, "dense")
+        assert np.max(np.abs(res.energies - want[:k])) <= 1e-12 * np.abs(want).max()
+        stabilized = solve_lowest(_stabilized_n3(trunc=300), 8, "auto")
+        assert stabilized.k == 8
+        assert eigh_dense(h, want_states=False).k == h.total_dim
+
+    def test_wider_band_takes_dense_driver(self, monkeypatch):
+        h = build_model(single(omega_q=3.1, n=3, g=0.05, trunc=100), "full_nR")
+        assert sorted(np.bincount(_block_labels(h))) == [100, 100]
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        res = solve_lowest(h, 5, "dense")
+        assert calls == [(100, 100), (100, 100)]
+        want = np.linalg.eigvalsh(h.toarray())[:5]
+        assert np.max(np.abs(res.energies - want)) <= 1e-12 * np.abs(want).max()
 
 
 class TestLabeling:
