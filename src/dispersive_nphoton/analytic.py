@@ -156,11 +156,6 @@ class DispersiveParams:
             )
         return self.g / self.sigma
 
-    @property
-    def zeta(self) -> float:
-        """Squeezing-like strength ``g * lam_bar / (2 n omega_o)``."""
-        return self.g * self.lam_bar / (2 * self.n * self.omega_o)
-
     # -- validity ------------------------------------------------------------
 
     def require_dispersive(self, regime: str) -> None:

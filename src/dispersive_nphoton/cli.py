@@ -627,8 +627,8 @@ def _add_sweep_command(sub, name: str, summary: str, sweep_required: bool):
         "--method",
         choices=("auto", "dense", "lanczos"),
         default="auto",
-        help="eigenpair method (auto: exact per block while the largest block "
-        "has at most %d states, Lanczos above)" % DENSE_LIMIT,
+        help="eigenpair method per block (auto: exact for chains and blocks "
+        "up to %d states, Lanczos above)" % DENSE_LIMIT,
     )
     p.add_argument("--max-iters", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument(

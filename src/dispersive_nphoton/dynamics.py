@@ -1,8 +1,8 @@
 """State preparation, time evolution, reduced states, and fidelity.
 
-The propagator (:func:`evolve`) reads its path off the operator.  When every
-connected block has at most 64 states (the rotating and dispersive models at
-any truncation), each block is propagated exactly through its eigenpairs.
+The propagator (:func:`evolve`) reads its path off the operator.  When the
+largest connected block has at most 64 states, each block is propagated
+exactly through its eigenpairs.
 Otherwise a shifted Krylov-Lanczos matrix exponential builds a fresh Lanczos
 subspace per substep and halves the step until the a-posteriori error
 estimate clears the local tolerance.  No renormalization is ever applied —
@@ -72,12 +72,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product ``<self|other>``."""
-        if self.layout != other.layout:
-            raise ValueError("states live on different layouts")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def mean_photon_number(self) -> float:
         """Expectation of the total oscillator number operator."""
@@ -258,7 +252,8 @@ def evolve(
         psi = _krylov_evolve(h.entries, psi0.amplitudes, t, krylov_dim, local_tol)
         return StateVector(h.layout, psi, norm_tol=1e-8)
     psi = np.empty_like(psi0.amplitudes)
-    for group, energies, vecs in _block_eigh(mat, members, starts, h.total_dim):
+    parts, _ = _block_eigh(mat, members, starts, h.total_dim, "dense")
+    for group, energies, vecs in parts:
         rows = members[starts[group, None] + np.arange(vecs.shape[1])]
         coeffs = np.einsum("bij,bi->bj", vecs.conj(), psi0.amplitudes[rows])
         coeffs *= np.exp(-1j * energies * t)

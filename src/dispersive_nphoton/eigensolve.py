@@ -8,17 +8,17 @@ from the matrix alone.  The merge keeps the lowest ``k`` by a stable sort on
 (energy, block, index within the block); blocks are numbered by their lowest
 basis index, so exact degeneracies across blocks come out in a fixed order.
 
-Provides an exact path (:func:`eigh_dense`; small blocks in one batched
-call; larger chain blocks, tridiagonal in reverse Cuthill-McKee order as
-every n-photon Rabi parity block is, by the tridiagonal solver; other
-larger blocks by index-subset LAPACK; the exact propagator shares this
-per-block solve), a deterministic Lanczos path with full
-reorthogonalization for the lowest part of large spectra
-(:func:`eigs_lowest`: one Lanczos run per block, ``max_iters`` per block,
-whose Lanczos step the Krylov propagator shares), the ``--method`` dispatch
-between them (:func:`solve_lowest`: ``auto`` is exact while the largest
-block has at most :data:`DENSE_LIMIT` states), and the bookkeeping used by
-spectral sweeps: labeling eigenstates by dominant bare basis state
+One function, :func:`_block_eigh`, picks each block's solver: small blocks
+in one batched call; chains of any size (tridiagonal in reverse
+Cuthill-McKee order, as every n-photon Rabi parity block is) by the
+tridiagonal solver; other blocks of at most :data:`DENSE_LIMIT` states by
+LAPACK; larger ones by a deterministic Lanczos with full
+reorthogonalization under ``auto``, and not at all under ``dense``.  Under
+``lanczos`` every block above one state runs Lanczos.  :func:`eigh_dense`,
+:func:`eigs_lowest` and the ``--method`` dispatch :func:`solve_lowest` are
+each one pass of it; the exact propagator shares it, and the Krylov
+propagator the Lanczos step.  Also here is the bookkeeping of sweeps:
+labeling eigenstates by dominant bare basis state
 (:func:`label_by_overlap`), discarding truncation-band artifacts by mean
 photon number (:func:`filter_by_mean_photon`), and following levels
 through a parameter sweep by state overlap (:func:`track_levels`).
@@ -164,37 +164,49 @@ def _merge_lowest(h, members, starts, parts, k, dtype, want_states=True):
 
 
 # ---------------------------------------------------------------------------
-# Exact solver
+# Block solver
 # ---------------------------------------------------------------------------
 
 
-def _block_eigh(mat, members, starts, k, want_states=True):
-    """Exact lowest ``min(k, s)`` eigenpairs of every block of ``mat``.
+def _block_eigh(
+    mat, members, starts, k, method, want_states=True, tol=1e-10, max_iters=None
+):
+    """Lowest ``min(k, s)`` eigenpairs of every block of ``mat`` by ``method``.
 
-    Returns the parts that :func:`_merge_lowest` takes.  Blocks of equal
-    size up to ``_BATCH_MAX`` states share one batched ``numpy.linalg.eigh``.
-    A larger real block that is a chain (tridiagonal in its reverse
-    Cuthill-McKee order, as every parity block of the n-photon Rabi model
-    is) goes to the tridiagonal solver :func:`_tridiagonal_eigh`, with no
-    dense copy.  Any other larger block gets ``scipy.linalg.eigh`` for its
-    lowest ``k`` pairs only, or ``numpy.linalg.eigh`` when all of them are
-    wanted (the subset driver loses orthogonality on full spectra).  Memory
-    beyond the largest dense block is O(dim k).
+    Returns ``(parts, failed)``: the parts that :func:`_merge_lowest` takes,
+    and ``(block, size, budget)`` of each block whose Lanczos run did not
+    converge.  The size groups are walked once; each block takes the first
+    solver that fits:
+
+    - up to ``_BATCH_MAX`` states: ``numpy.linalg.eigh``, batched per size;
+    - a real chain of any size (tridiagonal in its reverse Cuthill-McKee
+      order, as every n-photon Rabi parity block is): the tridiagonal
+      solver :func:`_tridiagonal_eigh`, with no dense copy;
+    - up to :data:`DENSE_LIMIT` states: ``scipy.linalg.eigh`` for the
+      lowest ``k`` pairs, or ``numpy.linalg.eigh`` for all of them (the
+      subset driver loses orthogonality on full spectra);
+    - above: :func:`_lanczos` under ``"auto"``, ``CapacityError`` under
+      ``"dense"``.
+
+    Under ``"lanczos"`` every block above one state runs :func:`_lanczos`,
+    ``max_iters`` iterations each, by default ``min(s, max(30 min(k, s),
+    2500))``.  Memory beyond the largest dense block is O(dim k).
     """
     # Imported here, as in _blocks, which has already loaded it.
     from scipy.sparse import csgraph
 
     sizes = np.diff(starts)
-    parts = []
+    parts, failed = [], []
     for s in np.unique(sizes):
         keep = min(k, s)
         ids = np.flatnonzero(sizes == s)
-        for group in [ids] if s <= _BATCH_MAX else np.split(ids, len(ids)):
+        batched = s == 1 or (s <= _BATCH_MAX and method != "lanczos")
+        for group in [ids] if batched else np.split(ids, len(ids)):
             # The group's blocks in a row, so entry (r, c) of the sub-matrix
             # is entry (r % s, c % s) of block r // s.
             idx = members[starts[group, None] + np.arange(s)].ravel()
             sub = mat[idx][:, idx]
-            if s > _BATCH_MAX and not np.iscomplexobj(sub):
+            if not batched and method != "lanczos" and not np.iscomplexobj(sub):
                 # The strict upper triangle, so that a zero on the diagonal
                 # cannot give an inner state the low degree of a chain end,
                 # where RCM would start.
@@ -215,6 +227,18 @@ def _block_eigh(mat, members, starts, k, want_states=True):
                     else:
                         parts.append((group, out[None], None))
                     continue
+            if not batched and (method == "lanczos" or s > DENSE_LIMIT):
+                if method == "dense":
+                    raise CapacityError(
+                        f"block of {s} states is not a chain and exceeds the dense "
+                        f"limit {DENSE_LIMIT}; use eigs_lowest for its lowest levels"
+                    )
+                budget = int(max_iters or min(s, max(30 * keep, 2500)))
+                vals, vecs, converged = _lanczos(sub, keep, tol, budget)
+                parts.append((group, vals[None], vecs[None]))
+                if not converged:
+                    failed.append((group[0], s, budget))
+                continue
             sub = sub.tocoo()
             stack = np.zeros((len(group), s, s), dtype=mat.dtype)
             stack[sub.row // s, sub.row % s, sub.col % s] = sub.data
@@ -237,26 +261,27 @@ def _block_eigh(mat, members, starts, k, want_states=True):
             if vecs is not None:
                 vecs = vecs[:, :, :keep]
             parts.append((group, vals[:, :keep], vecs))
-    return parts
+    return parts, failed
 
 
-def _exact_lowest(
-    h: SparseOperator, k: int, want_states: bool = True
-) -> SpectrumResult:
-    """Exact lowest ``min(k, dim)`` eigenpairs, one dense solve per block.
-
-    Raises:
-        CapacityError: If the largest block exceeds ``DENSE_LIMIT`` states.
-    """
+def _solve_blocks(h, k, method, want_states=True, tol=1e-10, max_iters=None):
+    """Lowest ``k`` eigenpairs of ``h``: :func:`_block_eigh`, then
+    :func:`_merge_lowest`; a Lanczos block out of budget raises
+    ``IterationLimitError`` with the merged result as ``partial``."""
     mat, members, starts = _blocks(h)
-    largest = np.diff(starts).max()
-    if largest > DENSE_LIMIT:
-        raise CapacityError(
-            f"largest block of {largest} states exceeds the dense limit "
-            f"{DENSE_LIMIT}; use eigs_lowest for the low end of the spectrum"
+    parts, failed = _block_eigh(
+        mat, members, starts, k, method, want_states, tol, max_iters
+    )
+    result = _merge_lowest(h, members, starts, parts, k, mat.dtype, want_states)
+    if failed:
+        _, size, budget = min(failed)
+        raise IterationLimitError(
+            f"Lanczos did not converge within {budget} iterations in "
+            f"{len(failed)} of {len(starts) - 1} blocks (first: {size} states; "
+            f"k={k}, dim={h.total_dim}, tol={tol:g})",
+            partial=result,
         )
-    parts = _block_eigh(mat, members, starts, k, want_states)
-    return _merge_lowest(h, members, starts, parts, k, mat.dtype, want_states)
+    return result
 
 
 def eigh_dense(h: SparseOperator, want_states: bool = True) -> SpectrumResult:
@@ -279,7 +304,7 @@ def eigh_dense(h: SparseOperator, want_states: bool = True) -> SpectrumResult:
             f"dimension {dim} exceeds the dense limit {DENSE_LIMIT}; "
             "use eigs_lowest for the low end of the spectrum"
         )
-    return _exact_lowest(h, dim, want_states)
+    return _solve_blocks(h, dim, "dense", want_states)
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +350,15 @@ def _tridiagonal_eigh(
 
 
 def _lanczos(mat, k: int, tol: float, max_iters: int):
-    """Lowest ``k`` Ritz pairs of the Hermitian CSR matrix ``mat``.
+    """Lowest ``k`` Ritz pairs of the Hermitian CSR matrix ``mat``, one
+    connected block of at least two states (so it has a nonzero entry).
 
     Returns ``(energies, states, converged)``; when the budget runs out,
     ``converged`` is False and the pairs are the best available.
     """
     dim = mat.shape[0]
     dtype = mat.dtype
-    norm1 = float(abs(mat).sum(axis=0).max()) if mat.nnz else 0.0
-    if norm1 == 0.0:
-        states = np.zeros((dim, k), dtype=dtype)
-        states[np.arange(k), np.arange(k)] = 1.0
-        return np.zeros(k), states, True
+    norm1 = float(abs(mat).sum(axis=0).max())
     resid_floor = tol * norm1
     breakdown_floor = 1e-14 * norm1
 
@@ -421,14 +443,14 @@ def eigs_lowest(
 ) -> SpectrumResult:
     """Lowest ``k`` eigenpairs by Lanczos with full reorthogonalization.
 
-    Each block of the operator (see :func:`_blocks`) runs its own Lanczos
-    iteration for its lowest ``min(k, s)`` pairs; a one-state block is read
-    off its diagonal.  Deterministic: the start vector is the normalized
-    all-ones vector of the block; on an exact invariant-subspace breakdown
-    the iteration restarts with the first canonical basis vector having a
-    non-negligible component outside the converged subspace.  Convergence
-    requires every requested Ritz residual ``|beta_m s_{m,i}|`` to fall
-    below ``tol`` times the block's 1-norm.
+    Each block of the operator (see :func:`_blocks`) above one state runs
+    its own Lanczos iteration for its lowest ``min(k, s)`` pairs, chain or
+    not; a one-state block is its diagonal entry.  Deterministic: the start
+    vector is the normalized all-ones vector of the block; on an exact
+    invariant-subspace breakdown the iteration restarts with the first
+    canonical basis vector having a non-negligible component outside the
+    converged subspace.  Convergence requires every requested Ritz residual
+    ``|beta_m s_{m,i}|`` to fall below ``tol`` times the block's 1-norm.
 
     Args:
         h: Certified-Hermitian operator.
@@ -458,31 +480,7 @@ def eigs_lowest(
     if max_iters is not None and int(max_iters) < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
 
-    mat, members, starts = _blocks(h)
-    sizes = np.diff(starts)
-    ones = np.flatnonzero(sizes == 1)
-    diagonal = mat.diagonal()[members[starts[ones]]].real
-    parts = [(ones, diagonal[:, None], np.ones((len(ones), 1, 1), dtype=mat.dtype))]
-    failed = []
-    for b in np.flatnonzero(sizes > 1):
-        idx = members[starts[b] : starts[b + 1]]
-        keep = min(k, len(idx))
-        budget = min(len(idx), max(30 * keep, 2500)) if max_iters is None else max_iters
-        budget = int(budget)
-        vals, states, converged = _lanczos(mat[idx][:, idx], keep, tol, budget)
-        parts.append((np.array([b]), vals[None], states[None]))
-        if not converged:
-            failed.append((len(idx), budget))
-    result = _merge_lowest(h, members, starts, parts, k, mat.dtype)
-    if failed:
-        size, budget = failed[0]
-        raise IterationLimitError(
-            f"Lanczos did not converge within {budget} iterations in "
-            f"{len(failed)} of {len(sizes)} blocks (first: {size} states; "
-            f"k={k}, dim={dim}, tol={tol:g})",
-            partial=result,
-        )
-    return result
+    return _solve_blocks(h, k, "lanczos", tol=tol, max_iters=max_iters)
 
 
 def solve_lowest(
@@ -494,13 +492,20 @@ def solve_lowest(
     """Lowest ``min(k, dim)`` eigenpairs by ``"dense"``, ``"lanczos"`` or
     ``"auto"``.
 
-    ``"dense"`` solves every block exactly and ``"lanczos"`` runs
-    :func:`eigs_lowest`; ``"auto"`` is exact while the largest block has at
-    most :data:`DENSE_LIMIT` states, Lanczos above.
+    The method is applied block by block (see :func:`_block_eigh`):
+    ``"lanczos"`` runs Lanczos on every block above one state, as
+    :func:`eigs_lowest` does.  ``"dense"`` and ``"auto"`` solve small blocks,
+    real chains of any size and other blocks of at most :data:`DENSE_LIMIT`
+    states exactly; a larger block that is not a real chain raises under
+    ``"dense"`` and runs Lanczos, on that block alone, under ``"auto"``.
 
     Raises:
-        ValueError: If ``k < 1``, ``max_iters < 1`` or the method is unknown.
-        CapacityError: If ``"dense"`` meets a block above the dense limit.
+        ValueError: If ``k < 1``, ``max_iters < 1``, the method is unknown
+            or the operator is not certified Hermitian.
+        CapacityError: If ``"dense"`` meets a block above the dense limit
+            that is not a real chain.
+        IterationLimitError: If a Lanczos block exhausts its budget (see
+            :func:`eigs_lowest`).
     """
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown eigensolver method {method!r}")
@@ -508,16 +513,9 @@ def solve_lowest(
         raise ValueError(f"k={k} must be at least 1")
     if max_iters is not None and int(max_iters) < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
-    k = min(int(k), h.total_dim)
-    if method != "lanczos":
-        if not h.hermitian:
-            raise ValueError("solve_lowest requires a certified-hermitian operator")
-        try:
-            return _exact_lowest(h, k)
-        except CapacityError:
-            if method == "dense":
-                raise
-    return eigs_lowest(h, k, max_iters=max_iters)
+    if not h.hermitian:
+        raise ValueError("solve_lowest requires a certified-hermitian operator")
+    return _solve_blocks(h, min(int(k), h.total_dim), method, max_iters=max_iters)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from test_models import ALL_BUILDERS
 
+from dispersive_nphoton import eigensolve
 from dispersive_nphoton.analytic import dispersive_level
 from dispersive_nphoton.eigensolve import (
     DENSE_LIMIT,
@@ -419,6 +420,84 @@ class TestChainBlocks:
         assert calls == [(100, 100), (100, 100)]
         want = np.linalg.eigvalsh(h.toarray())[:5]
         assert np.max(np.abs(res.energies - want)) <= 1e-12 * np.abs(want).max()
+
+
+class TestPerBlockPolicy:
+    """Each block takes its own solver: a block above the dense limit sends
+    only itself to Lanczos, and chains above it need no Lanczos at all."""
+
+    @pytest.mark.parametrize("method", ["auto", "dense"])
+    def test_chains_above_dense_limit(self, monkeypatch, method):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Lanczos called")
+
+        h = build_model(single(omega_q=3.1, n=1, g=0.01, trunc=4200), "nR")
+        assert sorted(np.bincount(_block_labels(h))) == [4200, 4200]
+        assert 4200 > DENSE_LIMIT
+        monkeypatch.setattr(eigensolve, "_lanczos", refuse)
+        k = 8
+        res = solve_lowest(h, k, method)
+        small = build_model(single(omega_q=3.1, n=1, g=0.01, trunc=400), "nR")
+        want = np.linalg.eigvalsh(small.toarray())[:k]
+        assert np.max(np.abs(res.energies - want)) <= 1e-10
+        scale = max(1.0, float(np.abs(res.energies).max()))
+        resid = h.entries @ res.states - res.states * res.energies
+        assert np.linalg.norm(resid, axis=0).max() <= 1e-12 * scale
+        gram = res.states.conj().T @ res.states
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-12 * scale
+
+    @staticmethod
+    def _mixed_blocks():
+        """A random complex 90-state block, holding index 0, and a random
+        20-state block on every fifth index from 1: the operator, the
+        20-state block's indices and that block."""
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(90, 90)) + 1j * rng.normal(size=(90, 90))
+        a = a + a.conj().T
+        b = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+        b = b + b.conj().T
+        small = np.arange(20) * 5 + 1
+        large = np.setdiff1d(np.arange(110), small)
+        full = np.zeros((110, 110), dtype=complex)
+        full[np.ix_(large, large)] = a
+        full[np.ix_(small, small)] = b
+        h = SparseOperator.from_dense(qubit_oscillator_layout(0, (110,)), full)
+        assert h.hermitian
+        return h, small, b
+
+    def test_only_the_large_block_runs_lanczos(self, monkeypatch):
+        h, _, _ = self._mixed_blocks()
+        monkeypatch.setattr(eigensolve, "DENSE_LIMIT", 64)
+        calls = []
+        lanczos = eigensolve._lanczos
+
+        def spy(mat, *args):
+            calls.append(mat.shape[0])
+            return lanczos(mat, *args)
+
+        monkeypatch.setattr(eigensolve, "_lanczos", spy)
+        k = 12
+        res = solve_lowest(h, k, "auto")
+        assert calls == [90]
+        want = np.linalg.eigvalsh(h.toarray())[:k]
+        assert np.max(np.abs(res.energies - want)) <= 1e-9
+        with pytest.raises(CapacityError):
+            solve_lowest(h, k, "dense")
+
+    def test_iteration_limit_keeps_exact_small_block(self, monkeypatch):
+        h, small, b = self._mixed_blocks()
+        monkeypatch.setattr(eigensolve, "DENSE_LIMIT", 64)
+        pattern = r"1 of 2 blocks \(first: 90 states"
+        with pytest.raises(IterationLimitError, match=pattern) as exc_info:
+            solve_lowest(h, 12, "auto", max_iters=3)
+        partial = exc_info.value.partial
+        # Three Ritz values from the 90-state block; the rest is the
+        # 20-state block, solved exactly.
+        on_small = np.abs(partial.states[small]).sum(axis=0) > 0
+        assert on_small.sum() >= 9
+        want = np.linalg.eigvalsh(b)[: on_small.sum()]
+        error = np.abs(partial.energies[on_small] - want)
+        assert error.max() <= 1e-12 * np.abs(want).max()
 
 
 class TestLabeling:
