@@ -186,6 +186,18 @@ class DispersiveParams:
 # ---------------------------------------------------------------------------
 
 
+def _cross_strengths(
+    pl: DispersiveParams, pm: DispersiveParams, regime: str
+) -> tuple[float, float]:
+    """Exchange strengths ``(chi_x, xi_x)`` of two couplings."""
+    chi_x = pl.g * pm.g * (1.0 / pl.delta + 1.0 / pm.delta)
+    if regime == "nonrwa":
+        xi_x = pl.g * pm.g * (1.0 / pl.sigma + 1.0 / pm.sigma)
+    else:
+        xi_x = 0.0
+    return chi_x, xi_x
+
+
 def dispersive_level(
     params: DispersiveParams, qubit: str, j: int, regime: str = "nonrwa"
 ) -> float:
@@ -407,37 +419,27 @@ def effective_two_qubit_params(
     and ``k0 = 1`` otherwise.
 
     Args:
-        spec: A two-qubit system description with attributes ``qubits``
-            (each exposing ``omega_q``, ``n``, ``g``) and ``oscillators``
-            (the first exposing ``omega``); duck-typed so any compatible
-            object works.
+        spec: A :class:`.models.SystemSpec` of two qubits sharing one
+            oscillator.
         alpha_abs: Coherent amplitude modulus.
         moment_convention: Moment convention (see
             :func:`dressed_qubit_frequency`).
         cross_k0: Keep the photon-independent exchange contribution.
 
     Raises:
-        ValueError: If the description does not contain exactly two qubits
-            and one oscillator, the qubit orders differ, or ``alpha_abs`` is
-            negative or non-finite.
+        ValueError: If ``spec`` does not hold exactly two qubits, the qubit
+            orders differ, or ``alpha_abs`` is negative or non-finite.
         ResonanceError: If a detuning vanishes or an expansion parameter is
             not small.
     """
     _check_moment_convention(moment_convention)
-    qubits = list(spec.qubits)
-    oscillators = list(spec.oscillators)
-    if len(qubits) != 2 or len(oscillators) != 1:
+    if len(spec.qubits) != 2:
         raise ValueError(
             "effective_two_qubit_params requires exactly two qubits sharing "
             "one oscillator"
         )
-    omega_o = float(oscillators[0].omega)
-    p1 = DispersiveParams.from_frequencies(
-        qubits[0].omega_q, qubits[0].n, qubits[0].g, omega_o
-    )
-    p2 = DispersiveParams.from_frequencies(
-        qubits[1].omega_q, qubits[1].n, qubits[1].g, omega_o
-    )
+    p1 = spec.qubit_params(0)
+    p2 = spec.qubit_params(1)
     if p1.n != p2.n:
         raise ValueError("both qubits must share the same coupling order n")
     p1.require_dispersive("rwa")
@@ -448,7 +450,7 @@ def effective_two_qubit_params(
     w1 = dressed_qubit_frequency(p1, alpha_abs, moment_convention)
     w2 = dressed_qubit_frequency(p2, alpha_abs, moment_convention)
 
-    chi_x = p1.g * p2.g * (1.0 / p1.delta + 1.0 / p2.delta)
+    chi_x, _ = _cross_strengths(p1, p2, "rwa")
     cminus = commutator_poly(p1.n)[1]
     k0 = 0 if cross_k0 else 1
     return w1, w2, chi_x * _moment_poly(cminus, alpha_abs, moment_convention, k0)

@@ -64,7 +64,7 @@ class StateVector:
                 f"dimension {self.layout.total_dim}"
             )
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > self.norm_tol:
+        if not abs(nrm - 1.0) <= self.norm_tol:
             raise ValueError(
                 f"state norm {nrm!r} deviates from 1 by more than {self.norm_tol}"
             )
@@ -116,11 +116,14 @@ def coherent_state(alpha: complex, trunc: int) -> StateVector:
     must stay below 1e-10; the retained amplitudes are then renormalized.
 
     Raises:
+        ValueError: If ``alpha`` is not finite.
         TruncationError: If the guard or the tail-mass bound fails.
     """
     trunc = int(trunc)
     alpha = complex(alpha)
     mod = abs(alpha)
+    if not math.isfinite(mod):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha!r}")
     if (mod + 3.0) ** 2 > trunc:
         raise TruncationError(
             f"coherent amplitude |alpha|={mod:.3g} needs at least "
@@ -343,12 +346,12 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {mat.shape} does not match layout dimension {dim}"
             )
-        if np.abs(mat - mat.conj().T).max() > 1e-10:
+        if not np.abs(mat - mat.conj().T).max() <= 1e-10:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > 1e-8:
+        if not abs(trace - 1.0) <= 1e-8:
             raise ValueError(f"density matrix trace {trace!r} is not 1")
-        if np.linalg.eigvalsh(mat).min() < -1e-10:
+        if not np.linalg.eigvalsh(mat).min() >= -1e-10:
             raise ValueError("density matrix has an eigenvalue below -1e-10")
         self.matrix = mat
 

@@ -466,7 +466,6 @@ def embed(
         ValueError: On a duplicated subsystem index, an index out of range,
             a multi-subsystem factor, or a factor whose kind/dimension does
             not match the layout slot.
-        CapacityError: If the layout dimension exceeds the supported maximum.
     """
     return SparseOperator(layout, _embed_entries(layout, factors))
 
@@ -493,12 +492,6 @@ def _embed_entries(
                 f"{layout.subsystems[index]} at index {index}"
             )
         factor_map[index] = op
-
-    if layout.total_dim > MAX_TOTAL_DIM:
-        raise CapacityError(
-            f"composite dimension {layout.total_dim} exceeds the supported "
-            f"maximum {MAX_TOTAL_DIM}"
-        )
 
     acc = sp.identity(1, format="csr", dtype=np.complex128)
     for i, (_, dim) in enumerate(layout.subsystems):

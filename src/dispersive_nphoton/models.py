@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .analytic import DispersiveParams, _check_regime
+from .analytic import DispersiveParams, _check_regime, _cross_strengths
 from .combinatorics import commutator_poly, eval_int_poly
 from .errors import ConfigError, TruncationError
 from .fockspace import (
@@ -75,11 +75,48 @@ _EXACT_KINDS = {
 
 
 def _finite(what: str, value) -> float:
-    """``float(value)``, or :class:`ConfigError` naming ``what`` if not finite."""
-    value = float(value)
+    """``float(value)``, or :class:`ConfigError` naming ``what`` if that
+    fails or is not finite."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"{what} must be finite, got {value!r}")
     return value
+
+
+def _integer(what: str, value) -> int:
+    """``int(value)``, or :class:`ConfigError` naming ``what`` for a boolean,
+    a fractional number or anything else ``int`` refuses (``3.0`` is 3)."""
+    if not isinstance(value, bool) and not (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def _entry(spec_cls, entry, what: str, **defaults) -> dict:
+    """Keyword arguments of ``spec_cls`` from the config object ``entry``,
+    over ``defaults``; :class:`ConfigError` unless every key is a field,
+    none is ``null`` and every field without a default is given."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{what} entry must be an object, got {entry!r}")
+    fields = dataclasses.fields(spec_cls)
+    unknown = set(entry) - {f.name for f in fields}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in entry.items():
+        if value is None:
+            raise ConfigError(f"{what} key {key!r} must not be null")
+    kwargs = {**defaults, **entry}
+    for f in fields:
+        if f.default is dataclasses.MISSING and f.name not in kwargs:
+            raise ConfigError(f"missing required {what} key {f.name!r}")
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -99,7 +136,7 @@ class QubitSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega_q", _finite("qubit frequency", self.omega_q))
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _integer("qubit coupling order n", self.n))
         object.__setattr__(self, "g", _finite("qubit coupling strength g", self.g))
         if self.n < 1:
             raise ConfigError("qubit coupling order n must be >= 1")
@@ -122,7 +159,7 @@ class OscillatorSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega", _finite("oscillator frequency", self.omega))
-        object.__setattr__(self, "trunc", int(self.trunc))
+        object.__setattr__(self, "trunc", _integer("oscillator truncation", self.trunc))
         if self.omega <= 0:
             raise ConfigError("oscillator frequency must be positive")
         if self.trunc < 2:
@@ -146,9 +183,11 @@ class CouplingSpec:
     g: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubit", int(self.qubit))
-        object.__setattr__(self, "oscillator", int(self.oscillator))
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "qubit", _integer("coupling qubit", self.qubit))
+        object.__setattr__(
+            self, "oscillator", _integer("coupling oscillator", self.oscillator)
+        )
+        object.__setattr__(self, "n", _integer("coupling order n", self.n))
         object.__setattr__(self, "g", _finite("coupling strength g", self.g))
         if self.n < 1:
             raise ConfigError("coupling order n must be >= 1")
@@ -178,7 +217,7 @@ class StabilizerSpec:
         object.__setattr__(self, "form", str(self.form))
         object.__setattr__(self, "eta", _finite("stabilizer strength eta", self.eta))
         if self.m is not None:
-            object.__setattr__(self, "m", int(self.m))
+            object.__setattr__(self, "m", _integer("stabilizer power m", self.m))
         if self.form not in STABILIZER_FORMS:
             raise ConfigError(
                 f"stabilizer form must be one of {STABILIZER_FORMS}, "
@@ -316,139 +355,53 @@ class SystemSpec:
     def from_dict(cls, payload: dict) -> "SystemSpec":
         """Parse the JSON configuration schema.
 
-        Schema::
+        The fields of the spec dataclasses are the schema, and their
+        constructors convert and check every value::
 
             {
               "topology": "single" | "multiqubit" | "multimode",
-              "qubits": [{"omega_q": float, "n": int, "g": float}, ...],
-              "oscillators": [{"omega": float, "trunc": int}, ...],
-              "couplings": [{"qubit": int, "oscillator": int,
-                             "n": int, "g": float}, ...],   # multimode only
-              "stabilizer": {"form": str, "eta": float, "m": int}  # optional
+              "qubits": [QubitSpec fields, ...],
+              "oscillators": [OscillatorSpec fields, ...],  # omega defaults to 1
+              "couplings": [CouplingSpec fields, ...],      # multimode only
+              "stabilizer": StabilizerSpec fields           # optional
             }
 
         Raises:
-            ConfigError: On unknown keys, missing fields, or wrong types
-                (integer fields refuse booleans and fractional numbers).
+            ConfigError: On an entry that is not an object, a list field that
+                is not a list, unknown keys, missing keys without a default,
+                ``null`` values, or a value its field refuses (integer fields
+                refuse booleans and fractional numbers).
         """
-
-        def _int(value) -> int:
-            if isinstance(value, bool) or (
-                isinstance(value, float) and not value.is_integer()
-            ):
-                raise ValueError(f"{value!r} is not an integer")
-            return int(value)
-
-        def _get(d: dict, allowed: dict, what: str) -> dict:
-            if not isinstance(d, dict):
-                raise ConfigError(f"{what} entry must be an object, got {d!r}")
-            unknown = set(d) - set(allowed)
-            if unknown:
-                raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-            out = {}
-            for key, (required, conv) in allowed.items():
-                if key in d:
-                    try:
-                        out[key] = conv(d[key])
-                    except (TypeError, ValueError) as exc:
-                        raise ConfigError(
-                            f"bad value for {what} key {key!r}: {d[key]!r}"
-                        ) from exc
-                elif required:
-                    raise ConfigError(f"missing required {what} key {key!r}")
-            return out
-
-        top = _get(
-            payload,
-            {
-                "topology": (True, str),
-                "qubits": (True, list),
-                "oscillators": (True, list),
-                "couplings": (False, list),
-                "stabilizer": (False, dict),
-            },
-            "configuration",
-        )
-        qubits = tuple(
-            QubitSpec(
-                **_get(
-                    q,
-                    {
-                        "omega_q": (True, float),
-                        "n": (False, _int),
-                        "g": (False, float),
-                    },
-                    "qubit",
-                )
+        top = _entry(cls, payload, "configuration")
+        for key, spec_cls, defaults in (
+            ("qubits", QubitSpec, {}),
+            ("oscillators", OscillatorSpec, {"omega": 1.0}),
+            ("couplings", CouplingSpec, {}),
+        ):
+            items = top.get(key, [])
+            if not isinstance(items, list):
+                raise ConfigError(f"configuration key {key!r} must be a list")
+            top[key] = tuple(
+                spec_cls(**_entry(spec_cls, item, key[:-1], **defaults))
+                for item in items
             )
-            for q in top["qubits"]
-        )
-        oscillators = []
-        for o in top["oscillators"]:
-            entry = _get(
-                o, {"omega": (False, float), "trunc": (True, _int)}, "oscillator"
-            )
-            entry.setdefault("omega", 1.0)
-            oscillators.append(OscillatorSpec(**entry))
-        oscillators = tuple(oscillators)
-        couplings = tuple(
-            CouplingSpec(
-                **_get(
-                    c,
-                    {
-                        "qubit": (True, _int),
-                        "oscillator": (True, _int),
-                        "n": (True, _int),
-                        "g": (True, float),
-                    },
-                    "coupling",
-                )
-            )
-            for c in top.get("couplings", ())
-        )
-        stabilizer = None
         if "stabilizer" in top:
-            stab = _get(
-                top["stabilizer"],
-                {"form": (True, str), "eta": (True, float), "m": (False, _int)},
-                "stabilizer",
-            )
-            stabilizer = StabilizerSpec(**stab)
-        return cls(
-            topology=top["topology"],
-            qubits=qubits,
-            oscillators=oscillators,
-            couplings=couplings,
-            stabilizer=stabilizer,
-        )
+            stab = _entry(StabilizerSpec, top["stabilizer"], "stabilizer")
+            top["stabilizer"] = StabilizerSpec(**stab)
+        return cls(**top)
 
     def to_dict(self) -> dict:
-        """Plain-dict form that round-trips through :meth:`from_dict`."""
-        out: dict = {
-            "topology": self.topology,
-            "qubits": [
-                {"omega_q": q.omega_q, "n": q.n, "g": q.g} for q in self.qubits
-            ],
-            "oscillators": [
-                {"omega": o.omega, "trunc": o.trunc} for o in self.oscillators
-            ],
-        }
-        if self.couplings:
-            out["couplings"] = [
-                {
-                    "qubit": c.qubit,
-                    "oscillator": c.oscillator,
-                    "n": c.n,
-                    "g": c.g,
-                }
-                for c in self.couplings
-            ]
-        if self.stabilizer is not None:
-            stab = {"form": self.stabilizer.form, "eta": self.stabilizer.eta}
-            if self.stabilizer.m is not None:
-                stab["m"] = self.stabilizer.m
-            out["stabilizer"] = stab
-        return out
+        """Plain-dict form that round-trips through :meth:`from_dict`:
+        the dataclass fields, without empty ``couplings``, an absent
+        ``stabilizer`` or an absent stabilizer power ``m``."""
+        return dataclasses.asdict(
+            self,
+            dict_factory=lambda items: {
+                key: list(value) if isinstance(value, tuple) else value
+                for key, value in items
+                if value is not None and value != ()
+            },
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "SystemSpec":
@@ -602,18 +555,6 @@ def _exact_model(spec: SystemSpec, kind: str) -> SparseOperator:
             local = op_pow(a + a.dagger(), m)
         terms.append((stab.eta * q.g, {nq: local}))
     return _assemble(layout, diag, terms)
-
-
-def _cross_strengths(
-    pl: DispersiveParams, pm: DispersiveParams, regime: str
-) -> tuple[float, float]:
-    """Exchange strengths ``(chi_x, xi_x)`` of two couplings."""
-    chi_x = pl.g * pm.g * (1.0 / pl.delta + 1.0 / pm.delta)
-    if regime == "nonrwa":
-        xi_x = pl.g * pm.g * (1.0 / pl.sigma + 1.0 / pm.sigma)
-    else:
-        xi_x = 0.0
-    return chi_x, xi_x
 
 
 def _dispersive_model(

@@ -426,3 +426,30 @@ class TestDispersiveDynamicsSmoke:
         assert fidelity(partial_trace(psi, [0]), q0) == pytest.approx(
             1.0, abs=1e-10
         )
+
+
+NAN = float("nan")
+
+
+class TestNonFiniteStatesRejected:
+    @pytest.mark.parametrize(
+        "amplitudes", [[NAN, 0.0], [1.0, NAN], [complex(NAN, 0.0), 0.0]]
+    )
+    def test_state_vector(self, amplitudes):
+        with pytest.raises(ValueError):
+            StateVector(QUBIT, amplitudes)
+
+    @pytest.mark.parametrize(
+        "alpha", [NAN, float("inf"), -float("inf"), complex(1.0, NAN)]
+    )
+    def test_coherent_state(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            coherent_state(alpha, 20)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[NAN, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, NAN]], [[0.5, NAN], [NAN, 0.5]]],
+    )
+    def test_density_matrix(self, matrix):
+        with pytest.raises(ValueError):
+            DensityMatrix(QUBIT, np.array(matrix))

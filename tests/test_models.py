@@ -674,3 +674,183 @@ class TestMultimodeStructure:
         col = (0 * t + 0) * t + 0
         assert h_rwa[row, col] == 0.0
         assert h_non[row, col] != 0.0
+
+
+class TestDirectConstructionStrict:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: QubitSpec(2.5, n=2.7),
+            lambda: QubitSpec(2.5, n=True),
+            lambda: OscillatorSpec(1.0, 8.5),
+            lambda: CouplingSpec(0.5, 0, 1, 0.1),
+            lambda: StabilizerSpec("number_power", 0.1, m=1.5),
+        ],
+        ids=["qubit-n-fraction", "qubit-n-bool", "trunc-fraction",
+             "coupling-qubit-fraction", "stabilizer-m-fraction"],
+    )
+    def test_fractional_and_boolean_integers_rejected(self, make):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            make()
+
+
+class TestToDictLiteral:
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            (
+                single(stabilizer=StabilizerSpec("number_power", 0.02, m=3)),
+                {
+                    "topology": "single",
+                    "qubits": [{"omega_q": 2.5, "n": 2, "g": 0.02}],
+                    "oscillators": [{"omega": 1.0, "trunc": 20}],
+                    "stabilizer": {"form": "number_power", "eta": 0.02, "m": 3},
+                },
+            ),
+            (
+                single(stabilizer=StabilizerSpec("number_power", 0.02)),
+                {
+                    "topology": "single",
+                    "qubits": [{"omega_q": 2.5, "n": 2, "g": 0.02}],
+                    "oscillators": [{"omega": 1.0, "trunc": 20}],
+                    "stabilizer": {"form": "number_power", "eta": 0.02},
+                },
+            ),
+            (
+                pair(),
+                {
+                    "topology": "multiqubit",
+                    "qubits": [
+                        {"omega_q": 8.0, "n": 2, "g": 0.02},
+                        {"omega_q": 7.4, "n": 2, "g": 0.03},
+                    ],
+                    "oscillators": [{"omega": 1.0, "trunc": 16}],
+                },
+            ),
+            (
+                two_mode(),
+                {
+                    "topology": "multimode",
+                    "qubits": [{"omega_q": 3.0, "n": 1, "g": 0.0}],
+                    "oscillators": [
+                        {"omega": 1.0, "trunc": 8},
+                        {"omega": 1.0, "trunc": 8},
+                    ],
+                    "couplings": [
+                        {"qubit": 0, "oscillator": 0, "n": 1, "g": 0.1},
+                        {"qubit": 0, "oscillator": 1, "n": 2, "g": 0.1},
+                    ],
+                },
+            ),
+        ],
+        ids=["stabilized-with-m", "stabilized-without-m", "two-qubit", "two-mode"],
+    )
+    def test_to_dict_pins_provenance_config(self, spec, expected):
+        assert spec.to_dict() == expected
+        # Equal dicts may still print differently (2 == 2.0).
+        assert json.dumps(spec.to_dict(), sort_keys=True) == json.dumps(
+            expected, sort_keys=True
+        )
+
+
+_DELETE = object()
+_SINGLE_PAYLOAD = {
+    "topology": "single",
+    "qubits": [{"omega_q": 2.5, "n": 2, "g": 0.01}],
+    "oscillators": [{"omega": 1.0, "trunc": 8}],
+    "stabilizer": {"form": "number_power", "eta": 0.01, "m": 2},
+}
+_MULTIMODE_PAYLOAD = {
+    "topology": "multimode",
+    "qubits": [{"omega_q": 2.5, "n": 1, "g": 0.0}],
+    "oscillators": [{"omega": 1.0, "trunc": 8}],
+    "couplings": [{"qubit": 0, "oscillator": 0, "n": 1, "g": 0.1}],
+}
+# (base payload, path to the edited key, new value or _DELETE)
+_MALFORMED = [
+    *[
+        (_SINGLE_PAYLOAD, path, None)
+        for path in [
+            ("topology",),
+            ("qubits",),
+            ("oscillators",),
+            ("stabilizer",),
+            ("qubits", 0, "omega_q"),
+            ("qubits", 0, "n"),
+            ("qubits", 0, "g"),
+            ("oscillators", 0, "omega"),
+            ("oscillators", 0, "trunc"),
+            ("stabilizer", "form"),
+            ("stabilizer", "eta"),
+            ("stabilizer", "m"),
+        ]
+    ],
+    *[
+        (_MULTIMODE_PAYLOAD, path, None)
+        for path in [
+            ("couplings",),
+            ("couplings", 0, "qubit"),
+            ("couplings", 0, "oscillator"),
+            ("couplings", 0, "n"),
+            ("couplings", 0, "g"),
+        ]
+    ],
+    (_SINGLE_PAYLOAD, ("qubits",), {"omega_q": 2.5}),
+    (_SINGLE_PAYLOAD, ("qubits",), 5),
+    (_SINGLE_PAYLOAD, ("oscillators",), "trunc"),
+    (_SINGLE_PAYLOAD, ("oscillators",), 8),
+    (_MULTIMODE_PAYLOAD, ("couplings",), 5),
+    (_MULTIMODE_PAYLOAD, ("couplings",), "qubit"),
+    (_SINGLE_PAYLOAD, ("qubits", 0), 2.5),
+    (_SINGLE_PAYLOAD, ("oscillators", 0), 8),
+    (_MULTIMODE_PAYLOAD, ("couplings", 0), [0, 0, 1, 0.1]),
+    (_SINGLE_PAYLOAD, ("stabilizer",), "number_power"),
+    (_SINGLE_PAYLOAD, ("topology",), _DELETE),
+    (_SINGLE_PAYLOAD, ("qubits",), _DELETE),
+    (_SINGLE_PAYLOAD, ("oscillators",), _DELETE),
+    (_SINGLE_PAYLOAD, ("qubits", 0, "omega_q"), _DELETE),
+    (_SINGLE_PAYLOAD, ("oscillators", 0, "trunc"), _DELETE),
+    (_SINGLE_PAYLOAD, ("stabilizer", "form"), _DELETE),
+    (_SINGLE_PAYLOAD, ("stabilizer", "eta"), _DELETE),
+    (_MULTIMODE_PAYLOAD, ("couplings", 0, "qubit"), _DELETE),
+    (_MULTIMODE_PAYLOAD, ("couplings", 0, "oscillator"), _DELETE),
+    (_MULTIMODE_PAYLOAD, ("couplings", 0, "n"), _DELETE),
+    (_MULTIMODE_PAYLOAD, ("couplings", 0, "g"), _DELETE),
+    (_SINGLE_PAYLOAD, ("extra",), 1),
+    (_SINGLE_PAYLOAD, ("qubits", 0, "colour"), "red"),
+    (_SINGLE_PAYLOAD, ("oscillators", 0, "kind"), "mode"),
+    (_SINGLE_PAYLOAD, ("stabilizer", "power"), 2),
+    (_MULTIMODE_PAYLOAD, ("couplings", 0, "phase"), 0.0),
+]
+
+
+def _malformed_id(case):
+    _, path, value = case
+    what = "missing" if value is _DELETE else json.dumps(value)
+    return "/".join(map(str, path)) + "=" + what
+
+
+class TestMalformedPayloads:
+    def test_bases_load(self):
+        SystemSpec.from_dict(_SINGLE_PAYLOAD)
+        SystemSpec.from_dict(_MULTIMODE_PAYLOAD)
+
+    @pytest.mark.parametrize(
+        "base, path, value", _MALFORMED, ids=map(_malformed_id, _MALFORMED)
+    )
+    def test_config_error(self, base, path, value):
+        payload = json.loads(json.dumps(base))
+        *parents, last = path
+        target = payload
+        for key in parents:
+            target = target[key]
+        if value is _DELETE:
+            del target[last]
+        else:
+            target[last] = value
+        with pytest.raises(ConfigError):
+            SystemSpec.from_dict(payload)
+
+    def test_non_object_payload(self):
+        with pytest.raises(ConfigError):
+            SystemSpec.from_dict([_SINGLE_PAYLOAD])
