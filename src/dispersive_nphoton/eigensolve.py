@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import CapacityError, IterationLimitError
@@ -111,23 +110,41 @@ def _blocks(op: SparseOperator):
     Returns ``(mat, members, starts)``: ``mat`` is float64 when every entry
     is real (real symmetric inputs take a float64 path), and block ``b`` is
     the ascending basis indices ``members[starts[b]:starts[b + 1]]``.
-    Blocks are numbered by their lowest basis index.
-    """
-    # Imported here: loading csgraph costs about 25 ms, paid by solves only.
-    from scipy.sparse import csgraph
+    Blocks are numbered by their lowest basis index.  Every stored entry
+    links its row and column, an explicit zero included.
 
+    The blocks are labelled by hook and shortcut, after Shiloach and Vishkin
+    (J. Algorithms 3, 57, 1982): each round hooks every root onto the
+    smallest root across an edge, then jumps every state to its root, until
+    no edge joins two roots.  A root never hooks onto a larger index, so
+    each block ends up labelled by its lowest state.
+    """
     mat = op.entries
     if mat.data.size == 0 or np.all(mat.data.imag == 0.0):
         mat = sp.csr_matrix(
             (mat.data.real.copy(), mat.indices.copy(), mat.indptr.copy()),
             shape=mat.shape,
         )
-    pattern = sp.csr_matrix(
-        (np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape
-    )
-    n_blocks, labels = csgraph.connected_components(pattern, directed=False)
-    members = np.argsort(labels, kind="stable")
-    starts = np.searchsorted(labels[members], np.arange(n_blocks + 1))
+    dim = mat.shape[0]
+    root = np.arange(dim)
+    rows = np.repeat(root, np.diff(mat.indptr))
+    cols = mat.indices
+    while True:
+        a, b = root[rows], root[cols]
+        cross = a != b
+        if not cross.any():
+            break
+        # Edges inside one block stay inside it: drop them for good.
+        rows, cols, a, b = rows[cross], cols[cross], a[cross], b[cross]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    members = np.argsort(root, kind="stable")
+    lowest = np.flatnonzero(root == np.arange(dim))
+    starts = np.searchsorted(root[members], np.append(lowest, dim))
     return mat, members, starts
 
 
@@ -192,9 +209,6 @@ def _block_eigh(
     ``max_iters`` iterations each, by default ``min(s, max(30 min(k, s),
     2500))``.  Memory beyond the largest dense block is O(dim k).
     """
-    # Imported here, as in _blocks, which has already loaded it.
-    from scipy.sparse import csgraph
-
     sizes = np.diff(starts)
     parts, failed = [], []
     for s in np.unique(sizes):
@@ -207,6 +221,10 @@ def _block_eigh(
             idx = members[starts[group, None] + np.arange(s)].ravel()
             sub = mat[idx][:, idx]
             if not batched and method != "lanczos" and not np.iscomplexobj(sub):
+                # Imported here, as is scipy.linalg below: runs whose blocks
+                # all fit one batched call never load either.
+                from scipy.sparse import csgraph
+
                 # The strict upper triangle, so that a zero on the diagonal
                 # cannot give an inner state the low degree of a chain end,
                 # where RCM would start.
@@ -249,6 +267,8 @@ def _block_eigh(
                     else (np.linalg.eigvalsh(stack), None)
                 )
             else:
+                import scipy.linalg
+
                 out = scipy.linalg.eigh(
                     stack[0],
                     eigvals_only=not want_states,
@@ -315,7 +335,7 @@ def eigh_dense(h: SparseOperator, want_states: bool = True) -> SpectrumResult:
 def _reorthogonalize(block: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Project the orthonormal columns of ``block`` out of ``w``, twice."""
     for _ in range(2):
-        w = w - block @ (block.conj().T @ w)
+        w = w - block @ (w.conj() @ block).conj()
     return w
 
 
@@ -342,6 +362,8 @@ def _tridiagonal_eigh(
     """Lowest ``min(k, m)`` eigenpairs of the symmetric tridiagonal ``T``
     with diagonal ``alphas`` and off-diagonal ``betas``; all when k is None,
     eigenvalues only when ``eigvals_only``."""
+    import scipy.linalg
+
     a = np.asarray(alphas, dtype=float)
     b = np.asarray(betas[: len(a) - 1], dtype=float)
     # The full (stevd) and by-index (stebz) drivers differ in the last bits.

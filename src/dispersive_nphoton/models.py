@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -75,27 +76,28 @@ _EXACT_KINDS = {
 
 
 def _finite(what: str, value) -> float:
-    """``float(value)``, or :class:`ConfigError` naming ``what`` if that
-    fails or is not finite."""
+    """``float(value)`` for a finite real number, else :class:`ConfigError`
+    naming ``what`` (strings and booleans are not numbers here)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{what} must be finite, got {value!r}")
     return value
 
 
 def _integer(what: str, value) -> int:
-    """``int(value)``, or :class:`ConfigError` naming ``what`` for a boolean,
-    a fractional number or anything else ``int`` refuses (``3.0`` is 3)."""
-    if not isinstance(value, bool) and not (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        try:
+    """``int(value)`` for an integer or a whole real number (``3.0`` is 3),
+    else :class:`ConfigError` naming ``what``: booleans, strings and
+    fractional numbers are refused."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
             return int(value)
-        except (TypeError, ValueError):
-            pass
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
     raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 

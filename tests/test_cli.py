@@ -11,8 +11,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -852,3 +854,71 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert dispersive_nphoton.__version__ in proc.stdout
+
+
+#: SciPy modules a run loads only when some block needs them.
+SOLVER_MODULES = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from dispersive_nphoton import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in {modules!r} if m in sys.modules)]))
+"""
+
+
+class TestImportHygiene:
+    """A fresh interpreter loads SciPy's solver modules only for blocks
+    that need them: above 64 states here."""
+
+    NR3 = {
+        "topology": "single",
+        "qubits": [{"omega_q": 3.1, "n": 3, "g": 0.01}],
+        "oscillators": [{"trunc": 300}],
+        "stabilizer": {"form": "number_power", "eta": 0.02},
+    }
+
+    def _loaded(self, tmp_path, payload, argv):
+        """Solver modules loaded by ``cli.main(argv)`` in a fresh interpreter."""
+        src = str(Path(dispersive_nphoton.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                _IMPORT_PROBE.format(modules=SOLVER_MODULES),
+                *argv,
+                "--config",
+                write_config(tmp_path, payload),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout)
+        assert code == 0
+        return set(loaded)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["levels", "--model", "nJC", "-k", "10", "--sweep", "g:0:0.2:3"],
+            [
+                "dynamics", "--model", "nR", "--state", "plus_coherent_2",
+                "--t-end", "10", "--steps", "2",
+            ],
+        ],
+        ids=["levels-nJC", "dynamics-nR"],
+    )
+    def test_small_blocks_load_no_solver_module(self, tmp_path, argv):
+        payload = {**SINGLE, "oscillators": [{"trunc": 60}]}
+        assert self._loaded(tmp_path, payload, argv) == set()
+
+    def test_chain_blocks_load_csgraph_and_linalg(self, tmp_path):
+        # Six chain blocks of 50 states would stay batched; of 100 they do not.
+        argv = ["spectrum", "--model", "nR", "-k", "6"]
+        loaded = self._loaded(tmp_path, self.NR3, argv)
+        assert {"scipy.linalg", "scipy.sparse.csgraph"} <= loaded

@@ -1,11 +1,13 @@
 """Dense/Lanczos solvers, labeling, photon filtering, and level tracking."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from test_models import ALL_BUILDERS
+from test_models import ALL_BUILDERS, pair, two_mode
 
 from dispersive_nphoton import eigensolve
 from dispersive_nphoton.analytic import dispersive_level
@@ -38,6 +40,7 @@ from dispersive_nphoton.fockspace import (
     qubit_oscillator_layout,
 )
 from dispersive_nphoton.models import (
+    MODELS_BY_TOPOLOGY,
     OscillatorSpec,
     QubitSpec,
     StabilizerSpec,
@@ -313,6 +316,99 @@ class TestBlockSolver:
         assert np.all(res.states[0::2, 1::2] == 0)
         np.testing.assert_array_equal(res.states[0::2, 0::2], res.states[1::2, 1::2])
         assert residuals(h, res).max() <= 1e-8 * h.one_norm()
+
+
+def _csgraph_blocks(mat):
+    """``(members, starts)`` of the stored-entry pattern, by SciPy's
+    ``connected_components``: the oracle of :func:`eigensolve._blocks`."""
+    pattern = sp.csr_matrix(
+        (np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape
+    )
+    n_blocks, labels = connected_components(pattern, directed=False)
+    members = np.argsort(labels, kind="stable")
+    return members, np.searchsorted(labels[members], np.arange(n_blocks + 1))
+
+
+def _assert_blocks_match(mat):
+    """``_blocks`` on a raw CSR matrix (stored zeros and all) agrees with
+    the oracle exactly, dtype of the indices aside."""
+    _, members, starts = eigensolve._blocks(SimpleNamespace(entries=mat.tocsr()))
+    want_members, want_starts = _csgraph_blocks(mat.tocsr())
+    np.testing.assert_array_equal(members, want_members)
+    np.testing.assert_array_equal(starts, want_starts)
+
+
+def _random_pattern(rng, dim, per_row):
+    """About ``per_row`` random entries per row, anywhere in the matrix."""
+    nnz = int(per_row * dim)
+    rows, cols = rng.integers(0, dim, size=(2, nnz))
+    return sp.csr_matrix((rng.normal(size=nnz), (rows, cols)), shape=(dim, dim))
+
+
+def _scrambled_chain(dim, seed):
+    """A path through all ``dim`` states in a random order."""
+    perm = np.random.default_rng(seed).permutation(dim)
+    rows = np.r_[perm[:-1], perm[1:]]
+    cols = np.r_[perm[1:], perm[:-1]]
+    return sp.csr_matrix((np.ones(2 * dim - 2), (rows, cols)), shape=(dim, dim))
+
+
+class TestBlockFinder:
+    """:func:`eigensolve._blocks` labels states exactly as SciPy's
+    ``connected_components`` of the stored-entry pattern does."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_symmetric_patterns(self, seed):
+        rng = np.random.default_rng(seed)
+        mat = _random_pattern(rng, int(rng.integers(2, 400)), rng.uniform(0.1, 1.5))
+        _assert_blocks_match(mat + mat.T)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_sided_entries_link_both_ways(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        _assert_blocks_match(_random_pattern(rng, 300, 1.5))
+
+    def test_stored_zeros_empty_rows_and_isolated_states(self):
+        # 0-3 linked only through a stored zero, 5 an isolated state with a
+        # diagonal entry, 6 an empty row, 4-7 a pair in the middle.
+        rows = np.array([0, 3, 5, 4, 7, 1, 2])
+        cols = np.array([3, 0, 5, 7, 4, 2, 1])
+        data = np.array([0.0, 0.0, 2.0, 1.0, 1.0, 0.5, 0.5])
+        mat = sp.csr_matrix((data, (rows, cols)), shape=(8, 8))
+        assert mat.nnz == 7  # the zeros are stored
+        _assert_blocks_match(mat)
+        _, members, starts = eigensolve._blocks(SimpleNamespace(entries=mat))
+        blocks = [members[a:b].tolist() for a, b in zip(starts[:-1], starts[1:])]
+        assert blocks == [[0, 3], [1, 2], [4, 7], [5], [6]]
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            sp.csr_matrix((1, 1)),
+            sp.csr_matrix(np.array([[1.5]])),
+            sp.csr_matrix((40, 40)),
+            sp.csr_matrix(np.array([[0, 1j, 0], [-1j, 0, 0], [0, 0, 2.0]])),
+        ],
+        ids=["dim-1-empty", "dim-1", "all-zero", "complex"],
+    )
+    def test_degenerate_and_complex_inputs(self, mat):
+        _assert_blocks_match(mat)
+
+    def test_scrambled_chain(self):
+        _assert_blocks_match(_scrambled_chain(20000, seed=3))
+
+    @pytest.mark.parametrize(
+        "topology, model",
+        [(t, m) for t, models in MODELS_BY_TOPOLOGY.items() for m in models],
+    )
+    @pytest.mark.parametrize("regime", ["nonrwa", "rwa"])
+    def test_every_model(self, topology, model, regime):
+        spec = {
+            "single": single(trunc=12),
+            "multiqubit": pair(trunc=8),
+            "multimode": two_mode(trunc=5),
+        }[topology]
+        _assert_blocks_match(build_model(spec, model, regime).entries)
 
 
 def _stabilized_n3(trunc=2100):

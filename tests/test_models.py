@@ -693,6 +693,36 @@ class TestDirectConstructionStrict:
         with pytest.raises(ConfigError, match="must be an integer"):
             make()
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: QubitSpec("2.5"), "qubit frequency must be a number"),
+            (lambda: QubitSpec(2.5, g=True), "coupling strength g must be a number"),
+            (lambda: QubitSpec(2.5, n="3"), "coupling order n must be an integer"),
+            (lambda: OscillatorSpec(True, 8), "oscillator frequency must be a number"),
+            (lambda: OscillatorSpec(1.0, "8"), "truncation must be an integer"),
+            (lambda: CouplingSpec(0, 0, 1, "0.1"), "strength g must be a number"),
+            (lambda: StabilizerSpec("number_power", "0.1"), "eta must be a number"),
+        ],
+        ids=["omega_q-str", "g-bool", "n-str", "omega-bool", "trunc-str",
+             "coupling-g-str", "eta-str"],
+    )
+    def test_strings_and_booleans_rejected_as_numbers(self, make, message):
+        with pytest.raises(ConfigError, match=message):
+            make()
+
+    def test_integer_beyond_float_range_rejected(self):
+        payload = json.loads(json.dumps(_SINGLE_PAYLOAD))
+        payload["qubits"][0]["omega_q"] = 10**400
+        with pytest.raises(ConfigError, match="qubit frequency must be finite"):
+            SystemSpec.from_dict(payload)
+
+    def test_numpy_scalars_load(self):
+        spec = QubitSpec(np.float32(2.5), n=np.int64(2), g=np.float64(0.02))
+        assert (spec.omega_q, spec.n, spec.g) == (2.5, 2, 0.02)
+        assert type(spec.n) is int and type(spec.omega_q) is float
+        assert OscillatorSpec(1, np.float64(8.0)).trunc == 8
+
 
 class TestToDictLiteral:
     @pytest.mark.parametrize(
@@ -816,6 +846,20 @@ _MALFORMED = [
     (_MULTIMODE_PAYLOAD, ("couplings", 0, "oscillator"), _DELETE),
     (_MULTIMODE_PAYLOAD, ("couplings", 0, "n"), _DELETE),
     (_MULTIMODE_PAYLOAD, ("couplings", 0, "g"), _DELETE),
+    *[
+        (_SINGLE_PAYLOAD, path, value)
+        for path, value in [
+            (("qubits", 0, "omega_q"), "2.5"),
+            (("qubits", 0, "g"), True),
+            (("qubits", 0, "n"), "3"),
+            (("oscillators", 0, "omega"), True),
+            (("oscillators", 0, "trunc"), "8"),
+            (("stabilizer", "eta"), "0.01"),
+            (("stabilizer", "m"), "2"),
+        ]
+    ],
+    (_MULTIMODE_PAYLOAD, ("couplings", 0, "qubit"), "0"),
+    (_MULTIMODE_PAYLOAD, ("couplings", 0, "g"), True),
     (_SINGLE_PAYLOAD, ("extra",), 1),
     (_SINGLE_PAYLOAD, ("qubits", 0, "colour"), "red"),
     (_SINGLE_PAYLOAD, ("oscillators", 0, "kind"), "mode"),
