@@ -13,9 +13,10 @@ which a qubit exchanges ``n`` oscillator quanta at a time:
   photon-number filtering, and sweep-continuation tracking
   (:mod:`.eigensolve`) — the workhorses for studying spectral instability
   of unbounded models and its stabilization;
-* time evolution (exact per-block propagation while every block has at
-  most 64 states, Krylov otherwise), reduced states, and fidelity
-  experiments comparing exact and dispersive dynamics (:mod:`.dynamics`).
+* time evolution (exact per-block propagation of every block whose
+  eigenvectors fit the dense budget, Krylov on each block beyond it),
+  reduced states, and fidelity experiments comparing exact and
+  dispersive dynamics (:mod:`.dynamics`).
 
 All frequencies are expressed in units of the (first) oscillator frequency.
 """

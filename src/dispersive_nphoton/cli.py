@@ -58,7 +58,7 @@ from .analytic import (
     effective_two_qubit_params,
 )
 from .combinatorics import commutator_poly, normal_order_aadag
-from .dynamics import STATE_PRESETS, evolve, fidelity, partial_trace, preset_state
+from .dynamics import STATE_PRESETS, fidelity, partial_trace, preset_state, propagator
 from .eigensolve import (
     DENSE_LIMIT,
     SpectrumResult,
@@ -456,15 +456,10 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
         row(0.0, psi),
     ]
     failure = None
+    step = propagator(h, args.krylov_dim, args.local_tol)
     for i in range(1, len(times)):
         try:
-            psi = evolve(
-                h,
-                psi,
-                float(times[i] - times[i - 1]),
-                krylov_dim=args.krylov_dim,
-                local_tol=args.local_tol,
-            )
+            psi = step(psi, float(times[i] - times[i - 1]))
         except SolverError as exc:
             failure = (float(times[i]), str(exc))
             break

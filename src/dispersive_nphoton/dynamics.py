@@ -1,12 +1,14 @@
 """State preparation, time evolution, reduced states, and fidelity.
 
-The propagator (:func:`evolve`) reads its path off the operator.  When the
-largest connected block has at most 64 states, each block is propagated
-exactly through its eigenpairs.
-Otherwise a shifted Krylov-Lanczos matrix exponential builds a fresh Lanczos
-subspace per substep and halves the step until the a-posteriori error
-estimate clears the local tolerance.  No renormalization is ever applied —
-norm drift is a diagnostic of propagator quality, not something to hide.
+The propagator (:func:`propagator`, applied once by :func:`evolve`)
+decomposes the operator once into its connected blocks.  Blocks are taken
+smallest first while their eigenvectors fit in ``DENSE_LIMIT**2`` entries,
+and each of them is propagated exactly through the block solver's
+eigenpairs.  Every other block runs a shifted Krylov-Lanczos matrix
+exponential on its own sub-matrix, which builds a fresh Lanczos subspace
+per substep and halves the step until the a-posteriori error estimate
+clears the local tolerance.  No renormalization is ever applied — norm
+drift is a diagnostic of propagator quality, not something to hide.
 
 Initial states come from :func:`basis_state`, :func:`superposition`,
 :func:`coherent_state`, :func:`tensor_state`, or the named presets of
@@ -24,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .eigensolve import (
-    _BATCH_MAX,
+    DENSE_LIMIT,
     _block_eigh,
     _blocks,
     _lanczos_step,
@@ -211,21 +213,27 @@ def evolve(
 ) -> StateVector:
     """Propagate ``|psi(t)> = exp(-i H t) |psi(0)>``.
 
-    When no block of ``h`` has more than 64 states, each block is propagated
-    exactly, ``V exp(-i E t) V^H psi_b``.  Otherwise a shifted Krylov-Lanczos
-    exponential runs on the whole operator: the mean of the diagonal is
-    subtracted (restoring its phase exactly at the end), each substep builds
-    a fresh ``krylov_dim``-dimensional Lanczos basis with full
-    reorthogonalization, and the step is halved until the a-posteriori
-    estimate ``|dt| * beta_m * |u_m(dt)|`` falls below ``local_tol``.  The
-    result is never renormalized; its norm drift is a propagation diagnostic.
+    The blocks of ``h`` are taken smallest first while their eigenvectors,
+    ``sum s_b**2`` entries, fit in ``DENSE_LIMIT**2``: the size of the
+    ``(dim, dim)`` matrix that :func:`.eigensolve.eigh_dense` may return,
+    checked on the block sizes before anything is allocated.  Each of them
+    is propagated exactly, ``V exp(-i E t) V^H psi_b``, from the eigenpairs
+    of the block solver (batched, chain or LAPACK).  Every other block runs
+    a shifted Krylov-Lanczos exponential on its own sub-matrix: the mean of
+    its diagonal is subtracted (restoring its phase exactly at the end),
+    each substep builds a fresh ``krylov_dim``-dimensional Lanczos basis
+    with full reorthogonalization, and the step is halved until the
+    a-posteriori estimate ``|dt| * beta_m * |u_m(dt)|`` falls below
+    ``local_tol``.  The result is never renormalized; its norm drift is a
+    propagation diagnostic.  Each call decomposes ``h`` anew; a run of
+    many steps builds :func:`propagator` once and chains its ``step``.
 
     Args:
         h: Certified-Hermitian generator.
         psi0: Initial state on the same layout.
         t: Total evolution time (may be negative or zero).
         krylov_dim: Lanczos subspace size per substep (``>= 2``; capped at
-            the dimension).
+            the block size).
         local_tol: Per-substep error budget (finite and positive).
 
     Raises:
@@ -247,21 +255,41 @@ def evolve(
         raise ValueError(
             f"local_tol must be finite and positive, got {local_tol!r}"
         )
-    if t == 0.0:
-        return StateVector(h.layout, psi0.amplitudes, norm_tol=1e-8)
+    return propagator(h, krylov_dim, local_tol)(psi0, t)
 
+
+def propagator(h: SparseOperator, krylov_dim: int, local_tol: float):
+    """``step(state, t) = exp(-i h t) state``, with ``h`` decomposed here, once.
+
+    The rule is that of :func:`evolve`, which also checks the arguments."""
     mat, members, starts = _blocks(h)
-    if np.diff(starts).max() > _BATCH_MAX:
-        psi = _krylov_evolve(h.entries, psi0.amplitudes, t, krylov_dim, local_tol)
+    sizes = np.diff(starts)
+    by_size = np.argsort(sizes, kind="stable")
+    exact = np.zeros(len(sizes), dtype=bool)
+    exact[by_size] = np.cumsum(sizes[by_size] ** 2) <= DENSE_LIMIT**2
+    held = members[np.repeat(exact, sizes)]
+    bounds = np.append(0, np.cumsum(sizes[exact]))
+    parts, _ = _block_eigh(mat, held, bounds, h.total_dim, "dense")
+    parts = [(held[bounds[g, None] + np.arange(v.shape[1])], e, v) for g, e, v in parts]
+    rest = [members[starts[b] : starts[b + 1]] for b in np.flatnonzero(~exact)]
+    rest = [(idx, mat[idx][:, idx]) for idx in rest]
+
+    def step(state: StateVector, t: float) -> StateVector:
+        if t == 0.0:
+            return StateVector(h.layout, state.amplitudes, norm_tol=1e-8)
+        psi = np.zeros_like(state.amplitudes)
+        for rows, energies, vecs in parts:
+            coeffs = np.einsum("bij,bi->bj", vecs.conj(), state.amplitudes[rows])
+            coeffs *= np.exp(-1j * energies * t)
+            psi[rows] = np.einsum("bij,bj->bi", vecs, coeffs)
+        for idx, sub in rest:
+            if state.amplitudes[idx].any():
+                psi[idx] = _krylov_evolve(
+                    sub, state.amplitudes[idx], t, krylov_dim, local_tol
+                )
         return StateVector(h.layout, psi, norm_tol=1e-8)
-    psi = np.empty_like(psi0.amplitudes)
-    parts, _ = _block_eigh(mat, members, starts, h.total_dim, "dense")
-    for group, energies, vecs in parts:
-        rows = members[starts[group, None] + np.arange(vecs.shape[1])]
-        coeffs = np.einsum("bij,bi->bj", vecs.conj(), psi0.amplitudes[rows])
-        coeffs *= np.exp(-1j * energies * t)
-        psi[rows] = np.einsum("bij,bj->bi", vecs, coeffs)
-    return StateVector(h.layout, psi, norm_tol=1e-8)
+
+    return step
 
 
 def _krylov_evolve(mat, psi, t, krylov_dim, local_tol):
@@ -416,10 +444,13 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rho.layout.dims != sigma.layout.dims:
         raise ValueError("density matrices live on different dimensions")
     w, u = np.linalg.eigh(rho.matrix)
-    w = np.clip(w, 0.0, None)
-    sqrt_rho = (u * np.sqrt(w)) @ u.conj().T
-    inner = sqrt_rho @ sigma.matrix @ sqrt_rho
-    ev = np.linalg.eigvalsh(inner)
-    ev = np.clip(ev, 0.0, None)
-    value = float(np.sqrt(ev).sum() ** 2)
+    sqrt_rho = (u * np.sqrt(_drop_roundoff(w))) @ u.conj().T
+    ev = np.linalg.eigvalsh(sqrt_rho @ sigma.matrix @ sqrt_rho)
+    value = float(np.sqrt(_drop_roundoff(ev)).sum() ** 2)
     return min(max(value, 0.0), 1.0)
+
+
+def _drop_roundoff(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues ``w`` of a PSD matrix with those below ``d eps max(w)`` set
+    to 0: a square root would turn each ~1e-16 of roundoff into ~1e-8."""
+    return np.where(w > len(w) * np.finfo(float).eps * w.max(), w, 0.0)

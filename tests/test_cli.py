@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import dispersive_nphoton
-from dispersive_nphoton import SystemSpec, effective_two_qubit_params
+from dispersive_nphoton import SystemSpec, dynamics, effective_two_qubit_params
 from dispersive_nphoton.models import with_swept
 from dispersive_nphoton.cli import (
     DYNAMICS_COLUMNS,
@@ -614,6 +614,27 @@ class TestDynamicsCommand:
         fidelities = [float(row[1]) for row in rows]
         assert all(f > 0.99 for f in fidelities)
         assert min(fidelities) < 1.0 - 1e-9
+
+    def test_decomposes_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        real = dynamics._block_eigh
+        monkeypatch.setattr(
+            dynamics, "_block_eigh", lambda *a: calls.append(a) or real(*a)
+        )
+        cfg = write_config(tmp_path, DYN)
+        code, out, _ = run_cli(
+            [
+                "dynamics",
+                "--config", cfg,
+                "--model", "nR",
+                "--state", "plus_coherent_1",
+                "--t-end", "20",
+                "--steps", "6",
+            ]
+        )
+        assert code == 0
+        assert len(parse_csv(out)[2]) == 7
+        assert len(calls) == 1
 
     def test_requires_single_topology(self, tmp_path):
         cfg = write_config(tmp_path, PAIR)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from test_models import ALL_BUILDERS
 
 from dispersive_nphoton import dynamics
@@ -305,11 +306,27 @@ class TestBlockPath:
         b = evolve(h, psi0, 99.0)
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
+    @pytest.mark.parametrize("model, trunc", [("nR", 400), ("full_nR", 200)])
+    def test_large_blocks_match_expm_multiply(self, model, trunc):
+        # Blocks of 200 states, a chain (nR) and a LAPACK block (full_nR),
+        # are held exactly, so the Krylov path never runs.
+        spec = single(n=2, trunc=trunc)
+        h = build_model(spec, model)
+        assert largest_block(h) == 200
+        psi0 = preset_state("plus_coherent_2", spec.layout())
+        t = 50.0
+        expected = scipy.sparse.linalg.expm_multiply(
+            -1j * t * h.entries, psi0.amplitudes
+        )
+        psi = evolve(h, psi0, t)
+        assert np.max(np.abs(psi.amplitudes - expected)) <= 1e-10
 
-@pytest.mark.parametrize(
-    "size, krylov_runs", [(_BATCH_MAX, False), (_BATCH_MAX + 1, True)]
-)
+
+@pytest.mark.parametrize("size, krylov_runs", [(64, False), (65, True)])
 def test_path_follows_largest_block(monkeypatch, size, krylov_runs):
+    # A block is propagated exactly while the eigenvectors held fit in
+    # DENSE_LIMIT**2 entries, here 64**2: one chain of 64 states does.
+    monkeypatch.setattr(dynamics, "DENSE_LIMIT", 64)
     layout = HilbertLayout((("oscillator", size),))
     hop = np.diag(np.ones(size - 1), 1)
     h = SparseOperator.from_dense(layout, hop + hop.T)
@@ -324,6 +341,46 @@ def test_path_follows_largest_block(monkeypatch, size, krylov_runs):
     assert bool(calls) == krylov_runs
     expected = scipy.linalg.expm(-2j * h.toarray()) @ psi0.amplitudes
     assert np.max(np.abs(psi.amplitudes - expected)) <= 1e-9
+
+
+def test_only_blocks_over_the_budget_run_krylov(monkeypatch):
+    # States 0-4 form a full block of 5 and states 5-7 a chain of 3.  With
+    # DENSE_LIMIT at 5, the 25 eigenvector entries hold the smaller block
+    # (9) but not both (34): the first block runs Krylov on its own, and
+    # the block solver never sees it.
+    monkeypatch.setattr(dynamics, "DENSE_LIMIT", 5)
+    full = np.arange(25.0).reshape(5, 5) * (1.0 + 0.5j)
+    dense = np.zeros((8, 8), dtype=np.complex128)
+    dense[:5, :5] = (full + full.conj().T) / 20.0
+    dense[5:, 5:] = np.diag([0.3, -0.2, 0.5]) + np.diag([1.0, 1.0], 1)
+    dense[5:, 5:] += np.diag([1.0, 1.0], -1)
+    layout = HilbertLayout((("oscillator", 8),))
+    h = SparseOperator.from_dense(layout, dense)
+    held, shapes = [], []
+    real_eigh, real_krylov = dynamics._block_eigh, dynamics._krylov_evolve
+
+    def block_eigh(mat, members, starts, *args):
+        held.append(members[starts[0] : starts[-1]].tolist())
+        return real_eigh(mat, members, starts, *args)
+
+    def krylov_evolve(mat, *args):
+        shapes.append(mat.shape)
+        return real_krylov(mat, *args)
+
+    monkeypatch.setattr(dynamics, "_block_eigh", block_eigh)
+    monkeypatch.setattr(dynamics, "_krylov_evolve", krylov_evolve)
+    psi0 = spread_state(layout)
+    psi = evolve(h, psi0, 2.0)
+    assert held == [[5, 6, 7]]
+    assert shapes == [(5, 5)]
+    expected = scipy.linalg.expm(-2j * dense) @ psi0.amplitudes
+    assert np.max(np.abs(psi.amplitudes - expected)) <= 1e-9
+    # A block without support stays zero and costs no Krylov run.
+    psi = evolve(h, basis_state(layout, (6,)), 2.0)
+    assert shapes == [(5, 5)]
+    assert np.all(psi.amplitudes[:5] == 0)
+    expected = scipy.linalg.expm(-2j * dense)[:, 6]
+    assert np.max(np.abs(psi.amplitudes - expected)) <= 1e-12
 
 
 class TestDensityMatrices:
@@ -403,6 +460,21 @@ class TestFidelity:
         mixed = DensityMatrix(QUBIT, np.eye(2) / 2)
         up = DensityMatrix.from_state(basis_state(QUBIT, (0,)))
         assert fidelity(mixed, up) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [5.0, 20.0, 50.0])
+    def test_pure_reference_gives_expectation(self, t):
+        # For a pure reference |psi><psi| the fidelity is <psi|sigma|psi>:
+        # the roundoff eigenvalues of the rank-deficient matrices must not
+        # reach the square roots.
+        spec = single(n=2, trunc=200)
+        psi0 = preset_state("plus_coherent_2", spec.layout())
+        psi = evolve(build_model(spec, "nR"), psi0, t)
+        for keep in ([0], [1]):
+            pure = partial_trace(psi0, keep)
+            sigma = partial_trace(psi, keep)
+            expected = float(np.real(np.trace(pure.matrix @ sigma.matrix)))
+            assert abs(fidelity(sigma, pure) - expected) <= 1e-14
+            assert abs(fidelity(pure, sigma) - expected) <= 1e-14
 
     def test_dimension_mismatch(self):
         up = DensityMatrix.from_state(basis_state(QUBIT, (0,)))
