@@ -281,7 +281,8 @@ def critical_photon_number(n: int, g: float, delta: float) -> float:
     """Photon number at which the dispersive expansion breaks down.
 
     For ``n = 1`` this is the familiar ``delta**2 / (4 g**2)``; for
-    ``n >= 2`` the leading scaling is ``(|delta| / g)**(2 / n)``.
+    ``n >= 2`` the leading scaling is ``(|delta| / g)**(2 / n)``.  A value
+    beyond the float range is returned as ``inf``, as for ``g = 0``.
 
     Args:
         n: Coupling order (``n >= 1``).
@@ -305,7 +306,10 @@ def critical_photon_number(n: int, g: float, delta: float) -> float:
     if g == 0.0:
         return math.inf
     if n == 1:
-        return (delta / (2.0 * g)) ** 2
+        try:
+            return (delta / (2.0 * g)) ** 2
+        except OverflowError:
+            return math.inf
     return (abs(delta) / g) ** (2.0 / n)
 
 
@@ -330,13 +334,20 @@ def _number_moment(k: int, alpha_abs: float, moment_convention: str) -> float:
     ``<a†^l a^l> = |alpha|**(2 l)``; ``amplitude_literal`` substitutes
     ``|alpha|**l`` instead (a convention sometimes used for quick estimates,
     kept selectable for comparison).
+
+    Raises:
+        ValueError: If a power of ``|alpha|`` overflows.
     """
+    power = 2 if moment_convention == "coherent_exact" else 1
     total = 0.0
     for l in range(k + 1):
-        if moment_convention == "coherent_exact":
-            m = alpha_abs ** (2 * l)
-        else:
-            m = alpha_abs**l
+        try:
+            m = alpha_abs ** (power * l)
+        except OverflowError:
+            raise ValueError(
+                f"alpha_abs = {alpha_abs!r} is too large: |alpha|**{power * l} "
+                "overflows"
+            ) from None
         total += stirling2(k, l) * m
     return total
 

@@ -15,12 +15,14 @@ Tabular output is CSV preceded by one comment line::
     # provenance: {"command": ..., "config": {...}, ...}
 
 holding a deterministic JSON record (sorted keys, no timestamps) of every
-input that influenced the numbers; the embedded ``config`` value feeds back
+parsed option except ``--out``, ``--threads`` and the hidden ``--max-iters``;
+``--config`` is replaced by the resolved configuration, which feeds back
 into :meth:`SystemSpec.from_dict`.  Floats are rendered with ``%.12g``,
 booleans as ``0``/``1``, missing values as empty fields.
 
 ``spectrum`` and ``levels`` share one grid-point solve (build, solve, label,
-closed-form columns), one provenance record and one failure report.
+closed-form columns); every CSV command shares one provenance rule and one
+failure report.
 
 Exit codes: ``0`` success, ``2`` configuration problems (non-finite numbers
 included), ``3`` solver failures.  A solver failure still writes the output
@@ -119,10 +121,21 @@ def _fmt(value) -> str:
     return "%.12g" % v
 
 
-def _provenance_line(record: dict) -> str:
-    payload = dict(record)
-    payload["schema_version"] = SCHEMA_VERSION
-    return "# provenance: " + json.dumps(payload, sort_keys=True)
+def _provenance_line(
+    args: argparse.Namespace, spec: Optional[SystemSpec] = None
+) -> str:
+    """The ``# provenance:`` line of a run: every parsed option but four.
+
+    Left out are ``out`` and ``threads`` (the output bytes do not depend on
+    them), the hidden ``max_iters`` and the handler ``func``.  ``spec``, when
+    given, replaces the ``--config`` file name by the resolved configuration.
+    """
+    left_out = ("out", "threads", "max_iters", "func")
+    record = {k: v for k, v in vars(args).items() if k not in left_out}
+    if spec is not None:
+        record["config"] = spec.to_dict()
+    record["schema_version"] = SCHEMA_VERSION
+    return "# provenance: " + json.dumps(record, sort_keys=True)
 
 
 def _write_lines(out_path: Optional[str], lines: Sequence[str]) -> None:
@@ -203,9 +216,9 @@ def resolve_threads(flag_value: Optional[int]) -> int:
 def _sweep_start(args: argparse.Namespace, extra: str) -> tuple[SystemSpec, list]:
     """Validate a ``spectrum`` or ``levels`` run; return its spec and header.
 
-    The header is the provenance line and the column line.  The provenance
-    record holds the inputs both commands share plus the command's own
-    option ``extra`` (``nbar_max`` or ``continuity_floor``).
+    The header is the provenance line and the column line.  ``extra`` names
+    the command's own float option (``nbar_max`` or ``continuity_floor``),
+    which must be finite like ``physical_scale``.
     """
     if args.k < 1:
         raise ConfigError("-k/--num-levels must be >= 1")
@@ -218,10 +231,7 @@ def _sweep_start(args: argparse.Namespace, extra: str) -> tuple[SystemSpec, list
             raise ConfigError(f"{flag} must be finite, got {value!r}")
     spec = SystemSpec.from_json_file(args.config)
     build_model(spec, args.model, args.regime, args.squeezing, args.cross_k0)
-    shared = "model regime squeezing cross_k0 k method sweep physical_scale"
-    record = {key: getattr(args, key) for key in [*shared.split(), extra]}
-    record.update(command=args.command, config=spec.to_dict())
-    return spec, [_provenance_line(record), ",".join(SWEEP_COLUMNS)]
+    return spec, [_provenance_line(args, spec), ",".join(SWEEP_COLUMNS)]
 
 
 def _solve_point(
@@ -297,17 +307,20 @@ def _row(
     )
 
 
-def _finish(out: Optional[str], lines: list, failures: list) -> int:
-    """Write the output and report each failed grid point; return 0 or 3.
+def _finish(
+    out: Optional[str],
+    lines: list,
+    failures: list,
+    at: str = "solver failure at sweep value",
+) -> int:
+    """Write the output and report each failure; return 0 or 3.
 
-    ``failures`` holds ``(sweep value, solver error message)`` pairs.
+    ``failures`` holds ``(sweep value or time, solver error message)``
+    pairs, each reported as one ``"{at} {value}: {message}"`` line.
     """
     _write_lines(out, lines)
     for value, error in failures:
-        print(
-            f"solver failure at sweep value {_fmt(value) or '<none>'}: {error}",
-            file=sys.stderr,
-        )
+        print(f"{at} {_fmt(value) or '<none>'}: {error}", file=sys.stderr)
     return 3 if failures else 0
 
 
@@ -413,7 +426,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
     spec = SystemSpec.from_json_file(args.config)
     if spec.topology != "single":
         raise ConfigError("dynamics presets require the 'single' topology")
-    h = build_model(spec, args.model, args.regime, args.squeezing, True)
+    h = build_model(spec, args.model, args.regime, args.squeezing)
     layout = spec.layout()
     try:
         psi = preset_state(args.state, layout)
@@ -437,41 +450,17 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
             ]
         )
 
-    lines = [
-        _provenance_line(
-            {
-                "command": "dynamics",
-                "config": spec.to_dict(),
-                "model": args.model,
-                "regime": args.regime,
-                "squeezing": args.squeezing,
-                "state": args.state,
-                "t_end": args.t_end,
-                "steps": args.steps,
-                "krylov_dim": args.krylov_dim,
-                "local_tol": args.local_tol,
-            }
-        ),
-        ",".join(DYNAMICS_COLUMNS),
-        row(0.0, psi),
-    ]
-    failure = None
+    lines = [_provenance_line(args, spec), ",".join(DYNAMICS_COLUMNS), row(0.0, psi)]
+    failures = []
     step = propagator(h, args.krylov_dim, args.local_tol)
     for i in range(1, len(times)):
         try:
             psi = step(psi, float(times[i] - times[i - 1]))
         except SolverError as exc:
-            failure = (float(times[i]), str(exc))
+            failures.append((float(times[i]), str(exc)))
             break
         lines.append(row(float(times[i]), psi))
-    _write_lines(args.out, lines)
-    if failure is not None:
-        print(
-            f"propagation failure at t = {_fmt(failure[0])}: {failure[1]}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+    return _finish(args.out, lines, failures, "propagation failure at t =")
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +471,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 def _cmd_coeff_table(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise ConfigError("--n-max must be >= 1")
-    lines = [
-        _provenance_line({"command": "coeff-table", "n_max": args.n_max}),
-        "table,n,k,value",
-    ]
+    lines = [_provenance_line(args), "table,n,k,value"]
     for n in range(1, args.n_max + 1):
         cplus, _ = commutator_poly(n)
         for k, v in enumerate(cplus):
@@ -548,15 +534,7 @@ def _cmd_eff_2q(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     lines = [
-        _provenance_line(
-            {
-                "command": "eff-2q",
-                "config": spec.to_dict(),
-                "alpha": args.alpha,
-                "moment_convention": args.moment_convention,
-                "cross_k0": args.cross_k0,
-            }
-        ),
+        _provenance_line(args, spec),
         "omega_bar_1,omega_bar_2,g_bar",
         ",".join([_fmt(w1), _fmt(w2), _fmt(gbar)]),
     ]
@@ -597,6 +575,9 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
         default=True,
         help="keep the two-photon squeezing term of nonrwa effective models",
     )
+
+
+def _add_cross_k0(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cross-k0",
         action=argparse.BooleanOptionalAction,
@@ -605,11 +586,24 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_moment_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--alpha", type=float, required=True, help="coherent amplitude |alpha|"
+    )
+    p.add_argument(
+        "--moment-convention",
+        choices=MOMENT_CONVENTIONS,
+        default="coherent_exact",
+        help="photon-number moment convention",
+    )
+
+
 def _add_sweep_command(sub, name: str, summary: str, sweep_required: bool):
     """Subparser with the options ``spectrum`` and ``levels`` share."""
     p = sub.add_parser(name, help=summary)
     p.add_argument("--config", required=True, metavar="FILE")
     _add_model_options(p)
+    _add_cross_k0(p)
     p.add_argument(
         "-k",
         "--num-levels",
@@ -747,15 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dressed-freq", help="coherently dressed qubit frequency")
     _add_scalar_frequency_options(p)
-    p.add_argument(
-        "--alpha", type=float, required=True, help="coherent amplitude |alpha|"
-    )
-    p.add_argument(
-        "--moment-convention",
-        choices=MOMENT_CONVENTIONS,
-        default="coherent_exact",
-        help="photon-number moment convention",
-    )
+    _add_moment_options(p)
     p.add_argument(
         "--regime", choices=REGIMES, default="rwa", help="shift regime (default rwa)"
     )
@@ -765,21 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
         "eff-2q", help="effective two-qubit flip-flop parameters"
     )
     p.add_argument("--config", required=True, metavar="FILE")
-    p.add_argument(
-        "--alpha", type=float, required=True, help="coherent amplitude |alpha|"
-    )
-    p.add_argument(
-        "--moment-convention",
-        choices=MOMENT_CONVENTIONS,
-        default="coherent_exact",
-        help="photon-number moment convention",
-    )
-    p.add_argument(
-        "--cross-k0",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="start the cross polynomial at the constant term",
-    )
+    _add_moment_options(p)
+    _add_cross_k0(p)
     _add_out(p)
     p.set_defaults(func=_cmd_eff_2q)
 

@@ -131,10 +131,19 @@ def coherent_state(alpha: complex, trunc: int) -> StateVector:
             f"coherent amplitude |alpha|={mod:.3g} needs at least "
             f"{math.ceil((mod + 3.0) ** 2)} Fock levels, got {trunc}"
         )
-    amps = np.zeros(trunc, dtype=np.complex128)
-    amps[0] = math.exp(-0.5 * mod * mod)
-    for j in range(1, trunc):
-        amps[j] = amps[j - 1] * alpha / math.sqrt(j)
+    vacuum = math.exp(-0.5 * mod * mod)
+    if vacuum < np.finfo(float).tiny:
+        # The vacuum amplitude underflows (|alpha| > 37.6): take every
+        # amplitude alpha**j exp(-|alpha|**2 / 2) / sqrt(j!) from its logarithm.
+        j = np.arange(trunc)
+        log_fact = np.array([math.lgamma(m + 1.0) for m in range(trunc)])
+        log_mod = j * math.log(mod) - 0.5 * mod * mod - 0.5 * log_fact
+        amps = np.exp(log_mod + 1j * np.angle(alpha) * j)
+    else:
+        amps = np.zeros(trunc, dtype=np.complex128)
+        amps[0] = vacuum
+        for j in range(1, trunc):
+            amps[j] = amps[j - 1] * alpha / math.sqrt(j)
     tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
     if tail > 1e-10:
         raise TruncationError(

@@ -211,6 +211,12 @@ class TestCriticalPhotonNumber:
     def test_zero_coupling_is_infinite(self):
         assert math.isinf(critical_photon_number(2, 0.0, 0.5))
 
+    def test_beyond_float_range_is_infinite(self):
+        # (delta / 2g)**2 for n = 1 and |delta| / g for n = 2 overflow.
+        assert critical_photon_number(1, 1e-200, 1.0) == math.inf
+        assert critical_photon_number(1, 1e-320, -1.0) == math.inf
+        assert critical_photon_number(2, 1e-320, 1.0) == math.inf
+
     def test_validation(self):
         with pytest.raises(ValueError):
             critical_photon_number(0, 0.1, 0.5)
@@ -249,6 +255,17 @@ class TestDressedFrequency:
         nonrwa = dressed_qubit_frequency(p, 1.0, "coherent_exact", "nonrwa")
         assert nonrwa != rwa
 
+    @pytest.mark.parametrize(
+        "alpha, convention",
+        [(1e80, "coherent_exact"), (1e200, "amplitude_literal")],
+    )
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_overflowing_moments_refused(self, alpha, convention, regime):
+        # |alpha|**4 (resp. |alpha|**2) exceeds the float range.
+        p = params(2.5, 2, 0.01)
+        with pytest.raises(ValueError, match="too large"):
+            dressed_qubit_frequency(p, alpha, convention, regime)
+
     def test_bad_convention(self):
         with pytest.raises(ValueError):
             dressed_qubit_frequency(params(2.5, 2, 0.01), 1.0, "bogus")
@@ -281,6 +298,10 @@ class TestEffectiveTwoQubit:
         _, _, gbar = effective_two_qubit_params(pair_spec, 0.0)
         chi_x = 0.0006 * (1 / 6 + 1 / 5.4)
         assert gbar == pytest.approx(2 * chi_x, rel=1e-12)
+
+    def test_overflowing_moments_refused(self, pair_spec):
+        with pytest.raises(ValueError, match="too large"):
+            effective_two_qubit_params(pair_spec, 1e80)
 
     def test_cross_k0_toggle_removes_constant(self, pair_spec):
         _, _, with_const = effective_two_qubit_params(pair_spec, 1.0, cross_k0=True)

@@ -8,6 +8,7 @@ values; byte-level determinism is asserted across reruns and worker counts.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -26,6 +27,8 @@ from dispersive_nphoton.cli import (
     SCHEMA_VERSION,
     SWEEP_COLUMNS,
     THREADS_ENV_VAR,
+    _provenance_line,
+    build_parser,
     main,
     parse_sweep,
     resolve_threads,
@@ -472,6 +475,40 @@ class TestExitCodes:
         assert {row[1] for row in rows} == {"0", "0.02"}
         assert any(row[8] == "1" for row in rows)
 
+    def test_levels_stops_at_first_failed_point(self, tmp_path):
+        cfg = write_config(tmp_path, {**SINGLE, "oscillators": [{"trunc": 60}]})
+        code, out, err = run_cli(
+            [
+                "levels",
+                "--config", cfg,
+                "--model", "nR",
+                "--sweep", "g:0:0.04:3",
+                "--method", "lanczos",
+                "--max-iters", "3",
+            ]
+        )
+        assert code == 3
+        assert err.startswith("solver failure at sweep value 0.02: Lanczos")
+        assert len(err.splitlines()) == 1
+        _, _, rows = parse_csv(out)
+        # The diagonal g = 0 point converges; the run ends at 0.02 with one
+        # flag row and never reaches 0.04.
+        assert {row[1] for row in rows[:-1]} == {"0"}
+        assert rows[-1] == ["g", "0.02", "", "", "", "", "", "", "1", "0"]
+
+    def test_coeff_table_n_max_below_one_exits_2(self):
+        code, out, err = run_cli(["coeff-table", "--n-max", "0"])
+        assert (code, out, err) == (2, "", "error: --n-max must be >= 1\n")
+
+    def test_truncation_error_exits_2(self, tmp_path):
+        payload = {**SINGLE, "qubits": [{**SINGLE["qubits"][0], "n": 3}]}
+        payload["oscillators"] = [{"trunc": 3}]
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run_cli(["spectrum", "--config", cfg, "--model", "nR"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: exchange order n=3") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "command, extra",
         [
@@ -635,6 +672,47 @@ class TestDynamicsCommand:
         assert code == 0
         assert len(parse_csv(out)[2]) == 7
         assert len(calls) == 1
+
+    def test_propagation_failure_exits_3_with_rows_so_far(self, tmp_path, monkeypatch):
+        # DENSE_LIMIT = 4 leaves no block inside the exact budget, so every
+        # block runs Krylov, whose adaptive step cannot meet a 1e-300 target.
+        monkeypatch.setattr(dynamics, "DENSE_LIMIT", 4)
+        cfg = write_config(tmp_path, DYN)
+        code, out, err = run_cli(
+            [
+                "dynamics",
+                "--config", cfg,
+                "--model", "nR",
+                "--state", "bell",
+                "--t-end", "3",
+                "--steps", "2",
+                "--local-tol", "1e-300",
+            ]
+        )
+        assert code == 3
+        assert err == (
+            "propagation failure at t = 1.5: step size underflow at "
+            "t_remaining=1.5 (local_tol=1e-300)\n"
+        )
+        _, header, rows = parse_csv(out)
+        assert header == list(DYNAMICS_COLUMNS)
+        assert [row[0] for row in rows] == ["0"]
+
+    def test_preset_beyond_truncation_exits_2(self, tmp_path):
+        payload = {**DYN, "qubits": [{**DYN["qubits"][0], "n": 1}]}
+        payload["oscillators"] = [{"trunc": 2}]
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run_cli(
+            [
+                "dynamics",
+                "--config", cfg,
+                "--model", "nR",
+                "--state", "bell",
+                "--t-end", "1",
+            ]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the bell preset requires at least 3 Fock levels\n"
 
     def test_requires_single_topology(self, tmp_path):
         cfg = write_config(tmp_path, PAIR)
@@ -809,6 +887,90 @@ class TestNonFiniteInputs:
         assert out == ""
         assert err.startswith("error:") and "finite" in err
         assert len(err.splitlines()) == 1
+
+
+class TestOverflowingInputs:
+    def test_critical_nph_beyond_float_range_prints_inf(self):
+        argv = ["critical-nph", "--n", "1", "--g", "1e-200", "--delta", "1"]
+        assert run_cli(argv) == (0, "inf\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["dressed-freq", *SCALAR_ARGS, "--alpha", "1e80"], None),
+            (["eff-2q", "--alpha", "1e80"], PAIR),
+        ],
+        ids=["dressed-freq", "eff-2q"],
+    )
+    def test_overflowing_alpha_exits_2(self, tmp_path, argv, config):
+        if config is not None:
+            argv = [*argv, "--config", write_config(tmp_path, config)]
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "too large" in err
+        assert len(err.splitlines()) == 1
+
+
+def destinations(command):
+    """Every attribute the parser sets for ``command``, defaults included."""
+    parser = build_parser()
+    commands = next(
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    sub = commands.choices[command]
+    dests = {action.dest for action in sub._actions if action.dest != "help"}
+    return dests | set(sub._defaults) | {"command"}
+
+
+#: Parsed options the provenance record leaves out.
+UNRECORDED = {"out", "threads", "max_iters", "func"}
+
+
+class TestProvenanceRule:
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            ([*SPECTRUM, "--threads", "1", "--max-iters", "500"], SINGLE),
+            (LEVELS, SINGLE),
+            (["dynamics", "--model", "nR", "--state", "bell", "--t-end", "1"], DYN),
+            (["coeff-table", "--n-max", "1"], None),
+            (["eff-2q", "--alpha", "1"], PAIR),
+        ],
+        ids=["spectrum", "levels", "dynamics", "coeff-table", "eff-2q"],
+    )
+    def test_csv_records_every_option_but_four(self, tmp_path, argv, config):
+        if config is not None:
+            argv = [*argv, "--config", write_config(tmp_path, config)]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        prov, _, _ = parse_csv(out)
+        expected = destinations(argv[0]) - UNRECORDED | {"schema_version"}
+        assert set(prov) == expected
+        if config is not None:
+            assert SystemSpec.from_dict(prov["config"]) == SystemSpec.from_dict(config)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["critical-nph", "--n", "2", "--g", "0.01", "--delta", "0.5"],
+            ["dressed-freq", *SCALAR_ARGS, "--alpha", "1"],
+        ],
+        ids=["critical-nph", "dressed-freq"],
+    )
+    def test_scalar_commands_follow_the_same_rule(self, argv):
+        line = _provenance_line(build_parser().parse_args(argv))
+        prov = json.loads(line.removeprefix("# provenance: "))
+        assert set(prov) == destinations(argv[0]) - UNRECORDED | {"schema_version"}
+
+    def test_dynamics_has_no_cross_k0_option(self, tmp_path):
+        cfg = write_config(tmp_path, DYN)
+        argv = ["dynamics", "--config", cfg, "--model", "nR", "--state", "bell"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--t-end", "1", "--no-cross-k0"])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("floor", ["2", "-0.1"])

@@ -110,6 +110,23 @@ class TestStates:
         with pytest.raises(TruncationError):
             coherent_state(2.0, 24)  # (2 + 3)**2 = 25 > 24
 
+    @pytest.mark.parametrize("alpha, trunc", [(39, 1814), (50, 3000), (40j, 1900)])
+    def test_coherent_state_beyond_vacuum_underflow(self, alpha, trunc):
+        # exp(-|alpha|**2 / 2) is below the smallest normal float here.
+        psi = coherent_state(alpha, trunc)
+        nbar = abs(alpha) ** 2
+        assert psi.norm() == pytest.approx(1.0, abs=1e-14)
+        assert psi.mean_photon_number() == pytest.approx(nbar, rel=1e-9)
+        # Logarithms near j log|alpha| ~ 2e4 carry absolute errors ~ 1e-11.
+        j = int(nbar)
+        ratio = psi.amplitudes[j + 1] / psi.amplitudes[j]
+        assert ratio == pytest.approx(alpha / math.sqrt(j + 1), rel=1e-10)
+
+    def test_coherent_state_tail_refusal(self):
+        # The guard holds, (30 + 3)**2 = 1089, but the tail mass is 5.8e-10.
+        with pytest.raises(TruncationError, match="tail mass 5.77e-10"):
+            coherent_state(30, 1089)
+
     def test_tensor_state(self):
         plus = StateVector(QUBIT, np.array([1.0, 1.0]) / math.sqrt(2))
         osc = coherent_state(0.5, 16)
