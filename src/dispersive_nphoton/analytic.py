@@ -1,10 +1,11 @@
 """Closed-form spectra and effective parameters for n-photon couplings.
 
 This module is pure scalar arithmetic on top of :mod:`.combinatorics`; it
-never builds matrices.  The matrix builders in :mod:`.models` evaluate
-:func:`dispersive_level`'s expression in its operation order for their
-diagonal entries, so closed-form levels and numerically assembled
-dispersive Hamiltonians agree bit-for-bit.
+never builds matrices.  It alone states the effective Hamiltonian's
+coefficients (the regime rule :meth:`DispersiveParams._strengths` and the
+polynomials :func:`_number_polys`); :mod:`.models` assembles operators from
+them in :func:`dispersive_level`'s operation order, so closed-form levels
+and assembled dispersive Hamiltonians agree bit-for-bit.
 
 Physical setup and reduced units
 --------------------------------
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .combinatorics import commutator_poly, eval_int_poly, stirling2
 from .errors import ResonanceError
@@ -138,6 +140,12 @@ class DispersiveParams:
             )
         return self.g**2 / self.sigma
 
+    def _strengths(self, regime: str) -> tuple[float, float]:
+        """``(chi, xi)`` of ``regime``: ``xi`` is evaluated only under
+        ``"nonrwa"`` and is 0 under ``"rwa"``, where ``sigma = 0`` is allowed."""
+        _check_regime(regime)
+        return self.chi, (self.xi if regime == "nonrwa" else 0.0)
+
     @property
     def lam(self) -> float:
         """Small parameter ``g / delta`` of the rotating expansion."""
@@ -191,11 +199,20 @@ def _cross_strengths(
 ) -> tuple[float, float]:
     """Exchange strengths ``(chi_x, xi_x)`` of two couplings."""
     chi_x = pl.g * pm.g * (1.0 / pl.delta + 1.0 / pm.delta)
-    if regime == "nonrwa":
-        xi_x = pl.g * pm.g * (1.0 / pl.sigma + 1.0 / pm.sigma)
-    else:
-        xi_x = 0.0
-    return chi_x, xi_x
+    if regime != "nonrwa":
+        return chi_x, 0.0
+    return chi_x, pl.g * pm.g * (1.0 / pl.sigma + 1.0 / pm.sigma)
+
+
+@lru_cache(maxsize=None)
+def _number_polys(n: int, cross_k0: bool = True) -> tuple[tuple[int, ...], ...]:
+    """Rows ``(P+, P-, Px)`` of the order-``n`` photon-number polynomials:
+    cross-Kerr ``P+ = Cplus``, self-Kerr ``P- = Cminus`` without its constant
+    and exchange ``Px = Cminus`` from degree ``k0`` (0 if ``cross_k0``, else
+    1).  Dropped degrees are exact zeros."""
+    cplus, cminus = commutator_poly(n)
+    k0 = 0 if cross_k0 else 1
+    return cplus, (0,) + cminus[1:], (0,) * k0 + cminus[k0:]
 
 
 def dispersive_level(
@@ -224,20 +241,16 @@ def dispersive_level(
     Raises:
         ResonanceError: If a required denominator vanishes.
     """
-    _check_regime(regime)
     if qubit not in ("e", "g"):
         raise ValueError(f"qubit must be 'e' or 'g', got {qubit!r}")
     j = int(j)
     if j < 0:
         raise ValueError("photon number j must be non-negative")
 
-    n = params.n
-    chi = params.chi
-    xi = params.xi if regime == "nonrwa" else 0.0
-
-    cplus, cminus = commutator_poly(n)
-    p_plus = eval_int_poly(cplus, j)
-    p_minus = eval_int_poly((0,) + cminus[1:], j)
+    chi, xi = params._strengths(regime)
+    plus, minus, _ = _number_polys(params.n)
+    p_plus = eval_int_poly(plus, j)
+    p_minus = eval_int_poly(minus, j)
 
     sign = 1.0 if qubit == "e" else -1.0
     return (
@@ -352,14 +365,12 @@ def _number_moment(k: int, alpha_abs: float, moment_convention: str) -> float:
     return total
 
 
-def _moment_poly(
-    coeffs, alpha_abs: float, moment_convention: str, k0: int = 0
-) -> float:
-    """Coherent-state average ``sum_{k>=k0} coeffs[k] <N^k>``, summed in
-    order of rising ``k``."""
+def _moment_poly(coeffs, alpha_abs: float, moment_convention: str) -> float:
+    """Coherent-state average ``sum_k coeffs[k] <N^k>``, summed in order of
+    rising ``k``."""
     acc = 0.0
-    for k in range(k0, len(coeffs)):
-        acc += coeffs[k] * _number_moment(k, alpha_abs, moment_convention)
+    for k, c in enumerate(coeffs):
+        acc += c * _number_moment(k, alpha_abs, moment_convention)
     return acc
 
 
@@ -401,12 +412,11 @@ def dressed_qubit_frequency(
             :meth:`DispersiveParams.require_dispersive`).
     """
     _check_moment_convention(moment_convention)
-    _check_regime(regime)
     alpha_abs = _check_alpha(alpha_abs)
     params.require_dispersive(regime)
-    shift = params.chi + (params.xi if regime == "nonrwa" else 0.0)
-    cplus = commutator_poly(params.n)[0]
-    return params.omega_q + shift * _moment_poly(cplus, alpha_abs, moment_convention)
+    chi, xi = params._strengths(regime)
+    average = _moment_poly(_number_polys(params.n)[0], alpha_abs, moment_convention)
+    return params.omega_q + (chi + xi) * average
 
 
 def effective_two_qubit_params(
@@ -423,11 +433,9 @@ def effective_two_qubit_params(
     where each ``omega_bar_l`` is :func:`dressed_qubit_frequency` of qubit
     ``l`` and::
 
-        g_bar = chi_x * sum_{k=k0}^{n-1} Cminus(n,k) <N^k>,
-        chi_x = g1 g2 (1/delta_1 + 1/delta_2)
+        g_bar = chi_x * sum_k Px(n,k) <N^k>,  chi_x = g1 g2 (1/delta_1 + 1/delta_2)
 
-    with ``k0 = 0`` when ``cross_k0`` is true (constant exchange term kept)
-    and ``k0 = 1`` otherwise.
+    with the exchange polynomial ``Px`` of :func:`_number_polys`.
 
     Args:
         spec: A :class:`.models.SystemSpec` of two qubits sharing one
@@ -462,6 +470,5 @@ def effective_two_qubit_params(
     w2 = dressed_qubit_frequency(p2, alpha_abs, moment_convention)
 
     chi_x, _ = _cross_strengths(p1, p2, "rwa")
-    cminus = commutator_poly(p1.n)[1]
-    k0 = 0 if cross_k0 else 1
-    return w1, w2, chi_x * _moment_poly(cminus, alpha_abs, moment_convention, k0)
+    cross = _number_polys(p1.n, cross_k0)[2]
+    return w1, w2, chi_x * _moment_poly(cross, alpha_abs, moment_convention)

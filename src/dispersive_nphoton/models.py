@@ -33,8 +33,13 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .analytic import DispersiveParams, _check_regime, _cross_strengths
-from .combinatorics import commutator_poly, eval_int_poly
+from .analytic import (
+    DispersiveParams,
+    _cross_strengths,
+    _number_polys,
+    dispersive_level,
+)
+from .combinatorics import eval_int_poly
 from .errors import ConfigError, TruncationError
 from .fockspace import (
     HilbertLayout,
@@ -566,7 +571,6 @@ def _dispersive_model(
     cross_k0: bool = True,
 ) -> SparseOperator:
     """Second-order effective model of every coupling and coupling pair."""
-    _check_regime(regime)
     spec.common_n()  # qubits that share a mode must share its exchange order
     rotating = regime == "rwa"
     layout = spec.layout()
@@ -589,24 +593,22 @@ def _dispersive_model(
     shift = dict.fromkeys(omega_q, 0.0)
     terms = []
     for (l, k, n, _), p in zip(couplings, params):
-        chi, xi = p.chi, (0.0 if rotating else p.xi)
-        cplus, cminus = commutator_poly(n)
+        chi, xi = p._strengths(regime)
+        plus, minus, _ = _number_polys(n)
         j = occ[:, k]
-        diag = diag + 0.5 * (chi - xi) * _number_poly((0,) + cminus[1:], dims[k])[j]
-        shift[l] = shift[l] + 0.5 * (chi + xi) * _number_poly(cplus, dims[k])[j]
+        diag = diag + 0.5 * (chi - xi) * _number_poly(minus, dims[k])[j]
+        shift[l] = shift[l] + 0.5 * (chi + xi) * _number_poly(plus, dims[k])[j]
         if not rotating and include_squeezing:
             a2n = op_pow(destroy(dims[k]), 2 * n)
             terms += _exchange(0.5 * (chi + xi), False, {k: a2n}, {l: pauli("z")})
     for l, w in omega_q.items():
         diag = diag + (1.0 - 2.0 * occ[:, l]) * (shift[l] + 0.5 * w)
 
-    k0 = 0 if cross_k0 else 1
     for i, ((li, ki, ni, _), pi) in enumerate(zip(couplings, params)):
         for (lj, kj, nj, _), pj in zip(couplings[:i], params[:i]):
             chi_x, xi_x = _cross_strengths(pi, pj, regime)
             if ki == kj:  # qubit exchange times P_cross(N) of the shared mode
-                cminus = commutator_poly(ni)[1]
-                p_cross = _number_poly((0,) * k0 + cminus[k0:], dims[ki])
+                p_cross = _number_poly(_number_polys(ni, cross_k0)[2], dims[ki])
                 mode = HilbertLayout((layout.subsystems[ki],))
                 fixed = {ki: SparseOperator(mode, sp.diags(p_cross))}
                 ops = {li: pauli("plus"), lj: pauli("minus")}
@@ -726,11 +728,13 @@ def two_qubit_block(
 ) -> np.ndarray:
     """Closed-form 4x4 block of the two-qubit effective model at photon number j.
 
-    Basis ordering ``{|ee>, |eg>, |ge>, |gg>} (x) |j>``.  Because every term
-    of the multiqubit ``dispersive`` model except the squeezing-like one
-    conserves photon number (and the squeezing term moves ``2n`` quanta,
-    having no elements inside a fixed-``j`` sector), the eigenvalues of this
-    block coincide with those of the projected full model.
+    Basis ordering ``{|ee>, |eg>, |ge>, |gg>} (x) |j>``; the entry of
+    ``|q1 q2>`` is two :func:`.analytic.dispersive_level` values sharing
+    ``omega_o j``.  Because every term of the multiqubit ``dispersive`` model
+    except the squeezing-like one conserves photon number (and the squeezing
+    term moves ``2n`` quanta, having no elements inside a fixed-``j``
+    sector), the eigenvalues of this block coincide with those of the
+    projected full model.
 
     Returns:
         Real symmetric ``(4, 4)`` array.
@@ -743,40 +747,19 @@ def two_qubit_block(
     _require_topology(spec, "multiqubit")
     if len(spec.qubits) != 2:
         raise ConfigError("two_qubit_block requires exactly two qubits")
-    _check_regime(regime)
-    j = int(j)
-    if j < 0:
-        raise ValueError("photon number j must be non-negative")
     n = spec.common_n()
-    p1 = spec.qubit_params(0)
-    p2 = spec.qubit_params(1)
-    omega_o = spec.oscillators[0].omega
-
-    chi1 = p1.chi
-    chi2 = p2.chi
-    xi1 = p1.xi if regime == "nonrwa" else 0.0
-    xi2 = p2.xi if regime == "nonrwa" else 0.0
+    j = int(j)
+    p1, p2 = spec.qubit_params(0), spec.qubit_params(1)
+    # Levels first: they check j and regime and refuse a delta or sigma of 0.
+    block = np.diag([
+        dispersive_level(p1, q1, j, regime)
+        + dispersive_level(p2, q2, j, regime)
+        - spec.oscillators[0].omega * j
+        for q1, q2 in ("ee", "eg", "ge", "gg")
+    ])
     chi_x, xi_x = _cross_strengths(p1, p2, regime)
-
-    cplus, cminus = commutator_poly(n)
-    k0 = 0 if cross_k0 else 1
-    p_plus = eval_int_poly(cplus, j)
-    p_minus = eval_int_poly((0,) + cminus[1:], j)
-    p_cross = eval_int_poly((0,) * k0 + cminus[k0:], j)
-
-    sig = p1.omega_q + p2.omega_q
-    del_q = p1.omega_q - p2.omega_q
-    ups_plus = ((chi1 + xi1) + (chi2 + xi2)) * p_plus
-    ups_minus = ((chi1 + xi1) - (chi2 + xi2)) * p_plus
-    mu = 2.0 * j * omega_o + (chi1 + chi2 - xi1 - xi2) * p_minus
-    exch = (chi_x - xi_x) * p_cross
-
-    block = np.zeros((4, 4))
-    block[0, 0] = sig + ups_plus + mu
-    block[1, 1] = del_q + ups_minus + mu
-    block[2, 2] = -del_q - ups_minus + mu
-    block[3, 3] = -sig - ups_plus + mu
+    exch = 0.5 * (chi_x - xi_x) * eval_int_poly(_number_polys(n, cross_k0)[2], j)
     block[1, 2] = block[2, 1] = exch
     if regime == "nonrwa":
         block[0, 3] = block[3, 0] = exch
-    return 0.5 * block
+    return block
