@@ -142,9 +142,19 @@ class DispersiveParams:
 
     def _strengths(self, regime: str) -> tuple[float, float]:
         """``(chi, xi)`` of ``regime``: ``xi`` is evaluated only under
-        ``"nonrwa"`` and is 0 under ``"rwa"``, where ``sigma = 0`` is allowed."""
+        ``"nonrwa"`` and is 0 under ``"rwa"``, where ``sigma = 0`` is allowed.
+
+        Raises:
+            ResonanceError: If a required denominator vanishes or ``g**2`` is
+                beyond the float range.
+        """
         _check_regime(regime)
-        return self.chi, (self.xi if regime == "nonrwa" else 0.0)
+        try:
+            return self.chi, (self.xi if regime == "nonrwa" else 0.0)
+        except OverflowError:
+            raise ResonanceError(
+                f"g = {self.g!r} is too large: g**2 is beyond the float range"
+            ) from None
 
     @property
     def lam(self) -> float:
@@ -199,9 +209,11 @@ def _cross_strengths(
 ) -> tuple[float, float]:
     """Exchange strengths ``(chi_x, xi_x)`` of two couplings."""
     chi_x = pl.g * pm.g * (1.0 / pl.delta + 1.0 / pm.delta)
-    if regime != "nonrwa":
-        return chi_x, 0.0
-    return chi_x, pl.g * pm.g * (1.0 / pl.sigma + 1.0 / pm.sigma)
+    if regime == "nonrwa":
+        xi_x = pl.g * pm.g * (1.0 / pl.sigma + 1.0 / pm.sigma)
+    else:
+        xi_x = 0.0
+    return chi_x, xi_x
 
 
 @lru_cache(maxsize=None)
@@ -213,6 +225,21 @@ def _number_polys(n: int, cross_k0: bool = True) -> tuple[tuple[int, ...], ...]:
     cplus, cminus = commutator_poly(n)
     k0 = 0 if cross_k0 else 1
     return cplus, (0,) + cminus[1:], (0,) * k0 + cminus[k0:]
+
+
+def _poly_value(coeffs, j: int) -> float:
+    """``sum_k coeffs[k] j^k``, exact until one final rounding.
+
+    Raises:
+        ResonanceError: If the value is beyond the float range.
+    """
+    try:
+        return float(eval_int_poly(coeffs, j))
+    except OverflowError:
+        raise ResonanceError(
+            f"photon-number polynomial of degree {len(coeffs) - 1} is beyond "
+            f"the float range at j = {j}"
+        ) from None
 
 
 def dispersive_level(
@@ -239,7 +266,8 @@ def dispersive_level(
         regime: ``"rwa"`` or ``"nonrwa"``.
 
     Raises:
-        ResonanceError: If a required denominator vanishes.
+        ResonanceError: If a required denominator vanishes, ``g**2`` or a
+            photon-number polynomial is beyond the float range.
     """
     if qubit not in ("e", "g"):
         raise ValueError(f"qubit must be 'e' or 'g', got {qubit!r}")
@@ -249,8 +277,8 @@ def dispersive_level(
 
     chi, xi = params._strengths(regime)
     plus, minus, _ = _number_polys(params.n)
-    p_plus = eval_int_poly(plus, j)
-    p_minus = eval_int_poly(minus, j)
+    p_plus = _poly_value(plus, j)
+    p_minus = _poly_value(minus, j)
 
     sign = 1.0 if qubit == "e" else -1.0
     return (
@@ -367,10 +395,20 @@ def _number_moment(k: int, alpha_abs: float, moment_convention: str) -> float:
 
 def _moment_poly(coeffs, alpha_abs: float, moment_convention: str) -> float:
     """Coherent-state average ``sum_k coeffs[k] <N^k>``, summed in order of
-    rising ``k``."""
+    rising ``k``.
+
+    Raises:
+        ResonanceError: If a coefficient is beyond the float range.
+    """
     acc = 0.0
-    for k, c in enumerate(coeffs):
-        acc += c * _number_moment(k, alpha_abs, moment_convention)
+    try:
+        for k, c in enumerate(coeffs):
+            acc += c * _number_moment(k, alpha_abs, moment_convention)
+    except OverflowError:
+        raise ResonanceError(
+            f"photon-number polynomial coefficient of degree {k} is beyond "
+            "the float range"
+        ) from None
     return acc
 
 
@@ -407,9 +445,11 @@ def dressed_qubit_frequency(
         regime: ``"rwa"`` or ``"nonrwa"``.
 
     Raises:
-        ValueError: For a negative or non-finite ``alpha_abs``.
+        ValueError: For a negative or non-finite ``alpha_abs``, or one whose
+            powers overflow.
         ResonanceError: Outside the dispersive regime (see
-            :meth:`DispersiveParams.require_dispersive`).
+            :meth:`DispersiveParams.require_dispersive`), or where ``g**2`` or
+            a polynomial coefficient is beyond the float range.
     """
     _check_moment_convention(moment_convention)
     alpha_abs = _check_alpha(alpha_abs)

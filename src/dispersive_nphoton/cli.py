@@ -218,7 +218,8 @@ def _sweep_start(args: argparse.Namespace, extra: str) -> tuple[SystemSpec, list
 
     The header is the provenance line and the column line.  ``extra`` names
     the command's own float option (``nbar_max`` or ``continuity_floor``),
-    which must be finite like ``physical_scale``.
+    which must be finite like ``physical_scale``.  Nothing is built here: the
+    first grid point's build raises the model's configuration errors.
     """
     if args.k < 1:
         raise ConfigError("-k/--num-levels must be >= 1")
@@ -230,7 +231,6 @@ def _sweep_start(args: argparse.Namespace, extra: str) -> tuple[SystemSpec, list
             flag = "--" + key.replace("_", "-")
             raise ConfigError(f"{flag} must be finite, got {value!r}")
     spec = SystemSpec.from_json_file(args.config)
-    build_model(spec, args.model, args.regime, args.squeezing, args.cross_k0)
     return spec, [_provenance_line(args, spec), ",".join(SWEEP_COLUMNS)]
 
 
@@ -281,17 +281,18 @@ def _row(
     """One ``SWEEP_COLUMNS`` row; the defaults give a failed point's flag row.
 
     The closed-form column of each regime is filled when ``params`` lies
-    inside that regime's dispersive domain.  Energy columns are multiplied
-    by ``--physical-scale``.
+    inside that regime's dispersive domain and the level is within the float
+    range.  Energy columns are multiplied by ``--physical-scale``.
     """
     energies = [energy, None, None]
     if params is not None:
         for column, regime in enumerate(REGIMES, start=1):
             try:
                 params.require_dispersive(regime)
+                level = dispersive_level(params, config, int(fock[0]), regime)
             except ResonanceError:
                 continue
-            energies[column] = dispersive_level(params, config, int(fock[0]), regime)
+            energies[column] = level
     scale = args.physical_scale
     return ",".join(
         [

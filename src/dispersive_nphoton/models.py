@@ -37,9 +37,9 @@ from .analytic import (
     DispersiveParams,
     _cross_strengths,
     _number_polys,
+    _poly_value,
     dispersive_level,
 )
-from .combinatorics import eval_int_poly
 from .errors import ConfigError, TruncationError
 from .fockspace import (
     HilbertLayout,
@@ -499,8 +499,8 @@ def _couplings(spec: SystemSpec) -> list[tuple[int, int, int, float]]:
 
 
 def _number_poly(coeffs: Sequence[int], trunc: int) -> np.ndarray:
-    """``sum_k coeffs[k] j^k`` for ``j < trunc``, exact until one final rounding."""
-    return np.array([float(eval_int_poly(coeffs, j)) for j in range(trunc)])
+    """:func:`.analytic._poly_value` of ``coeffs`` at every ``j < trunc``."""
+    return np.array([_poly_value(coeffs, j) for j in range(trunc)])
 
 
 def _assemble(
@@ -692,7 +692,8 @@ def build_model(
             different orders on a shared mode (``dispersive``), or a
             stabilizer of the wrong form (``full_nR``).
         TruncationError: If any ``n >= trunc``.
-        ResonanceError: If a detuning denominator vanishes (``dispersive``).
+        ResonanceError: If a detuning denominator vanishes, or ``g**2`` or a
+            photon-number polynomial is beyond the float range (``dispersive``).
         ValueError: For an unknown regime (``dispersive``).
     """
     allowed = MODELS_BY_TOPOLOGY[spec.topology]
@@ -741,7 +742,8 @@ def two_qubit_block(
 
     Raises:
         ConfigError: Unless ``spec`` holds exactly two qubits of equal order.
-        ResonanceError: If any detuning denominator vanishes.
+        ResonanceError: If any detuning denominator vanishes, or ``g**2`` or
+            a photon-number polynomial is beyond the float range.
         ValueError: For a negative ``j`` or an unknown regime.
     """
     _require_topology(spec, "multiqubit")
@@ -750,15 +752,13 @@ def two_qubit_block(
     n = spec.common_n()
     j = int(j)
     p1, p2 = spec.qubit_params(0), spec.qubit_params(1)
-    # Levels first: they check j and regime and refuse a delta or sigma of 0.
-    block = np.diag([
-        dispersive_level(p1, q1, j, regime)
-        + dispersive_level(p2, q2, j, regime)
-        - spec.oscillators[0].omega * j
-        for q1, q2 in ("ee", "eg", "ge", "gg")
-    ])
+    # Levels first: they refuse delta = 0 before _cross_strengths divides by it.
+    e1 = {q: dispersive_level(p1, q, j, regime) for q in "eg"}
+    e2 = {q: dispersive_level(p2, q, j, regime) for q in "eg"}
+    w = spec.oscillators[0].omega * j
+    block = np.diag([e1[a] + e2[b] - w for a, b in ("ee", "eg", "ge", "gg")])
     chi_x, xi_x = _cross_strengths(p1, p2, regime)
-    exch = 0.5 * (chi_x - xi_x) * eval_int_poly(_number_polys(n, cross_k0)[2], j)
+    exch = 0.5 * (chi_x - xi_x) * _poly_value(_number_polys(n, cross_k0)[2], j)
     block[1, 2] = block[2, 1] = exch
     if regime == "nonrwa":
         block[0, 3] = block[3, 0] = exch

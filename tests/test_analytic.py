@@ -322,6 +322,85 @@ class TestEffectiveTwoQubit:
         assert gbar == pytest.approx(0.0, abs=1e-18)
 
 
+class TestRegimeRule:
+    """rwa drops xi without evaluating it, so sigma = 0 is defined there."""
+
+    def test_zero_sigma_defined_under_rwa_only(self):
+        p = params(-2.0, 2, 0.02)  # omega_q = -n omega_o: sigma = 0
+        assert p.sigma == 0.0
+        for qubit in ("e", "g"):
+            assert math.isfinite(dispersive_level(p, qubit, 3, "rwa"))
+            with pytest.raises(ResonanceError, match="sigma vanishes"):
+                dispersive_level(p, qubit, 3, "nonrwa")
+
+    def test_zero_sigma_dispersive_model_under_rwa_only(self):
+        spec = SystemSpec(
+            topology="single",
+            qubits=(QubitSpec(omega_q=-2.0, n=2, g=0.02),),
+            oscillators=(OscillatorSpec(omega=1.0, trunc=8),),
+        )
+        assert build_model(spec, "dispersive", "rwa").hermitian
+        with pytest.raises(ResonanceError, match="sigma vanishes"):
+            build_model(spec, "dispersive", "nonrwa")
+
+    def test_nonrwa_refuses_large_counter_rotating_parameter(self):
+        # delta = -3.9, sigma = 0.1: |g/delta| = 0.13 but |g/sigma| = 5.
+        p = params(-1.9, 2, 0.5)
+        p.require_dispersive("rwa")
+        with pytest.raises(ResonanceError, match="counter-rotating"):
+            p.require_dispersive("nonrwa")
+
+
+class TestBeyondFloatRange:
+    """Closed forms whose inputs or polynomials leave the float range raise
+    ResonanceError rather than OverflowError."""
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_huge_coupling_refused(self, regime):
+        p = params(2.5, 2, 1e200)  # g**2 overflows
+        with pytest.raises(ResonanceError, match=r"g\*\*2"):
+            dispersive_level(p, "e", 0, regime)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_high_order_polynomial_refused(self, regime):
+        p = params(300.5, 120, 1e-6)
+        assert math.isfinite(dispersive_level(p, "g", 3, regime))
+        with pytest.raises(ResonanceError, match="float range"):
+            dispersive_level(p, "g", 1000, regime)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_huge_moment_coefficients_refused(self, regime):
+        p = params(400.0, 200, 0.01)  # Cplus(200, 0) = 200! > 1.8e308
+        with pytest.raises(ResonanceError, match="float range"):
+            dressed_qubit_frequency(p, 1.0, "coherent_exact", regime)
+
+    def test_huge_exchange_coefficients_refused(self):
+        spec = SystemSpec(
+            topology="multiqubit",
+            qubits=(QubitSpec(400.0, 200, 0.01), QubitSpec(401.0, 200, 0.01)),
+            oscillators=(OscillatorSpec(omega=1.0, trunc=202),),
+        )
+        with pytest.raises(ResonanceError, match="float range"):
+            effective_two_qubit_params(spec, 1.0)
+
+
+class TestInputRefusals:
+    def test_sigma_must_exceed_delta(self):
+        with pytest.raises(ValueError, match="sigma must exceed delta"):
+            DispersiveParams(n=1, g=0.1, delta=2.0, sigma=1.0)
+        with pytest.raises(ValueError, match="sigma must exceed delta"):
+            DispersiveParams(n=1, g=0.1, delta=2.0, sigma=2.0)
+
+    def test_effective_two_qubit_needs_two_qubits(self):
+        spec = SystemSpec(
+            topology="multiqubit",
+            qubits=(QubitSpec(8.0, 2, 0.02),) * 3,
+            oscillators=(OscillatorSpec(omega=1.0, trunc=8),),
+        )
+        with pytest.raises(ValueError, match="exactly two qubits"):
+            effective_two_qubit_params(spec, 1.0)
+
+
 class TestEnums:
     def test_exported_literals(self):
         assert REGIMES == ("rwa", "nonrwa")

@@ -21,7 +21,7 @@ import pytest
 
 import dispersive_nphoton
 from dispersive_nphoton import SystemSpec, dynamics, effective_two_qubit_params
-from dispersive_nphoton.models import with_swept
+from dispersive_nphoton.models import build_model, with_swept
 from dispersive_nphoton.cli import (
     DYNAMICS_COLUMNS,
     SCHEMA_VERSION,
@@ -46,6 +46,11 @@ PAIR = {
         {"omega_q": 7.4, "n": 2, "g": 0.03},
     ],
     "oscillators": [{"trunc": 20}],
+}
+HIGH_ORDER = {
+    "topology": "single",
+    "qubits": [{"omega_q": 300.5, "n": 120, "g": 1e-6}],
+    "oscillators": [{"trunc": 1200}],
 }
 DYN = {
     "topology": "single",
@@ -372,6 +377,34 @@ class TestSpectrumCommand:
         _, _, rows = parse_csv(out)
         assert all(row[5] == "" and row[6] == "" for row in rows)
 
+    def test_analytic_columns_blank_beyond_float_range(self, tmp_path):
+        # The n = 120 polynomials leave the float range at the labelled j.
+        cfg = write_config(tmp_path, HIGH_ORDER)
+        code, out, err = run_cli(
+            ["spectrum", "--config", cfg, "--model", "nR", "-k", "4"]
+        )
+        assert (code, err) == (0, "")
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 4
+        assert all(row[5] == "" and row[6] == "" for row in rows)
+        assert all(row[4] != "" for row in rows)
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "g:0:0.02:3"]])
+    def test_builds_one_model_per_point(self, tmp_path, monkeypatch, sweep):
+        import dispersive_nphoton.cli as cli
+
+        built = []
+
+        def counting_build(*args):
+            built.append(args)
+            return build_model(*args)
+
+        monkeypatch.setattr(cli, "build_model", counting_build)
+        cfg = write_config(tmp_path, SINGLE)
+        argv = ["spectrum", "--config", cfg, "--model", "nR", "-k", "2"]
+        assert run_cli(argv + sweep + ["--threads", "1"])[0] == 0
+        assert len(built) == (3 if sweep else 1)
+
     def test_env_var_overrides_thread_flag(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, SINGLE)
         argv = [
@@ -499,6 +532,21 @@ class TestExitCodes:
     def test_coeff_table_n_max_below_one_exits_2(self):
         code, out, err = run_cli(["coeff-table", "--n-max", "0"])
         assert (code, out, err) == (2, "", "error: --n-max must be >= 1\n")
+
+    def test_first_grid_point_raises_config_errors(self, tmp_path, monkeypatch):
+        # The unswept model is not built up front; the workers' first build
+        # reports the truncation error the same way.
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        payload = {**SINGLE, "qubits": [{**SINGLE["qubits"][0], "n": 3}]}
+        payload["oscillators"] = [{"trunc": 3}]
+        cfg = write_config(tmp_path, payload)
+        out_path = tmp_path / "out.csv"
+        argv = ["spectrum", "--config", cfg, "--model", "nR", "--out", str(out_path)]
+        argv += ["--sweep", "g:0:0.02:4", "--threads", "2"]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: exchange order n=3") and err.count("\n") == 1
+        assert not out_path.exists()
 
     def test_truncation_error_exits_2(self, tmp_path):
         payload = {**SINGLE, "qubits": [{**SINGLE["qubits"][0], "n": 3}]}
@@ -890,6 +938,36 @@ class TestNonFiniteInputs:
 
 
 class TestOverflowingInputs:
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (
+                {**SINGLE, "qubits": [{"omega_q": 2.5, "n": 2, "g": 1e200}]},
+                "g**2",
+            ),
+            (HIGH_ORDER, "float range"),
+        ],
+        ids=["huge-g", "high-order"],
+    )
+    @pytest.mark.parametrize("regime", ["rwa", "nonrwa"])
+    def test_dispersive_model_beyond_float_range_exits_2(
+        self, tmp_path, payload, message, regime
+    ):
+        cfg = write_config(tmp_path, payload)
+        argv = ["spectrum", "--config", cfg, "--model", "dispersive"]
+        code, out, err = run_cli(argv + ["--regime", regime])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("regime", ["rwa", "nonrwa"])
+    def test_dressed_freq_huge_coefficients_exit_2(self, regime):
+        argv = ["dressed-freq", "--omega-q", "400", "--n", "200", "--g", "0.01"]
+        code, out, err = run_cli(argv + ["--alpha", "1", "--regime", regime])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "float range" in err
+        assert len(err.splitlines()) == 1
+
     def test_critical_nph_beyond_float_range_prints_inf(self):
         argv = ["critical-nph", "--n", "1", "--g", "1e-200", "--delta", "1"]
         assert run_cli(argv) == (0, "inf\n", "")

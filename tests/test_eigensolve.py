@@ -215,6 +215,13 @@ class TestSolveLowest:
         with pytest.raises(ValueError, match="unknown"):
             solve_lowest(build_model(single(trunc=8), "nR"), 2, "arnoldi")
 
+    @pytest.mark.parametrize("method", ["auto", "dense", "lanczos"])
+    def test_rejects_uncertified_operator(self, method):
+        layout = HilbertLayout((("qubit", 2),))
+        lop = SparseOperator.from_dense(layout, [[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="certified-hermitian"):
+            solve_lowest(lop, 1, method)
+
     @pytest.mark.parametrize("method", ["auto", "dense"])
     def test_dense_path_returns_owned_arrays(self, method):
         # A view would keep the whole dim x dim eigenvector matrix alive.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dispersive_nphoton.analytic import DispersiveParams, dispersive_level
-from dispersive_nphoton.errors import ConfigError, TruncationError
+from dispersive_nphoton.errors import ConfigError, ResonanceError, TruncationError
 from dispersive_nphoton.models import (
     ALL_MODELS,
     MODELS_BY_TOPOLOGY,
@@ -150,6 +150,34 @@ class TestSpecValidation:
                 oscillators=(OscillatorSpec(1.0, 8),),
                 stabilizer=StabilizerSpec("number_power", 0.1),
             )
+
+    def test_refusals_pinned_by_message(self):
+        cases = [
+            (lambda: CouplingSpec(0, 0, 0, 0.1), "coupling order n must be >= 1"),
+            (lambda: CouplingSpec(0, 0, 1, -0.1), "strength g must be non-negative"),
+            (lambda: StabilizerSpec("number_power", 0.1, m=0), "power m must be >= 1"),
+            (
+                lambda: SystemSpec("single", (), (OscillatorSpec(1.0, 8),)),
+                "at least one qubit",
+            ),
+            (
+                lambda: SystemSpec("single", (QubitSpec(2.5),), ()),
+                "at least one oscillator",
+            ),
+            (
+                lambda: SystemSpec(
+                    "multimode",
+                    (QubitSpec(2.5), QubitSpec(3.0)),
+                    (OscillatorSpec(1.0, 8),),
+                    (CouplingSpec(0, 0, 1, 0.1),),
+                ),
+                "multimode topology requires exactly one qubit",
+            ),
+            (lambda: with_swept(two_mode(), "g5", 0.1), "no coupling 5"),
+        ]
+        for make, message in cases:
+            with pytest.raises(ConfigError, match=message):
+                make()
 
     def test_common_n_mismatch(self):
         spec = SystemSpec(
@@ -541,6 +569,14 @@ class TestSingleQubitStructure:
         off = build_model(spec, "dispersive", "nonrwa", squeezing=False)
         assert off.nnz == 20
 
+    @pytest.mark.parametrize("regime", ["rwa", "nonrwa"])
+    def test_dispersive_beyond_float_range_refused(self, regime):
+        with pytest.raises(ResonanceError, match=r"g\*\*2"):
+            build_model(single(g=1e200), "dispersive", regime)
+        spec = single(omega_q=300.5, n=120, g=1e-6, trunc=1200)
+        with pytest.raises(ResonanceError, match="float range"):
+            build_model(spec, "dispersive", regime)
+
     def test_dispersive_rwa_never_has_squeezing(self):
         spec = single(n=1, g=0.05, trunc=10)
         assert build_model(spec, "dispersive", "rwa", squeezing=True).nnz == 20
@@ -628,6 +664,30 @@ class TestTwoQubitBlock:
         )
         block = two_qubit_block(4, spec, "rwa")
         assert block[1, 2] == 0.0
+
+    @pytest.mark.parametrize("regime", ["rwa", "nonrwa"])
+    def test_zero_detuning_raises_resonance_error(self, regime):
+        # delta_1 = 0: the levels must refuse it before _cross_strengths
+        # divides by it.
+        spec = SystemSpec(
+            topology="multiqubit",
+            qubits=(QubitSpec(2.0, 2, 0.02), QubitSpec(7.4, 2, 0.03)),
+            oscillators=(OscillatorSpec(1.0, 10),),
+        )
+        with pytest.raises(ResonanceError, match="delta vanishes"):
+            two_qubit_block(2, spec, regime)
+
+    def test_zero_sigma_defined_under_rwa_only(self):
+        # omega_q = -n omega_o gives sigma_1 = 0, which only nonrwa needs.
+        spec = SystemSpec(
+            topology="multiqubit",
+            qubits=(QubitSpec(-2.0, 2, 0.02), QubitSpec(7.4, 2, 0.03)),
+            oscillators=(OscillatorSpec(1.0, 10),),
+        )
+        block = two_qubit_block(2, spec, "rwa")
+        assert np.isfinite(block).all() and block[1, 2] != 0.0
+        with pytest.raises(ResonanceError, match="sigma vanishes"):
+            two_qubit_block(2, spec, "nonrwa")
 
     def test_validation(self):
         with pytest.raises(ConfigError):
