@@ -34,6 +34,7 @@ from .errors import ResonanceError
 
 REGIMES = ("rwa", "nonrwa")
 MOMENT_CONVENTIONS = ("coherent_exact", "amplitude_literal")
+_DENOMINATORS = {"delta": "detuning delta", "sigma": "sum frequency sigma"}
 
 
 def _check_regime(regime: str) -> str:
@@ -114,65 +115,56 @@ class DispersiveParams:
 
     # -- perturbative strengths ----------------------------------------------
 
-    @property
-    def chi(self) -> float:
-        """Dispersive shift strength ``g**2 / delta``.
+    def _quotient(self, power: int, den: str) -> float:
+        """``g**power / den`` for ``den`` ``"delta"`` or ``"sigma"``: the one
+        place where the dispersive quantities below are checked.
 
         Raises:
-            ResonanceError: If ``delta == 0`` (resonant, no dispersive limit).
+            ResonanceError: If the denominator vanishes or the quotient is
+                beyond the float range.
         """
-        if self.delta == 0.0:
+        d = getattr(self, den)
+        if d == 0.0:
             raise ResonanceError(
-                "detuning delta vanishes; dispersive quantities are undefined"
+                f"{_DENOMINATORS[den]} vanishes; dispersive quantities are undefined"
             )
-        return self.g**2 / self.delta
+        try:
+            q = self.g**power / d
+        except OverflowError:
+            q = math.inf
+        if math.isinf(q):
+            num = "g" if power == 1 else f"g**{power}"
+            raise ResonanceError(
+                f"g = {self.g!r} is too large: {num} / {den} is beyond the float range"
+            )
+        return q
+
+    @property
+    def chi(self) -> float:
+        """Dispersive shift strength ``g**2 / delta`` (see :meth:`_quotient`)."""
+        return self._quotient(2, "delta")
 
     @property
     def xi(self) -> float:
-        """Counter-rotating shift strength ``g**2 / sigma``.
-
-        Raises:
-            ResonanceError: If ``sigma == 0``.
-        """
-        if self.sigma == 0.0:
-            raise ResonanceError(
-                "sum frequency sigma vanishes; counter-rotating shift undefined"
-            )
-        return self.g**2 / self.sigma
+        """Counter-rotating shift strength ``g**2 / sigma`` (see
+        :meth:`_quotient`)."""
+        return self._quotient(2, "sigma")
 
     def _strengths(self, regime: str) -> tuple[float, float]:
         """``(chi, xi)`` of ``regime``: ``xi`` is evaluated only under
-        ``"nonrwa"`` and is 0 under ``"rwa"``, where ``sigma = 0`` is allowed.
-
-        Raises:
-            ResonanceError: If a required denominator vanishes or ``g**2`` is
-                beyond the float range.
-        """
+        ``"nonrwa"`` and is 0 under ``"rwa"``, where ``sigma = 0`` is allowed."""
         _check_regime(regime)
-        try:
-            return self.chi, (self.xi if regime == "nonrwa" else 0.0)
-        except OverflowError:
-            raise ResonanceError(
-                f"g = {self.g!r} is too large: g**2 is beyond the float range"
-            ) from None
+        return self.chi, (self.xi if regime == "nonrwa" else 0.0)
 
     @property
     def lam(self) -> float:
         """Small parameter ``g / delta`` of the rotating expansion."""
-        if self.delta == 0.0:
-            raise ResonanceError(
-                "detuning delta vanishes; expansion parameter undefined"
-            )
-        return self.g / self.delta
+        return self._quotient(1, "delta")
 
     @property
     def lam_bar(self) -> float:
         """Small parameter ``g / sigma`` of the counter-rotating expansion."""
-        if self.sigma == 0.0:
-            raise ResonanceError(
-                "sum frequency sigma vanishes; expansion parameter undefined"
-            )
-        return self.g / self.sigma
+        return self._quotient(1, "sigma")
 
     # -- validity ------------------------------------------------------------
 
@@ -204,16 +196,31 @@ class DispersiveParams:
 # ---------------------------------------------------------------------------
 
 
+def _finite(value: float, what: str) -> float:
+    """``value``, refused as ``ResonanceError`` beyond the float range."""
+    if not math.isfinite(value):
+        raise ResonanceError(f"{what} is beyond the float range")
+    return value
+
+
 def _cross_strengths(
     pl: DispersiveParams, pm: DispersiveParams, regime: str
 ) -> tuple[float, float]:
-    """Exchange strengths ``(chi_x, xi_x)`` of two couplings."""
+    """Exchange strengths ``(chi_x, xi_x)`` of two couplings.
+
+    Raises:
+        ResonanceError: Where either coupling's own strengths
+            (:meth:`DispersiveParams._strengths`) are refused, or an exchange
+            strength is beyond the float range.
+    """
+    pl._strengths(regime)
+    pm._strengths(regime)
     chi_x = pl.g * pm.g * (1.0 / pl.delta + 1.0 / pm.delta)
     if regime == "nonrwa":
         xi_x = pl.g * pm.g * (1.0 / pl.sigma + 1.0 / pm.sigma)
     else:
         xi_x = 0.0
-    return chi_x, xi_x
+    return _finite(chi_x, "exchange strength"), _finite(xi_x, "exchange strength")
 
 
 @lru_cache(maxsize=None)
@@ -305,6 +312,9 @@ def njc_doublet(params: DispersiveParams, l: int) -> tuple[float, float]:
 
     Returns:
         ``(E_plus, E_minus)`` with ``E_plus >= E_minus``.
+
+    Raises:
+        ResonanceError: If the square root is beyond the float range.
     """
     l = int(l)
     if l < 0:
@@ -314,7 +324,11 @@ def njc_doublet(params: DispersiveParams, l: int) -> tuple[float, float]:
     for i in range(1, n + 1):
         ratio *= l + i
     center = (l + 0.5 * n) * params.omega_o
-    root = math.sqrt(params.g**2 * ratio + 0.25 * params.delta**2)
+    try:
+        root = math.sqrt(params.g**2 * ratio + 0.25 * params.delta**2)
+    except OverflowError:
+        root = math.inf
+    root = _finite(root, f"doublet l = {l} at g = {params.g!r}")
     return center + root, center - root
 
 
@@ -399,6 +413,7 @@ def _moment_poly(coeffs, alpha_abs: float, moment_convention: str) -> float:
 
     Raises:
         ResonanceError: If a coefficient is beyond the float range.
+        ValueError: If the average is, though each coefficient is not.
     """
     acc = 0.0
     try:
@@ -409,6 +424,11 @@ def _moment_poly(coeffs, alpha_abs: float, moment_convention: str) -> float:
             f"photon-number polynomial coefficient of degree {k} is beyond "
             "the float range"
         ) from None
+    if not math.isfinite(acc):
+        raise ValueError(
+            f"alpha_abs = {alpha_abs!r} is too large: the photon-number average "
+            "is beyond the float range"
+        )
     return acc
 
 
@@ -446,17 +466,17 @@ def dressed_qubit_frequency(
 
     Raises:
         ValueError: For a negative or non-finite ``alpha_abs``, or one whose
-            powers overflow.
+            powers or photon-number average overflow.
         ResonanceError: Outside the dispersive regime (see
-            :meth:`DispersiveParams.require_dispersive`), or where ``g**2`` or
-            a polynomial coefficient is beyond the float range.
+            :meth:`DispersiveParams.require_dispersive`), or where ``g**2``, a
+            polynomial coefficient or the result is beyond the float range.
     """
     _check_moment_convention(moment_convention)
     alpha_abs = _check_alpha(alpha_abs)
     params.require_dispersive(regime)
     chi, xi = params._strengths(regime)
     average = _moment_poly(_number_polys(params.n)[0], alpha_abs, moment_convention)
-    return params.omega_q + (chi + xi) * average
+    return _finite(params.omega_q + (chi + xi) * average, "dressed frequency")
 
 
 def effective_two_qubit_params(
@@ -487,7 +507,8 @@ def effective_two_qubit_params(
 
     Raises:
         ValueError: If ``spec`` does not hold exactly two qubits, the qubit
-            orders differ, or ``alpha_abs`` is negative or non-finite.
+            orders differ, or ``alpha_abs`` is negative, non-finite or too
+            large (see :func:`dressed_qubit_frequency`).
         ResonanceError: If a detuning vanishes or an expansion parameter is
             not small.
     """

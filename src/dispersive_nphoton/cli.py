@@ -418,12 +418,6 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
         raise ConfigError("--steps must be >= 1")
     if not math.isfinite(args.t_end):
         raise ConfigError(f"--t-end must be finite, got {args.t_end!r}")
-    if args.krylov_dim < 2:
-        raise ConfigError("--krylov-dim must be >= 2")
-    if not (math.isfinite(args.local_tol) and args.local_tol > 0):
-        raise ConfigError(
-            f"--local-tol must be finite and positive, got {args.local_tol!r}"
-        )
     spec = SystemSpec.from_json_file(args.config)
     if spec.topology != "single":
         raise ConfigError("dynamics presets require the 'single' topology")
@@ -435,12 +429,16 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from None
 
     rho_q0 = partial_trace(psi, layout.qubit_indices)
-    rho_o0 = partial_trace(psi, layout.oscillator_indices)
+    amps0 = psi.amplitudes.reshape(layout.dims) / psi.norm()
     times = np.linspace(0.0, args.t_end, args.steps + 1)
 
     def row(t: float, state) -> str:
         fid_q = fidelity(partial_trace(state, layout.qubit_indices), rho_q0)
-        fid_o = fidelity(partial_trace(state, layout.oscillator_indices), rho_o0)
+        # Oscillator marginals of pure states with 2 x d amplitudes A and B:
+        # F = ||A B^H||_1**2 / (||A||**2 ||B||**2), from a 2 x 2 matrix.
+        amps = state.amplitudes.reshape(layout.dims)
+        trace_norm = np.linalg.svd(amps @ amps0.conj().T, compute_uv=False).sum()
+        fid_o = min((trace_norm / state.norm()) ** 2, 1.0)
         return ",".join(
             [
                 _fmt(t),
@@ -453,7 +451,10 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 
     lines = [_provenance_line(args, spec), ",".join(DYNAMICS_COLUMNS), row(0.0, psi)]
     failures = []
-    step = propagator(h, args.krylov_dim, args.local_tol)
+    try:
+        step = propagator(h, args.krylov_dim, args.local_tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     for i in range(1, len(times)):
         try:
             psi = step(psi, float(times[i] - times[i - 1]))

@@ -251,26 +251,18 @@ def evolve(
             not finite and positive.
         PropagationError: If adaptive halving underflows the step size.
     """
-    if not h.hermitian:
-        raise ValueError("evolve requires a certified-hermitian generator")
-    if h.layout != psi0.layout:
-        raise ValueError("generator and state live on different layouts")
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"evolution time {t!r} is not finite")
-    if int(krylov_dim) < 2:
-        raise ValueError(f"krylov_dim must be >= 2, got {krylov_dim!r}")
-    if not (math.isfinite(local_tol) and local_tol > 0):
-        raise ValueError(
-            f"local_tol must be finite and positive, got {local_tol!r}"
-        )
     return propagator(h, krylov_dim, local_tol)(psi0, t)
 
 
 def propagator(h: SparseOperator, krylov_dim: int, local_tol: float):
-    """``step(state, t) = exp(-i h t) state``, with ``h`` decomposed here, once.
-
-    The rule is that of :func:`evolve`, which also checks the arguments."""
+    """``step(state, t) = exp(-i h t) state``, with ``h`` decomposed here, once,
+    by the rule of :func:`evolve`, whose arguments are all checked here."""
+    if not h.hermitian:
+        raise ValueError("propagator requires a certified-hermitian generator")
+    if int(krylov_dim) < 2:
+        raise ValueError(f"krylov_dim must be >= 2, got {krylov_dim!r}")
+    if not (math.isfinite(local_tol) and local_tol > 0):
+        raise ValueError(f"local_tol must be finite and positive, got {local_tol!r}")
     mat, members, starts = _blocks(h)
     sizes = np.diff(starts)
     by_size = np.argsort(sizes, kind="stable")
@@ -284,6 +276,11 @@ def propagator(h: SparseOperator, krylov_dim: int, local_tol: float):
     rest = [(idx, mat[idx][:, idx]) for idx in rest]
 
     def step(state: StateVector, t: float) -> StateVector:
+        if state.layout != h.layout:
+            raise ValueError("generator and state live on different layouts")
+        t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"evolution time {t!r} is not finite")
         if t == 0.0:
             return StateVector(h.layout, state.amplitudes, norm_tol=1e-8)
         psi = np.zeros_like(state.amplitudes)

@@ -287,7 +287,16 @@ def _block_eigh(
 def _solve_blocks(h, k, method, want_states=True, tol=1e-10, max_iters=None):
     """Lowest ``k`` eigenpairs of ``h``: :func:`_block_eigh`, then
     :func:`_merge_lowest`; a Lanczos block out of budget raises
-    ``IterationLimitError`` with the merged result as ``partial``."""
+    ``IterationLimitError`` with the merged result as ``partial``.  Every
+    public solver comes here, so this alone refuses (``ValueError``) an
+    operator that is not certified Hermitian, a ``tol`` that is not finite
+    and positive and ``max_iters < 1``."""
+    if not h.hermitian:
+        raise ValueError("the eigensolvers require a certified-hermitian operator")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iters is not None and int(max_iters) < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     mat, members, starts = _blocks(h)
     parts, failed = _block_eigh(
         mat, members, starts, k, method, want_states, tol, max_iters
@@ -316,8 +325,6 @@ def eigh_dense(h: SparseOperator, want_states: bool = True) -> SpectrumResult:
         CapacityError: If the dimension exceeds :data:`DENSE_LIMIT` (use
             :func:`eigs_lowest` instead).
     """
-    if not h.hermitian:
-        raise ValueError("eigh_dense requires a certified-hermitian operator")
     dim = h.total_dim
     if dim > DENSE_LIMIT:
         raise CapacityError(
@@ -491,17 +498,9 @@ def eigs_lowest(
             exception's ``partial`` attribute carries the best available
             result, merged over all blocks.
     """
-    if not h.hermitian:
-        raise ValueError("eigs_lowest requires a certified-hermitian operator")
-    dim = h.total_dim
     k = int(k)
-    if not 1 <= k <= dim:
-        raise ValueError(f"k={k} out of range for dimension {dim}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if max_iters is not None and int(max_iters) < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
-
+    if not 1 <= k <= h.total_dim:
+        raise ValueError(f"k={k} out of range for dimension {h.total_dim}")
     return _solve_blocks(h, k, "lanczos", tol=tol, max_iters=max_iters)
 
 
@@ -533,10 +532,6 @@ def solve_lowest(
         raise ValueError(f"unknown eigensolver method {method!r}")
     if int(k) < 1:
         raise ValueError(f"k={k} must be at least 1")
-    if max_iters is not None and int(max_iters) < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
-    if not h.hermitian:
-        raise ValueError("solve_lowest requires a certified-hermitian operator")
     return _solve_blocks(h, min(int(k), h.total_dim), method, max_iters=max_iters)
 
 

@@ -752,7 +752,6 @@ def two_qubit_block(
     n = spec.common_n()
     j = int(j)
     p1, p2 = spec.qubit_params(0), spec.qubit_params(1)
-    # Levels first: they refuse delta = 0 before _cross_strengths divides by it.
     e1 = {q: dispersive_level(p1, q, j, regime) for q in "eg"}
     e2 = {q: dispersive_level(p2, q, j, regime) for q in "eg"}
     w = spec.oscillators[0].omega * j

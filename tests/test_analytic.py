@@ -384,6 +384,112 @@ class TestBeyondFloatRange:
             effective_two_qubit_params(spec, 1.0)
 
 
+class TestGuardedQuotient:
+    """chi, xi, lam and lam_bar share one check: a vanishing denominator or a
+    quotient beyond the float range raises ResonanceError."""
+
+    @pytest.mark.parametrize("name", ["chi", "xi"])
+    def test_huge_coupling_refused(self, name):
+        p = params(2.5, 2, 1e200)  # g**2 overflows
+        with pytest.raises(ResonanceError, match=r"g\*\*2.*float range"):
+            getattr(p, name)
+
+    @pytest.mark.parametrize(
+        "name, g, scale",
+        [
+            # g**2 = 1e200 is finite; dividing by delta = 1e-200 is not.
+            ("chi", 1e100, 1e-200),
+            ("xi", 1e100, 1e-200),
+            # g = 1e10 is finite; dividing by delta = 1e-300 is not.
+            ("lam", 1e10, 1e-300),
+            ("lam_bar", 1e10, 1e-300),
+        ],
+    )
+    def test_overflowing_division_refused(self, name, g, scale):
+        p = DispersiveParams.from_frequencies(2 * scale, 1, g, omega_o=scale)
+        with pytest.raises(ResonanceError, match="float range"):
+            getattr(p, name)
+
+    def test_tiny_frequency_spectrum_refused(self):
+        spec = SystemSpec(
+            topology="single",
+            qubits=(QubitSpec(omega_q=2e-200, n=1, g=1e100),),
+            oscillators=(OscillatorSpec(omega=1e-200, trunc=8),),
+        )
+        with pytest.raises(ResonanceError, match="float range"):
+            build_model(spec, "dispersive")
+
+    @pytest.mark.parametrize(
+        "name, omega_q, match",
+        [
+            ("lam", 2.0, "delta vanishes"),
+            ("lam_bar", -2.0, "sigma vanishes"),
+            ("chi", 2.0, "delta vanishes"),
+            ("xi", -2.0, "sigma vanishes"),
+        ],
+    )
+    def test_vanishing_denominator_refused(self, name, omega_q, match):
+        with pytest.raises(ResonanceError, match=match):
+            getattr(params(omega_q, 2, 0.01), name)
+
+    def test_huge_doublet_refused(self):
+        with pytest.raises(ResonanceError, match="float range"):
+            njc_doublet(params(2.5, 2, 1e200), 0)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_cross_strengths_refuse_resonant_coupling(self, regime):
+        from dispersive_nphoton.analytic import _cross_strengths
+
+        with pytest.raises(ResonanceError, match="delta vanishes"):
+            _cross_strengths(params(2.0, 2, 0.02), params(2.5, 2, 0.03), regime)
+        with pytest.raises(ResonanceError, match="delta vanishes"):
+            _cross_strengths(params(2.5, 2, 0.02), params(2.0, 2, 0.03), regime)
+
+    def test_overflowing_exchange_strength_refused(self):
+        # chi_1 = 1e296 and chi_2 = 1e307 are finite; g1 g2 / delta_1 = 1e309
+        # is not.
+        spec = SystemSpec(
+            topology="multiqubit",
+            qubits=(QubitSpec(2e-300, 1, 1e-2), QubitSpec(1e-285, 1, 1e11)),
+            oscillators=(OscillatorSpec(omega=1e-300, trunc=4),),
+        )
+        with pytest.raises(ResonanceError, match="float range"):
+            build_model(spec, "dispersive", "rwa")
+
+    def test_cross_strengths_refuse_sigma_only_under_nonrwa(self):
+        from dispersive_nphoton.analytic import _cross_strengths
+
+        p1, p2 = params(-2.0, 2, 0.02), params(2.5, 2, 0.03)  # sigma_1 = 0
+        assert math.isfinite(_cross_strengths(p1, p2, "rwa")[0])
+        with pytest.raises(ResonanceError, match="sigma vanishes"):
+            _cross_strengths(p1, p2, "nonrwa")
+
+
+class TestOverflowingAverages:
+    """An |alpha| whose moments are finite but whose photon-number average
+    overflows is refused as too large, not returned as inf."""
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_dressed_frequency(self, regime):
+        with pytest.raises(ValueError, match="too large"):
+            dressed_qubit_frequency(params(2.5, 2, 0.01), 1.1e77, regime=regime)
+
+    def test_effective_two_qubit(self):
+        spec = SystemSpec(
+            topology="multiqubit",
+            qubits=(QubitSpec(8.0, 2, 0.02), QubitSpec(7.4, 2, 0.03)),
+            oscillators=(OscillatorSpec(omega=1.0, trunc=20),),
+        )
+        with pytest.raises(ValueError, match="too large"):
+            effective_two_qubit_params(spec, 1.1e77)
+
+    def test_dressed_frequency_beyond_float_range(self):
+        # chi ~ 1.1e148 and <N> = 1e200 are finite; their product is not.
+        p = DispersiveParams.from_frequencies(1e150, 1, 1e149, omega_o=1e149)
+        with pytest.raises(ResonanceError, match="float range"):
+            dressed_qubit_frequency(p, 1e100)
+
+
 class TestInputRefusals:
     def test_sigma_must_exceed_delta(self):
         with pytest.raises(ValueError, match="sigma must exceed delta"):

@@ -990,6 +990,87 @@ class TestOverflowingInputs:
         assert len(err.splitlines()) == 1
 
 
+TINY_FREQUENCIES = {
+    "topology": "single",
+    "qubits": [{"omega_q": 2e-200, "n": 1, "g": 1e100}],
+    "oscillators": [{"omega": 1e-200, "trunc": 8}],
+}
+
+
+class TestOverflowingQuotients:
+    @pytest.mark.parametrize("regime", ["rwa", "nonrwa"])
+    def test_chi_beyond_float_range_exits_2(self, tmp_path, regime):
+        # g**2 = 1e200 is finite, g**2 / delta with delta = 1e-200 is not.
+        cfg = write_config(tmp_path, TINY_FREQUENCIES)
+        out_file = tmp_path / "out.csv"
+        argv = ["spectrum", "--config", cfg, "--model", "dispersive"]
+        code, out, err = run_cli(
+            [*argv, "--regime", regime, "--out", str(out_file)]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "float range" in err
+        assert len(err.splitlines()) == 1
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["dressed-freq", *SCALAR_ARGS, "--alpha", "1.1e77"], None),
+            (["eff-2q", "--alpha", "1.1e77"], PAIR),
+        ],
+        ids=["dressed-freq", "eff-2q"],
+    )
+    def test_overflowing_average_exits_2(self, tmp_path, argv, config):
+        # Each |alpha|**4 is finite; the photon-number average is not.
+        if config is not None:
+            argv = [*argv, "--config", write_config(tmp_path, config)]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "too large" in err
+        assert len(err.splitlines()) == 1
+
+
+class TestOscillatorFidelityColumn:
+    """The oscillator column, taken from the 2 x 2 matrix A B^H of the
+    amplitudes, equals the fidelity of the reduced density matrices."""
+
+    @pytest.mark.parametrize("state", dynamics.STATE_PRESETS)
+    @pytest.mark.parametrize("model", ["nR", "dispersive"])
+    def test_matches_reduced_state_fidelity(self, tmp_path, monkeypatch, model, state):
+        from dispersive_nphoton import cli
+
+        payload = {**SINGLE, "oscillators": [{"trunc": 60}]}
+        fields, states = [], []
+        fmt, propagator = cli._fmt, cli.propagator
+
+        def recording_fmt(value):
+            fields.append(value)
+            return fmt(value)
+
+        def recording_propagator(*args):
+            step = propagator(*args)
+
+            def recorded(psi, t):
+                states.append(step(psi, t))
+                return states[-1]
+
+            return recorded
+
+        monkeypatch.setattr(cli, "_fmt", recording_fmt)
+        monkeypatch.setattr(cli, "propagator", recording_propagator)
+        argv = ["dynamics", "--config", write_config(tmp_path, payload)]
+        argv += ["--model", model, "--state", state, "--t-end", "40", "--steps", "6"]
+        assert run_cli(argv)[0] == 0
+
+        psi0 = dynamics.preset_state(state, SystemSpec.from_dict(payload).layout())
+        assert len(states) == 6 and len(fields) == 5 * 7
+        column = fields[DYNAMICS_COLUMNS.index("fidelity_oscillator") :: 5]
+        rho0 = dynamics.partial_trace(psi0, [1])
+        for value, psi in zip(column, [psi0, *states]):
+            expected = dynamics.fidelity(dynamics.partial_trace(psi, [1]), rho0)
+            assert abs(value - expected) <= 1e-14
+
+
 def destinations(command):
     """Every attribute the parser sets for ``command``, defaults included."""
     parser = build_parser()

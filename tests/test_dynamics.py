@@ -280,6 +280,51 @@ class TestEvolve:
             krylov(h, psi0, 1.0, krylov_dim=3, local_tol=0.0)
 
 
+class TestPropagatorChecks:
+    """propagator, behind evolve and the dynamics command, checks its own
+    arguments before it decomposes anything."""
+
+    @pytest.fixture(autouse=True)
+    def no_decomposition(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("_blocks ran before the arguments were checked")
+
+        monkeypatch.setattr(dynamics, "_blocks", fail)
+
+    def test_uncertified_generator_refused(self):
+        layout = single(trunc=8).layout()
+        non_herm = SparseOperator.from_dense(layout, np.triu(np.ones((16, 16))))
+        assert not non_herm.hermitian
+        with pytest.raises(ValueError, match="certified-hermitian"):
+            dynamics.propagator(non_herm, 30, 1e-10)
+
+    def test_krylov_dim_below_two_refused(self):
+        h = build_model(single(trunc=8), "nR")
+        with pytest.raises(ValueError, match="krylov_dim"):
+            dynamics.propagator(h, 1, 1e-10)
+
+    @pytest.mark.parametrize("local_tol", [0.0, math.nan])
+    def test_local_tol_not_finite_positive_refused(self, local_tol):
+        h = build_model(single(trunc=8), "nR")
+        with pytest.raises(ValueError, match="local_tol"):
+            dynamics.propagator(h, 30, local_tol)
+
+
+class TestPropagatorStep:
+    def test_state_on_another_layout_refused(self):
+        step = dynamics.propagator(build_model(single(trunc=8), "nR"), 30, 1e-10)
+        other = basis_state(single(trunc=9).layout(), (0, 0))
+        with pytest.raises(ValueError, match="different layouts"):
+            step(other, 1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_refused(self, t):
+        spec = single(trunc=8)
+        step = dynamics.propagator(build_model(spec, "nR"), 30, 1e-10)
+        with pytest.raises(ValueError, match="not finite"):
+            step(basis_state(spec.layout(), (0, 0)), t)
+
+
 class TestBlockPath:
     @pytest.fixture(autouse=True)
     def no_krylov(self, monkeypatch):
