@@ -88,18 +88,24 @@ class DispersiveParams:
     def from_frequencies(
         cls, omega_q: float, n: int, g: float, omega_o: float = 1.0
     ) -> "DispersiveParams":
-        """Build from bare frequencies instead of detunings."""
+        """Build from bare frequencies instead of detunings.
+
+        Raises:
+            ResonanceError: If ``n * omega_o`` is lost in the rounding of
+                ``omega_q``, so that ``delta`` and ``sigma`` coincide.
+        """
         omega_q = float(omega_q)
         omega_o = float(omega_o)
         if omega_o <= 0:
             raise ValueError("oscillator frequency must be positive")
         n = int(n)
-        return cls(
-            n=n,
-            g=g,
-            delta=omega_q - n * omega_o,
-            sigma=omega_q + n * omega_o,
-        )
+        shift = n * omega_o
+        if shift > 0 and math.isfinite(omega_q) and omega_q - shift == omega_q + shift:
+            raise ResonanceError(
+                f"n * omega_o = {shift!r} is lost in the rounding of "
+                f"omega_q = {omega_q!r}: delta and sigma coincide"
+            )
+        return cls(n=n, g=g, delta=omega_q - shift, sigma=omega_q + shift)
 
     # -- derived frequencies -------------------------------------------------
 

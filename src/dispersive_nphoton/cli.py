@@ -255,7 +255,8 @@ def _closed_form_params(spec: SystemSpec, model: str) -> Optional[DispersivePara
     """Parameters for the closed-form level columns, or None to leave them blank.
 
     The columns are filled only for single-topology, unstabilized models
-    that have a closed form (``CLOSED_FORM_MODELS``).
+    that have a closed form (``CLOSED_FORM_MODELS``), and whose ``n *
+    omega_o`` survives the rounding of ``omega_q``.
     """
     if (
         spec.topology != "single"
@@ -263,7 +264,10 @@ def _closed_form_params(spec: SystemSpec, model: str) -> Optional[DispersivePara
         or spec.stabilizer is not None
     ):
         return None
-    return spec.qubit_params(0)
+    try:
+        return spec.qubit_params(0)
+    except ResonanceError:
+        return None
 
 
 def _row(

@@ -30,6 +30,7 @@ from .eigensolve import (
     _block_eigh,
     _blocks,
     _lanczos_step,
+    _submatrix,
     _tridiagonal_eigh,
 )
 from .errors import PropagationError, TruncationError
@@ -273,7 +274,7 @@ def propagator(h: SparseOperator, krylov_dim: int, local_tol: float):
     parts, _ = _block_eigh(mat, held, bounds, h.total_dim, "dense")
     parts = [(held[bounds[g, None] + np.arange(v.shape[1])], e, v) for g, e, v in parts]
     rest = [members[starts[b] : starts[b + 1]] for b in np.flatnonzero(~exact)]
-    rest = [(idx, mat[idx][:, idx]) for idx in rest]
+    rest = [(idx, _submatrix(mat, idx)) for idx in rest]
 
     def step(state: StateVector, t: float) -> StateVector:
         if state.layout != h.layout:

@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError, IterationLimitError
 from .fockspace import HilbertLayout, SparseOperator
@@ -104,14 +103,24 @@ def _mean_photons(layout: HilbertLayout, states: np.ndarray) -> np.ndarray:
 _BATCH_MAX = 64
 
 
-def _blocks(op: SparseOperator):
-    """CSR matrix of ``op`` and the connected blocks of its sparsity pattern.
+class _CSR(NamedTuple):
+    """CSR arrays of a square matrix."""
 
-    Returns ``(mat, members, starts)``: ``mat`` is float64 when every entry
-    is real (real symmetric inputs take a float64 path), and block ``b`` is
-    the ascending basis indices ``members[starts[b]:starts[b + 1]]``.
-    Blocks are numbered by their lowest basis index.  Every stored entry
-    links its row and column, an explicit zero included.
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _blocks(op):
+    """CSR arrays of ``op`` and the connected blocks of its sparsity pattern.
+
+    ``op`` is a :class:`.fockspace.SparseOperator`, or anything whose
+    ``entries`` is a SciPy CSR matrix.  Returns ``(mat, members, starts)``:
+    ``mat`` is a :class:`_CSR`, float64 when every entry is real (real
+    symmetric inputs take a float64 path), and block ``b`` is the ascending
+    basis indices ``members[starts[b]:starts[b + 1]]``.  Blocks are numbered
+    by their lowest basis index.  Every stored entry links its row and
+    column, an explicit zero included.
 
     The blocks are labelled by hook and shortcut, after Shiloach and Vishkin
     (J. Algorithms 3, 57, 1982): each round hooks every root onto the
@@ -119,13 +128,12 @@ def _blocks(op: SparseOperator):
     no edge joins two roots.  A root never hooks onto a larger index, so
     each block ends up labelled by its lowest state.
     """
-    mat = op.entries
-    if mat.data.size == 0 or np.all(mat.data.imag == 0.0):
-        mat = sp.csr_matrix(
-            (mat.data.real.copy(), mat.indices.copy(), mat.indptr.copy()),
-            shape=mat.shape,
-        )
-    dim = mat.shape[0]
+    csr = op if isinstance(op, SparseOperator) else op.entries
+    data = csr.data
+    if data.size == 0 or np.all(data.imag == 0.0):
+        data = data.real.copy()
+    mat = _CSR(csr.indptr, csr.indices, data)
+    dim = len(mat.indptr) - 1
     root = np.arange(dim)
     rows = np.repeat(root, np.diff(mat.indptr))
     cols = mat.indices
@@ -146,6 +154,26 @@ def _blocks(op: SparseOperator):
     lowest = np.flatnonzero(root == np.arange(dim))
     starts = np.searchsorted(root[members], np.append(lowest, dim))
     return mat, members, starts
+
+
+def _entries(mat: _CSR, idx: np.ndarray):
+    """Stored entries of the rows ``idx`` of ``mat``, in storage order:
+    ``(r, c, v)`` with ``r`` the position of the entry's row in ``idx``."""
+    first = mat.indptr[idx]
+    counts = mat.indptr[idx + 1] - first
+    ends = np.cumsum(counts)
+    at = np.arange(ends[-1]) + np.repeat(first - ends + counts, counts)
+    return np.repeat(np.arange(len(idx)), counts), mat.indices[at], mat.data[at]
+
+
+def _submatrix(mat: _CSR, idx: np.ndarray):
+    """SciPy CSR matrix of the block with ascending basis indices ``idx``."""
+    import scipy.sparse as sp
+
+    r, c, v = _entries(mat, idx)
+    indptr = np.searchsorted(r, np.arange(len(idx) + 1))
+    shape = (len(idx), len(idx))
+    return sp.csr_matrix((v, np.searchsorted(idx, c), indptr), shape=shape)
 
 
 def _merge_lowest(h, members, starts, parts, k, dtype, want_states=True):
@@ -210,25 +238,29 @@ def _block_eigh(
     2500))``.  Memory beyond the largest dense block is O(dim k).
     """
     sizes = np.diff(starts)
+    # The position of every state in its block.
+    local = np.zeros(len(mat.indptr) - 1, dtype=np.intp)
+    local[members] = np.arange(len(members)) - np.repeat(starts[:-1], sizes)
+    real = not np.iscomplexobj(mat.data)
     parts, failed = [], []
     for s in np.unique(sizes):
         keep = min(k, s)
         ids = np.flatnonzero(sizes == s)
         batched = s == 1 or (s <= _BATCH_MAX and method != "lanczos")
         for group in [ids] if batched else np.split(ids, len(ids)):
-            # The group's blocks in a row, so entry (r, c) of the sub-matrix
-            # is entry (r % s, c % s) of block r // s.
+            # The group's blocks in a row: row r of the group is row r % s of
+            # block r // s.
             idx = members[starts[group, None] + np.arange(s)].ravel()
-            sub = mat[idx][:, idx]
-            if not batched and method != "lanczos" and not np.iscomplexobj(sub):
-                # Imported here, as is scipy.linalg below: runs whose blocks
-                # all fit one batched call never load either.
-                from scipy.sparse import csgraph
+            # SciPy is imported only here and below: runs whose blocks all
+            # fit one batched call never load it.
+            sub = None if batched else _submatrix(mat, idx)
+            if not batched and method != "lanczos" and real:
+                from scipy.sparse import csgraph, triu
 
                 # The strict upper triangle, so that a zero on the diagonal
                 # cannot give an inner state the low degree of a chain end,
                 # where RCM would start.
-                order = csgraph.reverse_cuthill_mckee(sp.triu(sub, 1, format="csr"))
+                order = csgraph.reverse_cuthill_mckee(triu(sub, 1, format="csr"))
                 chain = sub[order][:, order]
                 band = chain.tocoo()
                 if np.all(np.abs(band.row - band.col) <= 1):
@@ -257,9 +289,9 @@ def _block_eigh(
                 if not converged:
                     failed.append((group[0], s, budget))
                 continue
-            sub = sub.tocoo()
-            stack = np.zeros((len(group), s, s), dtype=mat.dtype)
-            stack[sub.row // s, sub.row % s, sub.col % s] = sub.data
+            r, c, v = _entries(mat, idx)
+            stack = np.zeros((len(group), s, s), dtype=mat.data.dtype)
+            stack[r // s, r % s, local[c]] = v
             if s <= _BATCH_MAX or keep == s:
                 vals, vecs = (
                     np.linalg.eigh(stack)
@@ -301,7 +333,7 @@ def _solve_blocks(h, k, method, want_states=True, tol=1e-10, max_iters=None):
     parts, failed = _block_eigh(
         mat, members, starts, k, method, want_states, tol, max_iters
     )
-    result = _merge_lowest(h, members, starts, parts, k, mat.dtype, want_states)
+    result = _merge_lowest(h, members, starts, parts, k, mat.data.dtype, want_states)
     if failed:
         _, size, budget = min(failed)
         raise IterationLimitError(

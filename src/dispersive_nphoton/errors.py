@@ -35,9 +35,10 @@ class TruncationError(DispersiveNphotonError):
 class ResonanceError(DispersiveNphotonError):
     """A closed-form dispersive quantity is undefined or invalid here.
 
-    Raised when a detuning denominator vanishes, or when a perturbative
-    expansion parameter is not small enough for the requested regime-tagged
-    output to be meaningful.
+    Raised when a detuning denominator vanishes, when ``n * omega_o`` is lost
+    in the rounding of the qubit frequency (so the detuning and the sum
+    frequency coincide), or when a perturbative expansion parameter is not
+    small enough for the requested regime-tagged output to be meaningful.
     """
 
 

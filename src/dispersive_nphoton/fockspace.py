@@ -17,21 +17,27 @@ Conventions
 * Composite basis indices are row-major over the subsystem tuple, with the
   first subsystem varying slowest.  Callers conventionally order qubits
   before oscillators.
-* Canonical storage is CSR with sorted indices, summed duplicates, and
-  exact zeros purged; buffers are frozen after canonicalization.  The
-  ``hermitian`` flag certifies *exact* conjugate symmetry of the stored
-  entries (no tolerance), because downstream eigensolvers rely on it.
+* Canonical storage is CSR held as NumPy arrays (``indptr``, ``indices``,
+  ``data``) with sorted indices, summed duplicates, and exact zeros purged;
+  the arrays are frozen after canonicalization.  The ``hermitian`` flag
+  certifies *exact* conjugate symmetry of the stored entries (no
+  tolerance), because downstream eigensolvers rely on it.  Both are
+  computed in NumPy.
+* ``SparseOperator.entries`` is a SciPy ``csr_matrix`` view of the frozen
+  arrays, built lazily on first access.  The operator algebra (``+``,
+  ``@``, :meth:`SparseOperator.dagger`, :func:`embed`, :func:`op_pow`)
+  works through it, so it imports SciPy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError
 
@@ -192,64 +198,124 @@ def qubit_oscillator_layout(n_qubits: int, truncs: Sequence[int]) -> HilbertLayo
 # ---------------------------------------------------------------------------
 
 
-def _canonicalize(matrix) -> sp.csr_matrix:
-    """Return a canonical immutable CSR copy of ``matrix``.
+def _canonical_csr(dim: int, rows, cols, values):
+    """Canonical CSR arrays ``(indptr, indices, data)`` of the entries
+    ``(rows, cols, values)`` of a ``(dim, dim)`` matrix.
 
-    Canonical form: CSR, complex128, duplicate entries summed, exact zeros
-    purged, column indices sorted, buffers frozen.  Only *exact* zeros are
-    removed; no tolerance-based dropping ever happens here.
+    Canonical form: complex128 data, duplicate entries summed in the order
+    given (left to right), exact zeros purged, entries sorted by row and then
+    column, arrays frozen.  Only *exact* zeros are removed; no
+    tolerance-based dropping ever happens here.  The index dtype is int32
+    when it holds every index, as in SciPy.
     """
-    mat = sp.csr_matrix(matrix, dtype=np.complex128, copy=True)
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
-    mat.sort_indices()
-    mat.data.setflags(write=False)
-    mat.indices.setflags(write=False)
-    mat.indptr.setflags(write=False)
-    return mat
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    values = np.asarray(values, dtype=np.complex128)
+    if rows.size and (
+        min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim
+    ):
+        raise ValueError(f"entry index out of range for dimension {dim}")
+    # A stable sort: duplicates keep the order given, and np.add.at sums
+    # them in that order.
+    order = np.lexsort((cols, rows))
+    rows, cols, values = rows[order], cols[order], values[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    data = values[first]
+    np.add.at(data, np.cumsum(first)[~first] - 1, values[~first])
+    keep = data != 0
+    rows, cols, data = rows[first][keep], cols[first][keep], data[keep]
+    index = np.int32 if max(dim, data.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    arrays = (indptr, cols.astype(index), data)
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
-def _is_exactly_hermitian(mat: sp.csr_matrix) -> bool:
-    """Exact (tolerance-free) conjugate-symmetry test."""
-    if mat.shape[0] != mat.shape[1]:
-        return False
-    diff = mat != mat.conj().T.tocsr()
-    return diff.nnz == 0
+def _is_exactly_hermitian(indptr, indices, data) -> bool:
+    """Exact (tolerance-free) conjugate-symmetry test of canonical CSR
+    arrays: the conjugate transpose, sorted, must reproduce them bit for bit
+    up to the sign of zero (a NaN entry fails)."""
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    order = np.lexsort((rows, indices))
+    return (
+        np.array_equal(indices[order], rows)
+        and np.array_equal(rows[order], indices)
+        and np.array_equal(data[order].conj(), data)
+    )
 
 
-@dataclass(eq=False)
 class SparseOperator:
     """Immutable canonical sparse operator on a :class:`HilbertLayout`.
 
+    The operator is stored as frozen canonical CSR arrays (see
+    :func:`_canonical_csr`).  Canonicalization, the Hermiticity certificate
+    and the queries run in NumPy; only :attr:`entries` and the operator
+    algebra import SciPy.
+
     Attributes:
         layout: The composite space the operator acts on.
-        entries: Canonical CSR matrix of shape ``(total_dim, total_dim)``.
+        indptr, indices, data: Canonical CSR arrays of the
+            ``(total_dim, total_dim)`` matrix.
         hermitian: True iff the stored entries are *exactly* conjugate
             symmetric (certified at construction, never assumed).
+        entries: The same matrix as a SciPy ``csr_matrix`` sharing the frozen
+            arrays, built (and SciPy imported) on first access.
     """
 
-    layout: HilbertLayout
-    entries: sp.csr_matrix
-    hermitian: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        mat = _canonicalize(self.entries)
-        dim = self.layout.total_dim
-        if mat.shape != (dim, dim):
+    def __init__(self, layout: HilbertLayout, entries) -> None:
+        """Wrap ``entries``: a SciPy sparse matrix or a dense array."""
+        dim = layout.total_dim
+        sparse = hasattr(entries, "tocoo")
+        if not sparse:
+            entries = np.asarray(entries, dtype=np.complex128)
+        if entries.shape != (dim, dim):
             raise ValueError(
-                f"matrix shape {mat.shape} does not match layout dimension {dim}"
+                f"matrix shape {entries.shape} does not match layout dimension {dim}"
             )
-        self.entries = mat
-        self.hermitian = _is_exactly_hermitian(mat)
+        if sparse:
+            coo = entries.tocoo()
+            rows, cols, values = coo.row, coo.col, coo.data
+        else:
+            rows, cols = np.nonzero(entries)
+            values = entries[rows, cols]
+        self._store(layout, rows, cols, values)
+
+    def _store(self, layout: HilbertLayout, rows, cols, values) -> None:
+        self.layout = layout
+        self.indptr, self.indices, self.data = _canonical_csr(
+            layout.total_dim, rows, cols, values
+        )
+        self.hermitian = _is_exactly_hermitian(self.indptr, self.indices, self.data)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_dense(cls, layout: HilbertLayout, array) -> "SparseOperator":
         """Wrap a dense array (exact zeros are purged in canonical storage)."""
-        return cls(layout, sp.csr_matrix(np.asarray(array, dtype=np.complex128)))
+        return cls(layout, array)
+
+    @classmethod
+    def from_coo(
+        cls, layout: HilbertLayout, rows, cols, values
+    ) -> "SparseOperator":
+        """Operator with the entries ``(rows, cols, values)``; duplicates are
+        summed in the order given."""
+        op = cls.__new__(cls)
+        op._store(layout, rows, cols, values)
+        return op
 
     # -- basic queries ------------------------------------------------------
+
+    @functools.cached_property
+    def entries(self):
+        """SciPy CSR view of the operator, sharing the frozen arrays."""
+        import scipy.sparse as sp
+
+        dim = self.total_dim
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(dim, dim))
 
     @property
     def total_dim(self) -> int:
@@ -258,14 +324,24 @@ class SparseOperator:
     @property
     def nnz(self) -> int:
         """Number of stored (structurally nonzero) entries."""
-        return self.entries.nnz
+        return self.data.size
+
+    def _rows(self) -> np.ndarray:
+        """Row index of every stored entry."""
+        return np.repeat(np.arange(self.total_dim), np.diff(self.indptr))
 
     def toarray(self) -> np.ndarray:
         """Dense copy of the operator."""
-        return self.entries.toarray()
+        out = np.zeros((self.total_dim, self.total_dim), dtype=np.complex128)
+        out[self._rows(), self.indices] = self.data
+        return out
 
     def diagonal(self) -> np.ndarray:
-        return self.entries.diagonal()
+        rows = self._rows()
+        on = rows == self.indices
+        out = np.zeros(self.total_dim, dtype=np.complex128)
+        out[rows[on]] = self.data[on]
+        return out
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         """Matrix-vector product ``A @ v``."""
@@ -275,13 +351,18 @@ class SparseOperator:
                 f"vector of shape {v.shape} does not match dimension "
                 f"{self.total_dim}"
             )
-        return self.entries @ v
+        out = np.zeros(self.total_dim, dtype=np.result_type(self.data, v))
+        np.add.at(out, self._rows(), self.data * v[self.indices])
+        return out
 
     def one_norm(self) -> float:
         """Induced 1-norm (maximum absolute column sum)."""
         if self.nnz == 0:
             return 0.0
-        return float(abs(self.entries).sum(axis=0).max())
+        sums = np.bincount(
+            self.indices, weights=np.abs(self.data), minlength=self.total_dim
+        )
+        return float(sums.max())
 
     # -- algebra ------------------------------------------------------------
 
@@ -337,7 +418,7 @@ class SparseOperator:
         """Largest absolute entry (0 for an empty operator)."""
         if self.nnz == 0:
             return 0.0
-        return float(np.abs(self.entries.data).max())
+        return float(np.abs(self.data).max())
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +443,8 @@ def destroy(dim: int) -> SparseOperator:
     dim = int(dim)
     if dim < 2:
         raise ValueError("oscillator truncation dimension must be >= 2")
-    data = np.sqrt(np.arange(1, dim, dtype=float))
-    return SparseOperator(_oscillator_layout(dim), sp.diags(data, 1))
+    j = np.arange(1, dim)
+    return SparseOperator.from_coo(_oscillator_layout(dim), j - 1, j, np.sqrt(j))
 
 
 def create(dim: int) -> SparseOperator:
@@ -376,15 +457,18 @@ def number(dim: int) -> SparseOperator:
     dim = int(dim)
     if dim < 2:
         raise ValueError("oscillator truncation dimension must be >= 2")
-    return SparseOperator(
-        _oscillator_layout(dim), sp.diags(np.arange(dim, dtype=float))
-    )
+    j = np.arange(dim)
+    return SparseOperator.from_coo(_oscillator_layout(dim), j, j, j)
 
 
 def identity(dim: int, kind: str = OSCILLATOR) -> SparseOperator:
     """Identity operator on a single subsystem of the given kind."""
-    layout = HilbertLayout(((kind, int(dim)),))
-    return SparseOperator(layout, sp.identity(int(dim), format="csr"))
+    return _identity(HilbertLayout(((kind, int(dim)),)))
+
+
+def _identity(layout: HilbertLayout) -> SparseOperator:
+    j = np.arange(layout.total_dim)
+    return SparseOperator.from_coo(layout, j, j, np.ones(j.size))
 
 
 def position(dim: int) -> SparseOperator:
@@ -439,9 +523,7 @@ def op_pow(a: SparseOperator, exponent: int) -> SparseOperator:
     if exponent < 0:
         raise ValueError("operator power requires a non-negative exponent")
     if exponent == 0:
-        return SparseOperator(
-            a.layout, sp.identity(a.total_dim, format="csr")
-        )
+        return _identity(a.layout)
     result = a
     for _ in range(exponent - 1):
         result = result @ a
@@ -467,14 +549,8 @@ def embed(
             a multi-subsystem factor, or a factor whose kind/dimension does
             not match the layout slot.
     """
-    return SparseOperator(layout, _embed_entries(layout, factors))
+    import scipy.sparse as sp
 
-
-def _embed_entries(
-    layout: HilbertLayout,
-    factors: Iterable[tuple[int, SparseOperator]],
-) -> sp.csr_matrix:
-    """Raw CSR matrix of :func:`embed`, for sums that canonicalize once."""
     factor_map: dict[int, SparseOperator] = {}
     for index, op in factors:
         index = int(index)
@@ -500,7 +576,7 @@ def _embed_entries(
         else:
             block = sp.identity(dim, format="csr", dtype=np.complex128)
         acc = sp.kron(acc, block, format="csr")
-    return acc
+    return SparseOperator(layout, acc)
 
 
 def guard_band_mask(

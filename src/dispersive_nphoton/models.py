@@ -12,7 +12,12 @@ its topology (``MODELS_BY_TOPOLOGY``) as a sparse Hamiltonian on the
 corresponding :class:`.fockspace.HilbertLayout` (qubits first, then
 oscillators).  Every model is one dense diagonal plus a list of terms
 ``(coefficient, {layout slot: local factor})`` built over one normalized
-coupling list; the list is summed once and certified Hermitian once.
+coupling list.  Each term's ``(row, col, value)`` entries come from index
+arithmetic on the layout's occupation vectors, in NumPy; the list is summed
+once into the canonical NumPy CSR arrays of a
+:class:`.fockspace.SparseOperator` and certified Hermitian once.  SciPy is
+not imported; the operator's ``entries`` is a SciPy view built lazily on
+first access.
 :func:`charge_operator` is the conserved charge of the rotating models and
 :func:`two_qubit_block` the closed-form fixed-photon-number block of the
 two-qubit effective model.
@@ -24,6 +29,7 @@ spec says otherwise.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -31,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .analytic import (
     DispersiveParams,
@@ -41,15 +46,7 @@ from .analytic import (
     dispersive_level,
 )
 from .errors import ConfigError, TruncationError
-from .fockspace import (
-    HilbertLayout,
-    SparseOperator,
-    _embed_entries,
-    destroy,
-    op_pow,
-    pauli,
-    qubit_oscillator_layout,
-)
+from .fockspace import HilbertLayout, SparseOperator, qubit_oscillator_layout
 
 TOPOLOGIES = ("single", "multiqubit", "multimode")
 STABILIZER_FORMS = ("number_power", "full_position_power")
@@ -503,15 +500,92 @@ def _number_poly(coeffs: Sequence[int], trunc: int) -> np.ndarray:
     return np.array([_poly_value(coeffs, j) for j in range(trunc)])
 
 
+# A local factor is the operator of one layout slot as a tuple of diagonals
+# ``(d, x)``: ``x[m] = <m|op|m + d>``, zero where ``m + d`` leaves the slot.
+# Qubits are ordered (|e>, |g>).
+_PLUS = ((1, np.array([1.0, 0.0])),)
+_MINUS = ((-1, np.array([0.0, 1.0])),)
+_Z = ((0, np.array([1.0, -1.0])),)
+
+
+def _dagger(factor: tuple) -> tuple:
+    """Adjoint of a real local factor."""
+    return tuple((-d, np.roll(x, d)) for d, x in factor)
+
+
+def _lower(dim: int, n: int) -> tuple:
+    """``a^n``: ``<m|a^n|m+n> = sqrt(m+1) sqrt(m+2) ... sqrt(m+n)``, multiplied
+    left to right as :func:`.fockspace.op_pow` multiplies it."""
+    x = np.zeros(dim)
+    m = np.arange(max(dim - n, 0), dtype=float)
+    x[: m.size] = np.sqrt(m + 1.0)
+    for i in range(2, n + 1):
+        x[: m.size] *= np.sqrt(m + i)
+    return ((n, x),)
+
+
+def _number_power(dim: int, n: int) -> tuple:
+    """``a†^n a^n``: the squares of the entries of :func:`_lower`."""
+    x = np.roll(_lower(dim, n)[0][1], n)
+    return ((0, x * x),)
+
+
+def _position_power(dim: int, n: int) -> tuple:
+    """``(a + a†)^n`` as :func:`.fockspace.op_pow` forms it: the products
+    ``((X X) X) ...``, each entry summed over the inner index in ascending
+    order, then symmetrized as ``(P + P†) / 2``."""
+    m = np.arange(dim)
+    root = np.sqrt(np.arange(dim + 1.0))  # <k-1|X|k> = sqrt(k), <k+1|X|k> = sqrt(k+1)
+
+    def column(d, values):
+        """``values`` at the rows ``m`` whose column ``m + d`` exists, else 0."""
+        return np.where((m + d >= 0) & (m + d < dim), values, 0.0)
+
+    power = {0: np.ones(dim)}
+    for p in range(1, n + 1):
+        power = {
+            d: column(
+                d,
+                power.get(d - 1, 0.0) * root[np.clip(m + d, 0, dim)]
+                + power.get(d + 1, 0.0) * root[np.clip(m + d + 1, 0, dim)],
+            )
+            for d in range(-p, p + 1, 2)
+        }
+    # <m + d|P|m>, the mirror entry of <m|P|m + d>.
+    mirror = {d: column(d, power[-d][np.clip(m + d, 0, dim - 1)]) for d in power}
+    return tuple((d, 0.5 * (x + mirror[d])) for d, x in power.items())
+
+
 def _assemble(
     layout: HilbertLayout, diag: np.ndarray, terms: list
 ) -> SparseOperator:
     """Sum a dense diagonal and the terms ``(coefficient, {layout slot:
-    local factor})``, in list order, into one certified operator."""
-    acc = sp.diags(diag, format="csr")
+    local factor})``, in list order, into one certified operator.
+
+    Each term's entries come from the occupation vectors: every choice of
+    one diagonal per slot moves each basis state by its offsets, and the
+    entry is the product of the slot values in layout order (as SciPy's
+    ``kron`` forms it in :func:`.fockspace.embed`), times the coefficient.
+    """
+    occ = layout.occupation_vectors()
+    dims = np.array(layout.dims)
+    states = np.arange(layout.total_dim)
+    rows, cols, values = [states], [states], [diag]
     for coef, factors in terms:
-        acc = acc + coef * _embed_entries(layout, factors.items())
-    return SparseOperator(layout, acc)
+        slots = sorted(factors)
+        for diagonals in itertools.product(*(factors[s] for s in slots)):
+            target = occ.copy()
+            target[:, slots] += [d for d, _ in diagonals]
+            inside = np.all((target >= 0) & (target < dims), axis=1)
+            value = np.ones(np.count_nonzero(inside))
+            for s, (_, x) in zip(slots, diagonals):
+                value = value * x[occ[inside, s]]
+            rows.append(states[inside])
+            cols.append(np.ravel_multi_index(target[inside].T, layout.dims))
+            values.append(coef * value)
+    return SparseOperator.from_coo(
+        layout, np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+    )
 
 
 def _exchange(coef: float, rotating: bool, ops: dict, fixed: dict) -> list:
@@ -519,9 +593,9 @@ def _exchange(coef: float, rotating: bool, ops: dict, fixed: dict) -> list:
     ``coef prod (A + A†)``, over the factors ``ops``; ``fixed`` multiplies
     either form."""
     if rotating:
-        daggers = {slot: op.dagger() for slot, op in ops.items()}
+        daggers = {slot: _dagger(op) for slot, op in ops.items()}
         return [(coef, {**fixed, **ops}), (coef, {**fixed, **daggers})]
-    return [(coef, {**fixed, **{s: op + op.dagger() for s, op in ops.items()}})]
+    return [(coef, {**fixed, **{s: op + _dagger(op) for s, op in ops.items()}})]
 
 
 def _exact_model(spec: SystemSpec, kind: str) -> SparseOperator:
@@ -546,20 +620,20 @@ def _exact_model(spec: SystemSpec, kind: str) -> SparseOperator:
 
     terms = []
     for l, k, n, g in _couplings(spec):
-        a = destroy(layout.dims[k])
+        dim = layout.dims[k]
         if kind == "position":
-            terms.append((g, {l: pauli("x"), k: op_pow(a + a.dagger(), n)}))
+            terms.append((g, {l: _PLUS + _MINUS, k: _position_power(dim, n)}))
         else:
-            ops = {l: pauli("plus"), k: op_pow(a, n)}
+            ops = {l: _PLUS, k: _lower(dim, n)}
             terms += _exchange(g, kind == "rotating", ops, {})
     if stab is not None:
         q = spec.qubits[0]
-        a = destroy(spec.oscillators[0].trunc)
         m = stab.power(q.n)
+        trunc = spec.oscillators[0].trunc
         if stab.form == "number_power":
-            local = op_pow(a, m).dagger() @ op_pow(a, m)
+            local = _number_power(trunc, m)
         else:
-            local = op_pow(a + a.dagger(), m)
+            local = _position_power(trunc, m)
         terms.append((stab.eta * q.g, {nq: local}))
     return _assemble(layout, diag, terms)
 
@@ -599,8 +673,8 @@ def _dispersive_model(
         diag = diag + 0.5 * (chi - xi) * _number_poly(minus, dims[k])[j]
         shift[l] = shift[l] + 0.5 * (chi + xi) * _number_poly(plus, dims[k])[j]
         if not rotating and include_squeezing:
-            a2n = op_pow(destroy(dims[k]), 2 * n)
-            terms += _exchange(0.5 * (chi + xi), False, {k: a2n}, {l: pauli("z")})
+            ops = {k: _lower(dims[k], 2 * n)}
+            terms += _exchange(0.5 * (chi + xi), False, ops, {l: _Z})
     for l, w in omega_q.items():
         diag = diag + (1.0 - 2.0 * occ[:, l]) * (shift[l] + 0.5 * w)
 
@@ -609,17 +683,13 @@ def _dispersive_model(
             chi_x, xi_x = _cross_strengths(pi, pj, regime)
             if ki == kj:  # qubit exchange times P_cross(N) of the shared mode
                 p_cross = _number_poly(_number_polys(ni, cross_k0)[2], dims[ki])
-                mode = HilbertLayout((layout.subsystems[ki],))
-                fixed = {ki: SparseOperator(mode, sp.diags(p_cross))}
-                ops = {li: pauli("plus"), lj: pauli("minus")}
-                terms += _exchange(0.5 * (chi_x - xi_x), rotating, ops, fixed)
+                ops = {li: _PLUS, lj: _MINUS}
+                terms += _exchange(
+                    0.5 * (chi_x - xi_x), rotating, ops, {ki: ((0, p_cross),)}
+                )
             else:  # the topologies leave a shared qubit: mode exchange
-                ops = {
-                    ki: op_pow(destroy(dims[ki]), ni),
-                    kj: op_pow(destroy(dims[kj]), nj).dagger(),
-                }
-                fixed = {li: pauli("z")}
-                terms += _exchange(0.5 * (chi_x + xi_x), rotating, ops, fixed)
+                ops = {ki: _lower(dims[ki], ni), kj: _dagger(_lower(dims[kj], nj))}
+                terms += _exchange(0.5 * (chi_x + xi_x), rotating, ops, {li: _Z})
     return _assemble(layout, diag, terms)
 
 

@@ -511,3 +511,12 @@ class TestEnums:
     def test_exported_literals(self):
         assert REGIMES == ("rwa", "nonrwa")
         assert MOMENT_CONVENTIONS == ("coherent_exact", "amplitude_literal")
+
+
+@pytest.mark.parametrize(
+    "omega_q, n, omega_o", [(1e20, 1, 1.0), (-1e20, 2, 1.0), (1.0, 1, 1e-17)]
+)
+def test_swamped_oscillator_frequency_is_a_resonance_error(omega_q, n, omega_o):
+    # n * omega_o is lost in the rounding of omega_q: delta == sigma.
+    with pytest.raises(ResonanceError, match="lost in the rounding"):
+        DispersiveParams.from_frequencies(omega_q, n, 0.01, omega_o)

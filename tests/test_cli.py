@@ -1198,6 +1198,47 @@ class TestModuleEntryPoint:
         assert dispersive_nphoton.__version__ in proc.stdout
 
 
+#: A qubit frequency whose rounding swallows n * omega_o = 1.
+SWAMPED = {
+    "topology": "single",
+    "qubits": [{"omega_q": 1e20, "n": 1, "g": 0.01}],
+    "oscillators": [{"trunc": 4}],
+}
+
+
+class TestSwampedDetuning:
+    """``omega_q = 1e20`` loses ``n * omega_o`` in its rounding, so delta and
+    sigma coincide: the closed forms are undefined there."""
+
+    @pytest.mark.parametrize("regime", ["rwa", "nonrwa"])
+    def test_dispersive_model_exits_2(self, tmp_path, regime):
+        cfg = write_config(tmp_path, SWAMPED)
+        argv = ["spectrum", "--config", cfg, "--model", "dispersive"]
+        code, out, err = run_cli([*argv, "--regime", regime])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "lost in the rounding" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["spectrum", "levels"])
+    def test_exact_model_leaves_closed_forms_blank(self, tmp_path, command):
+        cfg = write_config(tmp_path, SWAMPED)
+        argv = [command, "--config", cfg, "--model", "nR", "-k", "4"]
+        if command == "levels":
+            argv += ["--sweep", "g:0.005:0.01:2"]
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        _, _, rows = parse_csv(out)
+        assert rows and all(row[5] == "" and row[6] == "" for row in rows)
+        assert all(row[4] != "" for row in rows)
+
+    def test_dressed_freq_exits_2(self):
+        argv = ["dressed-freq", "--omega-q", "1e20", "--n", "1", "--g", "0.01"]
+        code, out, err = run_cli([*argv, "--alpha", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "lost in the rounding" in err
+        assert len(err.splitlines()) == 1
+
+
 #: SciPy modules a run loads only when some block needs them.
 SOLVER_MODULES = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
 
@@ -1264,3 +1305,65 @@ class TestImportHygiene:
         argv = ["spectrum", "--model", "nR", "-k", "6"]
         loaded = self._loaded(tmp_path, self.NR3, argv)
         assert {"scipy.linalg", "scipy.sparse.csgraph"} <= loaded
+
+    # Without the solver modules, no SciPy at all: the operators, the model
+    # assembly and the block finder are NumPy alone.
+    def _scipy_loaded(self, probe, argv):
+        """``(result, loaded)`` of ``probe`` run with ``argv`` in a fresh
+        interpreter: its printed JSON result and every SciPy module loaded."""
+        src = str(Path(dispersive_nphoton.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        report = (
+            "\nprint(json.dumps([result, sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy')]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe + report, *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["levels", "--model", "nJC", "-k", "10", "--sweep", "g:0:0.2:3"],
+            [
+                "dynamics", "--model", "nR", "--state", "plus_coherent_2",
+                "--t-end", "10", "--steps", "2",
+            ],
+        ],
+        ids=["levels-nJC", "dynamics-nR"],
+    )
+    def test_small_blocks_load_no_scipy(self, tmp_path, argv):
+        payload = {**SINGLE, "oscillators": [{"trunc": 60}]}
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from dispersive_nphoton import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    result = cli.main(sys.argv[1:])"
+        )
+        argv = [*argv, "--config", write_config(tmp_path, payload)]
+        assert self._scipy_loaded(probe, argv) == [0, []]
+
+    def test_import_and_validation_build_load_no_scipy(self, tmp_path):
+        # The CLI import and the build of the stabilized n=3 nR sweep at
+        # trunc 2100 (dimension 4200), as the benchmark's set-up probe runs.
+        payload = {
+            "topology": "single",
+            "qubits": [{"omega_q": 3.1, "n": 3, "g": 0.0}],
+            "oscillators": [{"omega": 1.0, "trunc": 2100}],
+            "stabilizer": {"form": "number_power", "eta": 0.02},
+        }
+        probe = (
+            "import json, sys\n"
+            "from dispersive_nphoton.cli import build_model\n"
+            "from dispersive_nphoton.models import SystemSpec\n"
+            "result = build_model(SystemSpec.from_json_file(sys.argv[1]), "
+            "sys.argv[2]).total_dim"
+        )
+        argv = [write_config(tmp_path, payload), "nR"]
+        assert self._scipy_loaded(probe, argv) == [4200, []]

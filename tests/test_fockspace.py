@@ -222,3 +222,98 @@ class TestGuardBand:
         for idx in range(layout.total_dim):
             j0, j1 = layout.basis_occupations(idx)
             assert mask[idx] == (j0 < 3 and j1 < 4)
+
+
+class TestCanonicalArrays:
+    """Canonical CSR arrays, built and certified in NumPy."""
+
+    LAYOUT = HilbertLayout((("oscillator", 3),))
+
+    def op(self, entries):
+        """Operator from ``{(row, col): value}``, in insertion order."""
+        rows, cols = zip(*entries) if entries else ((), ())
+        return SparseOperator.from_coo(self.LAYOUT, rows, cols, list(entries.values()))
+
+    def test_certificate_accepts_exact_conjugate_symmetry(self):
+        assert self.op({(0, 1): 1 + 2j, (1, 0): 1 - 2j, (2, 2): -0.5}).hermitian
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {(0, 0): np.nan},
+            {(0, 1): np.nan, (1, 0): np.nan},
+            {(0, 1): 1.0, (1, 0): np.nextafter(1.0, 2.0)},
+            {(0, 1): 1 + 2j, (1, 0): 1 + 2j},
+            {(1, 1): 1j},
+            {(0, 2): 1.0},
+        ],
+        ids=[
+            "nan-diagonal", "nan-pair", "one-ulp", "unconjugated",
+            "imaginary-diagonal", "one-sided",
+        ],
+    )
+    def test_certificate_refuses(self, entries):
+        assert not self.op(entries).hermitian
+
+    def test_explicit_zeros_are_purged(self):
+        import scipy.sparse as sp
+
+        stored = sp.csr_matrix(
+            (np.array([0.0, 2.0, 0.0]), np.array([1, 1, 2]), np.array([0, 1, 2, 3])),
+            shape=(3, 3),
+        )
+        assert stored.nnz == 3
+        op = SparseOperator(self.LAYOUT, stored)
+        assert op.nnz == 1 and op.hermitian
+        # A stored zero and a duplicate pair that cancels.
+        op = SparseOperator.from_coo(
+            self.LAYOUT, [0, 2, 0], [1, 0, 1], [1.5, 0.0, -1.5]
+        )
+        assert op.nnz == 0
+
+    def test_duplicates_sum_in_the_order_given(self):
+        # (1e16 - 1e16) + 1 = 1, but (1e16 + 1) - 1e16 = 0 in floating point.
+        rows, cols = [0, 0, 0], [2, 2, 2]
+        kept = SparseOperator.from_coo(self.LAYOUT, rows, cols, [1e16, -1e16, 1.0])
+        lost = SparseOperator.from_coo(self.LAYOUT, rows, cols, [1e16, 1.0, -1e16])
+        assert kept.toarray()[0, 2] == 1.0
+        assert lost.nnz == 0
+
+    def test_sorted_rows_and_columns(self):
+        op = self.op({(2, 0): 1.0, (0, 2): 2.0, (0, 0): 3.0, (1, 1): 4.0})
+        np.testing.assert_array_equal(op.indptr, [0, 2, 3, 4])
+        np.testing.assert_array_equal(op.indices, [0, 2, 1, 0])
+        np.testing.assert_array_equal(op.data, [3.0, 2.0, 4.0, 1.0])
+        assert op.data.dtype == np.complex128
+
+    def test_arrays_are_read_only(self):
+        op = destroy(4) + create(4)
+        for array in (op.indptr, op.indices, op.data):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_entries_is_a_read_only_view_of_the_arrays(self):
+        op = destroy(5) @ create(5) + number(5)
+        mat = op.entries
+        assert mat is op.entries  # built once
+        np.testing.assert_array_equal(mat.toarray(), op.toarray())
+        for name in ("indptr", "indices", "data"):
+            view, array = getattr(mat, name), getattr(op, name)
+            np.testing.assert_array_equal(view, array)
+            assert np.shares_memory(view, array)
+            assert not view.flags.writeable
+
+    def test_queries_read_the_arrays(self):
+        rng = np.random.default_rng(3)
+        dense = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        dense[0, 1] = 0.0
+        op = SparseOperator.from_dense(self.LAYOUT, dense)
+        vec = rng.normal(size=3) + 1j * rng.normal(size=3)
+        assert op.nnz == 8
+        np.testing.assert_array_equal(op.toarray(), dense)
+        np.testing.assert_array_equal(op.diagonal(), np.diag(dense))
+        np.testing.assert_allclose(op.apply(vec), dense @ vec, rtol=1e-14)
+        one_norm = np.abs(dense).sum(axis=0).max()
+        assert op.one_norm() == pytest.approx(one_norm, rel=1e-15)
+        assert op.max_abs() == np.abs(dense).max()

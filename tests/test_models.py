@@ -6,8 +6,23 @@ import math
 import numpy as np
 import pytest
 
-from dispersive_nphoton.analytic import DispersiveParams, dispersive_level
+from dispersive_nphoton import models
+from dispersive_nphoton.analytic import (
+    DispersiveParams,
+    _cross_strengths,
+    _number_polys,
+    _poly_value,
+    dispersive_level,
+)
 from dispersive_nphoton.errors import ConfigError, ResonanceError, TruncationError
+from dispersive_nphoton.fockspace import (
+    HilbertLayout,
+    SparseOperator,
+    destroy,
+    embed,
+    op_pow,
+    pauli,
+)
 from dispersive_nphoton.models import (
     ALL_MODELS,
     MODELS_BY_TOPOLOGY,
@@ -958,3 +973,139 @@ class TestMalformedPayloads:
     def test_non_object_payload(self):
         with pytest.raises(ConfigError):
             SystemSpec.from_dict([_SINGLE_PAYLOAD])
+
+
+def _public_terms(spec, model, regime="nonrwa", squeezing=True, cross_k0=True):
+    """``(coefficient, operator)`` interaction terms of :func:`build_model`, in
+    its order, each one formed by the public operator algebra (``destroy``,
+    ``op_pow``, ``pauli``, ``embed``) from the model definitions of its
+    docstring."""
+    layout = spec.layout()
+    dims, nq = layout.dims, len(spec.qubits)
+    if spec.topology == "multimode":
+        couplings = sorted(spec.couplings, key=lambda c: c.oscillator)
+        couplings = [(c.qubit, nq + c.oscillator, c.n, c.g) for c in couplings]
+    else:
+        couplings = [(l, nq, q.n, q.g) for l, q in enumerate(spec.qubits)]
+    x, z = pauli("x"), pauli("z")
+    up, down = pauli("plus"), pauli("minus")
+
+    def term(coef, factors):
+        """``(coef, embed of {slot: operator})``."""
+        return coef, embed(layout, factors.items())
+
+    terms = []
+    if model != "dispersive":
+        for l, k, n, g in couplings:
+            a = destroy(dims[k])
+            an = op_pow(a, n)
+            if model == "full_nR":
+                terms.append(term(g, {l: x, k: op_pow(a + a.dagger(), n)}))
+            elif model in ("nJC", "nTC", "mmjc"):
+                terms.append(term(g, {l: up, k: an}))
+                terms.append(term(g, {l: down, k: an.dagger()}))
+            else:
+                terms.append(term(g, {l: x, k: an + an.dagger()}))
+        stab = spec.stabilizer
+        if stab is not None:
+            q = spec.qubits[0]
+            a, m = destroy(dims[nq]), stab.power(q.n)
+            if stab.form == "number_power":
+                local = op_pow(a, m).dagger() @ op_pow(a, m)
+            else:
+                local = op_pow(a + a.dagger(), m)
+            terms.append(term(stab.eta * q.g, {nq: local}))
+        return terms
+
+    params = [
+        DispersiveParams.from_frequencies(
+            spec.qubits[l].omega_q, n, g, spec.oscillators[k - nq].omega
+        )
+        for l, k, n, g in couplings
+    ]
+    for (l, k, n, _), p in zip(couplings, params):
+        if regime == "nonrwa" and squeezing:
+            chi, xi = p._strengths(regime)
+            a2n = op_pow(destroy(dims[k]), 2 * n)
+            terms.append(term(0.5 * (chi + xi), {l: z, k: a2n + a2n.dagger()}))
+    for i, ((li, ki, ni, _), pi) in enumerate(zip(couplings, params)):
+        for (lj, kj, nj, _), pj in zip(couplings[:i], params[:i]):
+            chi_x, xi_x = _cross_strengths(pi, pj, regime)
+            if ki == kj:
+                coeffs = _number_polys(ni, cross_k0)[2]
+                mode = HilbertLayout((layout.subsystems[ki],))
+                p_cross = SparseOperator.from_dense(
+                    mode, np.diag([_poly_value(coeffs, j) for j in range(dims[ki])])
+                )
+                coef = 0.5 * (chi_x - xi_x)
+                if regime == "rwa":
+                    terms.append(term(coef, {li: up, lj: down, ki: p_cross}))
+                    terms.append(term(coef, {li: down, lj: up, ki: p_cross}))
+                else:
+                    terms.append(term(coef, {li: x, lj: x, ki: p_cross}))
+            else:
+                a = op_pow(destroy(dims[ki]), ni)
+                b = op_pow(destroy(dims[kj]), nj).dagger()
+                coef = 0.5 * (chi_x + xi_x)
+                if regime == "rwa":
+                    terms.append(term(coef, {li: z, ki: a, kj: b}))
+                    terms.append(term(coef, {li: z, ki: a.dagger(), kj: b.dagger()}))
+                else:
+                    ops = {ki: a + a.dagger(), kj: b + b.dagger()}
+                    terms.append(term(coef, {li: z, **ops}))
+    return terms
+
+
+def _bits(array):
+    """The bytes of an array, with its dtype: equal only if bit for bit."""
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+def _three_qubits():
+    return SystemSpec(
+        topology="multiqubit",
+        qubits=tuple(
+            QubitSpec(omega_q=5.0 + 0.37 * l, n=2, g=0.01 * (l + 1)) for l in range(3)
+        ),
+        oscillators=(OscillatorSpec(omega=1.0, trunc=14),),
+    )
+
+
+#: Models where three or more terms add into one entry (the squeezing terms
+#: of three qubits on one mode), so that the summation order shows.
+OVERLAPPING_BUILDERS = [
+    lambda: build_model(_three_qubits(), "dispersive"),
+    lambda: build_model(_three_qubits(), "dispersive", cross_k0=False),
+]
+
+
+class TestAssemblyBits:
+    """The NumPy assembler reproduces, bit for bit, the sum of the public
+    kron-built terms, added in :func:`build_model`'s order to its diagonal.
+    No entry is moved by the summation order."""
+
+    @pytest.mark.parametrize("make", ALL_BUILDERS + OVERLAPPING_BUILDERS)
+    def test_matches_public_algebra(self, make, monkeypatch):
+        calls, diagonals = [], []
+
+        def recording_build(*args, **kwargs):
+            calls.append((args, kwargs))
+            return models.build_model(*args, **kwargs)
+
+        def recording_assemble(layout, diag, terms):
+            diagonals.append(diag)
+            return assemble(layout, diag, terms)
+
+        assemble = models._assemble
+        # The builders call this module's build_model.
+        monkeypatch.setitem(globals(), "build_model", recording_build)
+        monkeypatch.setattr(models, "_assemble", recording_assemble)
+        h = make()
+        (args, kwargs), (diag,) = calls[0], diagonals
+        layout = h.layout
+        states = np.arange(layout.total_dim)
+        want = SparseOperator.from_coo(layout, states, states, diag)
+        for coef, op in _public_terms(*args, **kwargs):
+            want = want + coef * op
+        for name in ("indptr", "indices", "data"):
+            assert _bits(getattr(h, name)) == _bits(getattr(want, name)), name
