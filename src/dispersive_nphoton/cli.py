@@ -79,6 +79,9 @@ from .models import (
 
 SCHEMA_VERSION = 1
 THREADS_ENV_VAR = "DISPERSIVE_NPHOTON_THREADS"
+#: Most grid points of a ``--sweep`` and most ``--steps`` of ``dynamics``,
+#: checked before the grid is allocated.
+MAX_STEPS = 1_000_000
 
 SWEEP_COLUMNS = (
     "sweep_name",
@@ -159,8 +162,8 @@ def parse_sweep(text: str) -> tuple[str, np.ndarray]:
     coupling entry ``i``), ``eta`` (stabilizer strength).
 
     Raises:
-        ConfigError: On malformed syntax, a non-finite endpoint or an unknown
-            variable.
+        ConfigError: On malformed syntax, a non-finite endpoint, an unknown
+            variable or more than :data:`MAX_STEPS` steps.
     """
     parts = text.split(":")
     if len(parts) != 4:
@@ -184,6 +187,8 @@ def parse_sweep(text: str) -> tuple[str, np.ndarray]:
         raise ConfigError(f"sweep {text!r} endpoints must be finite")
     if steps < 1:
         raise ConfigError(f"sweep {text!r} must have at least one step")
+    if steps > MAX_STEPS:
+        raise ConfigError(f"--sweep {text!r} has more than {MAX_STEPS} steps")
     return var, np.linspace(start, stop, steps)
 
 
@@ -418,8 +423,8 @@ def _cmd_levels(args: argparse.Namespace) -> int:
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
-    if args.steps < 1:
-        raise ConfigError("--steps must be >= 1")
+    if not 1 <= args.steps <= MAX_STEPS:
+        raise ConfigError(f"--steps must lie in [1, {MAX_STEPS}], got {args.steps}")
     if not math.isfinite(args.t_end):
         raise ConfigError(f"--t-end must be finite, got {args.t_end!r}")
     spec = SystemSpec.from_json_file(args.config)

@@ -29,7 +29,8 @@ from .eigensolve import (
     DENSE_LIMIT,
     _block_eigh,
     _blocks,
-    _lanczos_step,
+    _lanczos_run,
+    _norm1,
     _submatrix,
     _tridiagonal_eigh,
 )
@@ -231,12 +232,14 @@ def evolve(
     of the block solver (batched, chain or LAPACK).  Every other block runs
     a shifted Krylov-Lanczos exponential on its own sub-matrix: the mean of
     its diagonal is subtracted (restoring its phase exactly at the end),
-    each substep builds a fresh ``krylov_dim``-dimensional Lanczos basis
-    with full reorthogonalization, and the step is halved until the
-    a-posteriori estimate ``|dt| * beta_m * |u_m(dt)|`` falls below
-    ``local_tol``.  The result is never renormalized; its norm drift is a
-    propagation diagnostic.  Each call decomposes ``h`` anew; a run of
-    many steps builds :func:`propagator` once and chains its ``step``.
+    each substep builds a fresh ``krylov_dim``-dimensional basis by the one
+    Lanczos recursion that :func:`.eigensolve.eigs_lowest` also runs (full
+    reorthogonalization), and the step is halved until the a-posteriori
+    estimate ``|dt| * beta_m * |u_m(dt)|`` falls below ``local_tol``; only
+    a breakdown before step ``krylov_dim`` skips the estimate.  The result
+    is never renormalized; its norm drift is a propagation diagnostic.
+    Each call decomposes ``h`` anew; a run of many steps builds
+    :func:`propagator` once and chains its ``step``.
 
     Args:
         h: Certified-Hermitian generator.
@@ -304,8 +307,7 @@ def _krylov_evolve(mat, psi, t, krylov_dim, local_tol):
     dim = mat.shape[0]
     krylov_dim = min(int(krylov_dim), dim)
     theta = float(np.real(mat.diagonal()).mean())
-    scale = float(abs(mat).sum(axis=0).max()) or 1.0
-    breakdown_floor = 1e-14 * scale
+    floor = 1e-14 * _norm1(mat)
 
     sign = 1.0 if t >= 0 else -1.0
     remaining = abs(t)
@@ -316,31 +318,20 @@ def _krylov_evolve(mat, psi, t, krylov_dim, local_tol):
         nrm = float(np.linalg.norm(psi))
         basis = np.empty((dim, krylov_dim), dtype=np.complex128)
         basis[:, 0] = psi / nrm
-        alphas = []
-        betas = []
-        invariant = False
-        for i in range(krylov_dim):
-            w, beta = _lanczos_step(mat, basis, alphas, betas, shift=theta)
-            betas.append(beta)
-            if i == krylov_dim - 1:
-                break
-            if beta <= breakdown_floor:
-                # psi spans an exact invariant subspace: the subspace
-                # exponential is exact for any step size.
-                invariant = True
-                break
-            basis[:, i + 1] = w / beta
-
+        alphas, betas = [], []
+        _lanczos_run(mat, basis, alphas, betas, krylov_dim, floor, theta)
         m = len(alphas)
+        # A breakdown before the last step means psi spans an exact invariant
+        # subspace: the subspace exponential is exact for any step size.
+        invariant = m < krylov_dim
         evals, evecs = _tridiagonal_eigh(alphas, betas)
         first_row = evecs[0, :].conj()
-        beta_exit = betas[m - 1]
 
         dt = min(remaining, dt_next)
         while True:
             u = evecs @ (np.exp(-1j * sign * dt * evals) * first_row)
-            err = 0.0 if invariant else abs(dt) * beta_exit * abs(u[m - 1])
-            if invariant or err <= local_tol:
+            err = 0.0 if invariant else abs(dt) * betas[-1] * abs(u[m - 1])
+            if err <= local_tol:
                 break
             dt *= 0.5
             if dt < min_step:

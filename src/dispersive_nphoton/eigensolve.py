@@ -16,12 +16,14 @@ LAPACK; larger ones by a deterministic Lanczos with full
 reorthogonalization under ``auto``, and not at all under ``dense``.  Under
 ``lanczos`` every block above one state runs Lanczos.  :func:`eigh_dense`,
 :func:`eigs_lowest` and the ``--method`` dispatch :func:`solve_lowest` are
-each one pass of it; the exact propagator shares it, and the Krylov
-propagator the Lanczos step.  Also here is the bookkeeping of sweeps:
-labeling eigenstates by dominant bare basis state
-(:func:`label_by_overlap`), discarding truncation-band artifacts by mean
-photon number (:func:`filter_by_mean_photon`), and following levels
-through a parameter sweep by state overlap (:func:`track_levels`).
+each one pass of it; the exact propagator shares it.  The Lanczos solver
+and the Krylov propagator run one Lanczos recursion, :func:`_lanczos_run`.
+Also here is the bookkeeping of sweeps: labeling eigenstates by dominant
+bare basis state (:func:`label_by_overlap`), discarding truncation-band
+artifacts by mean photon number (:func:`filter_by_mean_photon`), and
+following levels through a parameter sweep by state overlap
+(:func:`track_levels`); both of these overlap matchings are one greedy
+assignment, :func:`_greedy_pairs`.
 
 Determinism: every routine here is free of randomness — the Lanczos start
 vector is the normalized all-ones vector of each block and breakdown
@@ -378,11 +380,16 @@ def _reorthogonalize(block: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _lanczos_step(mat, basis, alphas, betas, shift=0.0):
+def _norm1(mat) -> float:
+    """1-norm (largest absolute column sum) of the sparse matrix ``mat``."""
+    return float(abs(mat).sum(axis=0).max())
+
+
+def _lanczos_step(mat, basis, alphas, betas, shift):
     """Lanczos step on ``mat - shift`` from column ``len(alphas)`` of ``basis``.
 
     Appends alpha and returns the fully reorthogonalized residual and its
-    norm; the caller appends beta (zero marks a restart) and goes on.
+    norm; a zero ``betas[m - 1]`` marks column ``m`` as a restart.
     """
     m = len(alphas)
     v = basis[:, m]
@@ -393,6 +400,20 @@ def _lanczos_step(mat, basis, alphas, betas, shift=0.0):
         w = w - betas[m - 1] * basis[:, m - 1]
     w = _reorthogonalize(basis[:, : m + 1], w)
     return w, float(np.linalg.norm(w))
+
+
+def _lanczos_run(mat, basis, alphas, betas, steps, floor, shift):
+    """Extend the Lanczos recursion on ``mat - shift`` held in ``basis``,
+    ``alphas`` and ``betas`` by at least one step, until it has ``steps``
+    steps or breaks down (beta <= ``floor``).  Each beta is appended as it
+    is; every step but the last stores its normalized residual as the next
+    column of ``basis`` (``steps`` columns).  Returns the last residual."""
+    while True:
+        w, beta = _lanczos_step(mat, basis, alphas, betas, shift)
+        betas.append(beta)
+        if len(alphas) >= steps or beta <= floor:
+            return w
+        basis[:, len(alphas)] = w / beta
 
 
 def _tridiagonal_eigh(
@@ -414,86 +435,67 @@ def _lanczos(mat, k: int, tol: float, max_iters: int):
     """Lowest ``k`` Ritz pairs of the Hermitian CSR matrix ``mat``, one
     connected block of at least two states (so it has a nonzero entry).
 
+    Runs :func:`_lanczos_run` from one convergence check to the next.  An
+    exact breakdown restarts the recursion, which takes at least one step
+    before the next check, even when the breakdown fell on a check: its
+    beta of zero would pass any check.
+
     Returns ``(energies, states, converged)``; when the budget runs out,
     ``converged`` is False and the pairs are the best available.
     """
     dim = mat.shape[0]
-    dtype = mat.dtype
-    norm1 = float(abs(mat).sum(axis=0).max())
-    resid_floor = tol * norm1
-    breakdown_floor = 1e-14 * norm1
-
-    # Basis storage grows geometrically up to max_iters + 1 columns.
-    capacity = min(max_iters + 1, max(2 * k + 16, 64))
-    basis = np.empty((dim, capacity), dtype=dtype)
+    norm1 = _norm1(mat)
+    floor = 1e-14 * norm1
+    basis = np.empty((dim, min(max_iters + 1, max(2 * k + 16, 64))), dtype=mat.dtype)
     basis[:, 0] = 1.0 / np.sqrt(dim)
-    alphas: list[float] = []
-    betas: list[float] = []  # betas[i] links v_i and v_{i+1}
-    next_restart_index = 0
+    alphas, betas = [], []  # betas[i] links v_i and v_{i+1}
 
-    def _ensure_capacity(cols: int) -> None:
-        nonlocal basis, capacity
-        if cols <= capacity:
-            return
-        capacity = min(max_iters + 1, max(cols, 2 * capacity))
-        grown = np.empty((dim, capacity), dtype=dtype)
-        grown[:, : basis.shape[1]] = basis
-        basis = grown
-
-    def _next_start(cols: int) -> Optional[np.ndarray]:
-        nonlocal next_restart_index
-        while next_restart_index < dim:
-            e = np.zeros(dim, dtype=dtype)
-            e[next_restart_index] = 1.0
-            next_restart_index += 1
-            e = _reorthogonalize(basis[:, :cols], e)
+    def _restarts():
+        # Canonical basis vectors in index order, orthogonalized against the
+        # basis so far; those that keep enough norm are restart vectors.
+        for i in range(dim):
+            e = np.zeros(dim, dtype=mat.dtype)
+            e[i] = 1.0
+            e = _reorthogonalize(basis[:, : len(alphas)], e)
             nrm = np.linalg.norm(e)
             if nrm > 1e-8:
-                return e / nrm
-        return None
+                yield e / nrm
 
     def _result(converged: bool):
         vals, small = _tridiagonal_eigh(alphas, betas, k)
-        states = basis[:, : len(alphas)] @ small.astype(dtype)
+        states = basis[:, : len(alphas)] @ small.astype(mat.dtype)
         states /= np.linalg.norm(states, axis=0, keepdims=True)
         return vals, states, converged
 
+    restarts = _restarts()
     next_check = min(max_iters, max(k + 2, 20))
-    m = 0
-    while m < max_iters:
-        w, beta = _lanczos_step(mat, basis, alphas, betas)
-        m += 1
-
-        exhausted_space = m >= dim
-        broke_down = beta <= breakdown_floor
-        if broke_down:
-            # Exact invariant subspace: decouple and restart deterministically.
-            beta = 0.0
-            if not exhausted_space and m < max_iters:
-                start = _next_start(m)
-                if start is None:
-                    exhausted_space = True
-                else:
-                    _ensure_capacity(m + 1)
-                    basis[:, m] = start
-        elif not exhausted_space and m < max_iters:
-            _ensure_capacity(m + 1)
-            basis[:, m] = w / beta
-        betas.append(beta)
-
-        if exhausted_space:
-            # The Krylov recursion closed over the whole space, so the
-            # tridiagonal matrix is an exact representation.
+    while True:
+        steps = min(next_check, dim)
+        # Room for the run and the column after it: the basis doubles as
+        # needed, up to max_iters + 1 columns.
+        while basis.shape[1] <= steps:
+            grow = min(max_iters + 1, 2 * basis.shape[1]) - basis.shape[1]
+            basis = np.pad(basis, ((0, 0), (0, grow)))
+        w = _lanczos_run(mat, basis, alphas, betas, steps, floor, 0.0)
+        m = len(alphas)
+        if m >= dim:  # the recursion spans the space: T is exact
             return _result(True)
-
-        if m >= next_check and m >= k and not broke_down:
-            _, small = _tridiagonal_eigh(alphas, betas, k)
-            residuals = abs(betas[m - 1]) * np.abs(small[m - 1, :])
-            if np.all(residuals <= resid_floor):
-                return _result(True)
+        if betas[-1] <= floor:
+            # Exact invariant subspace: decouple and restart deterministically.
+            betas[-1] = 0.0
+            start = None if m >= max_iters else next(restarts, None)
+            if start is None:
+                return _result(m < max_iters)
+        else:
+            # Converged once every requested Ritz residual |beta_m s_mi| is
+            # within tol of the 1-norm.
+            small = _tridiagonal_eigh(alphas, betas, k)[1][-1]
+            done = m >= k and bool(np.all(betas[-1] * np.abs(small) <= tol * norm1))
+            if done or m >= max_iters:
+                return _result(done)
             next_check = min(max_iters, m + max(20, m // 5))
-
-    return _result(False)
+            start = w / betas[-1]
+        basis[:, m] = start
 
 
 def eigs_lowest(
@@ -572,16 +574,32 @@ def solve_lowest(
 # ---------------------------------------------------------------------------
 
 
+def _greedy_pairs(weights: np.ndarray) -> list[tuple[int, int]]:
+    """Greedy assignment on the matrix ``weights``: the ``(row, col)`` pairs
+    whose row and column are both still free when visited, in descending
+    order of weight with ties in row-major order, until every row or every
+    column is taken."""
+    n_cols = weights.shape[1]
+    rows, cols, pairs = set(), set(), []
+    for flat in np.argsort(-weights, axis=None, kind="stable"):
+        row, col = divmod(int(flat), n_cols)
+        if row not in rows and col not in cols:
+            rows.add(row)
+            cols.add(col)
+            pairs.append((row, col))
+            if len(pairs) == min(weights.shape):
+                break
+    return pairs
+
+
 def label_by_overlap(result: SpectrumResult) -> SpectrumResult:
     """Attach bare-basis labels to eigenstates by greedy maximum overlap.
 
-    All (bare state, eigenstate) overlap weights are visited in descending
-    order; a pair is labelled when neither side is taken yet, so each bare
-    label is used at most once.  The order is taken on weights rounded to
-    1e-10, so that ties which roundoff breaks still count as ties; they
-    break deterministically toward the lower bare index and lower eigenindex
-    (a degenerate pair is labelled in ascending order on both sides).  The
-    label keeps the unrounded weight.
+    The (bare state, eigenstate) pairs are those of :func:`_greedy_pairs`
+    on the weights rounded to 1e-10, so each bare label is used at most once
+    and ties which roundoff breaks still count as ties; they go to the lower
+    bare index and lower eigenindex (a degenerate pair is labelled in
+    ascending order on both sides).  The label keeps the unrounded weight.
 
     Returns:
         A copy of ``result`` with ``labels[i] = (config, fock, overlap)``.
@@ -592,20 +610,10 @@ def label_by_overlap(result: SpectrumResult) -> SpectrumResult:
     if result.states is None:
         raise ValueError("label_by_overlap requires eigenvectors")
     weights = np.abs(result.states) ** 2  # (dim, k)
-    dim, k = weights.shape
-    order = np.argsort(-np.round(weights, 10), axis=None, kind="stable")
-    labels: list = [None] * k
-    used_bare = np.zeros(dim, dtype=bool)
-    remaining = k
-    for flat in order:
-        bare, eig = divmod(int(flat), k)
-        if labels[eig] is None and not used_bare[bare]:
-            config, fock = result.layout.label_of(bare)
-            labels[eig] = (config, fock, float(weights[bare, eig]))
-            used_bare[bare] = True
-            remaining -= 1
-            if remaining == 0:
-                break
+    labels: list = [None] * weights.shape[1]
+    for bare, eig in _greedy_pairs(np.round(weights, 10)):
+        config, fock = result.layout.label_of(bare)
+        labels[eig] = (config, fock, float(weights[bare, eig]))
     return dataclasses.replace(result, labels=labels)
 
 
@@ -697,56 +705,38 @@ def track_levels(
         if r.layout != layout:
             raise ValueError("track_levels requires a shared layout")
 
-    n_points = len(results)
-    seed = results[0]
-    curves = []
-    for i in range(seed.k):
-        label = None
-        if seed.labels is not None and seed.labels[i] is not None:
-            label = (seed.labels[i][0], seed.labels[i][1])
-        energies = np.full(n_points, np.nan)
-        energies[0] = seed.energies[i]
-        curves.append(
-            LevelCurve(
-                label=label,
-                indices=[i] + [None] * (n_points - 1),
-                energies=energies,
-                overlaps=[1.0] + [None] * (n_points - 1),
-                terminated=False,
-                terminated_at=None,
-            )
+    seed, unreached = results[0], [None] * (len(results) - 1)
+    curves = [
+        LevelCurve(
+            label=None if entry is None else (entry[0], entry[1]),
+            indices=[i] + unreached,
+            energies=np.append(seed.energies[i], np.full(len(unreached), np.nan)),
+            overlaps=[1.0] + unreached,
+            terminated=False,
+            terminated_at=None,
         )
+        for i, entry in enumerate(seed.labels or [None] * seed.k)
+    ]
 
-    for t in range(n_points - 1):
-        left = results[t]
-        right = results[t + 1]
-        overlap = np.abs(left.states.conj().T @ right.states) ** 2
+    for t in range(len(results) - 1):
         alive = [c for c in curves if not c.terminated]
         if not alive:
             break
-        rows = {c.indices[t]: c for c in alive}
-        taken_cols = np.zeros(right.k, dtype=bool)
-        pending = set(rows)
-        order = np.argsort(-overlap, axis=None, kind="stable")
-        for flat in order:
-            row, col = divmod(int(flat), right.k)
-            if row not in pending or taken_cols[col]:
-                continue
-            curve = rows[row]
-            w = float(overlap[row, col])
-            pending.discard(row)
-            if w < continuity_floor:
+        # Rows in ascending order, so that ties break as on the full matrix.
+        alive.sort(key=lambda c: c.indices[t])
+        right = results[t + 1]
+        overlap = np.abs(results[t].states.conj().T @ right.states) ** 2
+        weights = overlap[[c.indices[t] for c in alive]]
+        # The pairs come in descending order, so a pair below the floor never
+        # takes a column that a pair above it could have had.
+        reached = dict(_greedy_pairs(weights))
+        for row, curve in enumerate(alive):
+            col = reached.get(row)
+            if col is None or weights[row, col] < continuity_floor:
                 curve.terminated = True
                 curve.terminated_at = t + 1
             else:
-                taken_cols[col] = True
                 curve.indices[t + 1] = col
                 curve.energies[t + 1] = right.energies[col]
-                curve.overlaps[t + 1] = w
-            if not pending:
-                break
-        for row in pending:
-            curve = rows[row]
-            curve.terminated = True
-            curve.terminated_at = t + 1
+                curve.overlaps[t + 1] = float(weights[row, col])
     return curves

@@ -24,6 +24,7 @@ from dispersive_nphoton import SystemSpec, dynamics, effective_two_qubit_params
 from dispersive_nphoton.models import build_model, with_swept
 from dispersive_nphoton.cli import (
     DYNAMICS_COLUMNS,
+    MAX_STEPS,
     SCHEMA_VERSION,
     SWEEP_COLUMNS,
     THREADS_ENV_VAR,
@@ -935,6 +936,40 @@ class TestNonFiniteInputs:
         assert out == ""
         assert err.startswith("error:") and "finite" in err
         assert len(err.splitlines()) == 1
+
+
+class TestStepCountBound:
+    """Step counts above ``MAX_STEPS`` are refused before any grid exists."""
+
+    @pytest.mark.parametrize("steps", [10**11, 10**30], ids=["1e11", "1e30"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("spectrum", "--sweep"), ("levels", "--sweep"), ("dynamics", "--steps")],
+    )
+    def test_huge_count_exits_2(self, tmp_path, monkeypatch, command, flag, steps):
+        import numpy
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid was allocated")
+
+        monkeypatch.setattr(numpy, "linspace", refuse)
+        argv = [command, "--config", write_config(tmp_path, SINGLE), "--model", "nR"]
+        if command == "dynamics":
+            argv += ["--state", "bell", "--t-end", "1", "--steps", str(steps)]
+        else:
+            argv += ["--sweep", f"g:0:0.1:{steps}"]
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert flag in err and str(MAX_STEPS) in err
+
+    def test_bound_is_inclusive(self):
+        from dispersive_nphoton import ConfigError
+
+        assert len(parse_sweep(f"g:0:1:{MAX_STEPS}")[1]) == MAX_STEPS
+        with pytest.raises(ConfigError, match="--sweep"):
+            parse_sweep(f"g:0:1:{MAX_STEPS + 1}")
 
 
 class TestOverflowingInputs:

@@ -216,6 +216,28 @@ class TestEvolve:
         assert psi[5] == pytest.approx(expected, abs=1e-12)
         assert np.max(np.abs(np.delete(psi, 5))) == 0.0
 
+    def test_breakdown_on_last_step_keeps_error_estimate(self, monkeypatch):
+        # A path of 40 states whose link 19-20 (5e-15) is below the breakdown
+        # floor (1e-14 times the 1-norm 2): from |0> the recursion breaks
+        # down on step 20, the last one allowed.  That is no invariant
+        # subspace: the error estimate, dt * 5e-15 * |u_20|, must still halve
+        # the step, where a one-step run would drop the leak past the link.
+        hops = np.ones(39)
+        hops[19] = 5e-15
+        mat = scipy.sparse.diags([hops, hops], [-1, 1], format="csr").astype(complex)
+        psi = np.eye(40, dtype=complex)[0]
+        runs = []
+        real = dynamics._lanczos_run
+        monkeypatch.setattr(
+            dynamics, "_lanczos_run", lambda *args: runs.append(1) or real(*args)
+        )
+        t = 1e4
+        got = dynamics._krylov_evolve(mat, psi, t, 20, 1e-12)
+        assert len(runs) > 1
+        exact = scipy.linalg.expm(-1j * t * mat.toarray())[:, 0]
+        assert np.max(np.abs(got - exact)) <= 1e-11
+        assert np.max(np.abs(got[20:])) > 0.0
+
     def test_time_reversal(self):
         spec = single(g=0.15, trunc=36)
         h = build_model(spec, "nR")

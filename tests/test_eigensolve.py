@@ -132,6 +132,30 @@ class TestLanczos:
         res = eigs_lowest(h, 4)
         np.testing.assert_allclose(res.energies, [0, 0, 1, 1], atol=1e-12)
 
+    def test_exact_breakdown_on_first_check(self):
+        # Twenty pairs (2j, 2j + 1), each linked by 3.0; each half carries
+        # the same path with unequal hoppings and there is no diagonal, so
+        # both rows of a pair sum in the same order.  The all-ones start stays
+        # exactly symmetric under the swap of the halves, and the recursion
+        # breaks down at step 20, the first convergence check.  The restarted
+        # recursion has beta = 0 there; checked at once, it would pass.
+        full = np.zeros((40, 40))
+        for j in range(19):
+            for a in (2 * j, 2 * j + 1):
+                full[a, a + 2] = full[a + 2, a] = 1.0 + 0.1 * j
+        for a in range(0, 40, 2):
+            full[a, a + 1] = full[a + 1, a] = 3.0
+        h = SparseOperator.from_dense(qubit_oscillator_layout(0, (40,)), full)
+        basis = np.empty((40, 20), dtype=complex)
+        basis[:, 0] = 1.0 / np.sqrt(40.0)
+        alphas, betas = [], []
+        eigensolve._lanczos_run(h.entries, basis, alphas, betas, 20, 0.0, 0.0)
+        assert len(alphas) == 20
+        assert min(betas[:-1]) > 0.1 and betas[-1] <= 1e-30
+        res = eigs_lowest(h, 3)
+        want = np.linalg.eigvalsh(full)[:3]
+        assert np.max(np.abs(res.energies - want)) <= 1e-12
+
     def test_iteration_limit_carries_partial(self):
         h = build_model(single(trunc=100), "nR")
         with pytest.raises(IterationLimitError) as exc_info:
@@ -779,6 +803,129 @@ class TestTracking:
         assert not ground.terminated
         # |g,0> is uncoupled in the rotating model: energy stays -omega_q/2.
         np.testing.assert_allclose(ground.energies, -1.25, atol=1e-12)
+
+
+def _reference_labels(result):
+    """Labels by a walk over every (bare, eigen) pair in descending order."""
+    weights = np.abs(result.states) ** 2
+    dim, k = weights.shape
+    order = np.argsort(-np.round(weights, 10), axis=None, kind="stable")
+    labels = [None] * k
+    used_bare = np.zeros(dim, dtype=bool)
+    remaining = k
+    for flat in order:
+        bare, eig = divmod(int(flat), k)
+        if labels[eig] is None and not used_bare[bare]:
+            config, fock = result.layout.label_of(bare)
+            labels[eig] = (config, fock, float(weights[bare, eig]))
+            used_bare[bare] = True
+            remaining -= 1
+            if remaining == 0:
+                break
+    return labels
+
+
+def _reference_curves(results, floor):
+    """Curves by a walk over the full overlap matrix of each step: a pair
+    below the floor ends its row's curve without taking the column."""
+    n_points, seed = len(results), results[0]
+    curves = [
+        SimpleNamespace(
+            label=None if seed.labels is None else seed.labels[i][:2],
+            indices=[i] + [None] * (n_points - 1),
+            energies=np.append(seed.energies[i], np.full(n_points - 1, np.nan)),
+            overlaps=[1.0] + [None] * (n_points - 1),
+            terminated=False,
+            terminated_at=None,
+        )
+        for i in range(seed.k)
+    ]
+    for t in range(n_points - 1):
+        right = results[t + 1]
+        overlap = np.abs(results[t].states.conj().T @ right.states) ** 2
+        rows = {c.indices[t]: c for c in curves if not c.terminated}
+        taken = np.zeros(right.k, dtype=bool)
+        pending = set(rows)
+        for flat in np.argsort(-overlap, axis=None, kind="stable"):
+            row, col = divmod(int(flat), right.k)
+            if row not in pending or taken[col]:
+                continue
+            pending.discard(row)
+            w = float(overlap[row, col])
+            if w < floor:
+                rows[row].terminated, rows[row].terminated_at = True, t + 1
+            else:
+                taken[col] = True
+                rows[row].indices[t + 1] = col
+                rows[row].energies[t + 1] = right.energies[col]
+                rows[row].overlaps[t + 1] = w
+        for row in pending:
+            rows[row].terminated, rows[row].terminated_at = True, t + 1
+    return curves
+
+
+def _tied_columns(rng, dim, k):
+    """``k`` orthonormal columns: a permutation, the same with disjoint pairs
+    rotated by 45 degrees (weights of exactly 0.5), or a random rotation."""
+    kind = rng.integers(3)
+    if kind == 2:
+        return np.linalg.qr(rng.normal(size=(dim, dim)))[0][:, :k]
+    q = np.eye(dim)[:, rng.permutation(dim)]
+    if kind == 1:
+        s = np.sqrt(0.5)
+        for a in range(0, dim - 1, 2):
+            q[:, a : a + 2] = q[:, a : a + 2] @ np.array([[s, s], [s, -s]])
+    return q[:, :k]
+
+
+class TestGreedyAgainstReference:
+    """Labeling and tracking agree exactly with a per-pair reference walk on
+    random sweeps with exact ties, points with fewer levels than live
+    curves, and floors at which curves die part way."""
+
+    layout = qubit_oscillator_layout(1, [4])
+
+    def _sweep(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = self.layout.total_dim
+        points = []
+        for t in range(6):
+            k = dim if t == 0 else int(rng.integers(1, dim + 1))
+            points.append(
+                SpectrumResult(
+                    energies=np.sort(rng.normal(size=k)),
+                    states=_tied_columns(rng, dim, k),
+                    layout=self.layout,
+                )
+            )
+        points[0] = label_by_overlap(points[0])
+        return points
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_labels(self, seed):
+        for point in self._sweep(seed):
+            assert label_by_overlap(point).labels == _reference_labels(point)
+
+    def test_curves(self):
+        dead_part_way = short_points = 0
+        for seed in range(40):
+            points = self._sweep(seed)
+            short_points += any(p.k < q.k for p, q in zip(points[1:], points))
+            for floor in (0.0, 0.5, 0.9):
+                got = track_levels(points, continuity_floor=floor)
+                want = _reference_curves(points, floor)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert a.label == b.label
+                    assert a.indices == b.indices
+                    assert a.overlaps == b.overlaps
+                    np.testing.assert_array_equal(a.energies, b.energies)
+                    assert (a.terminated, a.terminated_at) == (
+                        b.terminated,
+                        b.terminated_at,
+                    )
+                    dead_part_way += bool(a.terminated and a.terminated_at > 1)
+        assert dead_part_way > 0 and short_points > 0
 
 
 class TestErrorTaxonomy:
