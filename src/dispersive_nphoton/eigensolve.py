@@ -471,9 +471,10 @@ def _lanczos(mat, k: int, tol: float, max_iters: int):
     next_check = min(max_iters, max(k + 2, 20))
     while True:
         steps = min(next_check, dim)
-        # Room for the run and the column after it: the basis doubles as
+        # Room for the column after the run, which takes at least one step
+        # (also after a restart on a check point): the basis doubles as
         # needed, up to max_iters + 1 columns.
-        while basis.shape[1] <= steps:
+        while basis.shape[1] <= max(steps, len(alphas) + 1):
             grow = min(max_iters + 1, 2 * basis.shape[1]) - basis.shape[1]
             basis = np.pad(basis, ((0, 0), (0, grow)))
         w = _lanczos_run(mat, basis, alphas, betas, steps, floor, 0.0)

@@ -132,28 +132,46 @@ class TestLanczos:
         res = eigs_lowest(h, 4)
         np.testing.assert_allclose(res.energies, [0, 0, 1, 1], atol=1e-12)
 
-    def test_exact_breakdown_on_first_check(self):
-        # Twenty pairs (2j, 2j + 1), each linked by 3.0; each half carries
-        # the same path with unequal hoppings and there is no diagonal, so
-        # both rows of a pair sum in the same order.  The all-ones start stays
-        # exactly symmetric under the swap of the halves, and the recursion
-        # breaks down at step 20, the first convergence check.  The restarted
-        # recursion has beta = 0 there; checked at once, it would pass.
-        full = np.zeros((40, 40))
-        for j in range(19):
+    @staticmethod
+    def _paired_path(pairs):
+        # Pairs (2j, 2j + 1), each linked by 3.0; each half carries the same
+        # path with unequal hoppings and there is no diagonal, so both rows of
+        # a pair sum in the same order.  The all-ones start stays exactly
+        # symmetric under the swap of the halves, and the recursion breaks
+        # down at step ``pairs``.
+        dim = 2 * pairs
+        full = np.zeros((dim, dim))
+        for j in range(pairs - 1):
             for a in (2 * j, 2 * j + 1):
                 full[a, a + 2] = full[a + 2, a] = 1.0 + 0.1 * j
-        for a in range(0, 40, 2):
+        for a in range(0, dim, 2):
             full[a, a + 1] = full[a + 1, a] = 3.0
-        h = SparseOperator.from_dense(qubit_oscillator_layout(0, (40,)), full)
-        basis = np.empty((40, 20), dtype=complex)
-        basis[:, 0] = 1.0 / np.sqrt(40.0)
+        h = SparseOperator.from_dense(qubit_oscillator_layout(0, (dim,)), full)
+        basis = np.empty((dim, pairs), dtype=complex)
+        basis[:, 0] = 1.0 / np.sqrt(dim)
         alphas, betas = [], []
-        eigensolve._lanczos_run(h.entries, basis, alphas, betas, 20, 0.0, 0.0)
-        assert len(alphas) == 20
+        eigensolve._lanczos_run(h.entries, basis, alphas, betas, pairs, 0.0, 0.0)
+        assert len(alphas) == pairs
         assert min(betas[:-1]) > 0.1 and betas[-1] <= 1e-30
+        return h, full
+
+    def test_exact_breakdown_on_first_check(self):
+        # The breakdown falls on step 20, the first convergence check.  The
+        # restarted recursion has beta = 0 there; checked at once, it would
+        # pass.
+        h, full = self._paired_path(20)
         res = eigs_lowest(h, 3)
         want = np.linalg.eigvalsh(full)[:3]
+        assert np.max(np.abs(res.energies - want)) <= 1e-12
+
+    def test_exact_breakdown_on_check_at_full_basis(self):
+        # At k = 27 the basis starts with 2k + 16 = 70 columns and the checks
+        # fall at steps 29, 49 and 69, so the breakdown on step 69 restarts
+        # in the last column.  The restarted recursion takes one step before
+        # its check, and the column after that step needs a larger basis.
+        h, full = self._paired_path(69)
+        res = eigs_lowest(h, 27)
+        want = np.linalg.eigvalsh(full)[:27]
         assert np.max(np.abs(res.energies - want)) <= 1e-12
 
     def test_iteration_limit_carries_partial(self):
