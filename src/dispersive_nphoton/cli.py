@@ -242,9 +242,10 @@ def _sweep_start(args: argparse.Namespace, extra: str) -> tuple[SystemSpec, list
 def _solve_point(
     spec: SystemSpec, args: argparse.Namespace, name: Optional[str], value
 ) -> tuple[SystemSpec, SpectrumResult]:
-    """Build, solve and label one grid point (``name`` None: ``spec`` as is).
+    """Build and solve one grid point (``name`` None: ``spec`` as is).
 
-    Returns the swept spec and the labeled lowest ``args.k`` eigenpairs.
+    Returns the swept spec and the lowest ``args.k`` eigenpairs, unlabeled:
+    ``spectrum`` labels every point, ``levels`` only the first.
 
     Raises:
         SolverError: When the eigensolver fails; the caller flags the point.
@@ -252,8 +253,7 @@ def _solve_point(
     if name is not None:
         spec = with_swept(spec, name, value)
     h = build_model(spec, args.model, args.regime, args.squeezing, args.cross_k0)
-    result = solve_lowest(h, args.k, args.method, args.max_iters)
-    return spec, label_by_overlap(result)
+    return spec, solve_lowest(h, args.k, args.method, args.max_iters)
 
 
 def _closed_form_params(spec: SystemSpec, model: str) -> Optional[DispersiveParams]:
@@ -347,6 +347,7 @@ def _spectrum_point(
         swept, result = _solve_point(spec, args, name, value)
     except SolverError as exc:
         return [_row(args, name, value)], str(exc)
+    result = label_by_overlap(result)
     params = _closed_form_params(swept, args.model)
     rows = []
     for i, (config, fock, overlap) in enumerate(result.labels):
@@ -401,7 +402,8 @@ def _cmd_levels(args: argparse.Namespace) -> int:
             failures.append((float(value), str(exc)))
             break
         specs.append(swept)
-        results.append(result)
+        # track_levels reads the labels of the first point alone.
+        results.append(result if results else label_by_overlap(result))
 
     if results:
         curves = track_levels(results, continuity_floor=args.continuity_floor)

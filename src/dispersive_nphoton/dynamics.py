@@ -7,8 +7,10 @@ and each of them is propagated exactly through the block solver's
 eigenpairs.  Every other block runs a shifted Krylov-Lanczos matrix
 exponential on its own sub-matrix, which builds a fresh Lanczos subspace
 per substep and halves the step until the a-posteriori error estimate
-clears the local tolerance.  No renormalization is ever applied — norm
-drift is a diagnostic of propagator quality, not something to hide.
+clears the local tolerance; a run that would take more than
+:data:`MAX_SUBSTEPS` substeps is refused.  No renormalization is ever
+applied — norm drift is a diagnostic of propagator quality, not something
+to hide.
 
 Initial states come from :func:`basis_state`, :func:`superposition`,
 :func:`coherent_state`, :func:`tensor_state`, or the named presets of
@@ -39,6 +41,13 @@ from .fockspace import HilbertLayout, SparseOperator
 
 #: Presets understood by :func:`preset_state`.
 STATE_PRESETS = ("bell", "plus_coherent_1", "plus_coherent_2")
+
+#: Most substeps that one Krylov propagation of a block may take.  A run is
+#: refused as soon as the substeps taken plus the rest of the time at the
+#: current step would pass it: a small ``krylov_dim`` can need a number of
+#: substeps that grows with ``t`` without bound.  The largest count in the
+#: tests, demos and CI is 4096 (``krylov_dim`` 4).
+MAX_SUBSTEPS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +262,8 @@ def evolve(
         ValueError: On a non-Hermitian generator, a mismatched layout, a
             non-finite ``t``, ``krylov_dim < 2`` or a ``local_tol`` that is
             not finite and positive.
-        PropagationError: If adaptive halving underflows the step size.
+        PropagationError: If adaptive halving underflows the step size, or
+            a block would need more than :data:`MAX_SUBSTEPS` substeps.
     """
     return propagator(h, krylov_dim, local_tol)(psi0, t)
 
@@ -313,6 +323,7 @@ def _krylov_evolve(mat, psi, t, krylov_dim, local_tol):
     remaining = abs(t)
     dt_next = remaining
     min_step = abs(t) * 1e-15
+    substeps = 0
 
     while remaining > 0.0:
         nrm = float(np.linalg.norm(psi))
@@ -341,6 +352,14 @@ def _krylov_evolve(mat, psi, t, krylov_dim, local_tol):
                 )
         psi = basis[:, :m] @ (nrm * u)
         remaining -= dt
+        substeps += 1
+        needed = substeps + remaining / dt
+        if needed > MAX_SUBSTEPS:
+            raise PropagationError(
+                f"substep budget exceeded at t_remaining={remaining:.6g}: about "
+                f"{needed:.3g} substeps needed, limit {MAX_SUBSTEPS} (a larger "
+                f"krylov_dim or local_tol needs fewer)"
+            )
         if invariant:
             dt_next = remaining if remaining > 0 else dt
         else:

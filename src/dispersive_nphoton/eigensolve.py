@@ -9,21 +9,21 @@ from the matrix alone.  The merge keeps the lowest ``k`` by a stable sort on
 basis index, so exact degeneracies across blocks come out in a fixed order.
 
 One function, :func:`_block_eigh`, picks each block's solver: small blocks
-in one batched call; chains of any size (tridiagonal in reverse
-Cuthill-McKee order, as every n-photon Rabi parity block is) by the
-tridiagonal solver; other blocks of at most :data:`DENSE_LIMIT` states by
-LAPACK; larger ones by a deterministic Lanczos with full
-reorthogonalization under ``auto``, and not at all under ``dense``.  Under
-``lanczos`` every block above one state runs Lanczos.  :func:`eigh_dense`,
-:func:`eigs_lowest` and the ``--method`` dispatch :func:`solve_lowest` are
-each one pass of it; the exact propagator shares it.  The Lanczos solver
-and the Krylov propagator run one Lanczos recursion, :func:`_lanczos_run`.
-Also here is the bookkeeping of sweeps: labeling eigenstates by dominant
-bare basis state (:func:`label_by_overlap`), discarding truncation-band
-artifacts by mean photon number (:func:`filter_by_mean_photon`), and
-following levels through a parameter sweep by state overlap
-(:func:`track_levels`); both of these overlap matchings are one greedy
-assignment, :func:`_greedy_pairs`.
+in one batched call; chains of any size (as every n-photon Rabi parity
+block is; :func:`_chain` walks each from end to end) by LAPACK's
+tridiagonal drivers, called directly; other blocks of at most
+:data:`DENSE_LIMIT` states by dense LAPACK; larger ones by a deterministic
+Lanczos with full reorthogonalization under ``auto``, and not at all under
+``dense``.  Under ``lanczos`` every block above one state runs Lanczos.
+:func:`eigh_dense`, :func:`eigs_lowest` and the ``--method`` dispatch
+:func:`solve_lowest` are each one pass of it; the exact propagator shares
+it.  The Lanczos solver and the Krylov propagator run one Lanczos
+recursion, :func:`_lanczos_run`.  Also here is the bookkeeping of sweeps:
+labeling eigenstates by dominant bare basis state
+(:func:`label_by_overlap`), discarding truncation-band artifacts by mean
+photon number (:func:`filter_by_mean_photon`), and following levels
+through a parameter sweep by state overlap (:func:`track_levels`); both of
+these overlap matchings are one greedy assignment, :func:`_greedy_pairs`.
 
 Determinism: every routine here is free of randomness — the Lanczos start
 vector is the normalized all-ones vector of each block and breakdown
@@ -34,6 +34,10 @@ give bit-identical results.
 from __future__ import annotations
 
 import dataclasses
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -178,6 +182,45 @@ def _submatrix(mat: _CSR, idx: np.ndarray):
     return sp.csr_matrix((v, np.searchsorted(idx, c), indptr), shape=shape)
 
 
+def _chain(r, c, v, s):
+    """The connected block of ``s`` states with stored entries ``(r, c, v)``
+    (rows ascending, positions in the block) as a chain, or None.
+
+    The block is a chain (a path) iff it has 2(s - 1) off-diagonal entries
+    and no state has more than two.  Returns ``(order, diagonal,
+    off_diagonal)``: the states from one end to the other, and the
+    tridiagonal matrix in that order.  The walk starts at the far end from
+    the state that ``numpy.argsort`` of the int32 degrees puts first, as
+    SciPy's reverse Cuthill-McKee ordering does: the direction of a chain
+    shows in the last bits of its eigenpairs.
+    """
+    off = r != c
+    rows, cols = r[off], c[off]
+    if len(rows) != 2 * (s - 1):
+        return None
+    degree = np.bincount(rows, minlength=s)
+    if degree.max() > 2:
+        return None
+    # Each state's two neighbours XORed (at an end, its one neighbour and
+    # itself): the walk goes on to the one it did not come from.
+    first = np.cumsum(degree) - degree
+    other = np.where(degree == 2, cols[first + degree - 1], np.arange(s))
+    link = (cols[first] ^ other).tolist()
+    seed = int(np.argsort(degree.astype(np.int32))[0])
+    walk = [seed, link[seed] ^ seed]
+    for _ in range(s - 2):
+        walk.append(link[walk[-1]] ^ walk[-2])
+    order = np.array(walk[::-1])
+    at = np.empty(s, dtype=np.intp)
+    at[order] = np.arange(s)
+    diagonal = np.zeros(s)
+    diagonal[at[r[~off]]] = v[~off]
+    up = at[cols] == at[rows] + 1
+    off_diagonal = np.empty(s - 1)
+    off_diagonal[at[rows[up]]] = v[off][up]
+    return order, diagonal, off_diagonal
+
+
 def _merge_lowest(h, members, starts, parts, k, dtype, want_states=True):
     """Lowest ``k`` of the per-block eigenpairs, scattered to the full basis.
 
@@ -226,9 +269,9 @@ def _block_eigh(
     solver that fits:
 
     - up to ``_BATCH_MAX`` states: ``numpy.linalg.eigh``, batched per size;
-    - a real chain of any size (tridiagonal in its reverse Cuthill-McKee
-      order, as every n-photon Rabi parity block is): the tridiagonal
-      solver :func:`_tridiagonal_eigh`, with no dense copy;
+    - a real chain of any size (as every n-photon Rabi parity block is;
+      see :func:`_chain`): the tridiagonal solver :func:`_tridiagonal_eigh`
+      on its diagonal and off-diagonal, with no matrix copy;
     - up to :data:`DENSE_LIMIT` states: ``scipy.linalg.eigh`` for the
       lowest ``k`` pairs, or ``numpy.linalg.eigh`` for all of them (the
       subset driver loses orthogonality on full spectra);
@@ -245,7 +288,8 @@ def _block_eigh(
     local[members] = np.arange(len(members)) - np.repeat(starts[:-1], sizes)
     real = not np.iscomplexobj(mat.data)
     parts, failed = [], []
-    for s in np.unique(sizes):
+    # Ascending sizes without np.unique, which imports numpy.ma.
+    for s in np.flatnonzero(np.bincount(sizes)):
         keep = min(k, s)
         ids = np.flatnonzero(sizes == s)
         batched = s == 1 or (s <= _BATCH_MAX and method != "lanczos")
@@ -253,32 +297,25 @@ def _block_eigh(
             # The group's blocks in a row: row r of the group is row r % s of
             # block r // s.
             idx = members[starts[group, None] + np.arange(s)].ravel()
-            # SciPy is imported only here and below: runs whose blocks all
-            # fit one batched call never load it.
-            sub = None if batched else _submatrix(mat, idx)
+            r, c, v = _entries(mat, idx)
+            chain = None
             if not batched and method != "lanczos" and real:
-                from scipy.sparse import csgraph, triu
-
-                # The strict upper triangle, so that a zero on the diagonal
-                # cannot give an inner state the low degree of a chain end,
-                # where RCM would start.
-                order = csgraph.reverse_cuthill_mckee(triu(sub, 1, format="csr"))
-                chain = sub[order][:, order]
-                band = chain.tocoo()
-                if np.all(np.abs(band.row - band.col) <= 1):
-                    out = _tridiagonal_eigh(
-                        chain.diagonal(),
-                        chain.diagonal(1),
-                        keep if keep < s else None,
-                        eigvals_only=not want_states,
-                    )
-                    if want_states:
-                        vecs = np.empty_like(out[1])
-                        vecs[order] = out[1]
-                        parts.append((group, out[0][None], vecs[None]))
-                    else:
-                        parts.append((group, out[None], None))
-                    continue
+                chain = _chain(r, local[c], v, s)
+            if chain is not None:
+                order, diagonal, off_diagonal = chain
+                out = _tridiagonal_eigh(
+                    diagonal,
+                    off_diagonal,
+                    keep if keep < s else None,
+                    eigvals_only=not want_states,
+                )
+                if want_states:
+                    vecs = np.empty_like(out[1])
+                    vecs[order] = out[1]
+                    parts.append((group, out[0][None], vecs[None]))
+                else:
+                    parts.append((group, out[None], None))
+                continue
             if not batched and (method == "lanczos" or s > DENSE_LIMIT):
                 if method == "dense":
                     raise CapacityError(
@@ -286,12 +323,12 @@ def _block_eigh(
                         f"limit {DENSE_LIMIT}; use eigs_lowest for its lowest levels"
                     )
                 budget = int(max_iters or min(s, max(30 * keep, 2500)))
+                sub = _submatrix(mat, idx)
                 vals, vecs, converged = _lanczos(sub, keep, tol, budget)
                 parts.append((group, vals[None], vecs[None]))
                 if not converged:
                     failed.append((group[0], s, budget))
                 continue
-            r, c, v = _entries(mat, idx)
             stack = np.zeros((len(group), s, s), dtype=mat.data.dtype)
             stack[r // s, r % s, local[c]] = v
             if s <= _BATCH_MAX or keep == s:
@@ -416,19 +453,79 @@ def _lanczos_run(mat, basis, alphas, betas, steps, floor, shift):
         basis[:, len(alphas)] = w / beta
 
 
+def _lapack():
+    """SciPy's compiled LAPACK wrappers, the module ``scipy.linalg._flapack``.
+
+    The extension is loaded from its file, which skips the import of the
+    ``scipy.linalg`` package (about 0.2 s), and registered under its own
+    name, so that a later ``import scipy.linalg`` shares it.  Where the file
+    is not found, the public ``scipy.linalg.lapack`` serves.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            return module
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+def _lapack_check(info: int, driver: str, failed: str = "did not converge") -> None:
+    """Raise as ``scipy.linalg`` does on the ``info`` of a LAPACK call."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {driver}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{driver} {failed} (LAPACK info={info})")
+
+
 def _tridiagonal_eigh(
     alphas, betas, k: Optional[int] = None, eigvals_only: bool = False
 ):
     """Lowest ``min(k, m)`` eigenpairs of the symmetric tridiagonal ``T``
     with diagonal ``alphas`` and off-diagonal ``betas``; all when k is None,
-    eigenvalues only when ``eigvals_only``."""
-    import scipy.linalg
+    eigenvalues only when ``eigvals_only``.
 
+    The drivers and their order are those of ``scipy.linalg.eigh_tridiagonal``,
+    so the results are its bits: ``dstevd`` for all pairs; for the lowest
+    ``k``, ``dstebz`` by index, then ``dstein`` for the vectors (the two
+    give different last bits).  Raises ``ValueError`` on a value that is not
+    finite and ``numpy.linalg.LinAlgError`` when LAPACK fails.
+    """
     a = np.asarray(alphas, dtype=float)
     b = np.asarray(betas[: len(a) - 1], dtype=float)
-    # The full (stevd) and by-index (stebz) drivers differ in the last bits.
-    idx = {} if k is None else dict(select="i", select_range=(0, min(k, len(a)) - 1))
-    return scipy.linalg.eigh_tridiagonal(a, b, eigvals_only=eigvals_only, **idx)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if len(a) == 1:
+        w = a.copy()
+        return w if eigvals_only else (w, np.ones((1, 1)))
+    lapack = _lapack()
+    if k is None:
+        w, v, info = lapack.dstevd(a, b, compute_v=not eigvals_only)
+        _lapack_check(info, "stevd (eigh_tridiagonal)")
+        return w if eigvals_only else (w, v)
+    # Eigenvalues 1 to min(k, m) (range 2, Fortran indices) at the default
+    # tolerance; with vectors in block order, as dstein takes them.
+    m, w, iblock, isplit, info = lapack.dstebz(
+        a, b, 2, 0.0, 1.0, 1, min(k, len(a)), 0.0, "E" if eigvals_only else "B"
+    )
+    _lapack_check(info, "stebz (eigh_tridiagonal)")
+    w = w[:m]
+    if eigvals_only:
+        return w
+    v, info = lapack.dstein(a, b, w, iblock, isplit)
+    _lapack_check(info, "stein (eigh_tridiagonal)", "eigenvectors failed to converge")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def _lanczos(mat, k: int, tol: float, max_iters: int):

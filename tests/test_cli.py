@@ -653,6 +653,34 @@ class TestLevelsCommand:
             run_cli(["levels", "--config", cfg, "--model", "nJC", "-k", "3"])
 
 
+class TestLabelingPerPoint:
+    """``levels`` labels only its seed point, which is all that tracking
+    reads; ``spectrum`` labels every point, whose rows carry the labels."""
+
+    @pytest.mark.parametrize("command, calls", [("levels", 1), ("spectrum", 5)])
+    def test_label_calls(self, tmp_path, monkeypatch, command, calls):
+        from dispersive_nphoton import cli
+
+        labeled = []
+        real = cli.label_by_overlap
+        monkeypatch.setattr(
+            cli, "label_by_overlap", lambda r: labeled.append(r.k) or real(r)
+        )
+        argv = [
+            command,
+            "--config", write_config(tmp_path, SINGLE),
+            "--model", "nR",
+            "-k", "6",
+            "--sweep", "g:0:0.1:5",
+        ]
+        if command == "spectrum":
+            argv += ["--threads", "1"]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert len(labeled) == calls
+        assert len(parse_csv(out)[2]) == 30
+
+
 class TestDynamicsCommand:
     def test_diagonal_model_has_unit_fidelities(self, tmp_path):
         cfg = write_config(tmp_path, DYN)
@@ -746,6 +774,29 @@ class TestDynamicsCommand:
         _, header, rows = parse_csv(out)
         assert header == list(DYNAMICS_COLUMNS)
         assert [row[0] for row in rows] == ["0"]
+
+    def test_substep_budget_exits_3(self, tmp_path, monkeypatch):
+        # Every block on Krylov: at krylov_dim 2 the 30-state blocks of nR
+        # n=2 at trunc 60 would take about 1.7e7 substeps to t = 100.
+        monkeypatch.setattr(dynamics, "DENSE_LIMIT", 4)
+        payload = {**SINGLE, "oscillators": [{"trunc": 60}]}
+        code, out, err = run_cli(
+            [
+                "dynamics",
+                "--config", write_config(tmp_path, payload),
+                "--model", "nR",
+                "--state", "plus_coherent_2",
+                "--t-end", "100",
+                "--steps", "1",
+                "--krylov-dim", "2",
+            ]
+        )
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith(
+            "propagation failure at t = 100: substep budget exceeded"
+        )
+        assert [row[0] for row in parse_csv(out)[2]] == ["0"]
 
     def test_preset_beyond_truncation_exits_2(self, tmp_path):
         payload = {**DYN, "qubits": [{**DYN["qubits"][0], "n": 1}]}
@@ -1335,11 +1386,95 @@ class TestImportHygiene:
         payload = {**SINGLE, "oscillators": [{"trunc": 60}]}
         assert self._loaded(tmp_path, payload, argv) == set()
 
-    def test_chain_blocks_load_csgraph_and_linalg(self, tmp_path):
-        # Six chain blocks of 50 states would stay batched; of 100 they do not.
+    def test_chain_blocks_load_only_lapack_extension(self, tmp_path):
+        # Six chain blocks of 50 states would stay batched; of 100 they do
+        # not: they are ordered in NumPy and solved by SciPy's LAPACK
+        # extension alone.
         argv = ["spectrum", "--model", "nR", "-k", "6"]
-        loaded = self._loaded(tmp_path, self.NR3, argv)
-        assert {"scipy.linalg", "scipy.sparse.csgraph"} <= loaded
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from dispersive_nphoton import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    result = cli.main(sys.argv[1:])"
+        )
+        argv = [*argv, "--config", write_config(tmp_path, self.NR3)]
+        code, loaded = self._scipy_loaded(probe, argv)
+        assert code == 0
+        assert "scipy.linalg._flapack" in loaded
+        for name in (
+            "scipy.linalg",
+            "scipy.sparse",
+            "scipy.sparse.csgraph",
+            "scipy.sparse.linalg",
+        ):
+            assert name not in loaded
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (
+                ["levels", "--model", "nJC", "-k", "10", "--sweep", "g:0:0.2:3"],
+                {**SINGLE, "oscillators": [{"trunc": 60}]},
+            ),
+            (
+                [
+                    "dynamics", "--model", "nR", "--state", "plus_coherent_2",
+                    "--t-end", "10", "--steps", "2",
+                ],
+                {**SINGLE, "oscillators": [{"trunc": 60}]},
+            ),
+            (["spectrum", "--model", "nR", "-k", "6"], NR3),
+        ],
+        ids=["levels-nJC", "dynamics-nR", "spectrum-chains"],
+    )
+    def test_runs_do_not_load_numpy_ma(self, tmp_path, argv, payload):
+        probe = (
+            "import contextlib, io, sys\n"
+            "from dispersive_nphoton import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        argv = [*argv, "--config", write_config(tmp_path, payload)]
+        assert self._probe(probe, argv).split() == ["0", "False"]
+
+    def _probe(self, probe, argv=()):
+        """Standard output of ``python -c probe *argv`` in a fresh interpreter."""
+        src = str(Path(dispersive_nphoton.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_lapack_extension_is_shared_with_scipy_linalg(self):
+        # Loaded first from its file, the extension is the module that a
+        # later import of scipy.linalg uses, and the solves agree.
+        probe = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from dispersive_nphoton import eigensolve\n"
+            "lapack = eigensolve._lapack()\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "assert sys.modules['scipy.linalg._flapack'] is lapack\n"
+            "d, e = np.arange(80.0) % 7, np.cos(np.arange(79.0))\n"
+            "mine = eigensolve._tridiagonal_eigh(d, e, 5)\n"
+            "import scipy.linalg\n"
+            "from scipy.linalg import _flapack\n"
+            "assert _flapack is lapack\n"
+            "assert scipy.linalg.lapack.dstebz is lapack.dstebz\n"
+            "ref = scipy.linalg.eigh_tridiagonal(\n"
+            "    d, e, select='i', select_range=(0, 4)\n"
+            ")\n"
+            "assert all(np.array_equal(a, b) for a, b in zip(mine, ref))\n"
+            "print('ok')"
+        )
+        assert self._probe(probe) == "ok\n"
 
     # Without the solver modules, no SciPy at all: the operators, the model
     # assembly and the block finder are NumPy alone.

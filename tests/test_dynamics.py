@@ -1,6 +1,7 @@
 """States, propagation, reduced density matrices, and fidelity."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -465,6 +466,36 @@ def test_only_blocks_over_the_budget_run_krylov(monkeypatch):
     assert np.all(psi.amplitudes[:5] == 0)
     expected = scipy.linalg.expm(-2j * dense)[:, 6]
     assert np.max(np.abs(psi.amplitudes - expected)) <= 1e-12
+
+
+class TestSubstepBudget:
+    """A Krylov propagation that would take more than ``MAX_SUBSTEPS``
+    substeps is refused as soon as its step size shows it."""
+
+    def test_small_krylov_dim_refused_at_once(self, monkeypatch):
+        # nR n=2 at trunc 60: blocks of 30 states, all on Krylov here.  At
+        # krylov_dim 2 the step stays near 6e-6, so t = 100 would take
+        # about 1.7e7 substeps (half an hour).
+        monkeypatch.setattr(dynamics, "DENSE_LIMIT", 4)
+        spec = single(trunc=60)
+        h = build_model(spec, "nR")
+        psi0 = preset_state("plus_coherent_2", spec.layout())
+        start = time.perf_counter()
+        with pytest.raises(PropagationError, match="substep budget exceeded"):
+            evolve(h, psi0, 100.0, krylov_dim=2)
+        assert time.perf_counter() - start < 1.0
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        # This run takes 4096 substeps of one size: 4.1% of the default.
+        spec = single(g=0.15, trunc=40)
+        h = build_model(spec, "nR")
+        psi0 = preset_state("plus_coherent_1", spec.layout())
+        want = krylov(h, psi0, 6.0, krylov_dim=4)
+        monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", 4096)
+        assert np.array_equal(krylov(h, psi0, 6.0, krylov_dim=4), want)
+        monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", 4095)
+        with pytest.raises(PropagationError, match="limit 4095"):
+            krylov(h, psi0, 6.0, krylov_dim=4)
 
 
 class TestDensityMatrices:

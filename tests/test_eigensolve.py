@@ -1,12 +1,14 @@
 """Dense/Lanczos solvers, labeling, photon filtering, and level tracking."""
 
+import importlib.machinery
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 from test_models import ALL_BUILDERS, pair, two_mode
 
 from dispersive_nphoton import eigensolve
@@ -565,6 +567,158 @@ class TestChainBlocks:
         assert calls == [(100, 100), (100, 100)]
         want = np.linalg.eigvalsh(h.toarray())[:5]
         assert np.max(np.abs(res.energies - want)) <= 1e-12 * np.abs(want).max()
+
+
+def _chain_of(sub):
+    """:func:`eigensolve._chain` of a connected block given as sorted CSR."""
+    rows = np.repeat(np.arange(sub.shape[0]), np.diff(sub.indptr))
+    return eigensolve._chain(rows, sub.indices, sub.data, sub.shape[0])
+
+
+def _block_matrices(h):
+    """CSR matrix of every block of ``h``, in block order."""
+    mat, members, starts = eigensolve._blocks(h)
+    return [
+        eigensolve._submatrix(mat, members[a:b])
+        for a, b in zip(starts[:-1], starts[1:])
+    ]
+
+
+def _random_path(seed, dim):
+    """Real symmetric CSR path through ``dim`` states in a random order, with
+    random links and a random diagonal, about 30% of it exactly zero."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(dim)
+    links = rng.uniform(0.5, 2.0, dim - 1) * rng.choice([-1.0, 1.0], dim - 1)
+    diagonal = rng.normal(size=dim) * (rng.random(dim) >= 0.3)
+    dense = np.diag(diagonal)
+    dense[perm[:-1], perm[1:]] = links
+    dense[perm[1:], perm[:-1]] = links
+    return sp.csr_matrix(dense)
+
+
+class TestChainOrder:
+    """:func:`eigensolve._chain` orders a chain as SciPy's reverse
+    Cuthill-McKee ordering of its strict upper triangle does: the direction
+    of a chain shows in the last bits of its eigenpairs."""
+
+    @staticmethod
+    def _assert_rcm_order(sub):
+        chain = _chain_of(sub)
+        assert chain is not None
+        order = reverse_cuthill_mckee(sp.triu(sub, 1, format="csr"))
+        assert np.array_equal(chain[0], order)
+        permuted = sub[order][:, order]
+        assert np.array_equal(chain[1], permuted.diagonal())
+        assert np.array_equal(chain[2], permuted.diagonal(1))
+
+    @pytest.mark.parametrize("stabilized", [False, True], ids=["bare", "stabilized"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_nR_block(self, n, stabilized):
+        stab = StabilizerSpec(form="number_power", eta=0.02) if stabilized else None
+        spec = single(omega_q=n + 0.1, n=n, g=0.03, trunc=240, stabilizer=stab)
+        blocks = _block_matrices(build_model(spec, "nR"))
+        assert len(blocks) == 2 * n
+        for sub in blocks:
+            self._assert_rcm_order(sub)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_shuffled_random_paths(self, seed):
+        dim = int(np.random.default_rng(seed).integers(2, 400))
+        self._assert_rcm_order(_random_path(seed, dim))
+
+    @pytest.mark.parametrize("shape", ["ring", "degree-3", "chord"])
+    def test_non_chains_take_dense_driver(self, monkeypatch, shape):
+        # 100 states in a random order: a closed ring; a path whose last
+        # state hangs off the middle (s - 1 links, one state of degree 3);
+        # a path plus one chord.
+        dim = 100
+        perm = np.random.default_rng(5).permutation(dim)
+        ends = [(perm[i], perm[i + 1]) for i in range(dim - 1)]
+        if shape == "ring":
+            ends.append((perm[-1], perm[0]))
+        elif shape == "degree-3":
+            ends[-1] = (perm[50], perm[-1])
+        else:
+            ends.append((perm[10], perm[40]))
+        dense = np.diag(np.linspace(-1.0, 1.0, dim))
+        for i, (a, b) in enumerate(ends):
+            dense[a, b] = dense[b, a] = 0.3 + 0.01 * i
+        h = SparseOperator.from_dense(HilbertLayout((("oscillator", dim),)), dense)
+        assert _chain_of(_block_matrices(h)[0]) is None
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        res = solve_lowest(h, 5, "auto")
+        assert calls == [(dim, dim)]
+        want = np.linalg.eigvalsh(dense)[:5]
+        assert np.max(np.abs(res.energies - want)) <= 1e-12 * np.abs(want).max()
+
+
+class TestTridiagonalDrivers:
+    """``_tridiagonal_eigh`` calls LAPACK as ``scipy.linalg.eigh_tridiagonal``
+    does and returns its bits: ``dstevd`` for all pairs, ``dstebz`` and
+    ``dstein`` for the lowest ``k``."""
+
+    @staticmethod
+    def _assert_same_bits(a, b, k, eigvals_only):
+        got = eigensolve._tridiagonal_eigh(a, b, k, eigvals_only)
+        select = {}
+        if k is not None:
+            select = dict(select="i", select_range=(0, min(k, len(a)) - 1))
+        want = scipy.linalg.eigh_tridiagonal(a, b, eigvals_only, **select)
+        if eigvals_only:
+            got, want = [got], [want]
+        for x, y in zip(got, want, strict=True):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("eigvals_only", [False, True])
+    @pytest.mark.parametrize("k", [None, 1, 7, 500])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_chains(self, seed, k, eigvals_only):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 300))
+        a = rng.normal(size=m)
+        b = rng.normal(size=m - 1)
+        # Near-degenerate pairs in the middle of the chain.
+        b[m // 2 :] *= 1e-9
+        self._assert_same_bits(a, b, k, eigvals_only)
+
+    @pytest.mark.parametrize("eigvals_only", [False, True])
+    @pytest.mark.parametrize("k", [None, 1])
+    def test_one_state(self, k, eigvals_only):
+        self._assert_same_bits(np.array([-0.75]), np.array([]), k, eigvals_only)
+
+    @pytest.mark.parametrize("eigvals_only", [False, True])
+    @pytest.mark.parametrize("k", [None, 8])
+    def test_model_chains(self, k, eigvals_only):
+        for sub in _block_matrices(_stabilized_n3(trunc=300)):
+            _, diagonal, off_diagonal = _chain_of(sub)
+            self._assert_same_bits(diagonal, off_diagonal, k, eigvals_only)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_values_not_finite(self, bad):
+        a, b = np.ones(5), np.ones(4)
+        a[2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            eigensolve._tridiagonal_eigh(a, b)
+        b[1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            eigensolve._tridiagonal_eigh(np.ones(5), b, 2)
+
+    def test_falls_back_to_public_lapack(self, monkeypatch):
+        # Without the extension's file, the public module serves.
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        assert eigensolve._lapack() is scipy.linalg.lapack
+        rng = np.random.default_rng(3)
+        self._assert_same_bits(rng.normal(size=90), rng.normal(size=89), 4, False)
 
 
 class TestPerBlockPolicy:
