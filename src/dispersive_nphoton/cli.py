@@ -32,8 +32,10 @@ labels, ``terminated=1``) per failed point; ``levels`` stops at its first.
 Sweep grids run in parallel worker processes.  ``--threads`` chooses the
 worker count (default: CPU count); the environment variable
 ``DISPERSIVE_NPHOTON_THREADS``, when set, overrides the flag; a count below
-1 from either is a configuration problem.  Results are merged in grid
-order, so output bytes do not depend on the worker count.
+1 from either is a configuration problem.  Fewer workers start when there
+are fewer grid points or fewer CPUs that the process may use (its
+affinity set).  Results are merged in grid order, so output bytes
+do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -361,6 +363,14 @@ def _spectrum_point(
     return rows, None
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     threads = resolve_threads(args.threads)
     spec, lines = _sweep_start(args, "nbar_max")
@@ -371,7 +381,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         points = [(None, None)]
 
     solve = functools.partial(_spectrum_point, spec, args)
-    workers = min(threads, len(points))
+    # A fork-based pool starts every worker at once: bound them first.
+    workers = min(threads, len(points), _usable_cpus())
     if workers <= 1:
         outcomes = [solve(point) for point in points]
     else:

@@ -5,12 +5,13 @@ decomposes the operator once into its connected blocks.  Blocks are taken
 smallest first while their eigenvectors fit in ``DENSE_LIMIT**2`` entries,
 and each of them is propagated exactly through the block solver's
 eigenpairs.  Every other block runs a shifted Krylov-Lanczos matrix
-exponential on its own sub-matrix, which builds a fresh Lanczos subspace
-per substep and halves the step until the a-posteriori error estimate
-clears the local tolerance; a run that would take more than
-:data:`MAX_SUBSTEPS` substeps is refused.  No renormalization is ever
-applied — norm drift is a diagnostic of propagator quality, not something
-to hide.
+exponential on its own sub-matrix, held as NumPy CSR arrays and multiplied
+by the kernel of :mod:`.fockspace` (no ``scipy.sparse``).  It builds a
+fresh Lanczos subspace per substep and halves the step until the
+a-posteriori error estimate clears the local tolerance; a run that would
+take more than :data:`MAX_SUBSTEPS` substeps is refused.  No
+renormalization is ever applied — norm drift is a diagnostic of propagator
+quality, not something to hide.
 
 Initial states come from :func:`basis_state`, :func:`superposition`,
 :func:`coherent_state`, :func:`tensor_state`, or the named presets of
@@ -32,12 +33,11 @@ from .eigensolve import (
     _block_eigh,
     _blocks,
     _lanczos_run,
-    _norm1,
     _submatrix,
     _tridiagonal_eigh,
 )
 from .errors import PropagationError, TruncationError
-from .fockspace import HilbertLayout, SparseOperator
+from .fockspace import HilbertLayout, SparseOperator, _csr_one_norm
 
 #: Presets understood by :func:`preset_state`.
 STATE_PRESETS = ("bell", "plus_coherent_1", "plus_coherent_2")
@@ -317,7 +317,7 @@ def _krylov_evolve(mat, psi, t, krylov_dim, local_tol):
     dim = mat.shape[0]
     krylov_dim = min(int(krylov_dim), dim)
     theta = float(np.real(mat.diagonal()).mean())
-    floor = 1e-14 * _norm1(mat)
+    floor = 1e-14 * _csr_one_norm(mat.indices, mat.data)
 
     sign = 1.0 if t >= 0 else -1.0
     remaining = abs(t)

@@ -18,7 +18,10 @@ Lanczos with full reorthogonalization under ``auto``, and not at all under
 :func:`eigh_dense`, :func:`eigs_lowest` and the ``--method`` dispatch
 :func:`solve_lowest` are each one pass of it; the exact propagator shares
 it.  The Lanczos solver and the Krylov propagator run one Lanczos
-recursion, :func:`_lanczos_run`.  Also here is the bookkeeping of sweeps:
+recursion, :func:`_lanczos_run`, on a block held as NumPy CSR arrays
+(:class:`.fockspace._CSR`, cut out by :func:`_submatrix`), whose product and
+1-norm are the kernels of :mod:`.fockspace`: no solver here loads
+``scipy.sparse``.  Also here is the bookkeeping of sweeps:
 labeling eigenstates by dominant bare basis state
 (:func:`label_by_overlap`), discarding truncation-band artifacts by mean
 photon number (:func:`filter_by_mean_photon`), and following levels
@@ -39,12 +42,18 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, IterationLimitError
-from .fockspace import HilbertLayout, SparseOperator
+from .fockspace import (
+    _CSR,
+    HilbertLayout,
+    SparseOperator,
+    _csr_one_norm,
+    _csr_rows,
+)
 
 #: Largest dimension accepted by the dense path.
 DENSE_LIMIT = 4096
@@ -109,14 +118,6 @@ def _mean_photons(layout: HilbertLayout, states: np.ndarray) -> np.ndarray:
 _BATCH_MAX = 64
 
 
-class _CSR(NamedTuple):
-    """CSR arrays of a square matrix."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-
 def _blocks(op):
     """CSR arrays of ``op`` and the connected blocks of its sparsity pattern.
 
@@ -141,8 +142,7 @@ def _blocks(op):
     mat = _CSR(csr.indptr, csr.indices, data)
     dim = len(mat.indptr) - 1
     root = np.arange(dim)
-    rows = np.repeat(root, np.diff(mat.indptr))
-    cols = mat.indices
+    rows, cols = mat.rows, mat.indices
     while True:
         a, b = root[rows], root[cols]
         cross = a != b
@@ -164,22 +164,19 @@ def _blocks(op):
 
 def _entries(mat: _CSR, idx: np.ndarray):
     """Stored entries of the rows ``idx`` of ``mat``, in storage order:
-    ``(r, c, v)`` with ``r`` the position of the entry's row in ``idx``."""
+    ``(indptr, r, c, v)`` with ``indptr`` their row pointer and ``r`` the
+    position of the entry's row in ``idx``."""
     first = mat.indptr[idx]
-    counts = mat.indptr[idx + 1] - first
-    ends = np.cumsum(counts)
-    at = np.arange(ends[-1]) + np.repeat(first - ends + counts, counts)
-    return np.repeat(np.arange(len(idx)), counts), mat.indices[at], mat.data[at]
+    indptr = np.append(0, np.cumsum(mat.indptr[idx + 1] - first))
+    r = _csr_rows(indptr)
+    at = np.arange(indptr[-1]) + (first - indptr[:-1])[r]
+    return indptr, r, mat.indices[at], mat.data[at]
 
 
-def _submatrix(mat: _CSR, idx: np.ndarray):
-    """SciPy CSR matrix of the block with ascending basis indices ``idx``."""
-    import scipy.sparse as sp
-
-    r, c, v = _entries(mat, idx)
-    indptr = np.searchsorted(r, np.arange(len(idx) + 1))
-    shape = (len(idx), len(idx))
-    return sp.csr_matrix((v, np.searchsorted(idx, c), indptr), shape=shape)
+def _submatrix(mat: _CSR, idx: np.ndarray) -> _CSR:
+    """The block of ``mat`` with ascending basis indices ``idx``."""
+    indptr, _, c, v = _entries(mat, idx)
+    return _CSR(indptr, np.searchsorted(idx, c), v)
 
 
 def _chain(r, c, v, s):
@@ -297,7 +294,7 @@ def _block_eigh(
             # The group's blocks in a row: row r of the group is row r % s of
             # block r // s.
             idx = members[starts[group, None] + np.arange(s)].ravel()
-            r, c, v = _entries(mat, idx)
+            _, r, c, v = _entries(mat, idx)
             chain = None
             if not batched and method != "lanczos" and real:
                 chain = _chain(r, local[c], v, s)
@@ -415,11 +412,6 @@ def _reorthogonalize(block: np.ndarray, w: np.ndarray) -> np.ndarray:
     for _ in range(2):
         w = w - block @ (w.conj() @ block).conj()
     return w
-
-
-def _norm1(mat) -> float:
-    """1-norm (largest absolute column sum) of the sparse matrix ``mat``."""
-    return float(abs(mat).sum(axis=0).max())
 
 
 def _lanczos_step(mat, basis, alphas, betas, shift):
@@ -541,7 +533,7 @@ def _lanczos(mat, k: int, tol: float, max_iters: int):
     ``converged`` is False and the pairs are the best available.
     """
     dim = mat.shape[0]
-    norm1 = _norm1(mat)
+    norm1 = _csr_one_norm(mat.indices, mat.data)
     floor = 1e-14 * norm1
     basis = np.empty((dim, min(max_iters + 1, max(2 * k + 16, 64))), dtype=mat.dtype)
     basis[:, 0] = 1.0 / np.sqrt(dim)

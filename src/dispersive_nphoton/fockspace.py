@@ -23,6 +23,12 @@ Conventions
   certifies *exact* conjugate symmetry of the stored entries (no
   tolerance), because downstream eigensolvers rely on it.  Both are
   computed in NumPy.
+* Every sparse product in the package runs on CSR arrays in NumPy, with
+  one kernel each: :func:`_csr_rows` (the row of every stored entry),
+  :class:`_CSR` (``A @ v``, each row summed in storage order, as SciPy's
+  ``csr_matvec`` does) and :func:`_csr_one_norm` (the largest absolute
+  column sum).  :meth:`SparseOperator.apply` and the Lanczos and Krylov
+  blocks of the solvers use them.
 * ``SparseOperator.entries`` is a SciPy ``csr_matrix`` view of the frozen
   arrays, built lazily on first access.  The operator algebra (``+``,
   ``@``, :meth:`SparseOperator.dagger`, :func:`embed`, :func:`op_pow`)
@@ -234,11 +240,93 @@ def _canonical_csr(dim: int, rows, cols, values):
     return arrays
 
 
+def _csr_rows(indptr) -> np.ndarray:
+    """Row index of every stored entry of the CSR row pointer ``indptr``."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def _csr_one_norm(indices, data) -> float:
+    """Induced 1-norm (largest absolute column sum) of the CSR matrix with
+    column ``indices`` and ``data``; each column is summed in storage order,
+    as ``abs(A).sum(axis=0)`` of SciPy does."""
+    if data.size == 0:
+        return 0.0
+    return float(np.bincount(indices, weights=np.abs(data)).max())
+
+
+class _CSR:
+    """A square matrix held as NumPy CSR arrays, with the row of every
+    stored entry, and the part of the matrix protocol that the Lanczos and
+    Krylov kernels use: ``shape``, ``dtype``, ``@`` on a vector and
+    :meth:`diagonal`."""
+
+    def __init__(self, indptr, indices, data) -> None:
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.rows = _csr_rows(indptr)
+        self.shape = (len(indptr) - 1,) * 2
+        self.dtype = data.dtype
+
+    @functools.cached_property
+    def _jagged(self):
+        """Jagged diagonals of the matrix (Saad, *Iterative Methods for
+        Sparse Linear Systems*, 2nd ed., §3.4), built on the first product.
+
+        The rows go longest first (a stable sort), and diagonal ``j`` holds
+        the ``j``-th stored entry of each row that has one: a prefix of that
+        order.  Returns ``(rank, passes, cols, parts)``: the place of each
+        row in the order; per diagonal, the slices of its rows and of its
+        entries; the entries' columns; and their values as parts that sum to
+        them, the values alone or, when complex, their real and imaginary
+        parts.  NumPy's complex multiply may fuse its two products (FMA); a
+        part with a zero real or imaginary part multiplies exactly, and the
+        sum of the two rounds as SciPy's complex product does.
+        """
+        lengths = np.diff(self.indptr)
+        order = np.argsort(-lengths, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        # The number of rows longer than j, for j = 0, 1, ...
+        longer = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]
+        starts = np.append(0, np.cumsum(longer))
+        at = np.empty(len(self.data), dtype=np.intp)
+        within = np.arange(len(self.data)) - self.indptr[self.rows]
+        at[starts[within] + rank[self.rows]] = np.arange(len(self.data))
+        bounds = starts.tolist()
+        passes = [(slice(0, b - a), slice(a, b)) for a, b in zip(bounds, bounds[1:])]
+        vals = self.data[at]
+        parts = [vals]
+        if np.iscomplexobj(vals):
+            parts = [vals.real + 0j, 1j * vals.imag]
+        return rank, passes, self.indices[at], parts
+
+    def __matmul__(self, vector: np.ndarray) -> np.ndarray:
+        """``A @ v`` with the bits of SciPy's ``csr_matvec``: each row is
+        summed from zero in storage order, one jagged diagonal at a time.
+        It takes one NumPy pass per entry of the longest row."""
+        rank, passes, cols, parts = self._jagged
+        # A contiguous copy first: a column of a Lanczos basis is strided.
+        x = np.ascontiguousarray(vector)[cols]
+        products = parts[0] * x
+        for part in parts[1:]:
+            products += part * x
+        out = np.zeros(len(vector), dtype=products.dtype)
+        for head, diagonal in passes:
+            view = out[head]
+            view += products[diagonal]
+        return out[rank]
+
+    def diagonal(self) -> np.ndarray:
+        on = self.rows == self.indices
+        out = np.zeros(self.shape[0], dtype=self.dtype)
+        out[self.rows[on]] = self.data[on]
+        return out
+
+
 def _is_exactly_hermitian(indptr, indices, data) -> bool:
     """Exact (tolerance-free) conjugate-symmetry test of canonical CSR
     arrays: the conjugate transpose, sorted, must reproduce them bit for bit
     up to the sign of zero (a NaN entry fails)."""
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    rows = _csr_rows(indptr)
     order = np.lexsort((rows, indices))
     return (
         np.array_equal(indices[order], rows)
@@ -326,43 +414,28 @@ class SparseOperator:
         """Number of stored (structurally nonzero) entries."""
         return self.data.size
 
-    def _rows(self) -> np.ndarray:
-        """Row index of every stored entry."""
-        return np.repeat(np.arange(self.total_dim), np.diff(self.indptr))
-
     def toarray(self) -> np.ndarray:
         """Dense copy of the operator."""
         out = np.zeros((self.total_dim, self.total_dim), dtype=np.complex128)
-        out[self._rows(), self.indices] = self.data
+        out[_csr_rows(self.indptr), self.indices] = self.data
         return out
 
     def diagonal(self) -> np.ndarray:
-        rows = self._rows()
-        on = rows == self.indices
-        out = np.zeros(self.total_dim, dtype=np.complex128)
-        out[rows[on]] = self.data[on]
-        return out
+        return _CSR(self.indptr, self.indices, self.data).diagonal()
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
-        """Matrix-vector product ``A @ v``."""
+        """Matrix-vector product ``A @ v`` (see :class:`_CSR`)."""
         v = np.asarray(vector)
         if v.shape != (self.total_dim,):
             raise ValueError(
                 f"vector of shape {v.shape} does not match dimension "
                 f"{self.total_dim}"
             )
-        out = np.zeros(self.total_dim, dtype=np.result_type(self.data, v))
-        np.add.at(out, self._rows(), self.data * v[self.indices])
-        return out
+        return _CSR(self.indptr, self.indices, self.data) @ v
 
     def one_norm(self) -> float:
         """Induced 1-norm (maximum absolute column sum)."""
-        if self.nnz == 0:
-            return 0.0
-        sums = np.bincount(
-            self.indices, weights=np.abs(self.data), minlength=self.total_dim
-        )
-        return float(sums.max())
+        return _csr_one_norm(self.indices, self.data)
 
     # -- algebra ------------------------------------------------------------
 

@@ -433,6 +433,69 @@ class TestSpectrumCommand:
         assert "error:" in err
 
 
+class TestWorkerCount:
+    """``spectrum`` starts no more workers than grid points or CPUs that the
+    process may use.  A recording stand-in replaces the process pool, so no
+    worker process is ever started; the CPUs are patched to 2."""
+
+    SWEEP = ["--sweep", "g:0:0.01:5"]
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        import dispersive_nphoton.cli as cli
+
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        return made
+
+    def _argv(self, tmp_path, *extra):
+        cfg = write_config(tmp_path, SINGLE)
+        return ["spectrum", "--config", cfg, "--model", "nR", "-k", "2", *extra]
+
+    def test_flag_is_capped_at_usable_cpus(self, tmp_path, pools):
+        serial = run_cli(self._argv(tmp_path, *self.SWEEP, "--threads", "1"))
+        assert pools == []
+        capped = run_cli(self._argv(tmp_path, *self.SWEEP, "--threads", "5000"))
+        assert pools == [2]
+        assert capped == serial and serial[0] == 0
+
+    def test_env_var_is_capped_at_usable_cpus(self, tmp_path, pools, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, "5000")
+        assert run_cli(self._argv(tmp_path, *self.SWEEP))[0] == 0
+        assert pools == [2]
+
+    def test_one_usable_cpu_runs_in_process(self, tmp_path, pools, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert run_cli(self._argv(tmp_path, *self.SWEEP, "--threads", "8"))[0] == 0
+        assert pools == []
+
+    def test_cpu_count_without_affinity(self, tmp_path, pools, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert run_cli(self._argv(tmp_path, *self.SWEEP, "--threads", "5000"))[0] == 0
+        assert pools == [2]
+
+    def test_single_point_runs_in_process(self, tmp_path, pools):
+        assert run_cli(self._argv(tmp_path, "--threads", "5000"))[0] == 0
+        assert pools == []
+
+
 class TestExitCodes:
     def test_missing_config_exits_2(self, tmp_path):
         code, _, err = run_cli(
@@ -1408,6 +1471,47 @@ class TestImportHygiene:
             "scipy.sparse.linalg",
         ):
             assert name not in loaded
+
+    @staticmethod
+    def _solver_modules(loaded):
+        return [m for m in loaded if m.startswith(("scipy.sparse", "scipy.linalg"))]
+
+    def test_lanczos_blocks_load_no_sparse_module(self, tmp_path):
+        # Lanczos runs on the blocks' NumPy CSR arrays; the tridiagonal
+        # solves load SciPy's LAPACK extension alone.
+        argv = ["spectrum", "--model", "nR", "-k", "6", "--method", "lanczos"]
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from dispersive_nphoton import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    result = cli.main(sys.argv[1:])"
+        )
+        argv = [*argv, "--config", write_config(tmp_path, self.NR3)]
+        code, loaded = self._scipy_loaded(probe, argv)
+        assert code == 0
+        assert self._solver_modules(loaded) == ["scipy.linalg._flapack"]
+
+    def test_krylov_blocks_load_no_sparse_module(self, tmp_path):
+        # At a dense limit of 16, no block of nR at trunc 60 (four of 30
+        # states) is propagated exactly: all take the Krylov path.
+        payload = {**SINGLE, "oscillators": [{"trunc": 60}]}
+        argv = [
+            "dynamics", "--model", "nR", "--state", "plus_coherent_2",
+            "--t-end", "10", "--steps", "2",
+        ]
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from dispersive_nphoton import cli, dynamics\n"
+            "dynamics.DENSE_LIMIT = 16\n"
+            "calls, real = [], dynamics._krylov_evolve\n"
+            "dynamics._krylov_evolve = lambda *a: calls.append(1) or real(*a)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    result = [cli.main(sys.argv[1:]), len(calls)]"
+        )
+        argv = [*argv, "--config", write_config(tmp_path, payload)]
+        (code, calls), loaded = self._scipy_loaded(probe, argv)
+        assert code == 0 and calls > 0
+        assert self._solver_modules(loaded) == ["scipy.linalg._flapack"]
 
     @pytest.mark.parametrize(
         "argv, payload",

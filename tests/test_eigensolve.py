@@ -37,6 +37,7 @@ from dispersive_nphoton.errors import (
 from dispersive_nphoton.fockspace import (
     HilbertLayout,
     SparseOperator,
+    _csr_one_norm,
     embed,
     pauli,
     qubit_oscillator_layout,
@@ -576,11 +577,15 @@ def _chain_of(sub):
 
 
 def _block_matrices(h):
-    """CSR matrix of every block of ``h``, in block order."""
+    """SciPy CSR matrix of every block of ``h``, in block order."""
     mat, members, starts = eigensolve._blocks(h)
-    return [
+    blocks = [
         eigensolve._submatrix(mat, members[a:b])
         for a, b in zip(starts[:-1], starts[1:])
+    ]
+    return [
+        sp.csr_matrix((sub.data, sub.indices, sub.indptr), shape=sub.shape)
+        for sub in blocks
     ]
 
 
@@ -658,6 +663,58 @@ class TestChainOrder:
         assert calls == [(dim, dim)]
         want = np.linalg.eigvalsh(dense)[:5]
         assert np.max(np.abs(res.energies - want)) <= 1e-12 * np.abs(want).max()
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+class TestSparseKernels:
+    """The NumPy CSR kernels give SciPy's bits on every model: each row of
+    a product and each column of the 1-norm is summed in storage order.
+    This keeps the CLI output unchanged."""
+
+    @staticmethod
+    def _vectors(dim, seed):
+        rng = np.random.default_rng(seed)
+        real = rng.normal(size=dim)
+        return real, real + 1j * rng.normal(size=dim)
+
+    @pytest.mark.parametrize("make", ALL_BUILDERS)
+    def test_operator(self, make):
+        h = make()
+        for v in self._vectors(h.total_dim, h.nnz):
+            assert _same_bits(h.apply(v), h.entries @ v)
+        assert h.one_norm() == float(abs(h.entries).sum(axis=0).max())
+
+    def test_complex_entries(self):
+        # NumPy's complex multiply may fuse its two products (FMA); the
+        # product rounds each part as SciPy's does.
+        rng = np.random.default_rng(8)
+        dense = rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
+        dense *= rng.random((300, 300)) < 0.05
+        op = SparseOperator.from_dense(qubit_oscillator_layout(0, (300,)), dense)
+        for v in self._vectors(300, 1):
+            assert _same_bits(op.apply(v), op.entries @ v)
+        assert op.one_norm() == float(abs(op.entries).sum(axis=0).max())
+
+    @pytest.mark.parametrize("trunc", [300, 2100])
+    def test_stabilized_n3_blocks(self, trunc):
+        h = _stabilized_n3(trunc)
+        mat, members, starts = eigensolve._blocks(h)
+        refs = _block_matrices(h)
+        assert len(refs) == 6
+        for a, b, ref in zip(starts[:-1], starts[1:], refs):
+            sub = eigensolve._submatrix(mat, members[a:b])
+            for v in self._vectors(b - a, a):
+                assert _same_bits(sub @ v, ref @ v)
+                # A column of a Lanczos basis is a strided vector.
+                basis = np.zeros((b - a, 5), dtype=v.dtype)
+                basis[:, 3] = v
+                assert _same_bits(sub @ basis[:, 3], ref @ v)
+            assert _same_bits(sub.diagonal(), ref.diagonal())
+            norm = float(abs(ref).sum(axis=0).max())
+            assert _csr_one_norm(sub.indices, sub.data) == norm
 
 
 class TestTridiagonalDrivers:
