@@ -33,6 +33,9 @@ from .combinatorics import commutator_poly, eval_int_poly, stirling2
 from .errors import ResonanceError
 
 REGIMES = ("rwa", "nonrwa")
+#: Largest coupling order whose photon-number polynomials have a float
+#: value: ``Cplus(n, 0) = n!`` exceeds the float range from ``n = 171`` on.
+MAX_FLOAT_ORDER = 170
 MOMENT_CONVENTIONS = ("coherent_exact", "amplitude_literal")
 _DENOMINATORS = {"delta": "detuning delta", "sigma": "sum frequency sigma"}
 
@@ -234,7 +237,18 @@ def _number_polys(n: int, cross_k0: bool = True) -> tuple[tuple[int, ...], ...]:
     """Rows ``(P+, P-, Px)`` of the order-``n`` photon-number polynomials:
     cross-Kerr ``P+ = Cplus``, self-Kerr ``P- = Cminus`` without its constant
     and exchange ``Px = Cminus`` from degree ``k0`` (0 if ``cross_k0``, else
-    1).  Dropped degrees are exact zeros."""
+    1).  Dropped degrees are exact zeros.
+
+    Raises:
+        ResonanceError: Above :data:`MAX_FLOAT_ORDER`, before any table is
+            built: every float consumer evaluates ``P+``, whose values
+            (``P+(j) >= n!``) are then beyond the float range.
+    """
+    if n > MAX_FLOAT_ORDER:
+        raise ResonanceError(
+            f"photon-number polynomials of order n = {n} are beyond the float "
+            f"range (n! > 1.8e308 for n > {MAX_FLOAT_ORDER})"
+        )
     cplus, cminus = commutator_poly(n)
     k0 = 0 if cross_k0 else 1
     return cplus, (0,) + cminus[1:], (0,) * k0 + cminus[k0:]

@@ -32,34 +32,31 @@ from functools import lru_cache
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _s1_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..n_max of signed Stirling numbers of the first kind."""
-    rows = [(1,)]
-    for n in range(n_max):
-        prev = rows[n]
-        row = []
-        for k in range(n + 2):
-            left = prev[k - 1] if 1 <= k <= n + 1 else 0
-            right = prev[k] if k <= n else 0
-            row.append(left - n * right)
-        rows.append(tuple(row))
-    return tuple(rows)
+# The rows 0, 1, ... of each triangle built so far, each held once.  A row
+# is added only after the one before it, so the keys are always 0..len - 1;
+# two threads that build one row store one of two equal tuples.
+_S1_ROWS = {0: (1,)}
+_S2_ROWS = {0: (1,)}
 
 
-@lru_cache(maxsize=None)
-def _s2_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..n_max of Stirling numbers of the second kind."""
-    rows = [(1,)]
-    for n in range(n_max):
-        prev = rows[n]
-        row = []
-        for k in range(n + 2):
-            left = prev[k - 1] if 1 <= k <= n + 1 else 0
-            right = prev[k] if k <= n else 0
-            row.append(k * right + left)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _row(rows: dict, n: int, weight) -> tuple[int, ...]:
+    """Row ``n`` of the triangle ``rows`` whose entry ``(m + 1, k)`` is
+    entry ``(m, k - 1)`` plus ``weight(m, k)`` times entry ``(m, k)``."""
+    for m in range(len(rows) - 1, n):
+        prev = rows[m] + (0,)
+        row = ((prev[k - 1] if k else 0) + weight(m, k) * prev[k] for k in range(m + 2))
+        rows.setdefault(m + 1, tuple(row))
+    return rows[n]
+
+
+def _s1_row(n: int) -> tuple[int, ...]:
+    """Row ``n`` of the signed Stirling numbers of the first kind."""
+    return _row(_S1_ROWS, n, lambda m, k: -m)
+
+
+def _s2_row(n: int) -> tuple[int, ...]:
+    """Row ``n`` of the Stirling numbers of the second kind."""
+    return _row(_S2_ROWS, n, lambda m, k: k)
 
 
 def _check_range(n: int, k: int, what: str) -> tuple[int, int]:
@@ -80,7 +77,7 @@ def stirling2(n: int, k: int) -> int:
         ValueError: Unless ``0 <= k <= n``.
     """
     n, k = _check_range(n, k, "stirling2")
-    return _s2_rows(n)[n][k]
+    return _s2_row(n)[k]
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +97,7 @@ def normal_order_aadag(n: int) -> tuple[int, ...]:
     n = int(n)
     if n < 0:
         raise ValueError("normal_order_aadag requires n >= 0")
-    row = _s1_rows(n + 1)[n + 1]
+    row = _s1_row(n + 1)
     return tuple((-1) ** (n + k) * row[k + 1] for k in range(n + 1))
 
 
@@ -129,9 +126,8 @@ def c_coeff(n: int, k: int, sign: str) -> int:
     if n < 1:
         raise ValueError("c_coeff requires n >= 1")
     _check_range(n, k, "c_coeff")
-    rows = _s1_rows(n + 1)
-    first = (-1) ** (n + k) * rows[n + 1][k + 1]
-    second = rows[n][k]
+    first = (-1) ** (n + k) * _s1_row(n + 1)[k + 1]
+    second = _s1_row(n)[k]
     return first + second if sign == "plus" else first - second
 
 

@@ -19,11 +19,10 @@ Lanczos with full reorthogonalization under ``auto``, and not at all under
 :func:`solve_lowest` are each one pass of it; the exact propagator shares
 it.  The Lanczos solver and the Krylov propagator run one Lanczos
 recursion, :func:`_lanczos_run`, on a block held as NumPy CSR arrays
-(:class:`.fockspace._CSR`, cut out by :func:`_submatrix`), whose product and
-1-norm are the kernels of :mod:`.fockspace`: no solver here loads
-``scipy.sparse``.  Also here is the bookkeeping of sweeps:
-labeling eigenstates by dominant bare basis state
-(:func:`label_by_overlap`), discarding truncation-band artifacts by mean
+(:class:`.fockspace._CSR`), whose product and 1-norm are the kernels of
+:mod:`.fockspace`: no solver here loads ``scipy.sparse``.  Also here is
+the bookkeeping of sweeps: labeling eigenstates by dominant bare basis
+state (:func:`label_by_overlap`), discarding truncation-band artifacts by mean
 photon number (:func:`filter_by_mean_photon`), and following levels
 through a parameter sweep by state overlap (:func:`track_levels`); both of
 these overlap matchings are one greedy assignment, :func:`_greedy_pairs`.
@@ -294,7 +293,7 @@ def _block_eigh(
             # The group's blocks in a row: row r of the group is row r % s of
             # block r // s.
             idx = members[starts[group, None] + np.arange(s)].ravel()
-            _, r, c, v = _entries(mat, idx)
+            indptr, r, c, v = _entries(mat, idx)
             chain = None
             if not batched and method != "lanczos" and real:
                 chain = _chain(r, local[c], v, s)
@@ -320,7 +319,8 @@ def _block_eigh(
                         f"limit {DENSE_LIMIT}; use eigs_lowest for its lowest levels"
                     )
                 budget = int(max_iters or min(s, max(30 * keep, 2500)))
-                sub = _submatrix(mat, idx)
+                # The block's own entries: local[c] is each column's position.
+                sub = _CSR(indptr, local[c], v)
                 vals, vecs, converged = _lanczos(sub, keep, tol, budget)
                 parts.append((group, vals[None], vecs[None]))
                 if not converged:

@@ -37,8 +37,10 @@ class ResonanceError(DispersiveNphotonError):
 
     Raised when a detuning denominator vanishes, when ``n * omega_o`` is lost
     in the rounding of the qubit frequency (so the detuning and the sum
-    frequency coincide), or when a perturbative expansion parameter is not
-    small enough for the requested regime-tagged output to be meaningful.
+    frequency coincide), when a perturbative expansion parameter is not
+    small enough for the requested regime-tagged output to be meaningful, or
+    when a closed-form value or a Hamiltonian entry is beyond the float
+    range.
     """
 
 

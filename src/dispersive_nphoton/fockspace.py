@@ -325,11 +325,13 @@ class _CSR:
 def _is_exactly_hermitian(indptr, indices, data) -> bool:
     """Exact (tolerance-free) conjugate-symmetry test of canonical CSR
     arrays: the conjugate transpose, sorted, must reproduce them bit for bit
-    up to the sign of zero (a NaN entry fails)."""
+    up to the sign of zero.  An entry that is not finite fails: no solver
+    gives a spectrum of such a matrix."""
     rows = _csr_rows(indptr)
     order = np.lexsort((rows, indices))
-    return (
-        np.array_equal(indices[order], rows)
+    return bool(
+        np.isfinite(data).all()
+        and np.array_equal(indices[order], rows)
         and np.array_equal(rows[order], indices)
         and np.array_equal(data[order].conj(), data)
     )

@@ -45,7 +45,7 @@ from .analytic import (
     _poly_value,
     dispersive_level,
 )
-from .errors import ConfigError, TruncationError
+from .errors import ConfigError, ResonanceError, TruncationError
 from .fockspace import HilbertLayout, SparseOperator, qubit_oscillator_layout
 
 TOPOLOGIES = ("single", "multiqubit", "multimode")
@@ -566,6 +566,10 @@ def _assemble(
     one diagonal per slot moves each basis state by its offsets, and the
     entry is the product of the slot values in layout order (as SciPy's
     ``kron`` forms it in :func:`.fockspace.embed`), times the coefficient.
+
+    Raises:
+        ResonanceError: If an entry is beyond the float range (such as
+            ``sqrt(m + 1) ... sqrt(m + n)`` of ``a^n`` near ``n = 300``).
     """
     occ = layout.occupation_vectors()
     dims = np.array(layout.dims)
@@ -583,9 +587,15 @@ def _assemble(
             rows.append(states[inside])
             cols.append(np.ravel_multi_index(target[inside].T, layout.dims))
             values.append(coef * value)
-    return SparseOperator.from_coo(
+    op = SparseOperator.from_coo(
         layout, np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
     )
+    bad = np.count_nonzero(~np.isfinite(op.data))
+    if bad:
+        raise ResonanceError(
+            f"{bad} of {op.nnz} Hamiltonian entries are beyond the float range"
+        )
+    return op
 
 
 def _exchange(coef: float, rotating: bool, ops: dict, fixed: dict) -> list:
@@ -762,8 +772,9 @@ def build_model(
             different orders on a shared mode (``dispersive``), or a
             stabilizer of the wrong form (``full_nR``).
         TruncationError: If any ``n >= trunc``.
-        ResonanceError: If a detuning denominator vanishes, or ``g**2`` or a
-            photon-number polynomial is beyond the float range (``dispersive``).
+        ResonanceError: If a Hamiltonian entry is beyond the float range,
+            or (``dispersive``) a detuning denominator vanishes, or ``g**2``
+            or a photon-number polynomial is beyond the float range.
         ValueError: For an unknown regime (``dispersive``).
     """
     allowed = MODELS_BY_TOPOLOGY[spec.topology]
@@ -772,9 +783,11 @@ def build_model(
             f"model {model!r} is not available for topology "
             f"{spec.topology!r}; choose from {allowed}"
         )
-    if model == "dispersive":
-        return _dispersive_model(spec, regime, squeezing, cross_k0)
-    return _exact_model(spec, _EXACT_KINDS[model])
+    # An overflow is refused by _assemble, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model == "dispersive":
+            return _dispersive_model(spec, regime, squeezing, cross_k0)
+        return _exact_model(spec, _EXACT_KINDS[model])
 
 
 def charge_operator(spec: SystemSpec) -> SparseOperator:

@@ -13,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from dispersive_nphoton import analytic
 from dispersive_nphoton.analytic import (
+    MAX_FLOAT_ORDER,
     MOMENT_CONVENTIONS,
     REGIMES,
     DispersiveParams,
@@ -382,6 +384,26 @@ class TestBeyondFloatRange:
         )
         with pytest.raises(ResonanceError, match="float range"):
             effective_two_qubit_params(spec, 1.0)
+
+
+    def test_orders_above_float_range_refused_before_any_table(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"table of order {n} built")
+
+        n = MAX_FLOAT_ORDER + 1
+        assert float(math.factorial(MAX_FLOAT_ORDER)) < math.inf
+        with pytest.raises(OverflowError):
+            float(math.factorial(n))
+        monkeypatch.setattr(analytic, "commutator_poly", refuse)
+        for cross_k0 in (True, False):
+            with pytest.raises(ResonanceError, match=f"n = {n} .*float range"):
+                analytic._number_polys(n, cross_k0)
+
+    def test_largest_float_order_kept(self):
+        plus, _, _ = analytic._number_polys(MAX_FLOAT_ORDER)
+        assert plus[0] == math.factorial(MAX_FLOAT_ORDER)
+        p = params(MAX_FLOAT_ORDER + 0.5, MAX_FLOAT_ORDER, 1e-160)
+        assert math.isfinite(dispersive_level(p, "g", 0, "rwa"))
 
 
 class TestGuardedQuotient:

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1116,6 +1117,27 @@ class TestOverflowingInputs:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "float range" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_model_entries_beyond_float_range_exit_2(self, tmp_path):
+        # a^300 overflows: no level may silently drop out of the spectrum.
+        payload = {
+            "topology": "single",
+            "qubits": [{"omega_q": 300.5, "n": 300, "g": 0.01}],
+            "oscillators": [{"trunc": 310}],
+        }
+        argv = ["spectrum", "--config", write_config(tmp_path, payload)]
+        code, out, err = run_cli(argv + ["--model", "nR", "-k", "4"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "float range" in err
+        assert len(err.splitlines()) == 1
+
+    def test_coeff_table_is_exact_beyond_float_range(self):
+        # The table prints integers: an order whose C+(n, 0) = n! has no
+        # float value is still printed exactly.
+        code, out, err = run_cli(["coeff-table", "--n-max", "171"])
+        assert (code, err) == (0, "")
+        assert f"cplus,171,0,{math.factorial(171)}" in out.splitlines()
 
     def test_critical_nph_beyond_float_range_prints_inf(self):
         argv = ["critical-nph", "--n", "1", "--g", "1e-200", "--delta", "1"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dispersive_nphoton import combinatorics
 from dispersive_nphoton.combinatorics import (
     c_coeff,
     commutator_poly,
@@ -83,6 +84,19 @@ class TestStirling:
             normal_order_aadag(-1)
         with pytest.raises(ValueError):
             stirling2(3, 4)
+
+
+    def test_each_row_is_built_once(self):
+        # Every order reads one shared triangle per kind, not a table of its own.
+        row = combinatorics._s1_row(30)
+        c_coeff(40, 3, "plus")
+        normal_order_aadag(45)
+        assert combinatorics._s1_row(30) is row
+        for rows in (combinatorics._S1_ROWS, combinatorics._S2_ROWS):
+            assert list(rows) == list(range(len(rows)))
+        s2_row = combinatorics._s2_row(20)
+        stirling2(35, 4)
+        assert combinatorics._s2_row(20) is s2_row
 
 
 class TestCCoeff:

@@ -35,6 +35,7 @@ from dispersive_nphoton.errors import (
     TruncationError,
 )
 from dispersive_nphoton.fockspace import (
+    _CSR,
     HilbertLayout,
     SparseOperator,
     _csr_one_norm,
@@ -715,6 +716,41 @@ class TestSparseKernels:
             assert _same_bits(sub.diagonal(), ref.diagonal())
             norm = float(abs(ref).sum(axis=0).max())
             assert _csr_one_norm(sub.indices, sub.data) == norm
+
+    @staticmethod
+    def _pattern(shape, dim, rng):
+        """Nonzero pattern of an arrow matrix (row 0 holds every column, as
+        column 0 holds every row) or of a random matrix whose every third
+        row is empty."""
+        if shape == "arrow":
+            mask = np.eye(dim, dtype=bool)
+            mask[0, :] = mask[:, 0] = True
+        else:
+            mask = rng.random((dim, dim)) < 0.05
+            mask[::3] = False
+        return mask
+
+    @pytest.mark.parametrize("vector", ["real", "complex"])
+    @pytest.mark.parametrize("data", ["real", "complex"])
+    @pytest.mark.parametrize("shape", ["arrow", "empty-rows"])
+    def test_product_bits(self, shape, data, vector):
+        dim = 400
+        rng = np.random.default_rng(21)
+        dense = rng.normal(size=(dim, dim))
+        if data == "complex":
+            dense = dense + 1j * rng.normal(size=(dim, dim))
+        ref = sp.csr_matrix(dense * self._pattern(shape, dim, rng))
+        assert ref.dtype == dense.dtype and ref.has_sorted_indices
+        mat = _CSR(ref.indptr, ref.indices, ref.data)
+        v = self._vectors(dim, 4)[vector == "complex"]
+        want = ref @ v
+        assert _same_bits(mat @ v, want)
+        basis = np.zeros((dim, 3), dtype=v.dtype)
+        basis[:, 1] = v
+        assert _same_bits(mat @ basis[:, 1], want)
+        if data == "complex":
+            op = SparseOperator(qubit_oscillator_layout(0, (dim,)), ref)
+            assert _same_bits(op.apply(v), op.entries @ v)
 
 
 class TestTridiagonalDrivers:

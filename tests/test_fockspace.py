@@ -246,10 +246,15 @@ class TestCanonicalArrays:
             {(0, 1): 1 + 2j, (1, 0): 1 + 2j},
             {(1, 1): 1j},
             {(0, 2): 1.0},
+            # Conjugate symmetric bit for bit, but beyond the float range.
+            {(0, 0): np.inf},
+            {(0, 1): np.inf, (1, 0): np.inf},
+            {(0, 1): complex(1.0, np.inf), (1, 0): complex(1.0, -np.inf)},
         ],
         ids=[
             "nan-diagonal", "nan-pair", "one-ulp", "unconjugated",
             "imaginary-diagonal", "one-sided",
+            "inf-diagonal", "inf-pair", "inf-imaginary-pair",
         ],
     )
     def test_certificate_refuses(self, entries):

@@ -459,6 +459,18 @@ class TestBuilderBasics:
             with pytest.raises(ConfigError, match=f"topology '{topology}'"):
                 build_model(spec, model)
 
+    @pytest.mark.filterwarnings("error")
+    def test_entries_beyond_float_range_refused(self):
+        # sqrt(m + 1) ... sqrt(m + 300) overflows for the lowest m.
+        spec = single(omega_q=300.5, n=300, g=0.01, trunc=310)
+        with pytest.raises(ResonanceError, match="36 of 660 .* float range"):
+            build_model(spec, "nR")
+
+    @pytest.mark.filterwarnings("error")
+    def test_high_order_within_float_range_builds(self):
+        h = build_model(single(omega_q=290.5, n=290, g=0.01, trunc=300), "nR")
+        assert h.hermitian and np.isfinite(h.data).all()
+
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValueError):
             build_model(single(), "dispersive", "bogus")
