@@ -1,0 +1,76 @@
+#!/usr/bin/env bash
+# Console checks of the CLI: exit codes, bytes and loaded modules of real runs.
+# The CI workflow runs it after installing the package; locally, from the
+# repository root:
+#
+#   PYTHONPATH=src bash ci/console_checks.sh
+#
+# Every command runs `python -m dispersive_nphoton.cli`, the same `main` as the
+# installed `dispersive-nphoton` entry point.  Scratch files go to $RUNNER_TEMP,
+# or to a fresh temporary directory.
+set -eu
+tmp="${RUNNER_TEMP:-$(mktemp -d)}"
+dn() { python -m dispersive_nphoton.cli "$@"; }
+cfg="$tmp/single.json"
+echo '{"topology": "single", "qubits": [{"omega_q": 2.5, "n": 2, "g": 0.02}], "oscillators": [{"trunc": 8}]}' > "$cfg"
+# A run whose blocks all fit one batched solve loads no SciPy module.
+python -c "import sys; from dispersive_nphoton import cli; code = cli.main(['levels', '--config', sys.argv[1], '--model', 'nJC', '-k', '6', '--sweep', 'g:0:0.2:3', '--out', sys.argv[2]]); bad = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); assert code == 0 and not bad, (code, bad)" "$cfg" "$tmp/levels_nJC.csv"
+# A chain run loads SciPy's LAPACK extension alone: no scipy.linalg or scipy.sparse module.
+chains="$tmp/chains.json"
+echo '{"topology": "single", "qubits": [{"omega_q": 3.1, "n": 3, "g": 0.01}], "oscillators": [{"trunc": 300}], "stabilizer": {"form": "number_power", "eta": 0.02}}' > "$chains"
+python -c "import sys; from dispersive_nphoton import cli; code = cli.main(['spectrum', '--config', sys.argv[1], '--model', 'nR', '-k', '6', '--out', sys.argv[2]]); bad = sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse')) and m != 'scipy.linalg._flapack'); assert code == 0 and 'scipy.linalg._flapack' in sys.modules and not bad, (code, bad)" "$chains" "$tmp/chains.csv"
+# Lanczos blocks run on NumPy CSR arrays: no scipy.sparse module.
+python -c "import sys; from dispersive_nphoton import cli; code = cli.main(['spectrum', '--config', sys.argv[1], '--model', 'nR', '-k', '6', '--method', 'lanczos', '--out', sys.argv[2]]); bad = sorted(m for m in sys.modules if m.startswith('scipy.sparse')); assert code == 0 and not bad, (code, bad)" "$chains" "$tmp/chains_lanczos.csv"
+dn spectrum --config "$cfg" --model nR -k 4
+dn dynamics --config "$cfg" --model nR --state bell --t-end 10 --steps 2
+big="$tmp/trunc400.json"
+echo '{"topology": "single", "qubits": [{"omega_q": 2.5, "n": 2, "g": 0.02}], "oscillators": [{"trunc": 400}]}' > "$big"
+for run in 1 2; do
+  dn dynamics --config "$big" --model nR --state plus_coherent_2 --t-end 50 --steps 10 --out "$tmp/dynamics$run.csv"
+done
+cmp "$tmp/dynamics1.csv" "$tmp/dynamics2.csv"
+# Runs the command given; passes if it exits 2 with one "error: " line.
+exits_2() {
+  status=0
+  "$@" 2> "$tmp/err.txt" || status=$?
+  test "$status" -eq 2 && test "$(wc -l < "$tmp/err.txt")" -eq 1 && grep -q '^error: ' "$tmp/err.txt"
+}
+bad="$tmp/fractional_n.json"
+echo '{"topology": "single", "qubits": [{"omega_q": 2.5, "n": 2.5, "g": 0.02}], "oscillators": [{"trunc": 8}]}' > "$bad"
+exits_2 dn spectrum --config "$bad" --model nR -k 4
+exits_2 dn dressed-freq --omega-q 2.5 --n 2 --g 0.01 --alpha 1e80
+exits_2 dn dressed-freq --omega-q 2.5 --n 2 --g 0.01 --alpha 1.1e77
+exits_2 dn dynamics --config "$cfg" --model nR --state bell --t-end 10 --krylov-dim 1
+# Step counts above MAX_STEPS are refused before the grid is allocated.
+exits_2 dn spectrum --config "$cfg" --model nR --sweep g:0:0.1:1000000000000
+exits_2 dn levels --config "$cfg" --model nR --sweep g:0:0.1:1000000000000
+exits_2 dn dynamics --config "$cfg" --model nR --state bell --t-end 10 --steps 1000000000000
+status=0
+dn dynamics --config "$cfg" --model nR --state bell --t-end 10 --no-cross-k0 2> /dev/null || status=$?
+test "$status" -eq 2
+for n in 2 3; do
+  disp="$tmp/dispersive_n$n.json"
+  echo '{"topology": "single", "qubits": [{"omega_q": 2.5, "n": '"$n"', "g": 0.02}], "oscillators": [{"trunc": 12}]}' > "$disp"
+  for regime in "rwa" "nonrwa --no-squeezing"; do
+    dn spectrum --config "$disp" --model dispersive --regime $regime -k 10 --sweep g:0:0.02:3 --threads 1 > "$tmp/levels.csv"
+    awk -F, 'NR > 2 { rows++; if ($5 == "" || ($5 != $6 && $5 != $7)) bad++ } END { exit !(rows == 30 && bad == 0) }' "$tmp/levels.csv"
+  done
+done
+huge="$tmp/huge_g.json"
+echo '{"topology": "single", "qubits": [{"omega_q": 2.5, "n": 2, "g": 1e200}], "oscillators": [{"trunc": 8}]}' > "$huge"
+exits_2 dn spectrum --config "$huge" --model dispersive
+tiny="$tmp/tiny_frequencies.json"
+echo '{"topology": "single", "qubits": [{"omega_q": 2e-200, "n": 1, "g": 1e100}], "oscillators": [{"omega": 1e-200, "trunc": 8}]}' > "$tiny"
+exits_2 dn spectrum --config "$tiny" --model dispersive
+exits_2 dn dressed-freq --omega-q 400 --n 200 --g 0.01 --alpha 1
+# n = 170 passes the order check, but C+(170, 3) leaves the float range.
+exits_2 dn dressed-freq --omega-q 400 --n 170 --g 0.001 --alpha 0.5
+# a^300 overflows at trunc 310: refused, not a spectrum with levels missing.
+overflow="$tmp/n300.json"
+echo '{"topology": "single", "qubits": [{"omega_q": 300.5, "n": 300, "g": 0.01}], "oscillators": [{"trunc": 310}]}' > "$overflow"
+exits_2 dn spectrum --config "$overflow" --model nR
+# omega_q = 1e20 swallows n * omega_o: no closed form, exact models still run.
+swamped="$tmp/swamped.json"
+echo '{"topology": "single", "qubits": [{"omega_q": 1e20, "n": 1, "g": 0.01}], "oscillators": [{"trunc": 4}]}' > "$swamped"
+exits_2 dn spectrum --config "$swamped" --model dispersive
+dn spectrum --config "$swamped" --model nR > /dev/null

@@ -41,13 +41,15 @@ do not depend on the worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -143,13 +145,16 @@ def _provenance_line(
     return "# provenance: " + json.dumps(record, sort_keys=True)
 
 
-def _write_lines(out_path: Optional[str], lines: Sequence[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def _write_lines(out_path: Optional[str], lines: Iterable[str]) -> None:
+    """Write ``"\\n".join(lines) + "\\n"`` one line at a time, so that lines
+    from a generator are never all held at once."""
+    to_stdout = out_path in (None, "-")
+    with contextlib.nullcontext(sys.stdout) if to_stdout else open(
+        out_path, "w", encoding="utf-8", newline="\n"
+    ) as fh:
+        for i, line in enumerate(lines):
+            fh.write("\n" + line if i else line)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -495,19 +500,20 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 def _cmd_coeff_table(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise ConfigError("--n-max must be >= 1")
-    lines = [_provenance_line(args), "table,n,k,value"]
-    for n in range(1, args.n_max + 1):
-        cplus, _ = commutator_poly(n)
-        for k, v in enumerate(cplus):
-            lines.append(f"cplus,{n},{k},{v}")
-    for n in range(1, args.n_max + 1):
-        _, cminus = commutator_poly(n)
-        for k, v in enumerate(cminus):
-            lines.append(f"cminus,{n},{k},{v}")
-    for n in range(1, args.n_max + 1):
-        for k, v in enumerate(normal_order_aadag(n)):
-            lines.append(f"normal_order,{n},{k},{v}")
-    _write_lines(args.out, lines)
+    tables = (
+        ("cplus", lambda n: commutator_poly(n)[0]),
+        ("cminus", lambda n: commutator_poly(n)[1]),
+        ("normal_order", normal_order_aadag),
+    )
+    # A generator: the rows stream out, and a large table is never held whole.
+    rows = (
+        f"{name},{n},{k},{v}"
+        for name, coeffs in tables
+        for n in range(1, args.n_max + 1)
+        for k, v in enumerate(coeffs(n))
+    )
+    header = [_provenance_line(args), "table,n,k,value"]
+    _write_lines(args.out, itertools.chain(header, rows))
     return 0
 
 

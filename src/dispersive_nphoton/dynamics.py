@@ -285,7 +285,6 @@ def propagator(h: SparseOperator, krylov_dim: int, local_tol: float):
     held = members[np.repeat(exact, sizes)]
     bounds = np.append(0, np.cumsum(sizes[exact]))
     parts, _ = _block_eigh(mat, held, bounds, h.total_dim, "dense")
-    parts = [(held[bounds[g, None] + np.arange(v.shape[1])], e, v) for g, e, v in parts]
     rest = [members[starts[b] : starts[b + 1]] for b in np.flatnonzero(~exact)]
     rest = [(idx, _submatrix(mat, idx)) for idx in rest]
 

@@ -5,16 +5,12 @@ operator's sparsity pattern (:func:`_blocks`) are decoupled blocks, so each
 is solved on its own and the lowest levels of all blocks are merged.  The
 blocks are the models' conserved parities (Z_2, Z_4 and the like) found
 from the matrix alone.  The merge keeps the lowest ``k`` by a stable sort on
-(energy, block, index within the block); blocks are numbered by their lowest
-basis index, so exact degeneracies across blocks come out in a fixed order.
+(energy, the block's lowest basis index, index within the block), so exact
+degeneracies across blocks come out in a fixed order.
 
-One function, :func:`_block_eigh`, picks each block's solver: small blocks
-in one batched call; chains of any size (as every n-photon Rabi parity
-block is; :func:`_chain` walks each from end to end) by LAPACK's
-tridiagonal drivers, called directly; other blocks of at most
-:data:`DENSE_LIMIT` states by dense LAPACK; larger ones by a deterministic
-Lanczos with full reorthogonalization under ``auto``, and not at all under
-``dense``.  Under ``lanczos`` every block above one state runs Lanczos.
+One function, :func:`_block_eigh`, picks each block's solver by the rule
+stated there (batched, chain, dense LAPACK or Lanczos) and hands on each
+group of equal-size blocks as one record: basis rows, energies, vectors.
 :func:`eigh_dense`, :func:`eigs_lowest` and the ``--method`` dispatch
 :func:`solve_lowest` are each one pass of it; the exact propagator shares
 it.  The Lanczos solver and the Krylov propagator run one Lanczos
@@ -217,29 +213,29 @@ def _chain(r, c, v, s):
     return order, diagonal, off_diagonal
 
 
-def _merge_lowest(h, members, starts, parts, k, dtype, want_states=True):
+def _merge_lowest(h, parts, k, dtype, want_states=True):
     """Lowest ``k`` of the per-block eigenpairs, scattered to the full basis.
 
-    Each part is ``(ids, energies, vectors)`` for blocks ``ids`` of one size
-    ``s``: ``energies`` has shape ``(len(ids), c)`` and ``vectors`` (or
-    ``None``) shape ``(len(ids), s, c)``.  Ties break by a stable sort on
-    (energy, block, index within the block).
+    Each part is the record ``(rows, energies, vectors)`` of a group of
+    blocks of one size ``s`` (see :func:`_block_eigh`): ``rows`` has shape
+    ``(blocks, s)``, ``energies`` ``(blocks, c)`` and ``vectors`` (or
+    ``None``) ``(blocks, s, c)``.  Ties break by a stable sort on (energy,
+    block's lowest basis index ``rows[:, 0]``, index within the block).
     """
     energies = np.concatenate([e.ravel() for _, e, _ in parts])
-    block = np.concatenate([np.repeat(ids, e.shape[1]) for ids, e, _ in parts])
+    lowest = np.concatenate([np.repeat(rows[:, 0], e.shape[1]) for rows, e, _ in parts])
     index = np.concatenate(
-        [np.tile(np.arange(e.shape[1]), len(ids)) for ids, e, _ in parts]
+        [np.tile(np.arange(e.shape[1]), len(rows)) for rows, e, _ in parts]
     )
-    order = np.lexsort((index, block, energies))[:k]
+    order = np.lexsort((index, lowest, energies))[:k]
     if not want_states:
         return SpectrumResult(energies=energies[order], states=None, layout=h.layout)
     states = np.zeros((h.total_dim, len(order)), dtype=dtype)
     offset = 0
-    for ids, e, vectors in parts:
+    for rows, e, vectors in parts:
         cols = np.flatnonzero((order >= offset) & (order < offset + e.size))
         local, j = np.divmod(order[cols] - offset, e.shape[1])
-        rows = members[starts[ids[local], None] + np.arange(vectors.shape[1])]
-        states[rows, cols[:, None]] = vectors[local, :, j]
+        states[rows[local], cols[:, None]] = vectors[local, :, j]
         offset += e.size
     return SpectrumResult(
         energies=energies[order],
@@ -259,10 +255,14 @@ def _block_eigh(
 ):
     """Lowest ``min(k, s)`` eigenpairs of every block of ``mat`` by ``method``.
 
-    Returns ``(parts, failed)``: the parts that :func:`_merge_lowest` takes,
-    and ``(block, size, budget)`` of each block whose Lanczos run did not
-    converge.  The size groups are walked once; each block takes the first
-    solver that fits:
+    Returns ``(parts, failed)``.  Each part is the record ``(rows,
+    energies, vectors)`` of a group of blocks of ``s`` states: ``rows[b]``
+    holds block ``b``'s ascending basis indices, ``energies[b]`` its lowest
+    energies and ``vectors[b]`` (``None`` without states) their ``(s, c)``
+    columns.  ``failed`` holds ``(lowest basis index, size, budget)`` of
+    each block whose Lanczos run did not converge.  The per-block solver
+    rule is stated here alone.  The size groups are walked once; each block
+    takes the first solver that fits:
 
     - up to ``_BATCH_MAX`` states: ``numpy.linalg.eigh``, batched per size;
     - a real chain of any size (as every n-photon Rabi parity block is;
@@ -276,7 +276,9 @@ def _block_eigh(
 
     Under ``"lanczos"`` every block above one state runs :func:`_lanczos`,
     ``max_iters`` iterations each, by default ``min(s, max(30 min(k, s),
-    2500))``.  Memory beyond the largest dense block is O(dim k).
+    2500))`` (deep spectra of stabilized unbounded models need on the order
+    of ``sqrt(spectral_width / gap)`` iterations).  Memory beyond the
+    largest dense block is O(dim k).
     """
     sizes = np.diff(starts)
     # The position of every state in its block.
@@ -290,10 +292,10 @@ def _block_eigh(
         ids = np.flatnonzero(sizes == s)
         batched = s == 1 or (s <= _BATCH_MAX and method != "lanczos")
         for group in [ids] if batched else np.split(ids, len(ids)):
-            # The group's blocks in a row: row r of the group is row r % s of
-            # block r // s.
-            idx = members[starts[group, None] + np.arange(s)].ravel()
-            indptr, r, c, v = _entries(mat, idx)
+            # The group's basis indices, a row per block: row r of its
+            # entries is rows.flat[r], row r % s of block r // s.
+            rows = members[starts[group, None] + np.arange(s)]
+            indptr, r, c, v = _entries(mat, rows.ravel())
             chain = None
             if not batched and method != "lanczos" and real:
                 chain = _chain(r, local[c], v, s)
@@ -305,14 +307,11 @@ def _block_eigh(
                     keep if keep < s else None,
                     eigvals_only=not want_states,
                 )
+                vals, vecs = out if want_states else (out, None)
                 if want_states:
                     vecs = np.empty_like(out[1])
                     vecs[order] = out[1]
-                    parts.append((group, out[0][None], vecs[None]))
-                else:
-                    parts.append((group, out[None], None))
-                continue
-            if not batched and (method == "lanczos" or s > DENSE_LIMIT):
+            elif not batched and (method == "lanczos" or s > DENSE_LIMIT):
                 if method == "dense":
                     raise CapacityError(
                         f"block of {s} states is not a chain and exceeds the dense "
@@ -322,33 +321,32 @@ def _block_eigh(
                 # The block's own entries: local[c] is each column's position.
                 sub = _CSR(indptr, local[c], v)
                 vals, vecs, converged = _lanczos(sub, keep, tol, budget)
-                parts.append((group, vals[None], vecs[None]))
                 if not converged:
-                    failed.append((group[0], s, budget))
-                continue
-            stack = np.zeros((len(group), s, s), dtype=mat.data.dtype)
-            stack[r // s, r % s, local[c]] = v
-            if s <= _BATCH_MAX or keep == s:
-                vals, vecs = (
-                    np.linalg.eigh(stack)
-                    if want_states
-                    else (np.linalg.eigvalsh(stack), None)
-                )
+                    failed.append((rows[0, 0], s, budget))
             else:
-                import scipy.linalg
+                stack = np.zeros((len(group), s, s), dtype=mat.data.dtype)
+                stack[r // s, r % s, local[c]] = v
+                if s <= _BATCH_MAX or keep == s:
+                    vals, vecs = (
+                        np.linalg.eigh(stack)
+                        if want_states
+                        else (np.linalg.eigvalsh(stack), None)
+                    )
+                else:
+                    import scipy.linalg
 
-                out = scipy.linalg.eigh(
-                    stack[0],
-                    eigvals_only=not want_states,
-                    subset_by_index=(0, keep - 1),
-                    overwrite_a=True,
-                )
-                vals, vecs = (
-                    (out[0][None], out[1][None]) if want_states else (out[None], None)
-                )
+                    out = scipy.linalg.eigh(
+                        stack[0],
+                        eigvals_only=not want_states,
+                        subset_by_index=(0, keep - 1),
+                        overwrite_a=True,
+                    )
+                    vals, vecs = out if want_states else (out, None)
+            # Stacked by block: a solver of one block gives one block's pairs.
+            vals = vals.reshape(len(group), -1)[:, :keep]
             if vecs is not None:
-                vecs = vecs[:, :, :keep]
-            parts.append((group, vals[:, :keep], vecs))
+                vecs = vecs.reshape(len(group), s, -1)[:, :, :keep]
+            parts.append((rows, vals, vecs))
     return parts, failed
 
 
@@ -369,7 +367,7 @@ def _solve_blocks(h, k, method, want_states=True, tol=1e-10, max_iters=None):
     parts, failed = _block_eigh(
         mat, members, starts, k, method, want_states, tol, max_iters
     )
-    result = _merge_lowest(h, members, starts, parts, k, mat.data.dtype, want_states)
+    result = _merge_lowest(h, parts, k, mat.data.dtype, want_states)
     if failed:
         _, size, budget = min(failed)
         raise IterationLimitError(
@@ -596,23 +594,19 @@ def eigs_lowest(
 ) -> SpectrumResult:
     """Lowest ``k`` eigenpairs by Lanczos with full reorthogonalization.
 
-    Each block of the operator (see :func:`_blocks`) above one state runs
-    its own Lanczos iteration for its lowest ``min(k, s)`` pairs, chain or
-    not; a one-state block is its diagonal entry.  Deterministic: the start
-    vector is the normalized all-ones vector of the block; on an exact
-    invariant-subspace breakdown the iteration restarts with the first
-    canonical basis vector having a non-negligible component outside the
-    converged subspace.  Convergence requires every requested Ritz residual
-    ``|beta_m s_{m,i}|`` to fall below ``tol`` times the block's 1-norm.
+    Every block above one state runs Lanczos for its lowest ``min(k, s)``
+    pairs, chain or not (the ``"lanczos"`` rule of :func:`_block_eigh`).
+    The start vector is the block's normalized all-ones vector, and an exact
+    breakdown restarts from canonical basis vectors in index order.
+    Convergence requires every requested Ritz residual ``|beta_m s_{m,i}|``
+    to fall below ``tol`` times the block's 1-norm.
 
     Args:
         h: Certified-Hermitian operator.
         k: Number of lowest eigenpairs.
         tol: Relative residual tolerance (finite and positive).
-        max_iters: Iteration budget of each block (``>= 1``); default
-            ``min(s, max(30 min(k, s), 2500))`` for a block of ``s`` states
-            (deep spectra of stabilized unbounded models need on the order
-            of ``sqrt(spectral_width / gap)`` iterations).
+        max_iters: Iteration budget of each block (``>= 1``); the default
+            is that of :func:`_block_eigh`.
 
     Raises:
         ValueError: If the operator is not certified Hermitian, ``k`` is
@@ -637,18 +631,16 @@ def solve_lowest(
     """Lowest ``min(k, dim)`` eigenpairs by ``"dense"``, ``"lanczos"`` or
     ``"auto"``.
 
-    The method is applied block by block (see :func:`_block_eigh`):
-    ``"lanczos"`` runs Lanczos on every block above one state, as
-    :func:`eigs_lowest` does.  ``"dense"`` and ``"auto"`` solve small blocks,
-    real chains of any size and other blocks of at most :data:`DENSE_LIMIT`
-    states exactly; a larger block that is not a real chain raises under
-    ``"dense"`` and runs Lanczos, on that block alone, under ``"auto"``.
+    The method is applied block by block, by the rule of
+    :func:`_block_eigh`: ``"auto"`` is that rule, ``"dense"`` raises where
+    it would run Lanczos, and ``"lanczos"`` runs Lanczos on every block
+    above one state, as :func:`eigs_lowest` does.
 
     Raises:
         ValueError: If ``k < 1``, ``max_iters < 1``, the method is unknown
             or the operator is not certified Hermitian.
-        CapacityError: If ``"dense"`` meets a block above the dense limit
-            that is not a real chain.
+        CapacityError: If ``"dense"`` meets a block that the rule sends
+            to Lanczos.
         IterationLimitError: If a Lanczos block exhausts its budget (see
             :func:`eigs_lowest`).
     """

@@ -322,18 +322,17 @@ class _CSR:
         return out
 
 
-def _is_exactly_hermitian(indptr, indices, data) -> bool:
-    """Exact (tolerance-free) conjugate-symmetry test of canonical CSR
-    arrays: the conjugate transpose, sorted, must reproduce them bit for bit
+def _is_exactly_hermitian(csr: _CSR) -> bool:
+    """Exact (tolerance-free) conjugate-symmetry test of a canonical CSR
+    matrix: the conjugate transpose, sorted, must reproduce it bit for bit
     up to the sign of zero.  An entry that is not finite fails: no solver
     gives a spectrum of such a matrix."""
-    rows = _csr_rows(indptr)
-    order = np.lexsort((rows, indices))
+    order = np.lexsort((csr.rows, csr.indices))
     return bool(
-        np.isfinite(data).all()
-        and np.array_equal(indices[order], rows)
-        and np.array_equal(rows[order], indices)
-        and np.array_equal(data[order].conj(), data)
+        np.isfinite(csr.data).all()
+        and np.array_equal(csr.indices[order], csr.rows)
+        and np.array_equal(csr.rows[order], csr.indices)
+        and np.array_equal(csr.data[order].conj(), csr.data)
     )
 
 
@@ -341,9 +340,10 @@ class SparseOperator:
     """Immutable canonical sparse operator on a :class:`HilbertLayout`.
 
     The operator is stored as frozen canonical CSR arrays (see
-    :func:`_canonical_csr`).  Canonicalization, the Hermiticity certificate
-    and the queries run in NumPy; only :attr:`entries` and the operator
-    algebra import SciPy.
+    :func:`_canonical_csr`) and one :class:`_CSR` view of them, which the
+    Hermiticity certificate and the queries read.  Canonicalization, the
+    certificate and the queries run in NumPy; only :attr:`entries` and the
+    operator algebra import SciPy.
 
     Attributes:
         layout: The composite space the operator acts on.
@@ -378,7 +378,8 @@ class SparseOperator:
         self.indptr, self.indices, self.data = _canonical_csr(
             layout.total_dim, rows, cols, values
         )
-        self.hermitian = _is_exactly_hermitian(self.indptr, self.indices, self.data)
+        self._csr = _CSR(self.indptr, self.indices, self.data)
+        self.hermitian = _is_exactly_hermitian(self._csr)
 
     # -- constructors -------------------------------------------------------
 
@@ -419,11 +420,11 @@ class SparseOperator:
     def toarray(self) -> np.ndarray:
         """Dense copy of the operator."""
         out = np.zeros((self.total_dim, self.total_dim), dtype=np.complex128)
-        out[_csr_rows(self.indptr), self.indices] = self.data
+        out[self._csr.rows, self.indices] = self.data
         return out
 
     def diagonal(self) -> np.ndarray:
-        return _CSR(self.indptr, self.indices, self.data).diagonal()
+        return self._csr.diagonal()
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         """Matrix-vector product ``A @ v`` (see :class:`_CSR`)."""
@@ -433,7 +434,7 @@ class SparseOperator:
                 f"vector of shape {v.shape} does not match dimension "
                 f"{self.total_dim}"
             )
-        return _CSR(self.indptr, self.indices, self.data) @ v
+        return self._csr @ v
 
     def one_norm(self) -> float:
         """Induced 1-norm (maximum absolute column sum)."""

@@ -399,6 +399,13 @@ class TestBeyondFloatRange:
             with pytest.raises(ResonanceError, match=f"n = {n} .*float range"):
                 analytic._number_polys(n, cross_k0)
 
+    @pytest.mark.parametrize("regime", ["rwa", "nonrwa"])
+    def test_largest_float_order_coefficient_beyond_float_range(self, regime):
+        # n = 170 passes the order check, but C+(170, 3) > 1.8e308.
+        match = "photon-number polynomial coefficient of degree 3 is beyond"
+        with pytest.raises(ResonanceError, match=match):
+            dressed_qubit_frequency(params(400.0, 170, 0.001), 0.5, regime=regime)
+
     def test_largest_float_order_kept(self):
         plus, _, _ = analytic._number_polys(MAX_FLOAT_ORDER)
         assert plus[0] == math.factorial(MAX_FLOAT_ORDER)

@@ -30,6 +30,7 @@ from dispersive_nphoton.cli import (
     SWEEP_COLUMNS,
     THREADS_ENV_VAR,
     _provenance_line,
+    _write_lines,
     build_parser,
     main,
     parse_sweep,
@@ -187,6 +188,38 @@ class TestScalarCommands:
             else:
                 assert table == "normal_order"
                 assert value == normal_order_aadag(n)[k]
+
+    def test_coeff_table_streams_its_rows(self, tmp_path):
+        # Traced peaks of this table: 39.7 MB when its lines were joined into
+        # one string, 19.8 MB when they are held as a list and written one by
+        # one, and about 6.4 MB streamed, mostly the cached Stirling rows.
+        path = tmp_path / "table.csv"
+        argv = ["coeff-table", "--n-max", "200", "--out", str(path)]
+        src = str(Path(dispersive_nphoton.__file__).parents[1])
+        env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_PROBE, *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": env_path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, peak = map(int, proc.stdout.split())
+        assert code == 0
+        assert peak < 0.25 * 39.7e6
+        text = path.read_text()
+        assert text.count("\n") == 2 + sum(3 * n + 2 for n in range(1, 201))
+        assert run_cli(argv[:3]) == (0, text, "")
+
+    @pytest.mark.parametrize("lines", [[], [""], ["a"], ["a", "", "b"]])
+    def test_written_lines_are_joined_lines(self, tmp_path, capsys, lines):
+        want = "\n".join(lines) + "\n"
+        path = tmp_path / "out.txt"
+        _write_lines(str(path), iter(lines))
+        assert path.read_bytes() == want.encode()
+        _write_lines("-", iter(lines))
+        assert capsys.readouterr().out == want
 
     def test_critical_nph_delta(self):
         code, out, _ = run_cli(
@@ -1118,6 +1151,16 @@ class TestOverflowingInputs:
         assert err.startswith("error:") and "float range" in err
         assert len(err.splitlines()) == 1
 
+    def test_dressed_freq_largest_float_order_exits_2(self):
+        # n = 170 passes the order check, but C+(170, 3) > 1.8e308.
+        argv = ["dressed-freq", "--omega-q", "400", "--n", "170", "--g", "0.001"]
+        code, out, err = run_cli(argv + ["--alpha", "0.5"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: photon-number polynomial coefficient of degree 3 is beyond "
+            "the float range\n"
+        )
+
     @pytest.mark.filterwarnings("error")
     def test_exact_model_entries_beyond_float_range_exit_2(self, tmp_path):
         # a^300 overflows: no level may silently drop out of the spectrum.
@@ -1412,6 +1455,16 @@ class TestSwampedDetuning:
 
 #: SciPy modules a run loads only when some block needs them.
 SOLVER_MODULES = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+#: Runs ``cli.main(argv)`` and prints its exit code and traced peak memory.
+_PEAK_PROBE = """
+import sys, tracemalloc
+from dispersive_nphoton import cli
+tracemalloc.start()
+code = cli.main(sys.argv[1:])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
 
 _IMPORT_PROBE = """
 import contextlib, io, json, sys

@@ -179,6 +179,12 @@ class TestReorderingRows:
         assert cminus == CMINUS_ROWS[3]
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_commutator_poly_needs_positive_order(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        commutator_poly(n)
+
+
 class TestEvalIntPoly:
     def test_exact_integer_horner(self):
         assert eval_int_poly((24, 44, 46, 4, 2), 10) == 24 + 440 + 4600 + 4000 + 20000

@@ -186,6 +186,23 @@ class TestLanczos:
         assert isinstance(partial, SpectrumResult)
         assert 1 <= partial.k <= 6
 
+    #: A star of three states.  From the all-ones start the recursion spans
+    #: the invariant plane of -sqrt(2) and +sqrt(2) in two steps; the third
+    #: level, 0 on (0, 1, -1), is orthogonal to the start.
+    STAR = [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+
+    def test_breakdown_at_the_budget(self):
+        h = SparseOperator.from_dense(HilbertLayout((("oscillator", 3),)), self.STAR)
+        with pytest.raises(IterationLimitError, match="within 2 iterations") as info:
+            eigs_lowest(h, 2, max_iters=2)
+        partial = info.value.partial
+        root2 = np.sqrt(2.0)
+        np.testing.assert_allclose(partial.energies, [-root2, root2], atol=1e-14)
+        assert np.abs(partial.energies).min() > 1.0  # the level 0 is missed
+        res = eigs_lowest(h, 2, max_iters=3)  # restarts and finds it
+        np.testing.assert_allclose(res.energies, [-root2, 0.0], atol=1e-14)
+        assert residuals(h, res).max() <= 1e-14
+
     def test_zero_operator(self):
         layout = qubit_oscillator_layout(1, [5])
         res = eigs_lowest(SparseOperator.from_dense(layout, np.zeros((10, 10))), 3)
@@ -304,6 +321,20 @@ class TestDegeneracyAcrossBlocks:
         want = eigh_dense(h, want_states=False).energies[:10]
         assert np.max(np.abs(solve(h, 10).energies - want)) <= 1e-9
 
+    @pytest.mark.parametrize("name, solve", SOLVERS, ids=[s[0] for s in SOLVERS])
+    def test_ties_go_to_the_block_with_the_lowest_index(self, name, solve):
+        # Blocks {0, 3} and {1, 2} carry the same 2 x 2 matrix, so each level
+        # is doubly degenerate.  The block holding index 0 comes first,
+        # although its highest index is the larger of the two.
+        full = np.zeros((4, 4))
+        for pair in ([0, 3], [1, 2]):
+            full[np.ix_(pair, pair)] = [[0.5, 0.25], [0.25, -1.0]]
+        h = SparseOperator.from_dense(HilbertLayout((("oscillator", 4),)), full)
+        res = solve(h, 4)
+        np.testing.assert_array_equal(res.energies[0::2], res.energies[1::2])
+        assert np.all(res.states[[1, 2]][:, 0::2] == 0)
+        assert np.all(res.states[[0, 3]][:, 1::2] == 0)
+
 
 def _block_labels(h):
     """Block of each basis index: components of the nonzero pattern."""
@@ -344,6 +375,36 @@ class TestBlockSolver:
         for array in (res.energies, res.states, res.mean_photons):
             assert array.base is None
         assert res.states.flags.c_contiguous
+
+    @pytest.mark.parametrize("method", ["auto", "lanczos"])
+    @pytest.mark.parametrize("make", BLOCK_INPUTS)
+    def test_records_carry_their_basis_rows(self, make, method):
+        # Each record's rows are its blocks' basis indices: the eigenpairs
+        # hold on the sub-matrix that those rows cut out.
+        h = make()
+        mat, members, starts = eigensolve._blocks(h)
+        parts, failed = eigensolve._block_eigh(mat, members, starts, 5, method)
+        assert failed == []
+        dense, seen = h.toarray(), []
+        for rows, energies, vectors in parts:
+            assert vectors.shape == rows.shape + energies.shape[1:]
+            for row, e, v in zip(rows, energies, vectors):
+                seen.append(row.tolist())
+                resid = dense[np.ix_(row, row)] @ v - v * e
+                assert np.abs(resid).max() <= 1e-8 * max(1.0, h.one_norm())
+        blocks = [members[a:b].tolist() for a, b in zip(starts[:-1], starts[1:])]
+        assert sorted(seen) == sorted(blocks)
+
+    def test_failures_record_the_lowest_basis_index(self):
+        # Blocks {0, 1} and {2, 3}: one Lanczos step converges in neither.
+        pair = [[0.0, 1.0], [1.0, 2.0]]
+        full = scipy.linalg.block_diag(pair, pair)
+        h = SparseOperator.from_dense(HilbertLayout((("oscillator", 4),)), full)
+        mat, members, starts = eigensolve._blocks(h)
+        _, failed = eigensolve._block_eigh(
+            mat, members, starts, 1, "lanczos", max_iters=1
+        )
+        assert failed == [(0, 2, 1), (2, 2, 1)]
 
     @pytest.mark.parametrize("method", ["lanczos", "auto", "dense"])
     def test_two_identical_blocks(self, method):
@@ -804,6 +865,15 @@ class TestTridiagonalDrivers:
         b[1] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
             eigensolve._tridiagonal_eigh(np.ones(5), b, 2)
+
+    def test_lapack_info_is_checked(self):
+        eigensolve._lapack_check(0, "stevd")
+        with pytest.raises(ValueError, match="argument 3 of internal stevd"):
+            eigensolve._lapack_check(-3, "stevd")
+        with pytest.raises(np.linalg.LinAlgError, match=r"did not converge \(LAPACK info=1"):
+            eigensolve._lapack_check(1, "stebz")
+        with pytest.raises(np.linalg.LinAlgError, match="stein vectors failed"):
+            eigensolve._lapack_check(2, "stein", "vectors failed")
 
     def test_falls_back_to_public_lapack(self, monkeypatch):
         # Without the extension's file, the public module serves.

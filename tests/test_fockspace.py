@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dispersive_nphoton import fockspace
 from dispersive_nphoton.errors import CapacityError
 from dispersive_nphoton.fockspace import (
     HilbertLayout,
@@ -322,3 +323,113 @@ class TestCanonicalArrays:
         one_norm = np.abs(dense).sum(axis=0).max()
         assert op.one_norm() == pytest.approx(one_norm, rel=1e-15)
         assert op.max_abs() == np.abs(dense).max()
+
+    def test_queries_share_one_csr_view(self, monkeypatch):
+        # The operator's one CSR view is built with it: the queries, and the
+        # product's layout after the first apply, are never rebuilt.
+        op = destroy(5) @ create(5) + number(5)
+        built = []
+        real = fockspace._CSR
+        monkeypatch.setattr(fockspace, "_CSR", lambda *a: built.append(a) or real(*a))
+        vec = np.arange(5.0)
+        first = op.apply(vec)
+        layout = op._csr._jagged
+        for _ in range(2):
+            np.testing.assert_array_equal(op.apply(vec), first)
+            op.diagonal()
+            op.toarray()
+        assert built == []
+        assert op._csr._jagged is layout
+
+
+class TestRefusals:
+    """Every refusal of the module, each with the error it raises."""
+
+    LAYOUT = HilbertLayout((("oscillator", 3),))
+
+    def test_empty_layout(self):
+        with pytest.raises(ValueError, match="at least one subsystem"):
+            HilbertLayout(())
+
+    def test_basis_index_and_occupations(self, layout_1q1o):
+        with pytest.raises(ValueError, match="expected 2 occupation numbers, got 1"):
+            layout_1q1o.basis_index((0,))
+        with pytest.raises(ValueError, match="occupation 4 out of range"):
+            layout_1q1o.basis_index((0, 4))
+        with pytest.raises(ValueError, match="occupation -1 out of range"):
+            layout_1q1o.basis_index((-1, 0))
+        for index in (-1, 8):
+            with pytest.raises(ValueError, match=f"basis index {index} out of range"):
+                layout_1q1o.basis_occupations(index)
+
+    def test_entry_index_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range for dimension 3"):
+            SparseOperator.from_coo(self.LAYOUT, [0, 3], [0, 0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="out of range for dimension 3"):
+            SparseOperator.from_coo(self.LAYOUT, [0], [-1], [1.0])
+
+    def test_array_of_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 2\) does not match"):
+            SparseOperator(self.LAYOUT, np.eye(2))
+
+    def test_apply_to_vector_of_wrong_shape(self):
+        op = number(3)
+        for vec in (np.ones(4), np.ones((3, 1))):
+            with pytest.raises(ValueError, match="does not match dimension 3"):
+                op.apply(vec)
+
+    @pytest.mark.parametrize(
+        "combine",
+        [
+            lambda op: op + 1,
+            lambda op: 1 + op,
+            lambda op: op - 1,
+            lambda op: 1 - op,
+            lambda op: op * None,
+            lambda op: None * op,
+            lambda op: op / "2",
+            lambda op: op @ 1,
+            lambda op: 1 @ op,
+        ],
+        ids=["add", "radd", "sub", "rsub", "mul", "rmul", "div", "matmul", "rmatmul"],
+    )
+    def test_algebra_with_a_non_operator(self, combine):
+        with pytest.raises(TypeError):
+            combine(number(3))
+
+    @pytest.mark.parametrize("make", [destroy, number])
+    def test_single_level_oscillator(self, make):
+        with pytest.raises(ValueError, match=">= 2"):
+            make(1)
+
+    def test_negative_power(self):
+        with pytest.raises(ValueError, match="non-negative exponent"):
+            op_pow(destroy(3), -1)
+
+    def test_embed_refusals(self):
+        layout = qubit_oscillator_layout(1, (3,))
+        with pytest.raises(ValueError, match="appears more than once"):
+            embed(layout, [(1, number(3)), (1, destroy(3))])
+        with pytest.raises(ValueError, match="must be SparseOperator"):
+            embed(layout, [(1, np.eye(3))])
+        pair = embed(layout, [(0, pauli("z"))])
+        with pytest.raises(ValueError, match="single subsystem"):
+            embed(layout, [(1, pair)])
+
+    @pytest.mark.parametrize("order, band", [(-1, 2), (1, -1)])
+    def test_guard_band_negative_order(self, order, band):
+        with pytest.raises(ValueError, match="non-negative"):
+            guard_band_mask(qubit_oscillator_layout(1, (5,)), order, band)
+
+
+def test_qubit_only_layout_has_no_photons():
+    layout = qubit_oscillator_layout(2, ())
+    diagonal = layout.oscillator_number_diagonal()
+    assert diagonal.dtype == float
+    np.testing.assert_array_equal(diagonal, np.zeros(4))
+
+
+def test_empty_operator_norms():
+    zero = SparseOperator.from_coo(HilbertLayout((("oscillator", 3),)), [], [], [])
+    assert zero.nnz == 0
+    assert zero.one_norm() == 0.0 and zero.max_abs() == 0.0
