@@ -32,10 +32,6 @@ give bit-identical results.
 from __future__ import annotations
 
 import dataclasses
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,6 +44,7 @@ from .fockspace import (
     SparseOperator,
     _csr_one_norm,
     _csr_rows,
+    _extension,
 )
 
 #: Largest dimension accepted by the dense path.
@@ -444,30 +441,11 @@ def _lanczos_run(mat, basis, alphas, betas, steps, floor, shift):
 
 
 def _lapack():
-    """SciPy's compiled LAPACK wrappers, the module ``scipy.linalg._flapack``.
-
-    The extension is loaded from its file, which skips the import of the
-    ``scipy.linalg`` package (about 0.2 s), and registered under its own
-    name, so that a later ``import scipy.linalg`` shares it.  Where the file
-    is not found, the public ``scipy.linalg.lapack`` serves.
-    """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    import scipy
-
-    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_flapack" + suffix)
-        if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location(name, path)
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[name] = module
-            spec.loader.exec_module(module)
-            return module
-    from scipy.linalg import lapack
-
-    return lapack
+    """SciPy's compiled LAPACK wrappers, the module ``scipy.linalg._flapack``,
+    loaded from its file (see :func:`.fockspace._extension`) so that a later
+    ``import scipy.linalg`` shares it; the public ``scipy.linalg.lapack``
+    serves where the file is not found."""
+    return _extension("scipy.linalg._flapack", "linalg", "scipy.linalg.lapack")
 
 
 def _lapack_check(info: int, driver: str, failed: str = "did not converge") -> None:

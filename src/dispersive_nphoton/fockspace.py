@@ -23,12 +23,13 @@ Conventions
   certifies *exact* conjugate symmetry of the stored entries (no
   tolerance), because downstream eigensolvers rely on it.  Both are
   computed in NumPy.
-* Every sparse product in the package runs on CSR arrays in NumPy, with
-  one kernel each: :func:`_csr_rows` (the row of every stored entry),
-  :class:`_CSR` (``A @ v``, each row summed in storage order, as SciPy's
-  ``csr_matvec`` does) and :func:`_csr_one_norm` (the largest absolute
-  column sum).  :meth:`SparseOperator.apply` and the Lanczos and Krylov
-  blocks of the solvers use them.
+* Every sparse kernel in the package runs on these CSR arrays, one kernel
+  each: :func:`_csr_rows` (the row of every stored entry) and
+  :func:`_csr_one_norm` (the largest absolute column sum) in NumPy, and the
+  product ``A @ v`` of :class:`_CSR`, which is SciPy's compiled
+  ``csr_matvec`` loaded from its file (:func:`_extension`) without
+  ``scipy.sparse``.  :meth:`SparseOperator.apply` and the Lanczos and
+  Krylov blocks of the solvers use them.
 * ``SparseOperator.entries`` is a SciPy ``csr_matrix`` view of the frozen
   arrays, built lazily on first access.  The operator algebra (``+``,
   ``@``, :meth:`SparseOperator.dagger`, :func:`embed`, :func:`op_pow`)
@@ -38,8 +39,12 @@ Conventions
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -254,11 +259,47 @@ def _csr_one_norm(indices, data) -> float:
     return float(np.bincount(indices, weights=np.abs(data)).max())
 
 
+def _extension(name: str, folder: str, fallback: str):
+    """The SciPy extension ``scipy/<folder>/<stem>``, registered as the
+    module ``name`` whose last component is ``stem``.
+
+    The extension is loaded from its file, which skips the import of its
+    SciPy package (``scipy.linalg`` or ``scipy.sparse``), and is registered
+    under ``name``, so that later calls, and any import of that name, share
+    it.  Where the file is not found, the module ``fallback`` serves.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    stem = name.rpartition(".")[2]
+    path = os.path.join(os.path.dirname(scipy.__file__), folder, stem)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(path + suffix):
+            spec = importlib.util.spec_from_file_location(name, path + suffix)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            return module
+    return importlib.import_module(fallback)
+
+
+def _sparsetools():
+    """SciPy's compiled sparse kernels, ``scipy.sparse._sparsetools``,
+    registered as this package's ``_sparsetools``: a run that multiplies
+    loads no ``scipy.sparse`` module."""
+    return _extension(
+        __name__.rpartition(".")[0] + "._sparsetools",
+        "sparse",
+        "scipy.sparse._sparsetools",
+    )
+
+
 class _CSR:
     """A square matrix held as NumPy CSR arrays, with the row of every
     stored entry, and the part of the matrix protocol that the Lanczos and
-    Krylov kernels use: ``shape``, ``dtype``, ``@`` on a vector and
-    :meth:`diagonal`."""
+    Krylov kernels use: ``shape``, ``dtype``, ``@`` on a vector (SciPy's
+    compiled ``csr_matvec``) and :meth:`diagonal`."""
 
     def __init__(self, indptr, indices, data) -> None:
         self.indptr, self.indices, self.data = indptr, indices, data
@@ -266,54 +307,21 @@ class _CSR:
         self.shape = (len(indptr) - 1,) * 2
         self.dtype = data.dtype
 
-    @functools.cached_property
-    def _jagged(self):
-        """Jagged diagonals of the matrix (Saad, *Iterative Methods for
-        Sparse Linear Systems*, 2nd ed., §3.4), built on the first product.
-
-        The rows go longest first (a stable sort), and diagonal ``j`` holds
-        the ``j``-th stored entry of each row that has one: a prefix of that
-        order.  Returns ``(rank, passes, cols, parts)``: the place of each
-        row in the order; per diagonal, the slices of its rows and of its
-        entries; the entries' columns; and their values as parts that sum to
-        them, the values alone or, when complex, their real and imaginary
-        parts.  NumPy's complex multiply may fuse its two products (FMA); a
-        part with a zero real or imaginary part multiplies exactly, and the
-        sum of the two rounds as SciPy's complex product does.
-        """
-        lengths = np.diff(self.indptr)
-        order = np.argsort(-lengths, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        # The number of rows longer than j, for j = 0, 1, ...
-        longer = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]
-        starts = np.append(0, np.cumsum(longer))
-        at = np.empty(len(self.data), dtype=np.intp)
-        within = np.arange(len(self.data)) - self.indptr[self.rows]
-        at[starts[within] + rank[self.rows]] = np.arange(len(self.data))
-        bounds = starts.tolist()
-        passes = [(slice(0, b - a), slice(a, b)) for a, b in zip(bounds, bounds[1:])]
-        vals = self.data[at]
-        parts = [vals]
-        if np.iscomplexobj(vals):
-            parts = [vals.real + 0j, 1j * vals.imag]
-        return rank, passes, self.indices[at], parts
-
     def __matmul__(self, vector: np.ndarray) -> np.ndarray:
-        """``A @ v`` with the bits of SciPy's ``csr_matvec``: each row is
-        summed from zero in storage order, one jagged diagonal at a time.
-        It takes one NumPy pass per entry of the longest row."""
-        rank, passes, cols, parts = self._jagged
-        # A contiguous copy first: a column of a Lanczos basis is strided.
-        x = np.ascontiguousarray(vector)[cols]
-        products = parts[0] * x
-        for part in parts[1:]:
-            products += part * x
-        out = np.zeros(len(vector), dtype=products.dtype)
-        for head, diagonal in passes:
-            view = out[head]
-            view += products[diagonal]
-        return out[rank]
+        """``A @ v`` by SciPy's compiled ``csr_matvec``, called as
+        ``scipy.sparse`` calls it: each row summed from zero in storage
+        order, into an output of the two operands' common dtype.  The
+        compiled loop reads ``v`` unchecked, so its shape is checked here."""
+        if vector.shape != self.shape[1:]:
+            raise ValueError(
+                f"vector of shape {vector.shape} does not match dimension "
+                f"{self.shape[1]}"
+            )
+        out = np.zeros(self.shape[0], np.result_type(self.dtype, vector))
+        _sparsetools().csr_matvec(
+            *self.shape, self.indptr, self.indices, self.data, vector, out
+        )
+        return out
 
     def diagonal(self) -> np.ndarray:
         on = self.rows == self.indices
@@ -342,8 +350,9 @@ class SparseOperator:
     The operator is stored as frozen canonical CSR arrays (see
     :func:`_canonical_csr`) and one :class:`_CSR` view of them, which the
     Hermiticity certificate and the queries read.  Canonicalization, the
-    certificate and the queries run in NumPy; only :attr:`entries` and the
-    operator algebra import SciPy.
+    certificate and the queries run in NumPy, and :meth:`apply` in SciPy's
+    compiled ``csr_matvec``; only :attr:`entries` and the operator algebra
+    import ``scipy.sparse``.
 
     Attributes:
         layout: The composite space the operator acts on.
@@ -428,13 +437,7 @@ class SparseOperator:
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         """Matrix-vector product ``A @ v`` (see :class:`_CSR`)."""
-        v = np.asarray(vector)
-        if v.shape != (self.total_dim,):
-            raise ValueError(
-                f"vector of shape {v.shape} does not match dimension "
-                f"{self.total_dim}"
-            )
-        return self._csr @ v
+        return self._csr @ np.asarray(vector)
 
     def one_norm(self) -> float:
         """Induced 1-norm (maximum absolute column sum)."""

@@ -1,5 +1,11 @@
 """Composite Hilbert-space layouts and canonical sparse operators."""
 
+import importlib.machinery
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +25,7 @@ from dispersive_nphoton.fockspace import (
     position,
     qubit_oscillator_layout,
 )
+from test_eigensolve import _same_bits
 
 
 @pytest.fixture
@@ -325,21 +332,19 @@ class TestCanonicalArrays:
         assert op.max_abs() == np.abs(dense).max()
 
     def test_queries_share_one_csr_view(self, monkeypatch):
-        # The operator's one CSR view is built with it: the queries, and the
-        # product's layout after the first apply, are never rebuilt.
+        # The operator's one CSR view is built with it: the queries never
+        # rebuild it.
         op = destroy(5) @ create(5) + number(5)
         built = []
         real = fockspace._CSR
         monkeypatch.setattr(fockspace, "_CSR", lambda *a: built.append(a) or real(*a))
         vec = np.arange(5.0)
         first = op.apply(vec)
-        layout = op._csr._jagged
         for _ in range(2):
             np.testing.assert_array_equal(op.apply(vec), first)
             op.diagonal()
             op.toarray()
         assert built == []
-        assert op._csr._jagged is layout
 
 
 class TestRefusals:
@@ -433,3 +438,129 @@ def test_empty_operator_norms():
     zero = SparseOperator.from_coo(HilbertLayout((("oscillator", 3),)), [], [], [])
     assert zero.nnz == 0
     assert zero.one_norm() == 0.0 and zero.max_abs() == 0.0
+
+
+#: Builds one operator with a long row and multiplies it; then checks the
+#: loaded modules (``{check}``).  Run in a fresh interpreter.
+_PRODUCT_PROBE = """
+import sys
+import numpy as np
+from dispersive_nphoton.fockspace import SparseOperator, qubit_oscillator_layout
+dim = 300
+dense = np.eye(dim) + 1j * np.eye(dim, k=1)
+dense[0, :] = dense[:, 0] = np.arange(1.0, dim + 1)
+op = SparseOperator(qubit_oscillator_layout(0, (dim,)), dense)
+v = np.cos(np.arange(dim)) + 1j * np.sin(np.arange(dim))
+mine = op.apply(v)
+{check}
+print("ok")
+"""
+
+
+class TestCompiledProduct:
+    """``_CSR @ v`` is SciPy's compiled ``csr_matvec``, loaded from its file
+    under this package's name: SciPy's bits at any row length, and no
+    ``scipy.sparse`` module in the run."""
+
+    @staticmethod
+    def _arrow(dim, complex_data):
+        """An arrow block: row 0 stores every column, as column 0 every row."""
+        rng = np.random.default_rng(dim)
+        dense = np.diag(rng.normal(size=dim))
+        dense[0, :] = dense[:, 0] = rng.normal(size=dim)
+        if complex_data:
+            dense = dense + 1j * np.diag(rng.normal(size=dim - 1), k=1)
+        return dense
+
+    @pytest.mark.parametrize("vector", ["real", "complex"])
+    @pytest.mark.parametrize("data", ["real", "complex"])
+    def test_arrow_block_has_scipy_bits(self, data, vector):
+        import scipy.sparse as sp
+
+        dim = 1500
+        ref = sp.csr_matrix(self._arrow(dim, data == "complex"))
+        assert np.diff(ref.indptr).max() == dim
+        mat = fockspace._CSR(ref.indptr, ref.indices, ref.data)
+        rng = np.random.default_rng(7)
+        v = rng.normal(size=dim)
+        if vector == "complex":
+            v = v + 1j * rng.normal(size=dim)
+        assert _same_bits(mat @ v, ref @ v)
+        op = SparseOperator(qubit_oscillator_layout(0, (dim,)), ref)
+        assert _same_bits(op.apply(v), op.entries @ v)
+
+    @pytest.mark.parametrize(
+        "v",
+        [np.arange(-3, 9), (np.arange(12.0) - 2.5j).astype(np.complex64)],
+        ids=["int64", "complex64"],
+    )
+    def test_output_dtype_follows_scipy(self, v):
+        op = destroy(12) @ create(12) + position(12) * 0.3j
+        got = op.apply(v)
+        assert got.dtype == np.complex128
+        assert _same_bits(got, op.entries @ v)
+
+    def test_refuses_vector_of_wrong_shape(self):
+        # The compiled loop would read past the end of a short vector.
+        mat = (destroy(2000) + create(2000))._csr
+        for vec in (np.ones(3), np.ones(2001), np.ones((2000, 1))):
+            with pytest.raises(ValueError, match="does not match dimension 2000"):
+                mat @ vec
+
+    def _probe(self, check):
+        """Runs :data:`_PRODUCT_PROBE` with ``check`` in a fresh interpreter."""
+        src = str(Path(fockspace.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _PRODUCT_PROBE.format(check=check)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_product_loads_no_sparse_module(self):
+        check = (
+            "loaded = [m for m in sys.modules if m.startswith('scipy.sparse')]\n"
+            "assert loaded == [], loaded\n"
+            "assert 'dispersive_nphoton._sparsetools' in sys.modules"
+        )
+        assert self._probe(check) == "ok\n"
+
+    def test_agrees_with_scipy_loaded_after_it(self):
+        # The extension, loaded first under this package's name, then again
+        # by scipy.sparse under its own: both give the same bits.
+        check = (
+            "import scipy.sparse\n"
+            "from scipy.sparse import _sparsetools\n"
+            "from dispersive_nphoton import fockspace\n"
+            "assert fockspace._sparsetools() is not _sparsetools\n"
+            "ref = (op.entries @ v).view(np.uint8)\n"
+            "assert np.array_equal(mine.view(np.uint8), ref)\n"
+            "assert np.array_equal(op.apply(v).view(np.uint8), ref)"
+        )
+        assert self._probe(check) == "ok\n"
+
+    def test_falls_back_to_scipy_sparse(self, monkeypatch):
+        # Without the extension's file, scipy.sparse's own module serves.
+        import scipy.sparse as sp
+        from scipy.sparse import _sparsetools
+
+        ref = sp.csr_matrix(self._arrow(1200, True))
+        v = np.linspace(-1.0, 1.0, 1200) * (1 - 2j)
+        want = ref @ v
+        private = fockspace.__name__.rpartition(".")[0] + "._sparsetools"
+        monkeypatch.delitem(sys.modules, private, raising=False)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        calls = []
+        real = _sparsetools.csr_matvec
+        monkeypatch.setattr(
+            _sparsetools, "csr_matvec", lambda *a: calls.append(1) or real(*a)
+        )
+        assert fockspace._sparsetools() is _sparsetools
+        mat = fockspace._CSR(ref.indptr, ref.indices, ref.data)
+        assert _same_bits(mat @ v, want)
+        assert calls == [1]
+        assert private not in sys.modules

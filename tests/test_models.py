@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dispersive_nphoton import models
 from dispersive_nphoton.analytic import (
@@ -1121,3 +1122,84 @@ class TestAssemblyBits:
             want = want + coef * op
         for name in ("indptr", "indices", "data"):
             assert _bits(getattr(h, name)) == _bits(getattr(want, name)), name
+
+
+class TestSchriefferWolffOracle:
+    """The off-diagonal terms of the ``dispersive`` model against the exact
+    Schrieffer-Wolff rotation of the exact model (Bravyi, DiVincenzo & Loss,
+    Ann. Phys. 326, 2793, 2011, section 3): ``U = sqrt((2 P0 - 1)(2 P - 1))``,
+    with ``P0`` the projector onto the unperturbed subspace and ``P`` the
+    spectral projector of the exact model matched to it.  ``U H U^dagger``
+    commutes with ``P0``, and its elements agree with the second-order model
+    up to fourth order in ``g``: the error falls as ``g**4`` (slope 4 on a
+    log-log plot)."""
+
+    @staticmethod
+    def _rotated(h, p0):
+        """``U H U^dagger`` of the dense Hermitian ``h`` for the diagonal
+        projector ``p0`` (0/1 per basis state)."""
+        energies, vectors = np.linalg.eigh(h)
+        weights = p0 @ np.abs(vectors) ** 2
+        assert np.all((weights >= 0.9) | (weights <= 0.1)), weights
+        matched = vectors[:, weights >= 0.5]
+        assert matched.shape[1] == p0.sum()
+        reflect = 2.0 * matched @ matched.conj().T - np.eye(len(p0))
+        u = scipy.linalg.sqrtm(np.diag(2.0 * p0 - 1.0) @ reflect)
+        rotated = u @ (vectors * energies) @ vectors.conj().T @ u.conj().T
+        # Block diagonal: P0 H Q0 vanishes up to roundoff.
+        assert np.abs(rotated[np.ix_(p0 == 1, p0 == 0)]).max() < 1e-12
+        return rotated
+
+    def _slope(self, make, model, regime, p0_of, bra, ket):
+        errors = []
+        for g in (0.004, 0.008):
+            spec = make(g)
+            layout = spec.layout()
+            i, j = layout.basis_index(bra), layout.basis_index(ket)
+            p0 = p0_of(layout.occupation_vectors()).astype(float)
+            rotated = self._rotated(build_model(spec, model).toarray(), p0)
+            effective = build_model(spec, "dispersive", regime).toarray()[i, j]
+            # The element is a second-order term: not zero, and matched up
+            # to corrections of higher order.
+            assert abs(effective) > 0
+            errors.append(abs(rotated[i, j] - effective))
+            assert errors[-1] < 1e-2 * abs(effective)
+        return math.log2(errors[1] / errors[0])
+
+    @pytest.mark.parametrize(
+        "n, omega_q, trunc", [(1, 1.7, 30), (2, 3.0, 24)], ids=["n1", "n2"]
+    )
+    def test_squeezing(self, n, omega_q, trunc):
+        # <e, 2n+1| . |e, 1>: the qubit-conditional 2n-photon squeezing of nR.
+        slope = self._slope(
+            lambda g: single(omega_q=omega_q, n=n, g=g, trunc=trunc),
+            "nR",
+            "nonrwa",
+            lambda occ: occ[:, 0] == 0,
+            (0, 2 * n + 1),
+            (0, 1),
+        )
+        assert slope >= 3.8
+
+    def test_rwa_exchange(self):
+        # <eg, 3| . |ge, 3>: the photon-number-dependent qubit-qubit exchange
+        # of nTC, with P0 on the one-excitation qubit configurations.
+        def make(g):
+            return SystemSpec(
+                topology="multiqubit",
+                qubits=(
+                    QubitSpec(omega_q=2.5, n=2, g=g),
+                    QubitSpec(omega_q=2.8, n=2, g=g),
+                ),
+                oscillators=(OscillatorSpec(omega=1.0, trunc=16),),
+            )
+
+        slope = self._slope(
+            make,
+            "nTC",
+            "rwa",
+            lambda occ: occ[:, :2].sum(axis=1) == 1,
+            (0, 1, 3),
+            (1, 0, 3),
+        )
+        assert slope >= 3.8
