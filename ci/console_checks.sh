@@ -19,6 +19,12 @@ python -c "import sys; from dispersive_nphoton import cli; code = cli.main(['lev
 chains="$tmp/chains.json"
 echo '{"topology": "single", "qubits": [{"omega_q": 3.1, "n": 3, "g": 0.01}], "oscillators": [{"trunc": 300}], "stabilizer": {"form": "number_power", "eta": 0.02}}' > "$chains"
 python -c "import sys; from dispersive_nphoton import cli; code = cli.main(['spectrum', '--config', sys.argv[1], '--model', 'nR', '-k', '6', '--out', sys.argv[2]]); bad = sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse')) and m != 'scipy.linalg._flapack'); assert code == 0 and 'scipy.linalg._flapack' in sys.modules and not bad, (code, bad)" "$chains" "$tmp/chains.csv"
+# Blocks that are not chains (four of 100 states) take LAPACK's subset driver
+# from the same extension: it is the only scipy.linalg module, and no
+# scipy.sparse module loads.
+dicke="$tmp/dicke.json"
+echo '{"topology": "multiqubit", "qubits": [{"omega_q": 8.0, "n": 2, "g": 0.02}, {"omega_q": 7.4, "n": 2, "g": 0.03}], "oscillators": [{"trunc": 100}]}' > "$dicke"
+python -c "import sys; from dispersive_nphoton import cli; code = cli.main(['spectrum', '--config', sys.argv[1], '--model', 'nDicke', '-k', '6', '--out', sys.argv[2]]); loaded = sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse'))); assert code == 0 and loaded == ['scipy.linalg._flapack'], (code, loaded)" "$dicke" "$tmp/dicke.csv"
 # Lanczos blocks run on NumPy CSR arrays: no scipy.sparse module.
 python -c "import sys; from dispersive_nphoton import cli; code = cli.main(['spectrum', '--config', sys.argv[1], '--model', 'nR', '-k', '6', '--method', 'lanczos', '--out', sys.argv[2]]); bad = sorted(m for m in sys.modules if m.startswith('scipy.sparse')); assert code == 0 and not bad, (code, bad)" "$chains" "$tmp/chains_lanczos.csv"
 dn spectrum --config "$cfg" --model nR -k 4

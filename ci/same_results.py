@@ -3,7 +3,8 @@
 Prints one line per item, ``<name> <sha256>``.  A library item hashes the
 dtype, shape and bytes of the arrays it returns: lowest eigenpairs by every
 method on every model, Lanczos pairs and an ``IterationLimitError``'s
-partial result on larger blocks, sparse products, and Krylov propagation.
+partial result on larger blocks, sparse products, the dense subset driver
+on blocks that are not chains, and Krylov propagation.
 A CLI item hashes the exit code, standard output, standard error and every
 file the run writes.  The script uses the ``dispersive_nphoton`` found on
 ``PYTHONPATH``, so one copy of it compares two trees.  From the root of a
@@ -13,8 +14,10 @@ checkout, with the other tree at ``../parent``:
     PYTHONPATH=../parent/src python ci/same_results.py > before.txt
     diff before.txt after.txt
 
-An empty diff means the two trees give the same bits and bytes.  The run
-takes about 15 s on one core.
+An empty diff means the two trees give the same bits and bytes.  Compare
+runs made at one BLAS thread count (``OPENBLAS_NUM_THREADS=1``, as CI
+does): some outputs move between 1 and 2 threads.  The run takes about
+15 s on one core.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import dispersive_nphoton
 from dispersive_nphoton.dynamics import evolve, preset_state, propagator
 from dispersive_nphoton.eigensolve import eigs_lowest, solve_lowest
 from dispersive_nphoton.errors import IterationLimitError
+from dispersive_nphoton.fockspace import SparseOperator, qubit_oscillator_layout
 from dispersive_nphoton.models import MODELS_BY_TOPOLOGY, SystemSpec, build_model
 
 #: One small configuration per topology, for every model of it.
@@ -83,6 +87,13 @@ LARGE = [
     ("nDicke-300", _sized(SMALL["multiqubit"], 300), "nDicke"),
     ("mmr-12", SMALL["multimode"], "mmr"),
     ("nTC-60", _sized(SMALL["multiqubit"], 60), "nTC"),
+]
+
+#: ``(name, config, model)`` of blocks that are not chains and exceed the
+#: batch size: ``auto`` takes their lowest pairs from LAPACK's subset driver.
+DENSE = [
+    ("nDicke-300", _sized(SMALL["multiqubit"], 300), "nDicke"),
+    ("full_nR-200", _sized(SMALL["single"], 200), "full_nR"),
 ]
 
 #: Krylov propagation: nR n=2 at trunc 4200, blocks past the exact budget.
@@ -166,6 +177,14 @@ def library_items():
         yield f"apply/{name}/real", _digest(h.apply(np.cos(x)))
         z = np.cos(x) + 1j * np.sin(0.7 * x)
         yield f"apply/{name}/complex", _digest(h.apply(z))
+    for name, config, model in DENSE:
+        h = _model(config, model)
+        yield f"auto/{name}/k6", _spectrum(solve_lowest(h, 6, "auto"))
+    # One complex Hermitian block of 150 states.
+    rng = np.random.default_rng(26)
+    a = rng.normal(size=(150, 150)) + 1j * rng.normal(size=(150, 150))
+    h = SparseOperator.from_dense(qubit_oscillator_layout(0, (150,)), a + a.conj().T)
+    yield "auto/complex-150/k6", _spectrum(solve_lowest(h, 6, "auto"))
     h = _model(KRYLOV, "nR")
     psi0 = preset_state("plus_coherent_2", h.layout)
     yield "evolve/nR-4200", _digest(evolve(h, psi0, 10.0).amplitudes)

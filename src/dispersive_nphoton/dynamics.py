@@ -286,7 +286,8 @@ def propagator(h: SparseOperator, krylov_dim: int, local_tol: float):
     bounds = np.append(0, np.cumsum(sizes[exact]))
     parts, _ = _block_eigh(mat, held, bounds, h.total_dim, "dense")
     rest = [members[starts[b] : starts[b + 1]] for b in np.flatnonzero(~exact)]
-    rest = [(idx, _submatrix(mat, idx)) for idx in rest]
+    # Cast to complex once here, not by csr_matvec in every Krylov product.
+    rest = [(idx, _submatrix(mat, idx, np.complex128)) for idx in rest]
 
     def step(state: StateVector, t: float) -> StateVector:
         if state.layout != h.layout:

@@ -15,8 +15,9 @@ group of equal-size blocks as one record: basis rows, energies, vectors.
 :func:`solve_lowest` are each one pass of it; the exact propagator shares
 it.  The Lanczos solver and the Krylov propagator run one Lanczos
 recursion, :func:`_lanczos_run`, on a block held as NumPy CSR arrays
-(:class:`.fockspace._CSR`), whose product and 1-norm are the kernels of
-:mod:`.fockspace`: no solver here loads ``scipy.sparse``.  Also here is
+(:class:`.fockspace._CSR`).  Every LAPACK call goes through :func:`_lapack`
+and every product through :mod:`.fockspace`: no solve imports
+``scipy.linalg`` or ``scipy.sparse``.  Also here is
 the bookkeeping of sweeps: labeling eigenstates by dominant bare basis
 state (:func:`label_by_overlap`), discarding truncation-band artifacts by mean
 photon number (:func:`filter_by_mean_photon`), and following levels
@@ -96,11 +97,6 @@ class SpectrumResult:
         raise KeyError(f"no eigenstate labelled ({config!r}, {fock})")
 
 
-def _mean_photons(layout: HilbertLayout, states: np.ndarray) -> np.ndarray:
-    nvec = layout.oscillator_number_diagonal()
-    return (nvec[:, None] * np.abs(states) ** 2).sum(axis=0)
-
-
 # ---------------------------------------------------------------------------
 # Blocks and the merge of per-block spectra
 # ---------------------------------------------------------------------------
@@ -165,10 +161,11 @@ def _entries(mat: _CSR, idx: np.ndarray):
     return indptr, r, mat.indices[at], mat.data[at]
 
 
-def _submatrix(mat: _CSR, idx: np.ndarray) -> _CSR:
-    """The block of ``mat`` with ascending basis indices ``idx``."""
+def _submatrix(mat: _CSR, idx: np.ndarray, dtype=None) -> _CSR:
+    """The block of ``mat`` with ascending basis indices ``idx``, its data
+    cast to ``dtype`` when given."""
     indptr, _, c, v = _entries(mat, idx)
-    return _CSR(indptr, np.searchsorted(idx, c), v)
+    return _CSR(indptr, np.searchsorted(idx, c), np.asarray(v, dtype))
 
 
 def _chain(r, c, v, s):
@@ -228,6 +225,7 @@ def _merge_lowest(h, parts, k, dtype, want_states=True):
     if not want_states:
         return SpectrumResult(energies=energies[order], states=None, layout=h.layout)
     states = np.zeros((h.total_dim, len(order)), dtype=dtype)
+    nvec = h.layout.oscillator_number_diagonal()
     offset = 0
     for rows, e, vectors in parts:
         cols = np.flatnonzero((order >= offset) & (order < offset + e.size))
@@ -238,7 +236,7 @@ def _merge_lowest(h, parts, k, dtype, want_states=True):
         energies=energies[order],
         states=states,
         layout=h.layout,
-        mean_photons=_mean_photons(h.layout, states),
+        mean_photons=(nvec[:, None] * np.abs(states) ** 2).sum(axis=0),
     )
 
 
@@ -265,7 +263,7 @@ def _block_eigh(
     - a real chain of any size (as every n-photon Rabi parity block is;
       see :func:`_chain`): the tridiagonal solver :func:`_tridiagonal_eigh`
       on its diagonal and off-diagonal, with no matrix copy;
-    - up to :data:`DENSE_LIMIT` states: ``scipy.linalg.eigh`` for the
+    - up to :data:`DENSE_LIMIT` states: :func:`_lowest_eigh` for the
       lowest ``k`` pairs, or ``numpy.linalg.eigh`` for all of them (the
       subset driver loses orthogonality on full spectra);
     - above: :func:`_lanczos` under ``"auto"``, ``CapacityError`` under
@@ -330,15 +328,7 @@ def _block_eigh(
                         else (np.linalg.eigvalsh(stack), None)
                     )
                 else:
-                    import scipy.linalg
-
-                    out = scipy.linalg.eigh(
-                        stack[0],
-                        eigvals_only=not want_states,
-                        subset_by_index=(0, keep - 1),
-                        overwrite_a=True,
-                    )
-                    vals, vecs = out if want_states else (out, None)
+                    vals, vecs = _lowest_eigh(stack[0], keep, want_states)
             # Stacked by block: a solver of one block gives one block's pairs.
             vals = vals.reshape(len(group), -1)[:, :keep]
             if vecs is not None:
@@ -409,35 +399,27 @@ def _reorthogonalize(block: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _lanczos_step(mat, basis, alphas, betas, shift):
-    """Lanczos step on ``mat - shift`` from column ``len(alphas)`` of ``basis``.
-
-    Appends alpha and returns the fully reorthogonalized residual and its
-    norm; a zero ``betas[m - 1]`` marks column ``m`` as a restart.
-    """
-    m = len(alphas)
-    v = basis[:, m]
-    w = mat @ v - shift * v
-    alphas.append(float(np.real(np.vdot(v, w))))
-    w = w - alphas[-1] * v
-    if m > 0 and betas[m - 1] != 0.0:
-        w = w - betas[m - 1] * basis[:, m - 1]
-    w = _reorthogonalize(basis[:, : m + 1], w)
-    return w, float(np.linalg.norm(w))
-
-
 def _lanczos_run(mat, basis, alphas, betas, steps, floor, shift):
     """Extend the Lanczos recursion on ``mat - shift`` held in ``basis``,
     ``alphas`` and ``betas`` by at least one step, until it has ``steps``
     steps or breaks down (beta <= ``floor``).  Each beta is appended as it
     is; every step but the last stores its normalized residual as the next
-    column of ``basis`` (``steps`` columns).  Returns the last residual."""
+    column of ``basis`` (``steps`` columns), and a zero ``betas[m - 1]``
+    marks column ``m`` as a restart.  Each residual is fully
+    reorthogonalized.  Returns the last residual."""
     while True:
-        w, beta = _lanczos_step(mat, basis, alphas, betas, shift)
-        betas.append(beta)
-        if len(alphas) >= steps or beta <= floor:
+        m = len(alphas)
+        v = basis[:, m]
+        w = mat @ v - shift * v
+        alphas.append(float(np.real(np.vdot(v, w))))
+        w = w - alphas[-1] * v
+        if m > 0 and betas[m - 1] != 0.0:
+            w = w - betas[m - 1] * basis[:, m - 1]
+        w = _reorthogonalize(basis[:, : m + 1], w)
+        betas.append(float(np.linalg.norm(w)))
+        if m + 1 >= steps or betas[-1] <= floor:
             return w
-        basis[:, len(alphas)] = w / beta
+        basis[:, m + 1] = w / betas[-1]
 
 
 def _lapack():
@@ -454,6 +436,24 @@ def _lapack_check(info: int, driver: str, failed: str = "did not converge") -> N
         raise ValueError(f"illegal value in argument {-info} of internal {driver}")
     if info > 0:
         raise np.linalg.LinAlgError(f"{driver} {failed} (LAPACK info={info})")
+
+
+def _lowest_eigh(a: np.ndarray, k: int, want_states: bool):
+    """Lowest ``k`` eigenpairs ``(w, v)`` of the Hermitian float64 or
+    complex128 matrix ``a``, which is overwritten; ``v`` is None without
+    states.  ``dsyevr`` or ``zheevr`` is called as ``scipy.linalg.eigh(a,
+    subset_by_index=(0, k - 1), overwrite_a=True)`` calls it: its bits."""
+    lapack = _lapack()
+    driver = "zheevr" if np.iscomplexobj(a) else "dsyevr"
+    *work, info = getattr(lapack, driver + "_lwork")(a.shape[0], lower=True)
+    _lapack_check(info, driver + "_lwork")
+    # Vectors, range "I", lower, vl, vu, il, iu, abstol, workspace sizes.
+    w, v, m, _, info = getattr(lapack, driver)(
+        a, int(want_states), "I", True, 0.0, 1.0, 1, k, 0.0,
+        *(int(size.real) for size in work), overwrite_a=True
+    )
+    _lapack_check(info, driver)
+    return w[:m], v[:, :m] if want_states else None
 
 
 def _tridiagonal_eigh(

@@ -26,14 +26,13 @@ Conventions
 * Every sparse kernel in the package runs on these CSR arrays, one kernel
   each: :func:`_csr_rows` (the row of every stored entry) and
   :func:`_csr_one_norm` (the largest absolute column sum) in NumPy, and the
-  product ``A @ v`` of :class:`_CSR`, which is SciPy's compiled
-  ``csr_matvec`` loaded from its file (:func:`_extension`) without
-  ``scipy.sparse``.  :meth:`SparseOperator.apply` and the Lanczos and
-  Krylov blocks of the solvers use them.
-* ``SparseOperator.entries`` is a SciPy ``csr_matrix`` view of the frozen
-  arrays, built lazily on first access.  The operator algebra (``+``,
-  ``@``, :meth:`SparseOperator.dagger`, :func:`embed`, :func:`op_pow`)
-  works through it, so it imports SciPy.
+  product ``A @ v`` of :class:`_CSR`, SciPy's compiled ``csr_matvec``.
+* One rule for SciPy: solves load ``scipy.linalg._flapack`` and products
+  ``_sparsetools``, each from its file by :func:`_extension`; only
+  ``SparseOperator.entries`` (a ``csr_matrix`` view of the frozen arrays,
+  built on first access) and the operator algebra that works through it
+  (``+``, ``@``, :meth:`SparseOperator.dagger`, :func:`embed`,
+  :func:`op_pow`) import ``scipy.sparse``.
 """
 
 from __future__ import annotations

@@ -1547,6 +1547,51 @@ class TestImportHygiene:
         ):
             assert name not in loaded
 
+    @pytest.mark.parametrize(
+        "model, payload",
+        [
+            (
+                "nDicke",
+                {
+                    "topology": "multiqubit",
+                    "qubits": [
+                        {"omega_q": 8.0, "n": 2, "g": 0.02},
+                        {"omega_q": 7.4, "n": 2, "g": 0.03},
+                    ],
+                    "oscillators": [{"trunc": 100}],
+                },
+            ),
+            (
+                "mmr",
+                {
+                    "topology": "multimode",
+                    "qubits": [{"omega_q": 3.0}],
+                    "oscillators": [{"trunc": 12}, {"trunc": 12}],
+                    "couplings": [
+                        {"qubit": 0, "oscillator": 0, "n": 1, "g": 0.1},
+                        {"qubit": 0, "oscillator": 1, "n": 2, "g": 0.1},
+                    ],
+                },
+            ),
+        ],
+    )
+    def test_dense_blocks_load_only_lapack_extension(self, tmp_path, model, payload):
+        # Four blocks of 100 (nDicke) or 72 (mmr) states that are not
+        # chains: their lowest pairs come from the LAPACK extension alone.
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from dispersive_nphoton import cli, eigensolve\n"
+            "calls, real = [], eigensolve._lowest_eigh\n"
+            "eigensolve._lowest_eigh = lambda *a: calls.append(1) or real(*a)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    result = [cli.main(sys.argv[1:]), len(calls)]"
+        )
+        argv = ["spectrum", "--model", model, "-k", "6"]
+        argv = [*argv, "--config", write_config(tmp_path, payload)]
+        (code, calls), loaded = self._scipy_loaded(probe, argv)
+        assert (code, calls) == (0, 4)
+        assert self._solver_modules(loaded) == ["scipy.linalg._flapack"]
+
     @staticmethod
     def _solver_modules(loaded):
         return [m for m in loaded if m.startswith(("scipy.sparse", "scipy.linalg"))]

@@ -552,6 +552,7 @@ def _forbid_dense_drivers(monkeypatch):
         raise AssertionError("dense eigensolver called")
 
     monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(eigensolve, "_lowest_eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
 
@@ -619,13 +620,13 @@ class TestChainBlocks:
         h = build_model(single(omega_q=3.1, n=3, g=0.05, trunc=100), "full_nR")
         assert sorted(np.bincount(_block_labels(h))) == [100, 100]
         calls = []
-        eigh = scipy.linalg.eigh
+        eigh = eigensolve._lowest_eigh
 
         def spy(*args, **kwargs):
             calls.append(args[0].shape)
             return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        monkeypatch.setattr(eigensolve, "_lowest_eigh", spy)
         res = solve_lowest(h, 5, "dense")
         assert calls == [(100, 100), (100, 100)]
         want = np.linalg.eigvalsh(h.toarray())[:5]
@@ -714,13 +715,13 @@ class TestChainOrder:
         h = SparseOperator.from_dense(HilbertLayout((("oscillator", dim),)), dense)
         assert _chain_of(_block_matrices(h)[0]) is None
         calls = []
-        eigh = scipy.linalg.eigh
+        eigh = eigensolve._lowest_eigh
 
         def spy(*args, **kwargs):
             calls.append(args[0].shape)
             return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        monkeypatch.setattr(eigensolve, "_lowest_eigh", spy)
         res = solve_lowest(h, 5, "auto")
         assert calls == [(dim, dim)]
         want = np.linalg.eigvalsh(dense)[:5]
@@ -882,6 +883,71 @@ class TestTridiagonalDrivers:
         assert eigensolve._lapack() is scipy.linalg.lapack
         rng = np.random.default_rng(3)
         self._assert_same_bits(rng.normal(size=90), rng.normal(size=89), 4, False)
+
+
+class TestSubsetDriver:
+    """``_lowest_eigh`` calls ``dsyevr`` or ``zheevr`` as
+    ``scipy.linalg.eigh(subset_by_index=...)`` does and returns its bits."""
+
+    @staticmethod
+    def _assert_same_bits(a, k, want_states):
+        got = eigensolve._lowest_eigh(a.copy(), k, want_states)
+        want = scipy.linalg.eigh(
+            a.copy(),
+            eigvals_only=not want_states,
+            subset_by_index=(0, k - 1),
+            overwrite_a=True,
+        )
+        if not want_states:
+            assert got[1] is None
+            got, want = got[:1], [want]
+        for x, y in zip(got, want, strict=True):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("want_states", [True, False])
+    @pytest.mark.parametrize("k", [1, 6, 40])
+    @pytest.mark.parametrize("s", [65, 100, 300])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_random_hermitian(self, kind, s, k, want_states):
+        rng = np.random.default_rng(s + k)
+        a = rng.normal(size=(s, s))
+        if kind == "complex":
+            a = a + 1j * rng.normal(size=(s, s))
+        self._assert_same_bits(a + a.conj().T, k, want_states)
+
+    @pytest.mark.parametrize("want_states", [True, False])
+    def test_exact_degenerate_pairs(self, want_states):
+        # Two copies of one random matrix: every level is exactly doubled.
+        rng = np.random.default_rng(7)
+        b = rng.normal(size=(40, 40))
+        a = scipy.linalg.block_diag(b + b.T, b + b.T)
+        w = eigensolve._lowest_eigh(a.copy(), 10, False)[0]
+        assert np.max(np.abs(w[::2] - w[1::2])) <= 1e-12 * np.abs(w).max()
+        self._assert_same_bits(a, 10, want_states)
+
+    @pytest.mark.parametrize("model", ["nDicke", "mmr"])
+    def test_model_blocks(self, model):
+        # Non-chain blocks of 100 (nDicke) and 72 (mmr) states.
+        h = build_model(
+            pair(100) if model == "nDicke" else two_mode(trunc=12), model
+        )
+        for sub in _block_matrices(h):
+            assert sub.shape[0] > eigensolve._BATCH_MAX
+            assert _chain_of(sub) is None
+            self._assert_same_bits(sub.toarray(), 6, True)
+
+    def test_falls_back_to_public_lapack(self, monkeypatch):
+        # Without the extension's file, the public module serves the dense
+        # solve, with the same bits.
+        h = build_model(pair(100), "nDicke")
+        want = solve_lowest(h, 6, "auto")
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        assert eigensolve._lapack() is scipy.linalg.lapack
+        got = solve_lowest(h, 6, "auto")
+        for x, y in ((got.energies, want.energies), (got.states, want.states)):
+            assert np.array_equal(x, y)
 
 
 class TestPerBlockPolicy:

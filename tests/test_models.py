@@ -1167,7 +1167,9 @@ class TestSchriefferWolffOracle:
         return math.log2(errors[1] / errors[0])
 
     @pytest.mark.parametrize(
-        "n, omega_q, trunc", [(1, 1.7, 30), (2, 3.0, 24)], ids=["n1", "n2"]
+        "n, omega_q, trunc",
+        [(1, 1.7, 30), (2, 3.0, 24), (3, 5.0, 16)],
+        ids=["n1", "n2", "n3"],
     )
     def test_squeezing(self, n, omega_q, trunc):
         # <e, 2n+1| . |e, 1>: the qubit-conditional 2n-photon squeezing of nR.
@@ -1201,5 +1203,51 @@ class TestSchriefferWolffOracle:
             lambda occ: occ[:, :2].sum(axis=1) == 1,
             (0, 1, 3),
             (1, 0, 3),
+        )
+        assert slope >= 3.8
+
+    def test_nonrwa_exchange(self):
+        # <eg, 3| . |ge, 3>: the qubit-qubit exchange of nDicke, counter-
+        # rotating terms included.
+        def make(g):
+            return SystemSpec(
+                topology="multiqubit",
+                qubits=(
+                    QubitSpec(omega_q=2.6, n=2, g=g),
+                    QubitSpec(omega_q=3.0, n=2, g=g),
+                ),
+                oscillators=(OscillatorSpec(omega=1.0, trunc=16),),
+            )
+
+        slope = self._slope(
+            make,
+            "nDicke",
+            "nonrwa",
+            lambda occ: occ[:, :2].sum(axis=1) == 1,
+            (0, 1, 3),
+            (1, 0, 3),
+        )
+        assert slope >= 3.8
+
+    @pytest.mark.parametrize("model, regime", [("mmjc", "rwa"), ("mmr", "nonrwa")])
+    def test_mode_mode_exchange(self, model, regime):
+        # <e; 1, 1| . |e; 0, 3>: the qubit-conditional exchange of one photon
+        # of the first mode (n=1) with two of the second (n=2).
+        def make(g):
+            return SystemSpec(
+                topology="multimode",
+                qubits=(QubitSpec(omega_q=3.7),),
+                oscillators=(
+                    OscillatorSpec(omega=1.0, trunc=10),
+                    OscillatorSpec(omega=1.3, trunc=10),
+                ),
+                couplings=(
+                    CouplingSpec(qubit=0, oscillator=0, n=1, g=g),
+                    CouplingSpec(qubit=0, oscillator=1, n=2, g=g),
+                ),
+            )
+
+        slope = self._slope(
+            make, model, regime, lambda occ: occ[:, 0] == 0, (0, 1, 1), (0, 0, 3)
         )
         assert slope >= 3.8
