@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinatorics import commutator_poly, eval_int_poly, stirling2
-from .errors import ResonanceError
+from .errors import ConfigError, ResonanceError
 
 REGIMES = ("rwa", "nonrwa")
 #: Largest coupling order whose photon-number polynomials have a float
@@ -42,7 +42,7 @@ _DENOMINATORS = {"delta": "detuning delta", "sigma": "sum frequency sigma"}
 
 def _check_regime(regime: str) -> str:
     if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+        raise ConfigError(f"regime must be one of {REGIMES}, got {regime!r}")
     return regime
 
 
@@ -61,7 +61,7 @@ class DispersiveParams:
         delta: Detuning ``omega_q - n * omega_o``.
         sigma: Sum frequency ``omega_q + n * omega_o``.
 
-    ``g``, ``delta`` and ``sigma`` must be finite (``ValueError`` otherwise).
+    ``g``, ``delta`` and ``sigma`` must be finite (``ConfigError`` otherwise).
     """
 
     n: int
@@ -75,15 +75,15 @@ class DispersiveParams:
         object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "sigma", float(self.sigma))
         if self.n < 1:
-            raise ValueError("coupling order n must be >= 1")
+            raise ConfigError("coupling order n must be >= 1")
         for name in ("g", "delta", "sigma"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.g < 0:
-            raise ValueError("coupling strength g must be non-negative")
+            raise ConfigError("coupling strength g must be non-negative")
         if self.sigma <= self.delta:
-            raise ValueError(
+            raise ConfigError(
                 "sigma must exceed delta (oscillator frequency must be positive)"
             )
 
@@ -100,7 +100,7 @@ class DispersiveParams:
         omega_q = float(omega_q)
         omega_o = float(omega_o)
         if omega_o <= 0:
-            raise ValueError("oscillator frequency must be positive")
+            raise ConfigError("oscillator frequency must be positive")
         n = int(n)
         shift = n * omega_o
         if shift > 0 and math.isfinite(omega_q) and omega_q - shift == omega_q + shift:
@@ -297,10 +297,10 @@ def dispersive_level(
             photon-number polynomial is beyond the float range.
     """
     if qubit not in ("e", "g"):
-        raise ValueError(f"qubit must be 'e' or 'g', got {qubit!r}")
+        raise ConfigError(f"qubit must be 'e' or 'g', got {qubit!r}")
     j = int(j)
     if j < 0:
-        raise ValueError("photon number j must be non-negative")
+        raise ConfigError("photon number j must be non-negative")
 
     chi, xi = params._strengths(regime)
     plus, minus, _ = _number_polys(params.n)
@@ -338,7 +338,7 @@ def njc_doublet(params: DispersiveParams, l: int) -> tuple[float, float]:
     """
     l = int(l)
     if l < 0:
-        raise ValueError("doublet index l must be non-negative")
+        raise ConfigError("doublet index l must be non-negative")
     n = params.n
     ratio = 1.0
     for i in range(1, n + 1):
@@ -365,19 +365,19 @@ def critical_photon_number(n: int, g: float, delta: float) -> float:
         delta: Detuning (finite).
 
     Raises:
-        ValueError: For ``n < 1``, a negative or non-finite ``g`` or a
+        ConfigError: For ``n < 1``, a negative or non-finite ``g`` or a
             non-finite ``delta``.
     """
     n = int(n)
     if n < 1:
-        raise ValueError("coupling order n must be >= 1")
+        raise ConfigError("coupling order n must be >= 1")
     g = float(g)
     if not math.isfinite(g):
-        raise ValueError(f"coupling strength g must be finite, got {g!r}")
+        raise ConfigError(f"coupling strength g must be finite, got {g!r}")
     if g < 0:
-        raise ValueError("coupling strength g must be non-negative")
+        raise ConfigError("coupling strength g must be non-negative")
     if not math.isfinite(delta):
-        raise ValueError(f"detuning delta must be finite, got {delta!r}")
+        raise ConfigError(f"detuning delta must be finite, got {delta!r}")
     if g == 0.0:
         return math.inf
     if n == 1:
@@ -395,7 +395,7 @@ def critical_photon_number(n: int, g: float, delta: float) -> float:
 
 def _check_moment_convention(moment_convention: str) -> str:
     if moment_convention not in MOMENT_CONVENTIONS:
-        raise ValueError(
+        raise ConfigError(
             f"moment_convention must be one of {MOMENT_CONVENTIONS}, "
             f"got {moment_convention!r}"
         )
@@ -411,7 +411,7 @@ def _number_moment(k: int, alpha_abs: float, moment_convention: str) -> float:
     kept selectable for comparison).
 
     Raises:
-        ValueError: If a power of ``|alpha|`` overflows.
+        ConfigError: If a power of ``|alpha|`` overflows.
     """
     power = 2 if moment_convention == "coherent_exact" else 1
     total = 0.0
@@ -419,7 +419,7 @@ def _number_moment(k: int, alpha_abs: float, moment_convention: str) -> float:
         try:
             m = alpha_abs ** (power * l)
         except OverflowError:
-            raise ValueError(
+            raise ConfigError(
                 f"alpha_abs = {alpha_abs!r} is too large: |alpha|**{power * l} "
                 "overflows"
             ) from None
@@ -433,7 +433,7 @@ def _moment_poly(coeffs, alpha_abs: float, moment_convention: str) -> float:
 
     Raises:
         ResonanceError: If a coefficient is beyond the float range.
-        ValueError: If the average is, though each coefficient is not.
+        ConfigError: If the average is, though each coefficient is not.
     """
     acc = 0.0
     try:
@@ -445,7 +445,7 @@ def _moment_poly(coeffs, alpha_abs: float, moment_convention: str) -> float:
             "the float range"
         ) from None
     if not math.isfinite(acc):
-        raise ValueError(
+        raise ConfigError(
             f"alpha_abs = {alpha_abs!r} is too large: the photon-number average "
             "is beyond the float range"
         )
@@ -455,7 +455,7 @@ def _moment_poly(coeffs, alpha_abs: float, moment_convention: str) -> float:
 def _check_alpha(alpha_abs: float) -> float:
     alpha_abs = float(alpha_abs)
     if not (math.isfinite(alpha_abs) and alpha_abs >= 0):
-        raise ValueError(
+        raise ConfigError(
             f"alpha_abs must be finite and non-negative, got {alpha_abs!r}"
         )
     return alpha_abs
@@ -485,7 +485,7 @@ def dressed_qubit_frequency(
         regime: ``"rwa"`` or ``"nonrwa"``.
 
     Raises:
-        ValueError: For a negative or non-finite ``alpha_abs``, or one whose
+        ConfigError: For a negative or non-finite ``alpha_abs``, or one whose
             powers or photon-number average overflow.
         ResonanceError: Outside the dispersive regime (see
             :meth:`DispersiveParams.require_dispersive`), or where ``g**2``, a
@@ -526,7 +526,7 @@ def effective_two_qubit_params(
         cross_k0: Keep the photon-independent exchange contribution.
 
     Raises:
-        ValueError: If ``spec`` does not hold exactly two qubits, the qubit
+        ConfigError: If ``spec`` does not hold exactly two qubits, the qubit
             orders differ, or ``alpha_abs`` is negative, non-finite or too
             large (see :func:`dressed_qubit_frequency`).
         ResonanceError: If a detuning vanishes or an expansion parameter is
@@ -534,14 +534,14 @@ def effective_two_qubit_params(
     """
     _check_moment_convention(moment_convention)
     if len(spec.qubits) != 2:
-        raise ValueError(
+        raise ConfigError(
             "effective_two_qubit_params requires exactly two qubits sharing "
             "one oscillator"
         )
     p1 = spec.qubit_params(0)
     p2 = spec.qubit_params(1)
     if p1.n != p2.n:
-        raise ValueError("both qubits must share the same coupling order n")
+        raise ConfigError("both qubits must share the same coupling order n")
     p1.require_dispersive("rwa")
     p2.require_dispersive("rwa")
 

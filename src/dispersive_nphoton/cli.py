@@ -263,30 +263,40 @@ def _solve_point(
     return spec, solve_lowest(h, args.k, args.method, args.max_iters)
 
 
-def _closed_form_params(spec: SystemSpec, model: str) -> Optional[DispersiveParams]:
-    """Parameters for the closed-form level columns, or None to leave them blank.
+def _closed_form_params(spec: SystemSpec, model: str) -> list:
+    """Parameters of each regime's closed-form level column, in ``REGIMES``
+    order, with None for a column left blank at this point.
 
-    The columns are filled only for single-topology, unstabilized models
-    that have a closed form (``CLOSED_FORM_MODELS``), and whose ``n *
-    omega_o`` survives the rounding of ``omega_q``.
+    A column is filled only for single-topology, unstabilized models that
+    have a closed form (``CLOSED_FORM_MODELS``), whose ``n * omega_o``
+    survives the rounding of ``omega_q``, inside that regime's dispersive
+    domain.
     """
+    columns = [None] * len(REGIMES)
     if (
         spec.topology != "single"
         or model not in CLOSED_FORM_MODELS
         or spec.stabilizer is not None
     ):
-        return None
+        return columns
     try:
-        return spec.qubit_params(0)
+        params = spec.qubit_params(0)
     except ResonanceError:
-        return None
+        return columns
+    for column, regime in enumerate(REGIMES):
+        try:
+            params.require_dispersive(regime)
+        except ResonanceError:
+            continue
+        columns[column] = params
+    return columns
 
 
 def _row(
     args: argparse.Namespace,
     name: Optional[str],
     value: Optional[float],
-    params: Optional[DispersiveParams] = None,
+    params: Sequence[Optional[DispersiveParams]] = (),
     config: str = "",
     fock: Sequence[int] = (),
     energy: Optional[float] = None,
@@ -296,19 +306,19 @@ def _row(
 ) -> str:
     """One ``SWEEP_COLUMNS`` row; the defaults give a failed point's flag row.
 
-    The closed-form column of each regime is filled when ``params`` lies
-    inside that regime's dispersive domain and the level is within the float
-    range.  Energy columns are multiplied by ``--physical-scale``.
+    The closed-form column of each regime is filled where
+    :func:`_closed_form_params` gave that regime ``params`` and the level is
+    within the float range.  Energy columns are multiplied by
+    ``--physical-scale``.
     """
     energies = [energy, None, None]
-    if params is not None:
-        for column, regime in enumerate(REGIMES, start=1):
-            try:
-                params.require_dispersive(regime)
-                level = dispersive_level(params, config, int(fock[0]), regime)
-            except ResonanceError:
-                continue
-            energies[column] = level
+    for column, (regime, p) in enumerate(zip(REGIMES, params), start=1):
+        if p is None:
+            continue
+        try:
+            energies[column] = dispersive_level(p, config, int(fock[0]), regime)
+        except ResonanceError:
+            pass
     scale = args.physical_scale
     return ",".join(
         [
@@ -450,10 +460,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
         raise ConfigError("dynamics presets require the 'single' topology")
     h = build_model(spec, args.model, args.regime, args.squeezing)
     layout = spec.layout()
-    try:
-        psi = preset_state(args.state, layout)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    psi = preset_state(args.state, layout)
 
     rho_q0 = partial_trace(psi, layout.qubit_indices)
     amps0 = psi.amplitudes.reshape(layout.dims) / psi.norm()
@@ -478,10 +485,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 
     lines = [_provenance_line(args, spec), ",".join(DYNAMICS_COLUMNS), row(0.0, psi)]
     failures = []
-    try:
-        step = propagator(h, args.krylov_dim, args.local_tol)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    step = propagator(h, args.krylov_dim, args.local_tol)
     for i in range(1, len(times)):
         try:
             psi = step(psi, float(times[i] - times[i - 1]))
@@ -517,15 +521,6 @@ def _cmd_coeff_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scalar_params(args: argparse.Namespace) -> DispersiveParams:
-    try:
-        return DispersiveParams.from_frequencies(
-            args.omega_q, args.n, args.g, args.omega_o
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _cmd_critical_nph(args: argparse.Namespace) -> int:
     if not args.omega_o > 0:
         raise ConfigError(f"--omega-o must be positive, got {args.omega_o!r}")
@@ -533,22 +528,17 @@ def _cmd_critical_nph(args: argparse.Namespace) -> int:
         delta = args.delta
     else:
         delta = args.omega_q - args.n * args.omega_o
-    try:
-        value = critical_photon_number(args.n, args.g, delta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    print(_fmt(value))
+    print(_fmt(critical_photon_number(args.n, args.g, delta)))
     return 0
 
 
 def _cmd_dressed_freq(args: argparse.Namespace) -> int:
-    params = _scalar_params(args)
-    try:
-        value = dressed_qubit_frequency(
-            params, args.alpha, args.moment_convention, args.regime
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    params = DispersiveParams.from_frequencies(
+        args.omega_q, args.n, args.g, args.omega_o
+    )
+    value = dressed_qubit_frequency(
+        params, args.alpha, args.moment_convention, args.regime
+    )
     print(_fmt(value))
     return 0
 
@@ -557,12 +547,9 @@ def _cmd_eff_2q(args: argparse.Namespace) -> int:
     spec = SystemSpec.from_json_file(args.config)
     if spec.topology != "multiqubit" or len(spec.qubits) != 2:
         raise ConfigError("eff-2q requires a 'multiqubit' system with two qubits")
-    try:
-        w1, w2, gbar = effective_two_qubit_params(
-            spec, args.alpha, args.moment_convention, cross_k0=args.cross_k0
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    w1, w2, gbar = effective_two_qubit_params(
+        spec, args.alpha, args.moment_convention, cross_k0=args.cross_k0
+    )
     lines = [
         _provenance_line(args, spec),
         "omega_bar_1,omega_bar_2,g_bar",

@@ -19,12 +19,14 @@ package derives:
 
 Conventions: ``s1`` is *signed* (``x(x-1)...(x-n+1) = sum_k s1(n,k) x^k``),
 ``s2`` is the ordinary (non-negative) second kind, and all out-of-range
-``(n, k)`` queries raise :class:`ValueError` rather than returning 0.
+``(n, k)`` queries raise :class:`.errors.ConfigError` rather than returning 0.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+from .errors import ConfigError
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +65,7 @@ def _check_range(n: int, k: int, what: str) -> tuple[int, int]:
     n = int(n)
     k = int(k)
     if n < 0 or not 0 <= k <= n:
-        raise ValueError(f"{what} index (n={n}, k={k}) out of range")
+        raise ConfigError(f"{what} index (n={n}, k={k}) out of range")
     return n, k
 
 
@@ -74,7 +76,7 @@ def stirling2(n: int, k: int) -> int:
     expands number-operator powers as ``N^k = sum_l s2(k, l) a†^l a^l``.
 
     Raises:
-        ValueError: Unless ``0 <= k <= n``.
+        ConfigError: Unless ``0 <= k <= n``.
     """
     n, k = _check_range(n, k, "stirling2")
     return _s2_row(n)[k]
@@ -96,7 +98,7 @@ def normal_order_aadag(n: int) -> tuple[int, ...]:
     """
     n = int(n)
     if n < 0:
-        raise ValueError("normal_order_aadag requires n >= 0")
+        raise ConfigError("normal_order_aadag requires n >= 0")
     row = _s1_row(n + 1)
     return tuple((-1) ** (n + k) * row[k + 1] for k in range(n + 1))
 
@@ -118,13 +120,13 @@ def c_coeff(n: int, k: int, sign: str) -> int:
         sign: ``"plus"`` or ``"minus"``.
 
     Raises:
-        ValueError: For an unknown sign or out-of-range ``(n, k)``.
+        ConfigError: For an unknown sign or out-of-range ``(n, k)``.
     """
     if sign not in ("plus", "minus"):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+        raise ConfigError(f"sign must be 'plus' or 'minus', got {sign!r}")
     n = int(n)
     if n < 1:
-        raise ValueError("c_coeff requires n >= 1")
+        raise ConfigError("c_coeff requires n >= 1")
     _check_range(n, k, "c_coeff")
     first = (-1) ** (n + k) * _s1_row(n + 1)[k + 1]
     second = _s1_row(n)[k]
@@ -143,7 +145,7 @@ def commutator_poly(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     n = int(n)
     if n < 1:
-        raise ValueError("commutator_poly requires n >= 1")
+        raise ConfigError("commutator_poly requires n >= 1")
     cplus = tuple(c_coeff(n, k, "plus") for k in range(n + 1))
     cminus = tuple(c_coeff(n, k, "minus") for k in range(n))
     return cplus, cminus

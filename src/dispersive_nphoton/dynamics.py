@@ -36,7 +36,7 @@ from .eigensolve import (
     _submatrix,
     _tridiagonal_eigh,
 )
-from .errors import PropagationError, TruncationError
+from .errors import ConfigError, PropagationError, TruncationError
 from .fockspace import HilbertLayout, SparseOperator, _csr_one_norm
 
 #: Presets understood by :func:`preset_state`.
@@ -72,13 +72,13 @@ class StateVector:
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128).copy()
         if amps.shape != (self.layout.total_dim,):
-            raise ValueError(
+            raise ConfigError(
                 f"amplitude shape {amps.shape} does not match layout "
                 f"dimension {self.layout.total_dim}"
             )
         nrm = float(np.linalg.norm(amps))
         if not abs(nrm - 1.0) <= self.norm_tol:
-            raise ValueError(
+            raise ConfigError(
                 f"state norm {nrm!r} deviates from 1 by more than {self.norm_tol}"
             )
         self.amplitudes = amps
@@ -110,14 +110,14 @@ def superposition(
             normalized after summing (duplicate occupations add).
 
     Raises:
-        ValueError: If the summed amplitudes vanish.
+        ConfigError: If the summed amplitudes vanish.
     """
     amps = np.zeros(layout.total_dim, dtype=np.complex128)
     for coeff, occs in terms:
         amps[layout.basis_index(occs)] += complex(coeff)
     nrm = np.linalg.norm(amps)
     if nrm == 0.0:
-        raise ValueError("superposition terms cancel to the zero vector")
+        raise ConfigError("superposition terms cancel to the zero vector")
     return StateVector(layout, amps / nrm)
 
 
@@ -129,14 +129,14 @@ def coherent_state(alpha: complex, trunc: int) -> StateVector:
     must stay below 1e-10; the retained amplitudes are then renormalized.
 
     Raises:
-        ValueError: If ``alpha`` is not finite.
+        ConfigError: If ``alpha`` is not finite.
         TruncationError: If the guard or the tail-mass bound fails.
     """
     trunc = int(trunc)
     alpha = complex(alpha)
     mod = abs(alpha)
     if not math.isfinite(mod):
-        raise ValueError(f"coherent amplitude must be finite, got {alpha!r}")
+        raise ConfigError(f"coherent amplitude must be finite, got {alpha!r}")
     if (mod + 3.0) ** 2 > trunc:
         raise TruncationError(
             f"coherent amplitude |alpha|={mod:.3g} needs at least "
@@ -169,7 +169,7 @@ def coherent_state(alpha: complex, trunc: int) -> StateVector:
 def tensor_state(*states: StateVector) -> StateVector:
     """Tensor product of states; layouts concatenate in argument order."""
     if not states:
-        raise ValueError("tensor_state requires at least one state")
+        raise ConfigError("tensor_state requires at least one state")
     amps = states[0].amplitudes
     subs = states[0].layout.subsystems
     for s in states[1:]:
@@ -192,17 +192,17 @@ def preset_state(name: str, layout: HilbertLayout) -> StateVector:
         layout: Target layout; must be one qubit followed by one oscillator.
     """
     if name not in STATE_PRESETS:
-        raise ValueError(f"unknown preset {name!r}; expected one of {STATE_PRESETS}")
+        raise ConfigError(f"unknown preset {name!r}; expected one of {STATE_PRESETS}")
     if (
         layout.n_subsystems != 2
         or layout.qubit_indices != (0,)
         or layout.oscillator_indices != (1,)
     ):
-        raise ValueError("presets require a (qubit, oscillator) layout")
+        raise ConfigError("presets require a (qubit, oscillator) layout")
     trunc = layout.dims[1]
     if name == "bell":
         if trunc < 3:
-            raise ValueError("the bell preset requires at least 3 Fock levels")
+            raise ConfigError("the bell preset requires at least 3 Fock levels")
         return superposition(layout, [(1.0, (1, 2)), (1.0, (0, 0))])
     nbar = 1.0 if name == "plus_coherent_1" else 2.0
     qubit_layout = HilbertLayout((("qubit", 2),))
@@ -215,7 +215,7 @@ def preset_state(name: str, layout: HilbertLayout) -> StateVector:
 def expectation(op: SparseOperator, state: StateVector) -> complex:
     """Expectation value ``<psi| A |psi>``."""
     if op.layout != state.layout:
-        raise ValueError("operator and state live on different layouts")
+        raise ConfigError("operator and state live on different layouts")
     return complex(np.vdot(state.amplitudes, op.apply(state.amplitudes)))
 
 
@@ -259,7 +259,7 @@ def evolve(
         local_tol: Per-substep error budget (finite and positive).
 
     Raises:
-        ValueError: On a non-Hermitian generator, a mismatched layout, a
+        ConfigError: On a non-Hermitian generator, a mismatched layout, a
             non-finite ``t``, ``krylov_dim < 2`` or a ``local_tol`` that is
             not finite and positive.
         PropagationError: If adaptive halving underflows the step size, or
@@ -272,11 +272,11 @@ def propagator(h: SparseOperator, krylov_dim: int, local_tol: float):
     """``step(state, t) = exp(-i h t) state``, with ``h`` decomposed here, once,
     by the rule of :func:`evolve`, whose arguments are all checked here."""
     if not h.hermitian:
-        raise ValueError("propagator requires a certified-hermitian generator")
+        raise ConfigError("propagator requires a certified-hermitian generator")
     if int(krylov_dim) < 2:
-        raise ValueError(f"krylov_dim must be >= 2, got {krylov_dim!r}")
+        raise ConfigError(f"krylov_dim must be >= 2, got {krylov_dim!r}")
     if not (math.isfinite(local_tol) and local_tol > 0):
-        raise ValueError(f"local_tol must be finite and positive, got {local_tol!r}")
+        raise ConfigError(f"local_tol must be finite and positive, got {local_tol!r}")
     mat, members, starts = _blocks(h)
     sizes = np.diff(starts)
     by_size = np.argsort(sizes, kind="stable")
@@ -291,10 +291,10 @@ def propagator(h: SparseOperator, krylov_dim: int, local_tol: float):
 
     def step(state: StateVector, t: float) -> StateVector:
         if state.layout != h.layout:
-            raise ValueError("generator and state live on different layouts")
+            raise ConfigError("generator and state live on different layouts")
         t = float(t)
         if not math.isfinite(t):
-            raise ValueError(f"evolution time {t!r} is not finite")
+            raise ConfigError(f"evolution time {t!r} is not finite")
         if t == 0.0:
             return StateVector(h.layout, state.amplitudes, norm_tol=1e-8)
         psi = np.zeros_like(state.amplitudes)
@@ -388,16 +388,16 @@ class DensityMatrix:
         mat = np.asarray(self.matrix, dtype=np.complex128).copy()
         dim = self.layout.total_dim
         if mat.shape != (dim, dim):
-            raise ValueError(
+            raise ConfigError(
                 f"matrix shape {mat.shape} does not match layout dimension {dim}"
             )
         if not np.abs(mat - mat.conj().T).max() <= 1e-10:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
+            raise ConfigError("density matrix is not Hermitian within 1e-10")
         trace = complex(np.trace(mat))
         if not abs(trace - 1.0) <= 1e-8:
-            raise ValueError(f"density matrix trace {trace!r} is not 1")
+            raise ConfigError(f"density matrix trace {trace!r} is not 1")
         if not np.linalg.eigvalsh(mat).min() >= -1e-10:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
+            raise ConfigError("density matrix has an eigenvalue below -1e-10")
         self.matrix = mat
 
     @classmethod
@@ -423,17 +423,17 @@ def partial_trace(
             layout preserves the original subsystem order).
 
     Raises:
-        ValueError: If ``obj`` is not a state or density matrix, or ``keep``
+        ConfigError: If ``obj`` is not a state or density matrix, or ``keep``
             is empty or indexes outside the layout.
     """
     if not isinstance(obj, (StateVector, DensityMatrix)):
-        raise ValueError("partial_trace expects a StateVector or DensityMatrix")
+        raise ConfigError("partial_trace expects a StateVector or DensityMatrix")
     layout = obj.layout
     keep = sorted({int(i) for i in keep})
     if not keep:
-        raise ValueError("keep must select at least one subsystem")
+        raise ConfigError("keep must select at least one subsystem")
     if keep[0] < 0 or keep[-1] >= layout.n_subsystems:
-        raise ValueError(f"keep indices {keep} out of range")
+        raise ConfigError(f"keep indices {keep} out of range")
     traced = [i for i in range(layout.n_subsystems) if i not in keep]
     kept_layout = HilbertLayout(tuple(layout.subsystems[i] for i in keep))
     dim_keep = kept_layout.total_dim
@@ -459,7 +459,7 @@ def partial_trace(
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity ``(Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2`` in [0, 1]."""
     if rho.layout.dims != sigma.layout.dims:
-        raise ValueError("density matrices live on different dimensions")
+        raise ConfigError("density matrices live on different dimensions")
     w, u = np.linalg.eigh(rho.matrix)
     sqrt_rho = (u * np.sqrt(_drop_roundoff(w))) @ u.conj().T
     ev = np.linalg.eigvalsh(sqrt_rho @ sigma.matrix @ sqrt_rho)

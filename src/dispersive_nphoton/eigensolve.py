@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, IterationLimitError
+from .errors import CapacityError, ConfigError, IterationLimitError
 from .fockspace import (
     _CSR,
     HilbertLayout,
@@ -341,15 +341,15 @@ def _solve_blocks(h, k, method, want_states=True, tol=1e-10, max_iters=None):
     """Lowest ``k`` eigenpairs of ``h``: :func:`_block_eigh`, then
     :func:`_merge_lowest`; a Lanczos block out of budget raises
     ``IterationLimitError`` with the merged result as ``partial``.  Every
-    public solver comes here, so this alone refuses (``ValueError``) an
+    public solver comes here, so this alone refuses (``ConfigError``) an
     operator that is not certified Hermitian, a ``tol`` that is not finite
     and positive and ``max_iters < 1``."""
     if not h.hermitian:
-        raise ValueError("the eigensolvers require a certified-hermitian operator")
+        raise ConfigError("the eigensolvers require a certified-hermitian operator")
     if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+        raise ConfigError(f"tol must be finite and positive, got {tol!r}")
     if max_iters is not None and int(max_iters) < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
+        raise ConfigError(f"max_iters must be >= 1, got {max_iters!r}")
     mat, members, starts = _blocks(h)
     parts, failed = _block_eigh(
         mat, members, starts, k, method, want_states, tol, max_iters
@@ -374,7 +374,7 @@ def eigh_dense(h: SparseOperator, want_states: bool = True) -> SpectrumResult:
         want_states: Also return eigenvectors (and mean photon numbers).
 
     Raises:
-        ValueError: If the operator is not certified Hermitian.
+        ConfigError: If the operator is not certified Hermitian.
         CapacityError: If the dimension exceeds :data:`DENSE_LIMIT` (use
             :func:`eigs_lowest` instead).
     """
@@ -587,7 +587,7 @@ def eigs_lowest(
             is that of :func:`_block_eigh`.
 
     Raises:
-        ValueError: If the operator is not certified Hermitian, ``k`` is
+        ConfigError: If the operator is not certified Hermitian, ``k`` is
             out of range, ``tol`` is not finite and positive, or
             ``max_iters < 1``.
         IterationLimitError: If a block exhausts its budget; the
@@ -596,7 +596,7 @@ def eigs_lowest(
     """
     k = int(k)
     if not 1 <= k <= h.total_dim:
-        raise ValueError(f"k={k} out of range for dimension {h.total_dim}")
+        raise ConfigError(f"k={k} out of range for dimension {h.total_dim}")
     return _solve_blocks(h, k, "lanczos", tol=tol, max_iters=max_iters)
 
 
@@ -615,7 +615,7 @@ def solve_lowest(
     above one state, as :func:`eigs_lowest` does.
 
     Raises:
-        ValueError: If ``k < 1``, ``max_iters < 1``, the method is unknown
+        ConfigError: If ``k < 1``, ``max_iters < 1``, the method is unknown
             or the operator is not certified Hermitian.
         CapacityError: If ``"dense"`` meets a block that the rule sends
             to Lanczos.
@@ -623,9 +623,9 @@ def solve_lowest(
             :func:`eigs_lowest`).
     """
     if method not in ("auto", "dense", "lanczos"):
-        raise ValueError(f"unknown eigensolver method {method!r}")
+        raise ConfigError(f"unknown eigensolver method {method!r}")
     if int(k) < 1:
-        raise ValueError(f"k={k} must be at least 1")
+        raise ConfigError(f"k={k} must be at least 1")
     return _solve_blocks(h, min(int(k), h.total_dim), method, max_iters=max_iters)
 
 
@@ -665,10 +665,10 @@ def label_by_overlap(result: SpectrumResult) -> SpectrumResult:
         A copy of ``result`` with ``labels[i] = (config, fock, overlap)``.
 
     Raises:
-        ValueError: If the result has no eigenvectors.
+        ConfigError: If the result has no eigenvectors.
     """
     if result.states is None:
-        raise ValueError("label_by_overlap requires eigenvectors")
+        raise ConfigError("label_by_overlap requires eigenvectors")
     weights = np.abs(result.states) ** 2  # (dim, k)
     labels: list = [None] * weights.shape[1]
     for bare, eig in _greedy_pairs(np.round(weights, 10)):
@@ -686,11 +686,11 @@ def filter_by_mean_photon(
     from unbounded-model spectra.
 
     Raises:
-        ValueError: If the result lacks mean photon numbers (solve with
+        ConfigError: If the result lacks mean photon numbers (solve with
             eigenvectors first).
     """
     if result.mean_photons is None:
-        raise ValueError(
+        raise ConfigError(
             "filter_by_mean_photon requires mean photon numbers "
             "(solve with eigenvectors)"
         )
@@ -748,22 +748,22 @@ def track_levels(
             in [0, 1].
 
     Raises:
-        ValueError: On empty input, missing eigenvectors, mixed layouts, or
+        ConfigError: On empty input, missing eigenvectors, mixed layouts, or
             a floor outside [0, 1].
     """
     if not 0.0 <= continuity_floor <= 1.0:
-        raise ValueError(
+        raise ConfigError(
             f"continuity_floor must lie in [0, 1], got {continuity_floor!r}"
         )
     results = list(results)
     if not results:
-        raise ValueError("track_levels requires at least one result")
+        raise ConfigError("track_levels requires at least one result")
     layout = results[0].layout
     for r in results:
         if r.states is None:
-            raise ValueError("track_levels requires eigenvectors at every point")
+            raise ConfigError("track_levels requires eigenvectors at every point")
         if r.layout != layout:
-            raise ValueError("track_levels requires a shared layout")
+            raise ConfigError("track_levels requires a shared layout")
 
     seed, unreached = results[0], [None] * (len(results) - 1)
     curves = [

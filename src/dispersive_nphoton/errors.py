@@ -1,10 +1,13 @@
 """Exception taxonomy for the dispersive-nphoton package.
 
 Every error deliberately raised by this package derives from
-:class:`DispersiveNphotonError`, so callers can catch one base class.
-Plain :class:`ValueError` / :class:`TypeError` are reserved for misuse of a
-function's own signature (wrong shapes, wrong enum literals, empty
-selections) rather than for physically or numerically meaningful failures.
+:class:`DispersiveNphotonError`, so callers can catch one base class.  An
+invalid input of any kind (a bad argument, shape, enum literal, empty
+selection or configuration) is a :class:`ConfigError`, which is also a
+:class:`ValueError`.  Two private checks in :mod:`.eigensolve` mirror
+``scipy.linalg`` and stay plain ``ValueError``: ``_lapack_check``'s illegal
+LAPACK argument and ``_tridiagonal_eigh``'s non-finite entry.  They report a
+defect of the package, not an input.
 """
 
 from __future__ import annotations
@@ -14,12 +17,14 @@ class DispersiveNphotonError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigError(DispersiveNphotonError):
-    """A system description is malformed or inconsistent.
+class ConfigError(DispersiveNphotonError, ValueError):
+    """An input is invalid: every argument check of the package raises this.
 
     Raised for bad JSON configuration payloads, invalid topology strings,
-    couplings that reference missing subsystems, stabilizer settings that are
-    unsupported for the requested topology, and similar declarative problems.
+    couplings that reference missing subsystems, unsupported stabilizer
+    settings, and every out-of-domain argument (a negative coupling, a
+    non-finite amplitude, ``k < 1``, an unknown regime, mismatched layouts).
+    It is also a :class:`ValueError`, so callers that catch that still do.
     """
 
 

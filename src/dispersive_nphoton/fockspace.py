@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, ConfigError
 
 QUBIT = "qubit"
 OSCILLATOR = "oscillator"
@@ -80,14 +80,14 @@ class HilbertLayout:
     def __post_init__(self) -> None:
         subs = tuple((str(kind), int(dim)) for kind, dim in self.subsystems)
         if not subs:
-            raise ValueError("layout must contain at least one subsystem")
+            raise ConfigError("layout must contain at least one subsystem")
         for kind, dim in subs:
             if kind not in _KINDS:
-                raise ValueError(f"unknown subsystem kind {kind!r}")
+                raise ConfigError(f"unknown subsystem kind {kind!r}")
             if kind == QUBIT and dim != 2:
-                raise ValueError("qubit subsystems must have dimension 2")
+                raise ConfigError("qubit subsystems must have dimension 2")
             if kind == OSCILLATOR and dim < 2:
-                raise ValueError("oscillator truncation dimension must be >= 2")
+                raise ConfigError("oscillator truncation dimension must be >= 2")
         total = math.prod(dim for _, dim in subs)
         if total > MAX_TOTAL_DIM:
             raise CapacityError(
@@ -137,7 +137,7 @@ class HilbertLayout:
             Integer index into the composite basis.
         """
         if len(occupations) != self.n_subsystems:
-            raise ValueError(
+            raise ConfigError(
                 f"expected {self.n_subsystems} occupation numbers, "
                 f"got {len(occupations)}"
             )
@@ -145,7 +145,7 @@ class HilbertLayout:
         for occ, (kind, dim) in zip(occupations, self.subsystems):
             occ = int(occ)
             if not 0 <= occ < dim:
-                raise ValueError(
+                raise ConfigError(
                     f"occupation {occ} out of range for {kind} of dimension {dim}"
                 )
             index = index * dim + occ
@@ -155,7 +155,7 @@ class HilbertLayout:
         """Inverse of :meth:`basis_index`."""
         index = int(index)
         if not 0 <= index < self.total_dim:
-            raise ValueError(f"basis index {index} out of range")
+            raise ConfigError(f"basis index {index} out of range")
         occs = []
         for _, dim in reversed(self.subsystems):
             occs.append(index % dim)
@@ -224,7 +224,7 @@ def _canonical_csr(dim: int, rows, cols, values):
     if rows.size and (
         min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim
     ):
-        raise ValueError(f"entry index out of range for dimension {dim}")
+        raise ConfigError(f"entry index out of range for dimension {dim}")
     # A stable sort: duplicates keep the order given, and np.add.at sums
     # them in that order.
     order = np.lexsort((cols, rows))
@@ -312,7 +312,7 @@ class _CSR:
         order, into an output of the two operands' common dtype.  The
         compiled loop reads ``v`` unchecked, so its shape is checked here."""
         if vector.shape != self.shape[1:]:
-            raise ValueError(
+            raise ConfigError(
                 f"vector of shape {vector.shape} does not match dimension "
                 f"{self.shape[1]}"
             )
@@ -370,7 +370,7 @@ class SparseOperator:
         if not sparse:
             entries = np.asarray(entries, dtype=np.complex128)
         if entries.shape != (dim, dim):
-            raise ValueError(
+            raise ConfigError(
                 f"matrix shape {entries.shape} does not match layout dimension {dim}"
             )
         if sparse:
@@ -446,7 +446,7 @@ class SparseOperator:
 
     def _require_same_layout(self, other: "SparseOperator") -> None:
         if self.layout != other.layout:
-            raise ValueError("operators act on different layouts")
+            raise ConfigError("operators act on different layouts")
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         if not isinstance(other, SparseOperator):
@@ -518,11 +518,9 @@ def destroy(dim: int) -> SparseOperator:
     Args:
         dim: Number of retained Fock levels (must be at least 2).
     """
-    dim = int(dim)
-    if dim < 2:
-        raise ValueError("oscillator truncation dimension must be >= 2")
-    j = np.arange(1, dim)
-    return SparseOperator.from_coo(_oscillator_layout(dim), j - 1, j, np.sqrt(j))
+    layout = _oscillator_layout(dim)
+    j = np.arange(1, layout.total_dim)
+    return SparseOperator.from_coo(layout, j - 1, j, np.sqrt(j))
 
 
 def create(dim: int) -> SparseOperator:
@@ -532,11 +530,9 @@ def create(dim: int) -> SparseOperator:
 
 def number(dim: int) -> SparseOperator:
     """Number operator ``diag(0, 1, ..., dim-1)``."""
-    dim = int(dim)
-    if dim < 2:
-        raise ValueError("oscillator truncation dimension must be >= 2")
-    j = np.arange(dim)
-    return SparseOperator.from_coo(_oscillator_layout(dim), j, j, j)
+    layout = _oscillator_layout(dim)
+    j = np.arange(layout.total_dim)
+    return SparseOperator.from_coo(layout, j, j, j)
 
 
 def identity(dim: int, kind: str = OSCILLATOR) -> SparseOperator:
@@ -576,7 +572,7 @@ def pauli(which: str) -> SparseOperator:
     try:
         mat = _PAULI_MATRICES[which]
     except KeyError:
-        raise ValueError(
+        raise ConfigError(
             f"unknown qubit operator {which!r}; expected one of "
             f"{sorted(_PAULI_MATRICES)}"
         ) from None
@@ -599,7 +595,7 @@ def op_pow(a: SparseOperator, exponent: int) -> SparseOperator:
     """
     exponent = int(exponent)
     if exponent < 0:
-        raise ValueError("operator power requires a non-negative exponent")
+        raise ConfigError("operator power requires a non-negative exponent")
     if exponent == 0:
         return _identity(a.layout)
     result = a
@@ -623,7 +619,7 @@ def embed(
             the identity on the full layout.
 
     Raises:
-        ValueError: On a duplicated subsystem index, an index out of range,
+        ConfigError: On a duplicated subsystem index, an index out of range,
             a multi-subsystem factor, or a factor whose kind/dimension does
             not match the layout slot.
     """
@@ -633,15 +629,15 @@ def embed(
     for index, op in factors:
         index = int(index)
         if not 0 <= index < layout.n_subsystems:
-            raise ValueError(f"subsystem index {index} out of range")
+            raise ConfigError(f"subsystem index {index} out of range")
         if index in factor_map:
-            raise ValueError(f"subsystem index {index} appears more than once")
+            raise ConfigError(f"subsystem index {index} appears more than once")
         if not isinstance(op, SparseOperator):
-            raise ValueError("embed factors must be SparseOperator instances")
+            raise ConfigError("embed factors must be SparseOperator instances")
         if op.layout.n_subsystems != 1:
-            raise ValueError("embed factors must act on a single subsystem")
+            raise ConfigError("embed factors must act on a single subsystem")
         if op.layout.subsystems[0] != layout.subsystems[index]:
-            raise ValueError(
+            raise ConfigError(
                 f"factor {op.layout.subsystems[0]} does not match layout slot "
                 f"{layout.subsystems[index]} at index {index}"
             )
@@ -675,7 +671,7 @@ def guard_band_mask(
     order = int(order)
     band = int(band)
     if order < 0 or band < 0:
-        raise ValueError("order and band must be non-negative")
+        raise ConfigError("order and band must be non-negative")
     occs = layout.occupation_vectors()
     mask = np.ones(layout.total_dim, dtype=bool)
     for i in layout.oscillator_indices:

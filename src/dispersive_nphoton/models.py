@@ -775,7 +775,7 @@ def build_model(
         ResonanceError: If a Hamiltonian entry is beyond the float range,
             or (``dispersive``) a detuning denominator vanishes, or ``g**2``
             or a photon-number polynomial is beyond the float range.
-        ValueError: For an unknown regime (``dispersive``).
+        ConfigError: For an unknown regime (``dispersive``).
     """
     allowed = MODELS_BY_TOPOLOGY[spec.topology]
     if model not in allowed:
@@ -827,7 +827,7 @@ def two_qubit_block(
         ConfigError: Unless ``spec`` holds exactly two qubits of equal order.
         ResonanceError: If any detuning denominator vanishes, or ``g**2`` or
             a photon-number polynomial is beyond the float range.
-        ValueError: For a negative ``j`` or an unknown regime.
+        ConfigError: For a negative ``j`` or an unknown regime.
     """
     _require_topology(spec, "multiqubit")
     if len(spec.qubits) != 2:

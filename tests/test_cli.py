@@ -1000,6 +1000,8 @@ MIXED_ORDER_PAIR = {
     "qubits": [PAIR["qubits"][0], {**PAIR["qubits"][1], "n": 3}],
 }
 SCALAR_ARGS = ["--omega-q", "2.5", "--n", "2", "--g", "0.01"]
+DRESSED_FREQ = ["dressed-freq", "--omega-q", "2.5", "--alpha", "1"]
+DYNAMICS_BELL = ["dynamics", "--model", "nR", "--state", "bell", "--t-end", "1"]
 
 
 class TestScalarInputValidation:
@@ -1014,6 +1016,11 @@ class TestScalarInputValidation:
             (["eff-2q", "--alpha", "1"], MIXED_ORDER_PAIR),
             (["critical-nph", *SCALAR_ARGS, "--omega-o", "-1"], None),
             (["critical-nph", "--n", "2", "--g", "0.01", "--delta", "nan"], None),
+            ([*DYNAMICS_BELL, "--krylov-dim", "1"], DYN),
+            ([*DYNAMICS_BELL, "--local-tol", "0"], DYN),
+            ([*DYNAMICS_BELL, "--local-tol", "nan"], DYN),
+            ([*DRESSED_FREQ, "--n", "2", "--g", "-1"], None),
+            ([*DRESSED_FREQ, "--n", "0", "--g", "0.01"], None),
         ],
         ids=[
             "dressed-alpha-negative",
@@ -1024,6 +1031,11 @@ class TestScalarInputValidation:
             "eff2q-mixed-orders",
             "critical-omega-o-negative",
             "critical-delta-nan",
+            "dynamics-krylov-dim-1",
+            "dynamics-local-tol-0",
+            "dynamics-local-tol-nan",
+            "dressed-g-negative",
+            "dressed-n-0",
         ],
     )
     def test_invalid_input_exits_2(self, tmp_path, argv, config):

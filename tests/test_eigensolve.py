@@ -1,6 +1,7 @@
 """Dense/Lanczos solvers, labeling, photon filtering, and level tracking."""
 
 import importlib.machinery
+import pickle
 import sys
 from types import SimpleNamespace
 
@@ -12,7 +13,13 @@ from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 from test_models import ALL_BUILDERS, pair, two_mode
 
 from dispersive_nphoton import eigensolve
-from dispersive_nphoton.analytic import dispersive_level
+from dispersive_nphoton.analytic import (
+    DispersiveParams,
+    critical_photon_number,
+    dispersive_level,
+)
+from dispersive_nphoton.combinatorics import stirling2
+from dispersive_nphoton.dynamics import coherent_state, propagator
 from dispersive_nphoton.eigensolve import (
     DENSE_LIMIT,
     LevelCurve,
@@ -39,7 +46,9 @@ from dispersive_nphoton.fockspace import (
     HilbertLayout,
     SparseOperator,
     _csr_one_norm,
+    destroy,
     embed,
+    number,
     pauli,
     qubit_oscillator_layout,
 )
@@ -1341,3 +1350,50 @@ class TestErrorTaxonomy:
             assert issubclass(exc, DispersiveNphotonError)
         assert issubclass(IterationLimitError, SolverError)
         assert issubclass(PropagationError, SolverError)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: destroy(1), "oscillator truncation dimension must be >= 2"),
+            (lambda: HilbertLayout(()), "layout must contain at least one subsystem"),
+            (lambda: stirling2(-1, 0), "stirling2 index (n=-1, k=0) out of range"),
+            (
+                lambda: critical_photon_number(0, 0.1, 1.0),
+                "coupling order n must be >= 1",
+            ),
+            (
+                lambda: DispersiveParams.from_frequencies(2.5, 2, -0.1),
+                "coupling strength g must be non-negative",
+            ),
+            (
+                lambda: coherent_state(float("nan"), 10),
+                "coherent amplitude must be finite, got (nan+0j)",
+            ),
+            (lambda: propagator(number(4), 1, 1e-10), "krylov_dim must be >= 2, got 1"),
+            (lambda: solve_lowest(number(4), 0), "k=0 must be at least 1"),
+            (lambda: track_levels([]), "track_levels requires at least one result"),
+        ],
+        ids=[
+            "fockspace-destroy",
+            "fockspace-layout",
+            "combinatorics",
+            "analytic-critical",
+            "analytic-params",
+            "dynamics-coherent",
+            "dynamics-propagator",
+            "eigensolve-solve",
+            "eigensolve-track",
+        ],
+    )
+    def test_bad_argument_is_config_error_and_value_error(self, call, message):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == message
+
+    def test_config_error_pickles(self):
+        # Sweep workers send exceptions back through the process pool.
+        exc = pickle.loads(pickle.dumps(ConfigError("bad --sweep")))
+        assert type(exc) is ConfigError
+        assert isinstance(exc, ValueError)
+        assert exc.args == ("bad --sweep",)
