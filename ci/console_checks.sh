@@ -35,6 +35,11 @@ for run in 1 2; do
   dn dynamics --config "$big" --model nR --state plus_coherent_2 --t-end 50 --steps 10 --out "$tmp/dynamics$run.csv"
 done
 cmp "$tmp/dynamics1.csv" "$tmp/dynamics2.csv"
+# --threads alone sets the worker count: DISPERSIVE_NPHOTON_THREADS in the
+# environment, even a value that is not a count, changes no byte.
+dn spectrum --config "$cfg" --model nR -k 4 --sweep g:0:0.02:3 --threads 1 --out "$tmp/threads.csv"
+DISPERSIVE_NPHOTON_THREADS=abc dn spectrum --config "$cfg" --model nR -k 4 --sweep g:0:0.02:3 --threads 1 --out "$tmp/threads_env.csv"
+cmp "$tmp/threads.csv" "$tmp/threads_env.csv"
 # Runs the command given; passes if it exits 2 with one "error: " line.
 exits_2() {
   status=0

@@ -515,7 +515,11 @@ def effective_two_qubit_params(
 
         g_bar = chi_x * sum_k Px(n,k) <N^k>,  chi_x = g1 g2 (1/delta_1 + 1/delta_2)
 
-    with the exchange polynomial ``Px`` of :func:`_number_polys`.
+    with the exchange polynomial ``Px`` of :func:`_number_polys`.  ``g_bar``
+    is the resonant exchange splitting, not the coefficient of ``s+_1 s-_2 +
+    h.c.``: it is twice the ``<eg,j|H|ge,j>`` element of
+    :func:`.models.two_qubit_block` and of the ``dispersive`` model, whose
+    exchange carries ``chi_x / 2``.
 
     Args:
         spec: A :class:`.models.SystemSpec` of two qubits sharing one

@@ -29,13 +29,11 @@ included), ``3`` solver failures.  A solver failure still writes the output
 file: rows for the grid points that succeeded, plus one flag row (empty
 labels, ``terminated=1``) per failed point; ``levels`` stops at its first.
 
-Sweep grids run in parallel worker processes.  ``--threads`` chooses the
-worker count (default: CPU count); the environment variable
-``DISPERSIVE_NPHOTON_THREADS``, when set, overrides the flag; a count below
-1 from either is a configuration problem.  Fewer workers start when there
-are fewer grid points or fewer CPUs that the process may use (its
-affinity set).  Results are merged in grid order, so output bytes
-do not depend on the worker count.
+Sweep grids run in parallel worker processes.  ``--threads`` alone chooses
+the worker count (default: the CPUs this process may use, its affinity
+set); a count below 1 is a configuration problem.  Fewer workers start when
+there are fewer grid points or fewer usable CPUs.  Results are merged in
+grid order, so output bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -82,7 +80,6 @@ from .models import (
 )
 
 SCHEMA_VERSION = 1
-THREADS_ENV_VAR = "DISPERSIVE_NPHOTON_THREADS"
 #: Most grid points of a ``--sweep`` and most ``--steps`` of ``dynamics``,
 #: checked before the grid is allocated.
 MAX_STEPS = 1_000_000
@@ -199,25 +196,25 @@ def parse_sweep(text: str) -> tuple[str, np.ndarray]:
     return var, np.linspace(start, stop, steps)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_threads(flag_value: Optional[int]) -> int:
-    """Worker count: the environment variable overrides the flag.
+    """Worker count: the flag, else the CPUs this process may use.
 
     Raises:
-        ConfigError: If the flag or the variable is below 1, or the
-            variable is not an integer.
+        ConfigError: If the flag is below 1.
     """
-    if flag_value is not None and int(flag_value) < 1:
+    if flag_value is None:
+        return _usable_cpus()
+    if int(flag_value) < 1:
         raise ConfigError(f"--threads must be >= 1, got {flag_value}")
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is None or not env.strip():
-        return int(flag_value) if flag_value is not None else os.cpu_count() or 1
-    try:
-        count = int(env)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR}={env!r} is not an integer") from None
-    if count < 1:
-        raise ConfigError(f"{THREADS_ENV_VAR}={env!r} must be >= 1")
-    return count
+    return int(flag_value)
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +373,6 @@ def _spectrum_point(
         row = (params, config, fock, energy, overlap, False, filtered)
         rows.append(_row(args, name, value, *row))
     return rows, None
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one, else the CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -689,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help=f"worker processes (default: CPU count; env {THREADS_ENV_VAR} overrides)",
+        help="worker processes (default: the CPUs this process may use)",
     )
     _add_out(p)
     p.set_defaults(func=_cmd_spectrum)

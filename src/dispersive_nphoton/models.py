@@ -741,7 +741,9 @@ def build_model(
     ``nDicke``/``mmr`` reduce entrywise to ``nR`` and ``nTC``/``mmjc`` to
     ``nJC``.
 
-    The ``dispersive`` model holds, per coupling, the diagonal of
+    The ``dispersive`` model has no stabilizer term: it ignores
+    ``spec.stabilizer`` and builds the same matrix with or without one.  It
+    holds, per coupling, the diagonal of
     :func:`.analytic.dispersive_level`, evaluated in its operation order so
     the two agree bit for bit; in the ``"nonrwa"`` regime with ``squeezing``
     it adds ``(chi + xi)/2 sigma_z (a†^(2n) + a^(2n))``.  Each pair of

@@ -31,6 +31,7 @@ from dispersive_nphoton.models import (
     QubitSpec,
     SystemSpec,
     build_model,
+    two_qubit_block,
 )
 from dispersive_nphoton.eigensolve import eigh_dense, label_by_overlap
 
@@ -168,6 +169,45 @@ class TestDispersiveLevel:
             dispersive_level(p, "e", 0, "bogus")
 
 
+class TestLevelDifferenceConvergence:
+    """The paper's cross-Kerr and self-Kerr polynomials are right to second
+    order: the qubit transition ``E(e,j) - E(g,j) = omega_q + (chi+xi)
+    P+(j)`` and the oscillator ladder ``E(g,j+1) - E(g,j)`` of
+    :func:`dispersive_level` miss the exact levels by O(g^4), so halving g
+    cuts the error sixteenfold (slope 4 on a log-log plot).  The absolute
+    levels converge only as g^2: a constant shared by every level cancels
+    in the differences."""
+
+    @pytest.mark.parametrize("model, regime", [("nR", "nonrwa"), ("nJC", "rwa")])
+    # Detuning omega_q - n omega_o is 1.1 to 1.3 in every case, so the
+    # expansion parameter stays small at the levels compared.
+    @pytest.mark.parametrize("n, omega_q", [(1, 2.3), (2, 3.1), (3, 4.3)])
+    def test_differences_converge_as_g_to_the_fourth(self, n, omega_q, model, regime):
+        def errors(g):
+            spec = SystemSpec(
+                topology="single",
+                qubits=(QubitSpec(omega_q=omega_q, n=n, g=g),),
+                oscillators=(OscillatorSpec(omega=1.0, trunc=24),),
+            )
+            result = label_by_overlap(eigh_dense(build_model(spec, model)))
+            p = spec.qubit_params()
+
+            def miss(q1, j1, q2, j2):
+                exact = result.energy_of(q1, (j1,)) - result.energy_of(q2, (j2,))
+                closed = dispersive_level(p, q1, j1, regime) - dispersive_level(
+                    p, q2, j2, regime
+                )
+                return abs(exact - closed)
+
+            transition = max(miss("e", j, "g", j) for j in range(4))
+            ladder = max(miss("g", j + 1, "g", j) for j in range(3))
+            return transition, ladder
+
+        coarse, fine = errors(0.008), errors(0.004)
+        for name, big, small in zip(("transition", "ladder"), coarse, fine):
+            assert math.log2(big / small) >= 3.8, (name, big, small)
+
+
 class TestDoublets:
     def test_frozen_reference_value(self):
         # n=2, l=0, g=0.1, omega_q=2.5: E = 1 +- sqrt(0.02 + 0.0625).
@@ -300,6 +340,16 @@ class TestEffectiveTwoQubit:
         _, _, gbar = effective_two_qubit_params(pair_spec, 0.0)
         chi_x = 0.0006 * (1 / 6 + 1 / 5.4)
         assert gbar == pytest.approx(2 * chi_x, rel=1e-12)
+
+    def test_g_bar_is_twice_the_exchange_element(self, pair_spec):
+        # g_bar is the splitting of |eg>, |ge> at resonance, so it is twice
+        # the off-diagonal element, both in the 4x4 block and in the full
+        # dispersive model (|eg, 0> and |ge, 0> are states trunc and 2 trunc).
+        _, _, gbar = effective_two_qubit_params(pair_spec, 0.0)
+        assert gbar == 2 * two_qubit_block(0, pair_spec, "rwa")[1, 2]
+        h = build_model(pair_spec, "dispersive", "rwa").toarray()
+        t = pair_spec.oscillators[0].trunc
+        assert gbar == 2 * h[t, 2 * t]
 
     def test_overflowing_moments_refused(self, pair_spec):
         with pytest.raises(ValueError, match="too large"):

@@ -28,7 +28,6 @@ from dispersive_nphoton.cli import (
     MAX_STEPS,
     SCHEMA_VERSION,
     SWEEP_COLUMNS,
-    THREADS_ENV_VAR,
     _provenance_line,
     _write_lines,
     build_parser,
@@ -113,40 +112,23 @@ class TestHelpers:
         with pytest.raises(ConfigError):
             parse_sweep(text)
 
-    def test_resolve_threads_flag(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    def test_resolve_threads_flag(self):
         assert resolve_threads(4) == 4
 
-    def test_resolve_threads_env_overrides_flag(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
-        assert resolve_threads(8) == 2
-
-    def test_resolve_threads_bad_env(self, monkeypatch):
-        from dispersive_nphoton import ConfigError
-
-        monkeypatch.setenv(THREADS_ENV_VAR, "abc")
-        with pytest.raises(ConfigError):
-            resolve_threads(None)
-
-    def test_resolve_threads_default_positive(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    def test_resolve_threads_default_positive(self):
         assert resolve_threads(None) >= 1
 
+    def test_resolve_threads_default_is_usable_cpus(self):
+        import dispersive_nphoton.cli as cli
+
+        assert resolve_threads(None) == cli._usable_cpus()
+
     @pytest.mark.parametrize("flag", [0, -3])
-    def test_resolve_threads_rejects_flag_below_one(self, monkeypatch, flag):
+    def test_resolve_threads_rejects_flag_below_one(self, flag):
         from dispersive_nphoton import ConfigError
 
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
         with pytest.raises(ConfigError, match="--threads"):
             resolve_threads(flag)
-
-    @pytest.mark.parametrize("env", ["0", "-4"])
-    def test_resolve_threads_rejects_env_below_one(self, monkeypatch, env):
-        from dispersive_nphoton import ConfigError
-
-        monkeypatch.setenv(THREADS_ENV_VAR, env)
-        with pytest.raises(ConfigError, match=THREADS_ENV_VAR):
-            resolve_threads(None)
 
 
 class TestScalarCommands:
@@ -440,31 +422,17 @@ class TestSpectrumCommand:
         assert run_cli(argv + sweep + ["--threads", "1"])[0] == 0
         assert len(built) == (3 if sweep else 1)
 
-    def test_env_var_overrides_thread_flag(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("env", ["abc", "0"])
+    def test_threads_variable_is_inert(self, tmp_path, monkeypatch, env):
+        # Only --threads sets the worker count: this variable changes no
+        # byte, whatever it holds.
         cfg = write_config(tmp_path, SINGLE)
-        argv = [
-            "spectrum",
-            "--config", cfg,
-            "--model", "nR",
-            "-k", "2",
-            "--sweep", "g:0:0.01:2",
-            "--threads", "3",
-        ]
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        _, baseline, _ = run_cli(argv)
-        monkeypatch.setenv(THREADS_ENV_VAR, "1")
-        code, overridden, _ = run_cli(argv)
-        assert code == 0
-        assert overridden == baseline
-
-    def test_bad_env_var_exits_2(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, SINGLE)
-        monkeypatch.setenv(THREADS_ENV_VAR, "abc")
-        code, _, err = run_cli(
-            ["spectrum", "--config", cfg, "--model", "nR", "-k", "2"]
-        )
-        assert code == 2
-        assert "error:" in err
+        argv = ["spectrum", "--config", cfg, "--model", "nR", "-k", "2"]
+        argv += ["--sweep", "g:0:0.01:2", "--threads", "1"]
+        monkeypatch.delenv("DISPERSIVE_NPHOTON_THREADS", raising=False)
+        baseline = run_cli(argv)
+        monkeypatch.setenv("DISPERSIVE_NPHOTON_THREADS", env)
+        assert run_cli(argv) == baseline and baseline[0] == 0
 
 
 class TestWorkerCount:
@@ -496,7 +464,6 @@ class TestWorkerCount:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
         return made
 
     def _argv(self, tmp_path, *extra):
@@ -509,11 +476,6 @@ class TestWorkerCount:
         capped = run_cli(self._argv(tmp_path, *self.SWEEP, "--threads", "5000"))
         assert pools == [2]
         assert capped == serial and serial[0] == 0
-
-    def test_env_var_is_capped_at_usable_cpus(self, tmp_path, pools, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "5000")
-        assert run_cli(self._argv(tmp_path, *self.SWEEP))[0] == 0
-        assert pools == [2]
 
     def test_one_usable_cpu_runs_in_process(self, tmp_path, pools, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
@@ -631,10 +593,9 @@ class TestExitCodes:
         code, out, err = run_cli(["coeff-table", "--n-max", "0"])
         assert (code, out, err) == (2, "", "error: --n-max must be >= 1\n")
 
-    def test_first_grid_point_raises_config_errors(self, tmp_path, monkeypatch):
+    def test_first_grid_point_raises_config_errors(self, tmp_path):
         # The unswept model is not built up front; the workers' first build
         # reports the truncation error the same way.
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
         payload = {**SINGLE, "qubits": [{**SINGLE["qubits"][0], "n": 3}]}
         payload["oscillators"] = [{"trunc": 3}]
         cfg = write_config(tmp_path, payload)
@@ -691,8 +652,9 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and "max-iters" in err
 
-    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "-4")])
-    def test_threads_below_one_exits_2(self, tmp_path, monkeypatch, flag, env):
+    # The ids keep the test names stable across versions of the suite.
+    @pytest.mark.parametrize("flag", ["0", "-3"], ids=["0-None", "-3-None"])
+    def test_threads_below_one_exits_2(self, tmp_path, monkeypatch, flag):
         # The count is refused before any worker pool is made.
         import dispersive_nphoton.cli as cli
 
@@ -700,18 +662,14 @@ class TestExitCodes:
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-        if env is None:
-            monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(THREADS_ENV_VAR, env)
         cfg = write_config(tmp_path, SINGLE)
         argv = ["spectrum", "--config", cfg, "--model", "nR", "-k", "2"]
         argv += ["--sweep", "g:0:0.02:3"]
-        code, out, err = run_cli(argv + ([] if flag is None else ["--threads", flag]))
+        code, out, err = run_cli(argv + ["--threads", flag])
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert ("--threads" if env is None else THREADS_ENV_VAR) in err
+        assert "--threads" in err
 
 
 class TestLevelsCommand:

@@ -428,6 +428,13 @@ ALL_BUILDERS = [
     lambda: build_model(pair(trunc=10), "dispersive", cross_k0=False),
     lambda: build_model(pair(trunc=10), "dispersive", squeezing=False),
     lambda: build_model(two_mode(), "dispersive", squeezing=False),
+    lambda: build_model(
+        single(n=2, stabilizer=StabilizerSpec("full_position_power", 0.02, m=4)),
+        "nR",
+    ),
+    lambda: build_model(
+        single(n=3, stabilizer=StabilizerSpec("number_power", 0.02)), "dispersive"
+    ),
 ]
 
 
