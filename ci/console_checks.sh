@@ -56,9 +56,24 @@ exits_2 dn dynamics --config "$cfg" --model nR --state bell --t-end 10 --krylov-
 exits_2 dn spectrum --config "$cfg" --model nR --sweep g:0:0.1:1000000000000
 exits_2 dn levels --config "$cfg" --model nR --sweep g:0:0.1:1000000000000
 exits_2 dn dynamics --config "$cfg" --model nR --state bell --t-end 10 --steps 1000000000000
-status=0
-dn dynamics --config "$cfg" --model nR --state bell --t-end 10 --no-cross-k0 2> /dev/null || status=$?
-test "$status" -eq 2
+# Runs the command given; passes if it exits 2, whatever it prints (argparse
+# refusals print usage lines).
+status_2() {
+  status=0
+  "$@" > /dev/null 2>&1 || status=$?
+  test "$status" -eq 2
+}
+status_2 dn dynamics --config "$cfg" --model nR --state bell --t-end 10 --no-cross-k0
+# One second-order answer: P(N) from k = 0 and the exact coherent moments.
+# The options that chose another are refused.
+pair="$tmp/pair.json"
+echo '{"topology": "multiqubit", "qubits": [{"omega_q": 8.0, "n": 2, "g": 0.02}, {"omega_q": 7.4, "n": 2, "g": 0.03}], "oscillators": [{"trunc": 20}]}' > "$pair"
+status_2 dn spectrum --config "$cfg" --model nR -k 4 --no-cross-k0
+status_2 dn levels --config "$cfg" --model nR -k 4 --sweep g:0:0.02:2 --cross-k0
+status_2 dn eff-2q --config "$pair" --alpha 1 --no-cross-k0
+status_2 dn eff-2q --config "$pair" --alpha 1 --moment-convention coherent_exact
+status_2 dn dressed-freq --omega-q 2.5 --n 2 --g 0.01 --alpha 1.5 --moment-convention amplitude_literal
+test "$(dn dressed-freq --omega-q 2.5 --n 2 --g 0.01 --alpha 1.5)" = "2.504225"
 for n in 2 3; do
   disp="$tmp/dispersive_n$n.json"
   echo '{"topology": "single", "qubits": [{"omega_q": 2.5, "n": '"$n"', "g": 0.02}], "oscillators": [{"trunc": 12}]}' > "$disp"

@@ -30,13 +30,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinatorics import commutator_poly, eval_int_poly, stirling2
-from .errors import ConfigError, ResonanceError
+from .errors import ConfigError, ResonanceError, _integer, _real
 
 REGIMES = ("rwa", "nonrwa")
 #: Largest coupling order whose photon-number polynomials have a float
 #: value: ``Cplus(n, 0) = n!`` exceeds the float range from ``n = 171`` on.
 MAX_FLOAT_ORDER = 170
-MOMENT_CONVENTIONS = ("coherent_exact", "amplitude_literal")
 _DENOMINATORS = {"delta": "detuning delta", "sigma": "sum frequency sigma"}
 
 
@@ -61,7 +60,8 @@ class DispersiveParams:
         delta: Detuning ``omega_q - n * omega_o``.
         sigma: Sum frequency ``omega_q + n * omega_o``.
 
-    ``g``, ``delta`` and ``sigma`` must be finite (``ConfigError`` otherwise).
+    ``n`` must be an integer and ``g``, ``delta`` and ``sigma`` finite
+    numbers (``ConfigError`` otherwise).
     """
 
     n: int
@@ -70,16 +70,11 @@ class DispersiveParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "g", float(self.g))
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "n", _integer("coupling order n", self.n))
+        for name in ("g", "delta", "sigma"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.n < 1:
             raise ConfigError("coupling order n must be >= 1")
-        for name in ("g", "delta", "sigma"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.g < 0:
             raise ConfigError("coupling strength g must be non-negative")
         if self.sigma <= self.delta:
@@ -101,7 +96,7 @@ class DispersiveParams:
         omega_o = float(omega_o)
         if omega_o <= 0:
             raise ConfigError("oscillator frequency must be positive")
-        n = int(n)
+        n = _integer("coupling order n", n)
         shift = n * omega_o
         if shift > 0 and math.isfinite(omega_q) and omega_q - shift == omega_q + shift:
             raise ResonanceError(
@@ -233,11 +228,10 @@ def _cross_strengths(
 
 
 @lru_cache(maxsize=None)
-def _number_polys(n: int, cross_k0: bool = True) -> tuple[tuple[int, ...], ...]:
+def _number_polys(n: int) -> tuple[tuple[int, ...], ...]:
     """Rows ``(P+, P-, Px)`` of the order-``n`` photon-number polynomials:
     cross-Kerr ``P+ = Cplus``, self-Kerr ``P- = Cminus`` without its constant
-    and exchange ``Px = Cminus`` from degree ``k0`` (0 if ``cross_k0``, else
-    1).  Dropped degrees are exact zeros.
+    (an exact zero) and exchange ``Px = Cminus`` from degree 0.
 
     Raises:
         ResonanceError: Above :data:`MAX_FLOAT_ORDER`, before any table is
@@ -250,8 +244,7 @@ def _number_polys(n: int, cross_k0: bool = True) -> tuple[tuple[int, ...], ...]:
             f"range (n! > 1.8e308 for n > {MAX_FLOAT_ORDER})"
         )
     cplus, cminus = commutator_poly(n)
-    k0 = 0 if cross_k0 else 1
-    return cplus, (0,) + cminus[1:], (0,) * k0 + cminus[k0:]
+    return cplus, (0,) + cminus[1:], cminus
 
 
 def _poly_value(coeffs, j: int) -> float:
@@ -289,7 +282,7 @@ def dispersive_level(
     Args:
         params: Coupling parameters.
         qubit: ``"e"`` or ``"g"``.
-        j: Photon number (``j >= 0``).
+        j: Photon number (an integer ``>= 0``).
         regime: ``"rwa"`` or ``"nonrwa"``.
 
     Raises:
@@ -298,7 +291,7 @@ def dispersive_level(
     """
     if qubit not in ("e", "g"):
         raise ConfigError(f"qubit must be 'e' or 'g', got {qubit!r}")
-    j = int(j)
+    j = _integer("photon number j", j)
     if j < 0:
         raise ConfigError("photon number j must be non-negative")
 
@@ -328,7 +321,7 @@ def njc_doublet(params: DispersiveParams, l: int) -> tuple[float, float]:
 
     Args:
         params: Coupling parameters.
-        l: Lower Fock index of the doublet (``l >= 0``).
+        l: Lower Fock index of the doublet (an integer ``>= 0``).
 
     Returns:
         ``(E_plus, E_minus)`` with ``E_plus >= E_minus``.
@@ -336,7 +329,7 @@ def njc_doublet(params: DispersiveParams, l: int) -> tuple[float, float]:
     Raises:
         ResonanceError: If the square root is beyond the float range.
     """
-    l = int(l)
+    l = _integer("doublet index l", l)
     if l < 0:
         raise ConfigError("doublet index l must be non-negative")
     n = params.n
@@ -360,24 +353,22 @@ def critical_photon_number(n: int, g: float, delta: float) -> float:
     beyond the float range is returned as ``inf``, as for ``g = 0``.
 
     Args:
-        n: Coupling order (``n >= 1``).
+        n: Coupling order (an integer ``>= 1``).
         g: Coupling strength (finite, ``g >= 0``; ``g = 0`` returns ``inf``).
         delta: Detuning (finite).
 
     Raises:
-        ConfigError: For ``n < 1``, a negative or non-finite ``g`` or a
-            non-finite ``delta``.
+        ConfigError: For an ``n`` that is not an integer ``>= 1``, a ``g``
+            that is not a finite number ``>= 0`` or a ``delta`` that is not a
+            finite number.
     """
-    n = int(n)
+    n = _integer("coupling order n", n)
     if n < 1:
         raise ConfigError("coupling order n must be >= 1")
-    g = float(g)
-    if not math.isfinite(g):
-        raise ConfigError(f"coupling strength g must be finite, got {g!r}")
+    g = _real("coupling strength g", g)
     if g < 0:
         raise ConfigError("coupling strength g must be non-negative")
-    if not math.isfinite(delta):
-        raise ConfigError(f"detuning delta must be finite, got {delta!r}")
+    delta = _real("detuning delta", delta)
     if g == 0.0:
         return math.inf
     if n == 1:
@@ -393,41 +384,27 @@ def critical_photon_number(n: int, g: float, delta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_moment_convention(moment_convention: str) -> str:
-    if moment_convention not in MOMENT_CONVENTIONS:
-        raise ConfigError(
-            f"moment_convention must be one of {MOMENT_CONVENTIONS}, "
-            f"got {moment_convention!r}"
-        )
-    return moment_convention
-
-
-def _number_moment(k: int, alpha_abs: float, moment_convention: str) -> float:
-    """Coherent-state expectation ``<N^k>`` at amplitude ``|alpha|``.
-
-    ``coherent_exact`` uses the exact normally ordered moments
-    ``<a†^l a^l> = |alpha|**(2 l)``; ``amplitude_literal`` substitutes
-    ``|alpha|**l`` instead (a convention sometimes used for quick estimates,
-    kept selectable for comparison).
+def _number_moment(k: int, alpha_abs: float) -> float:
+    """Coherent-state expectation ``<N^k>`` at amplitude ``|alpha|``, from
+    the normally ordered moments ``<a†^l a^l> = |alpha|**(2 l)``.
 
     Raises:
         ConfigError: If a power of ``|alpha|`` overflows.
     """
-    power = 2 if moment_convention == "coherent_exact" else 1
     total = 0.0
     for l in range(k + 1):
         try:
-            m = alpha_abs ** (power * l)
+            m = alpha_abs ** (2 * l)
         except OverflowError:
             raise ConfigError(
-                f"alpha_abs = {alpha_abs!r} is too large: |alpha|**{power * l} "
+                f"alpha_abs = {alpha_abs!r} is too large: |alpha|**{2 * l} "
                 "overflows"
             ) from None
         total += stirling2(k, l) * m
     return total
 
 
-def _moment_poly(coeffs, alpha_abs: float, moment_convention: str) -> float:
+def _moment_poly(coeffs, alpha_abs: float) -> float:
     """Coherent-state average ``sum_k coeffs[k] <N^k>``, summed in order of
     rising ``k``.
 
@@ -438,7 +415,7 @@ def _moment_poly(coeffs, alpha_abs: float, moment_convention: str) -> float:
     acc = 0.0
     try:
         for k, c in enumerate(coeffs):
-            acc += c * _number_moment(k, alpha_abs, moment_convention)
+            acc += c * _number_moment(k, alpha_abs)
     except OverflowError:
         raise ResonanceError(
             f"photon-number polynomial coefficient of degree {k} is beyond "
@@ -462,15 +439,12 @@ def _check_alpha(alpha_abs: float) -> float:
 
 
 def dressed_qubit_frequency(
-    params: DispersiveParams,
-    alpha_abs: float,
-    moment_convention: str = "coherent_exact",
-    regime: str = "rwa",
+    params: DispersiveParams, alpha_abs: float, regime: str = "rwa"
 ) -> float:
     """Qubit frequency dressed by a coherent oscillator population.
 
     Averages the qubit-conditional level splitting over a coherent state of
-    amplitude ``|alpha|``::
+    amplitude ``|alpha|`` (mean photon number ``|alpha|**2``)::
 
         omega_bar = omega_q + shift * sum_{k=0}^{n} Cplus(n,k) <N^k>
 
@@ -480,8 +454,6 @@ def dressed_qubit_frequency(
     Args:
         params: Coupling parameters.
         alpha_abs: Coherent amplitude modulus (finite, ``>= 0``).
-        moment_convention: ``"coherent_exact"`` (default) or
-            ``"amplitude_literal"``; see :func:`_number_moment`.
         regime: ``"rwa"`` or ``"nonrwa"``.
 
     Raises:
@@ -491,20 +463,14 @@ def dressed_qubit_frequency(
             :meth:`DispersiveParams.require_dispersive`), or where ``g**2``, a
             polynomial coefficient or the result is beyond the float range.
     """
-    _check_moment_convention(moment_convention)
     alpha_abs = _check_alpha(alpha_abs)
     params.require_dispersive(regime)
     chi, xi = params._strengths(regime)
-    average = _moment_poly(_number_polys(params.n)[0], alpha_abs, moment_convention)
+    average = _moment_poly(_number_polys(params.n)[0], alpha_abs)
     return _finite(params.omega_q + (chi + xi) * average, "dressed frequency")
 
 
-def effective_two_qubit_params(
-    spec,
-    alpha_abs: float,
-    moment_convention: str = "coherent_exact",
-    cross_k0: bool = True,
-) -> tuple[float, float, float]:
+def effective_two_qubit_params(spec, alpha_abs: float) -> tuple[float, float, float]:
     """Effective flip-flop model parameters for two dispersively coupled qubits.
 
     Two qubits sharing one oscillator prepared near a coherent state of
@@ -525,9 +491,6 @@ def effective_two_qubit_params(
         spec: A :class:`.models.SystemSpec` of two qubits sharing one
             oscillator.
         alpha_abs: Coherent amplitude modulus.
-        moment_convention: Moment convention (see
-            :func:`dressed_qubit_frequency`).
-        cross_k0: Keep the photon-independent exchange contribution.
 
     Raises:
         ConfigError: If ``spec`` does not hold exactly two qubits, the qubit
@@ -536,7 +499,6 @@ def effective_two_qubit_params(
         ResonanceError: If a detuning vanishes or an expansion parameter is
             not small.
     """
-    _check_moment_convention(moment_convention)
     if len(spec.qubits) != 2:
         raise ConfigError(
             "effective_two_qubit_params requires exactly two qubits sharing "
@@ -551,9 +513,8 @@ def effective_two_qubit_params(
 
     alpha_abs = _check_alpha(alpha_abs)
 
-    w1 = dressed_qubit_frequency(p1, alpha_abs, moment_convention)
-    w2 = dressed_qubit_frequency(p2, alpha_abs, moment_convention)
+    w1 = dressed_qubit_frequency(p1, alpha_abs)
+    w2 = dressed_qubit_frequency(p2, alpha_abs)
 
     chi_x, _ = _cross_strengths(p1, p2, "rwa")
-    cross = _number_polys(p1.n, cross_k0)[2]
-    return w1, w2, chi_x * _moment_poly(cross, alpha_abs, moment_convention)
+    return w1, w2, chi_x * _moment_poly(_number_polys(p1.n)[2], alpha_abs)

@@ -53,7 +53,6 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
-    MOMENT_CONVENTIONS,
     REGIMES,
     DispersiveParams,
     critical_photon_number,
@@ -256,7 +255,7 @@ def _solve_point(
     """
     if name is not None:
         spec = with_swept(spec, name, value)
-    h = build_model(spec, args.model, args.regime, args.squeezing, args.cross_k0)
+    h = build_model(spec, args.model, args.regime, args.squeezing)
     return spec, solve_lowest(h, args.k, args.method, args.max_iters)
 
 
@@ -525,10 +524,7 @@ def _cmd_dressed_freq(args: argparse.Namespace) -> int:
     params = DispersiveParams.from_frequencies(
         args.omega_q, args.n, args.g, args.omega_o
     )
-    value = dressed_qubit_frequency(
-        params, args.alpha, args.moment_convention, args.regime
-    )
-    print(_fmt(value))
+    print(_fmt(dressed_qubit_frequency(params, args.alpha, args.regime)))
     return 0
 
 
@@ -536,9 +532,7 @@ def _cmd_eff_2q(args: argparse.Namespace) -> int:
     spec = SystemSpec.from_json_file(args.config)
     if spec.topology != "multiqubit" or len(spec.qubits) != 2:
         raise ConfigError("eff-2q requires a 'multiqubit' system with two qubits")
-    w1, w2, gbar = effective_two_qubit_params(
-        spec, args.alpha, args.moment_convention, cross_k0=args.cross_k0
-    )
+    w1, w2, gbar = effective_two_qubit_params(spec, args.alpha)
     lines = [
         _provenance_line(args, spec),
         "omega_bar_1,omega_bar_2,g_bar",
@@ -583,24 +577,12 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cross_k0(p: argparse.ArgumentParser) -> None:
+def _add_alpha(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--cross-k0",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="start multiqubit cross polynomials at the constant term",
-    )
-
-
-def _add_moment_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--alpha", type=float, required=True, help="coherent amplitude |alpha|"
-    )
-    p.add_argument(
-        "--moment-convention",
-        choices=MOMENT_CONVENTIONS,
-        default="coherent_exact",
-        help="photon-number moment convention",
+        "--alpha",
+        type=float,
+        required=True,
+        help="coherent amplitude |alpha| (mean photon number |alpha|^2)",
     )
 
 
@@ -609,7 +591,6 @@ def _add_sweep_command(sub, name: str, summary: str, sweep_required: bool):
     p = sub.add_parser(name, help=summary)
     p.add_argument("--config", required=True, metavar="FILE")
     _add_model_options(p)
-    _add_cross_k0(p)
     p.add_argument(
         "-k",
         "--num-levels",
@@ -747,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dressed-freq", help="coherently dressed qubit frequency")
     _add_scalar_frequency_options(p)
-    _add_moment_options(p)
+    _add_alpha(p)
     p.add_argument(
         "--regime", choices=REGIMES, default="rwa", help="shift regime (default rwa)"
     )
@@ -757,8 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
         "eff-2q", help="effective two-qubit flip-flop parameters"
     )
     p.add_argument("--config", required=True, metavar="FILE")
-    _add_moment_options(p)
-    _add_cross_k0(p)
+    _add_alpha(p)
     _add_out(p)
     p.set_defaults(func=_cmd_eff_2q)
 

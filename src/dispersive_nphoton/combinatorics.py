@@ -18,15 +18,16 @@ package derives:
   where ``Cplusminus(n, k) = (-1)^(n+k) s1(n+1, k+1) +- s1(n, k)``.
 
 Conventions: ``s1`` is *signed* (``x(x-1)...(x-n+1) = sum_k s1(n,k) x^k``),
-``s2`` is the ordinary (non-negative) second kind, and all out-of-range
-``(n, k)`` queries raise :class:`.errors.ConfigError` rather than returning 0.
+``s2`` is the ordinary (non-negative) second kind, and all out-of-range or
+fractional ``(n, k)`` queries raise :class:`.errors.ConfigError` rather than
+returning 0 or truncating.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ConfigError
+from .errors import ConfigError, _integer
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +63,8 @@ def _s2_row(n: int) -> tuple[int, ...]:
 
 
 def _check_range(n: int, k: int, what: str) -> tuple[int, int]:
-    n = int(n)
-    k = int(k)
+    n = _integer(f"{what} n", n)
+    k = _integer(f"{what} k", k)
     if n < 0 or not 0 <= k <= n:
         raise ConfigError(f"{what} index (n={n}, k={k}) out of range")
     return n, k
@@ -96,7 +97,7 @@ def normal_order_aadag(n: int) -> tuple[int, ...]:
         least ``n`` levels below the truncation edge
         (``c[k] = (-1)^(n+k) s1(n+1, k+1)``).
     """
-    n = int(n)
+    n = _integer("normal_order_aadag n", n)
     if n < 0:
         raise ConfigError("normal_order_aadag requires n >= 0")
     row = _s1_row(n + 1)
@@ -124,7 +125,7 @@ def c_coeff(n: int, k: int, sign: str) -> int:
     """
     if sign not in ("plus", "minus"):
         raise ConfigError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    n = int(n)
+    n = _integer("c_coeff n", n)
     if n < 1:
         raise ConfigError("c_coeff requires n >= 1")
     _check_range(n, k, "c_coeff")
@@ -133,7 +134,7 @@ def c_coeff(n: int, k: int, sign: str) -> int:
     return first + second if sign == "plus" else first - second
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def commutator_poly(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Both ladder-polynomial coefficient rows for order ``n``.
 
@@ -143,7 +144,7 @@ def commutator_poly(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         ``n`` (degrees ``0..n-1`` of the commutator polynomial; its exact
         zero at degree ``n`` is trimmed).
     """
-    n = int(n)
+    n = _integer("commutator_poly n", n)
     if n < 1:
         raise ConfigError("commutator_poly requires n >= 1")
     cplus = tuple(c_coeff(n, k, "plus") for k in range(n + 1))

@@ -8,9 +8,16 @@ selection or configuration) is a :class:`ConfigError`, which is also a
 ``scipy.linalg`` and stay plain ``ValueError``: ``_lapack_check``'s illegal
 LAPACK argument and ``_tridiagonal_eigh``'s non-finite entry.  They report a
 defect of the package, not an input.
+
+:func:`_real` and :func:`_integer` are the package's one rule for numeric
+arguments: a finite real number, and an integer or a whole real number.
+Booleans, strings and fractions are refused as a :class:`ConfigError`.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class DispersiveNphotonError(Exception):
@@ -73,3 +80,34 @@ class IterationLimitError(SolverError):
 
 class PropagationError(SolverError):
     """Time propagation failed (for example, step size underflow)."""
+
+
+# ---------------------------------------------------------------------------
+# Argument rules
+# ---------------------------------------------------------------------------
+
+
+def _real(what: str, value) -> float:
+    """``float(value)`` for a finite real number, else :class:`ConfigError`
+    naming ``what`` (strings and booleans are not numbers here)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _integer(what: str, value) -> int:
+    """``int(value)`` for an integer or a whole real number (``3.0`` is 3),
+    else :class:`ConfigError` naming ``what``: booleans, strings and
+    fractional numbers are refused."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise ConfigError(f"{what} must be an integer, got {value!r}")

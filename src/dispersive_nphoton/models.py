@@ -31,8 +31,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -45,7 +43,7 @@ from .analytic import (
     _poly_value,
     dispersive_level,
 )
-from .errors import ConfigError, ResonanceError, TruncationError
+from .errors import ConfigError, ResonanceError, TruncationError, _integer, _real
 from .fockspace import HilbertLayout, SparseOperator, qubit_oscillator_layout
 
 TOPOLOGIES = ("single", "multiqubit", "multimode")
@@ -75,32 +73,6 @@ _EXACT_KINDS = {
 # ---------------------------------------------------------------------------
 # Declarative system description
 # ---------------------------------------------------------------------------
-
-
-def _finite(what: str, value) -> float:
-    """``float(value)`` for a finite real number, else :class:`ConfigError`
-    naming ``what`` (strings and booleans are not numbers here)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
-    return value
-
-
-def _integer(what: str, value) -> int:
-    """``int(value)`` for an integer or a whole real number (``3.0`` is 3),
-    else :class:`ConfigError` naming ``what``: booleans, strings and
-    fractional numbers are refused."""
-    if not isinstance(value, bool):
-        if isinstance(value, numbers.Integral):
-            return int(value)
-        if isinstance(value, numbers.Real) and float(value).is_integer():
-            return int(value)
-    raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 def _entry(spec_cls, entry, what: str, **defaults) -> dict:
@@ -139,9 +111,9 @@ class QubitSpec:
     g: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega_q", _finite("qubit frequency", self.omega_q))
+        object.__setattr__(self, "omega_q", _real("qubit frequency", self.omega_q))
         object.__setattr__(self, "n", _integer("qubit coupling order n", self.n))
-        object.__setattr__(self, "g", _finite("qubit coupling strength g", self.g))
+        object.__setattr__(self, "g", _real("qubit coupling strength g", self.g))
         if self.n < 1:
             raise ConfigError("qubit coupling order n must be >= 1")
         if self.g < 0:
@@ -162,7 +134,7 @@ class OscillatorSpec:
     trunc: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", _finite("oscillator frequency", self.omega))
+        object.__setattr__(self, "omega", _real("oscillator frequency", self.omega))
         object.__setattr__(self, "trunc", _integer("oscillator truncation", self.trunc))
         if self.omega <= 0:
             raise ConfigError("oscillator frequency must be positive")
@@ -192,7 +164,7 @@ class CouplingSpec:
             self, "oscillator", _integer("coupling oscillator", self.oscillator)
         )
         object.__setattr__(self, "n", _integer("coupling order n", self.n))
-        object.__setattr__(self, "g", _finite("coupling strength g", self.g))
+        object.__setattr__(self, "g", _real("coupling strength g", self.g))
         if self.n < 1:
             raise ConfigError("coupling order n must be >= 1")
         if self.g < 0:
@@ -219,7 +191,7 @@ class StabilizerSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "form", str(self.form))
-        object.__setattr__(self, "eta", _finite("stabilizer strength eta", self.eta))
+        object.__setattr__(self, "eta", _real("stabilizer strength eta", self.eta))
         if self.m is not None:
             object.__setattr__(self, "m", _integer("stabilizer power m", self.m))
         if self.form not in STABILIZER_FORMS:
@@ -649,10 +621,7 @@ def _exact_model(spec: SystemSpec, kind: str) -> SparseOperator:
 
 
 def _dispersive_model(
-    spec: SystemSpec,
-    regime: str,
-    include_squeezing: bool = True,
-    cross_k0: bool = True,
+    spec: SystemSpec, regime: str, include_squeezing: bool = True
 ) -> SparseOperator:
     """Second-order effective model of every coupling and coupling pair."""
     spec.common_n()  # qubits that share a mode must share its exchange order
@@ -692,7 +661,7 @@ def _dispersive_model(
         for (lj, kj, nj, _), pj in zip(couplings[:i], params[:i]):
             chi_x, xi_x = _cross_strengths(pi, pj, regime)
             if ki == kj:  # qubit exchange times P_cross(N) of the shared mode
-                p_cross = _number_poly(_number_polys(ni, cross_k0)[2], dims[ki])
+                p_cross = _number_poly(_number_polys(ni)[2], dims[ki])
                 ops = {li: _PLUS, lj: _MINUS}
                 terms += _exchange(
                     0.5 * (chi_x - xi_x), rotating, ops, {ki: ((0, p_cross),)}
@@ -713,7 +682,6 @@ def build_model(
     model: str,
     regime: str = "nonrwa",
     squeezing: bool = True,
-    cross_k0: bool = True,
 ) -> SparseOperator:
     """Hamiltonian ``model`` of the system ``spec``.
 
@@ -757,9 +725,10 @@ def build_model(
         multimode nonrwa:   ((chi_x + xi_x)/2)  sigma_z (a_l^n_l + a_l†^n_l)
                                                         (a_m^n_m + a_m†^n_m)
 
-    with ``P(N) = sum_{k=k0}^{n-1} Cminus(n,k) N^k`` (``k0 = 0`` when
-    ``cross_k0``, else 1), ``chi_x = g_l g_m (1/delta_l + 1/delta_m)`` and
-    ``xi_x`` likewise with sum frequencies.  Qubits sharing a mode must share
+    with ``P(N) = sum_{k=0}^{n-1} Cminus(n,k) N^k`` from ``k = 0``, so the
+    vacuum ``N = 0`` keeps its exchange ``Cminus(n,0) = n!``,
+    ``chi_x = g_l g_m (1/delta_l + 1/delta_m)`` and ``xi_x`` likewise with
+    sum frequencies.  Qubits sharing a mode must share
     its order ``n``; their exchange vanishes for ``delta_l = -delta_m``.
 
     Args:
@@ -767,7 +736,6 @@ def build_model(
         model: One of ``MODELS_BY_TOPOLOGY[spec.topology]``.
         regime: ``"rwa"`` or ``"nonrwa"`` (``dispersive`` only).
         squeezing: Keep the nonrwa squeezing-like term (``dispersive`` only).
-        cross_k0: Keep the constant term of ``P(N)`` (``dispersive`` only).
 
     Raises:
         ConfigError: For a model the topology does not offer, qubits of
@@ -788,7 +756,7 @@ def build_model(
     # An overflow is refused by _assemble, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         if model == "dispersive":
-            return _dispersive_model(spec, regime, squeezing, cross_k0)
+            return _dispersive_model(spec, regime, squeezing)
         return _exact_model(spec, _EXACT_KINDS[model])
 
 
@@ -806,12 +774,7 @@ def charge_operator(spec: SystemSpec) -> SparseOperator:
     return _assemble(layout, occ[:, nq] + float(n) * (occ[:, :nq] == 0).sum(axis=1), [])
 
 
-def two_qubit_block(
-    j: int,
-    spec: SystemSpec,
-    regime: str = "nonrwa",
-    cross_k0: bool = True,
-) -> np.ndarray:
+def two_qubit_block(j: int, spec: SystemSpec, regime: str = "nonrwa") -> np.ndarray:
     """Closed-form 4x4 block of the two-qubit effective model at photon number j.
 
     Basis ordering ``{|ee>, |eg>, |ge>, |gg>} (x) |j>``; the entry of
@@ -829,20 +792,21 @@ def two_qubit_block(
         ConfigError: Unless ``spec`` holds exactly two qubits of equal order.
         ResonanceError: If any detuning denominator vanishes, or ``g**2`` or
             a photon-number polynomial is beyond the float range.
-        ConfigError: For a negative ``j`` or an unknown regime.
+        ConfigError: For a ``j`` that is not an integer ``>= 0``, or an
+            unknown regime.
     """
     _require_topology(spec, "multiqubit")
     if len(spec.qubits) != 2:
         raise ConfigError("two_qubit_block requires exactly two qubits")
     n = spec.common_n()
-    j = int(j)
+    j = _integer("photon number j", j)
     p1, p2 = spec.qubit_params(0), spec.qubit_params(1)
     e1 = {q: dispersive_level(p1, q, j, regime) for q in "eg"}
     e2 = {q: dispersive_level(p2, q, j, regime) for q in "eg"}
     w = spec.oscillators[0].omega * j
     block = np.diag([e1[a] + e2[b] - w for a, b in ("ee", "eg", "ge", "gg")])
     chi_x, xi_x = _cross_strengths(p1, p2, regime)
-    exch = 0.5 * (chi_x - xi_x) * _poly_value(_number_polys(n, cross_k0)[2], j)
+    exch = 0.5 * (chi_x - xi_x) * _poly_value(_number_polys(n)[2], j)
     block[1, 2] = block[2, 1] = exch
     if regime == "nonrwa":
         block[0, 3] = block[3, 0] = exch

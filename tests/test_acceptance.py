@@ -365,17 +365,12 @@ def test_criterion_7_two_qubit_block_reduction(capfd):
     trunc = 30
     worst = 0.0
     for regime in ("rwa", "nonrwa"):
-        for cross_k0 in (True, False):
-            h = dn.build_model(
-                spec, "dispersive", regime, cross_k0=cross_k0
-            ).toarray()
-            for j in range(11):
-                sector = [(q1 * 2 + q2) * trunc + j for q1 in (0, 1) for q2 in (0, 1)]
-                from_full = np.linalg.eigvalsh(h[np.ix_(sector, sector)])
-                from_block = np.linalg.eigvalsh(
-                    two_qubit_block(j, spec, regime, cross_k0=cross_k0)
-                )
-                worst = max(worst, float(np.abs(from_full - from_block).max()))
+        h = dn.build_model(spec, "dispersive", regime).toarray()
+        for j in range(11):
+            sector = [(q1 * 2 + q2) * trunc + j for q1 in (0, 1) for q2 in (0, 1)]
+            from_full = np.linalg.eigvalsh(h[np.ix_(sector, sector)])
+            from_block = np.linalg.eigvalsh(two_qubit_block(j, spec, regime))
+            worst = max(worst, float(np.abs(from_full - from_block).max()))
     ok = worst <= 1e-12
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0
@@ -384,8 +379,7 @@ def test_criterion_7_two_qubit_block_reduction(capfd):
         ok,
         "criterion 7",
         "4x4 photon-sector blocks match the full two-qubit dispersive model "
-        f"for j<=10, both regimes, both cross-term settings: worst "
-        f"|eig diff| {worst:.2e} <= 1e-12",
+        f"for j<=10, both regimes: worst |eig diff| {worst:.2e} <= 1e-12",
         elapsed,
     )
 

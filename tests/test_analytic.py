@@ -16,7 +16,6 @@ import pytest
 from dispersive_nphoton import analytic
 from dispersive_nphoton.analytic import (
     MAX_FLOAT_ORDER,
-    MOMENT_CONVENTIONS,
     REGIMES,
     DispersiveParams,
     critical_photon_number,
@@ -25,7 +24,14 @@ from dispersive_nphoton.analytic import (
     effective_two_qubit_params,
     njc_doublet,
 )
-from dispersive_nphoton.errors import ResonanceError
+from dispersive_nphoton.combinatorics import (
+    c_coeff,
+    commutator_poly,
+    normal_order_aadag,
+    stirling2,
+)
+from dispersive_nphoton.dynamics import coherent_state
+from dispersive_nphoton.errors import ConfigError, ResonanceError
 from dispersive_nphoton.models import (
     OscillatorSpec,
     QubitSpec,
@@ -281,36 +287,24 @@ class TestDressedFrequency:
         p = params(1.5, 1, 0.01)
         alpha = 1.3
         expected = p.omega_q + p.chi * (1 + 2 * alpha**2)
-        assert dressed_qubit_frequency(p, alpha, "coherent_exact") == pytest.approx(
+        assert dressed_qubit_frequency(p, alpha) == pytest.approx(
             expected, rel=1e-13
         )
 
-    def test_conventions_differ_beyond_linear_order(self):
-        p = params(2.5, 2, 0.01)
-        exact = dressed_qubit_frequency(p, 1.5, "coherent_exact")
-        literal = dressed_qubit_frequency(p, 1.5, "amplitude_literal")
-        assert exact != literal
-
     def test_regimes(self):
         p = params(2.5, 2, 0.01)
-        rwa = dressed_qubit_frequency(p, 1.0, "coherent_exact", "rwa")
-        nonrwa = dressed_qubit_frequency(p, 1.0, "coherent_exact", "nonrwa")
+        rwa = dressed_qubit_frequency(p, 1.0, "rwa")
+        nonrwa = dressed_qubit_frequency(p, 1.0, "nonrwa")
         assert nonrwa != rwa
 
-    @pytest.mark.parametrize(
-        "alpha, convention",
-        [(1e80, "coherent_exact"), (1e200, "amplitude_literal")],
-    )
+    # The id keeps the test names stable across versions of the suite.
+    @pytest.mark.parametrize("alpha", [1e80], ids=["1e+80-coherent_exact"])
     @pytest.mark.parametrize("regime", REGIMES)
-    def test_overflowing_moments_refused(self, alpha, convention, regime):
-        # |alpha|**4 (resp. |alpha|**2) exceeds the float range.
+    def test_overflowing_moments_refused(self, alpha, regime):
+        # |alpha|**4 exceeds the float range.
         p = params(2.5, 2, 0.01)
         with pytest.raises(ValueError, match="too large"):
-            dressed_qubit_frequency(p, alpha, convention, regime)
-
-    def test_bad_convention(self):
-        with pytest.raises(ValueError):
-            dressed_qubit_frequency(params(2.5, 2, 0.01), 1.0, "bogus")
+            dressed_qubit_frequency(p, alpha, regime)
 
 
 class TestEffectiveTwoQubit:
@@ -333,7 +327,7 @@ class TestEffectiveTwoQubit:
         assert gbar == pytest.approx(6 * chi_x, rel=1e-12)
         p1 = pair_spec.qubit_params(0)
         assert w1 == pytest.approx(
-            dressed_qubit_frequency(p1, 1.0, "coherent_exact"), rel=1e-13
+            dressed_qubit_frequency(p1, 1.0), rel=1e-13
         )
 
     def test_vacuum_value_twice_cross_strength(self, pair_spec):
@@ -354,12 +348,6 @@ class TestEffectiveTwoQubit:
     def test_overflowing_moments_refused(self, pair_spec):
         with pytest.raises(ValueError, match="too large"):
             effective_two_qubit_params(pair_spec, 1e80)
-
-    def test_cross_k0_toggle_removes_constant(self, pair_spec):
-        _, _, with_const = effective_two_qubit_params(pair_spec, 1.0, cross_k0=True)
-        _, _, without = effective_two_qubit_params(pair_spec, 1.0, cross_k0=False)
-        chi_x = 0.0006 * (1 / 6 + 1 / 5.4)
-        assert with_const - without == pytest.approx(2 * chi_x, rel=1e-10)
 
     def test_opposite_detunings_cancel(self):
         spec = SystemSpec(
@@ -424,7 +412,7 @@ class TestBeyondFloatRange:
     def test_huge_moment_coefficients_refused(self, regime):
         p = params(400.0, 200, 0.01)  # Cplus(200, 0) = 200! > 1.8e308
         with pytest.raises(ResonanceError, match="float range"):
-            dressed_qubit_frequency(p, 1.0, "coherent_exact", regime)
+            dressed_qubit_frequency(p, 1.0, regime)
 
     def test_huge_exchange_coefficients_refused(self):
         spec = SystemSpec(
@@ -445,9 +433,8 @@ class TestBeyondFloatRange:
         with pytest.raises(OverflowError):
             float(math.factorial(n))
         monkeypatch.setattr(analytic, "commutator_poly", refuse)
-        for cross_k0 in (True, False):
-            with pytest.raises(ResonanceError, match=f"n = {n} .*float range"):
-                analytic._number_polys(n, cross_k0)
+        with pytest.raises(ResonanceError, match=f"n = {n} .*float range"):
+            analytic._number_polys(n)
 
     @pytest.mark.parametrize("regime", ["rwa", "nonrwa"])
     def test_largest_float_order_coefficient_beyond_float_range(self, regime):
@@ -586,10 +573,91 @@ class TestInputRefusals:
             effective_two_qubit_params(spec, 1.0)
 
 
+def _pair(n, trunc=8):
+    return SystemSpec(
+        topology="multiqubit",
+        qubits=(QubitSpec(n + 0.5, n, 0.01), QubitSpec(n + 0.8, n, 0.02)),
+        oscillators=(OscillatorSpec(omega=1.0, trunc=trunc),),
+    )
+
+
+#: One call per closed form (and coefficient table) that takes an integer,
+#: made with the integer ``v``.
+INTEGER_ARGUMENTS = {
+    "from_frequencies": lambda v: DispersiveParams.from_frequencies(2.5, v, 0.01),
+    "DispersiveParams": lambda v: DispersiveParams(n=v, g=0.01, delta=0.5, sigma=4.5),
+    "critical_photon_number": lambda v: critical_photon_number(v, 0.01, 0.5),
+    "dispersive_level": lambda v: dispersive_level(params(2.5, 2, 0.01), "e", v),
+    "njc_doublet": lambda v: njc_doublet(params(2.5, 2, 0.01), v),
+    "two_qubit_block": lambda v: two_qubit_block(v, _pair(2)),
+    "stirling2": lambda v: stirling2(v, 1),
+    "commutator_poly": lambda v: commutator_poly(v),
+    "normal_order_aadag": lambda v: normal_order_aadag(v),
+    "c_coeff": lambda v: c_coeff(v, 1, "plus"),
+}
+
+
+class TestIntegerArguments:
+    """Every integer argument follows one rule: an integer or a whole real
+    number, never a boolean or a fraction, which used to be truncated."""
+
+    @pytest.mark.parametrize("bad", [2.5, 2.9, True, "2"])
+    @pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+    def test_non_integers_refused(self, name, bad):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            INTEGER_ARGUMENTS[name](bad)
+
+    @pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+    def test_whole_real_gives_the_same_bits(self, name):
+        want, got = INTEGER_ARGUMENTS[name](2), INTEGER_ARGUMENTS[name](2.0)
+        assert repr(got) == repr(want)
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", ["x", None, True])
+    def test_critical_photon_number_refuses_non_numbers(self, bad):
+        with pytest.raises(ConfigError, match="must be a number"):
+            critical_photon_number(2, 0.01, bad)
+        with pytest.raises(ConfigError, match="must be a number"):
+            critical_photon_number(2, bad, 0.5)
+
+
+class TestCoherentAverages:
+    """The closed-form coherent averages against the state vector: the
+    weights ``|<j|alpha>|**2`` of ``coherent_state(alpha, 60)`` times the
+    photon-number polynomial at each ``j``, summed."""
+
+    @staticmethod
+    def _average(alpha, poly):
+        weights = np.abs(coherent_state(alpha, 60).amplitudes) ** 2
+        values = [analytic._poly_value(poly, j) for j in range(60)]
+        return float(weights @ np.array(values))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, math.sqrt(2)])
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_dressed_frequency_averages_p_plus(self, n, regime, alpha):
+        p = params(n + 0.5, n, 0.01)
+        chi, xi = p._strengths(regime)
+        got = (dressed_qubit_frequency(p, alpha, regime) - p.omega_q) / (chi + xi)
+        want = self._average(alpha, analytic._number_polys(n)[0])
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5, math.sqrt(2)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_g_bar_averages_p_cross(self, n, alpha):
+        spec = _pair(n)
+        chi_x, _ = analytic._cross_strengths(
+            spec.qubit_params(0), spec.qubit_params(1), "rwa"
+        )
+        _, _, gbar = effective_two_qubit_params(spec, alpha)
+        want = self._average(alpha, analytic._number_polys(n)[2])
+        assert gbar / chi_x == pytest.approx(want, rel=1e-14, abs=0)
+
+
 class TestEnums:
     def test_exported_literals(self):
         assert REGIMES == ("rwa", "nonrwa")
-        assert MOMENT_CONVENTIONS == ("coherent_exact", "amplitude_literal")
 
 
 @pytest.mark.parametrize(

@@ -250,10 +250,13 @@ class TestScalarCommands:
             "--g", "0.01",
             "--alpha", "1.5",
         ]
-        _, exact, _ = run_cli(argv + ["--moment-convention", "coherent_exact"])
-        _, literal, _ = run_cli(argv + ["--moment-convention", "amplitude_literal"])
+        # The moments are the exact coherent ones, <a†^l a^l> = |alpha|^(2l),
+        # and no option selects others.
+        _, exact, _ = run_cli(argv)
         assert exact == "2.504225\n"
-        assert exact != literal
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--moment-convention", "amplitude_literal"])
+        assert exc.value.code == 2
 
     def test_version_string(self):
         with pytest.raises(SystemExit) as exc:
@@ -936,16 +939,6 @@ class TestEffectiveTwoQubit:
         expected = effective_two_qubit_params(SystemSpec.from_dict(PAIR), 1.0)
         assert got == pytest.approx(list(expected), rel=1e-10)
 
-    def test_cross_k0_toggle_changes_coupling(self, tmp_path):
-        cfg = write_config(tmp_path, PAIR)
-        _, with_k0, _ = run_cli(["eff-2q", "--config", cfg, "--alpha", "1"])
-        _, without, _ = run_cli(
-            ["eff-2q", "--config", cfg, "--alpha", "1", "--no-cross-k0"]
-        )
-        g_with = float(with_k0.splitlines()[2].split(",")[2])
-        g_without = float(without.splitlines()[2].split(",")[2])
-        assert g_with != g_without
-
     def test_requires_two_qubits(self, tmp_path):
         cfg = write_config(tmp_path, SINGLE)
         code, _, err = run_cli(["eff-2q", "--config", cfg, "--alpha", "1"])
@@ -1314,6 +1307,34 @@ class TestProvenanceRule:
         with pytest.raises(SystemExit) as exc:
             run_cli([*argv, "--t-end", "1", "--no-cross-k0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("spectrum", ["--cross-k0"]),
+            ("spectrum", ["--no-cross-k0"]),
+            ("levels", ["--no-cross-k0"]),
+            ("eff-2q", ["--no-cross-k0"]),
+            ("eff-2q", ["--moment-convention", "coherent_exact"]),
+            ("dressed-freq", ["--moment-convention", "amplitude_literal"]),
+        ],
+    )
+    def test_no_option_selects_another_second_order_answer(
+        self, tmp_path, command, flag
+    ):
+        # P(N) starts at k = 0 and the moments are the exact coherent ones.
+        cfg = write_config(tmp_path, PAIR if command == "eff-2q" else SINGLE)
+        argv = {
+            "spectrum": ["spectrum", "--config", cfg, "--model", "nR"],
+            "levels": [*LEVELS, "--config", cfg],
+            "eff-2q": ["eff-2q", "--config", cfg, "--alpha", "1"],
+            "dressed-freq": ["dressed-freq", *SCALAR_ARGS, "--alpha", "1"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, *flag])
+        assert exc.value.code == 2
+        parsed = vars(build_parser().parse_args(argv))
+        assert not {"cross_k0", "moment_convention"} & set(parsed)
 
 
 @pytest.mark.parametrize("floor", ["2", "-0.1"])

@@ -425,7 +425,7 @@ ALL_BUILDERS = [
         ),
         "nDicke",
     ),
-    lambda: build_model(pair(trunc=10), "dispersive", cross_k0=False),
+    lambda: build_model(_qubits_on_one_mode(3), "dispersive", "rwa"),
     lambda: build_model(pair(trunc=10), "dispersive", squeezing=False),
     lambda: build_model(two_mode(), "dispersive", squeezing=False),
     lambda: build_model(
@@ -668,16 +668,18 @@ class TestReductions:
 
 
 class TestTwoQubitBlock:
-    @pytest.mark.parametrize("regime", ["rwa", "nonrwa"])
-    @pytest.mark.parametrize("cross_k0", [True, False])
-    def test_matches_projected_full_model(self, regime, cross_k0):
+    # The ids keep the test names stable across versions of the suite.
+    @pytest.mark.parametrize(
+        "regime", ["rwa", "nonrwa"], ids=["True-rwa", "True-nonrwa"]
+    )
+    def test_matches_projected_full_model(self, regime):
         spec = pair(trunc=16)
-        h = build_model(spec, "dispersive", regime, cross_k0=cross_k0).toarray()
+        h = build_model(spec, "dispersive", regime).toarray()
         t = 16
         for j in (0, 3, 7):
             idx = [((q1 * 2 + q2) * t + j) for q1 in (0, 1) for q2 in (0, 1)]
             sector = h[np.ix_(idx, idx)].real
-            block = two_qubit_block(j, spec, regime, cross_k0)
+            block = two_qubit_block(j, spec, regime)
             got = np.linalg.eigvalsh(block)
             want = np.linalg.eigvalsh(sector)
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -995,7 +997,7 @@ class TestMalformedPayloads:
             SystemSpec.from_dict([_SINGLE_PAYLOAD])
 
 
-def _public_terms(spec, model, regime="nonrwa", squeezing=True, cross_k0=True):
+def _public_terms(spec, model, regime="nonrwa", squeezing=True):
     """``(coefficient, operator)`` interaction terms of :func:`build_model`, in
     its order, each one formed by the public operator algebra (``destroy``,
     ``op_pow``, ``pauli``, ``embed``) from the model definitions of its
@@ -1052,7 +1054,7 @@ def _public_terms(spec, model, regime="nonrwa", squeezing=True, cross_k0=True):
         for (lj, kj, nj, _), pj in zip(couplings[:i], params[:i]):
             chi_x, xi_x = _cross_strengths(pi, pj, regime)
             if ki == kj:
-                coeffs = _number_polys(ni, cross_k0)[2]
+                coeffs = _number_polys(ni)[2]
                 mode = HilbertLayout((layout.subsystems[ki],))
                 p_cross = SparseOperator.from_dense(
                     mode, np.diag([_poly_value(coeffs, j) for j in range(dims[ki])])
@@ -1081,21 +1083,22 @@ def _bits(array):
     return array.dtype.str, array.shape, array.tobytes()
 
 
-def _three_qubits():
+def _qubits_on_one_mode(count):
     return SystemSpec(
         topology="multiqubit",
         qubits=tuple(
-            QubitSpec(omega_q=5.0 + 0.37 * l, n=2, g=0.01 * (l + 1)) for l in range(3)
+            QubitSpec(omega_q=5.0 + 0.37 * l, n=2, g=0.01 * (l + 1))
+            for l in range(count)
         ),
         oscillators=(OscillatorSpec(omega=1.0, trunc=14),),
     )
 
 
 #: Models where three or more terms add into one entry (the squeezing terms
-#: of three qubits on one mode), so that the summation order shows.
+#: of three or four qubits on one mode), so that the summation order shows.
 OVERLAPPING_BUILDERS = [
-    lambda: build_model(_three_qubits(), "dispersive"),
-    lambda: build_model(_three_qubits(), "dispersive", cross_k0=False),
+    lambda: build_model(_qubits_on_one_mode(3), "dispersive"),
+    lambda: build_model(_qubits_on_one_mode(4), "dispersive"),
 ]
 
 
@@ -1191,8 +1194,9 @@ class TestSchriefferWolffOracle:
         assert slope >= 3.8
 
     def test_rwa_exchange(self):
-        # <eg, 3| . |ge, 3>: the photon-number-dependent qubit-qubit exchange
-        # of nTC, with P0 on the one-excitation qubit configurations.
+        # <eg, j| . |ge, j>: the photon-number-dependent qubit-qubit exchange
+        # of nTC, with P0 on the one-excitation qubit configurations.  At
+        # j = 0 only the constant Cminus(n, 0) of P(N) carries it.
         def make(g):
             return SystemSpec(
                 topology="multiqubit",
@@ -1203,19 +1207,21 @@ class TestSchriefferWolffOracle:
                 oscillators=(OscillatorSpec(omega=1.0, trunc=16),),
             )
 
-        slope = self._slope(
-            make,
-            "nTC",
-            "rwa",
-            lambda occ: occ[:, :2].sum(axis=1) == 1,
-            (0, 1, 3),
-            (1, 0, 3),
-        )
-        assert slope >= 3.8
+        for j in (0, 3):
+            slope = self._slope(
+                make,
+                "nTC",
+                "rwa",
+                lambda occ: occ[:, :2].sum(axis=1) == 1,
+                (0, 1, j),
+                (1, 0, j),
+            )
+            assert slope >= 3.8, j
 
     def test_nonrwa_exchange(self):
-        # <eg, 3| . |ge, 3>: the qubit-qubit exchange of nDicke, counter-
-        # rotating terms included.
+        # <eg, j| . |ge, j>: the qubit-qubit exchange of nDicke, counter-
+        # rotating terms included, at j = 0 (the constant of P(N) alone)
+        # and j = 3.
         def make(g):
             return SystemSpec(
                 topology="multiqubit",
@@ -1226,15 +1232,16 @@ class TestSchriefferWolffOracle:
                 oscillators=(OscillatorSpec(omega=1.0, trunc=16),),
             )
 
-        slope = self._slope(
-            make,
-            "nDicke",
-            "nonrwa",
-            lambda occ: occ[:, :2].sum(axis=1) == 1,
-            (0, 1, 3),
-            (1, 0, 3),
-        )
-        assert slope >= 3.8
+        for j in (0, 3):
+            slope = self._slope(
+                make,
+                "nDicke",
+                "nonrwa",
+                lambda occ: occ[:, :2].sum(axis=1) == 1,
+                (0, 1, j),
+                (1, 0, j),
+            )
+            assert slope >= 3.8, j
 
     @pytest.mark.parametrize("model, regime", [("mmjc", "rwa"), ("mmr", "nonrwa")])
     def test_mode_mode_exchange(self, model, regime):
