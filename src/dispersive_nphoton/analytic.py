@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .combinatorics import commutator_poly, eval_int_poly, stirling2
+from .combinatorics import _horner, commutator_poly, stirling2
 from .errors import ConfigError, ResonanceError, _integer, _real
 
 REGIMES = ("rwa", "nonrwa")
@@ -61,7 +61,7 @@ class DispersiveParams:
         sigma: Sum frequency ``omega_q + n * omega_o``.
 
     ``n`` must be an integer and ``g``, ``delta`` and ``sigma`` finite
-    numbers (``ConfigError`` otherwise).
+    numbers, by the rule of :mod:`.errors` (``ConfigError`` otherwise).
     """
 
     n: int
@@ -70,13 +70,10 @@ class DispersiveParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _integer("coupling order n", self.n))
-        for name in ("g", "delta", "sigma"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if self.n < 1:
-            raise ConfigError("coupling order n must be >= 1")
-        if self.g < 0:
-            raise ConfigError("coupling strength g must be non-negative")
+        object.__setattr__(self, "n", _integer("coupling order n", self.n, 1))
+        object.__setattr__(self, "g", _real("coupling strength g", self.g, 0))
+        object.__setattr__(self, "delta", _real("detuning delta", self.delta))
+        object.__setattr__(self, "sigma", _real("sum frequency sigma", self.sigma))
         if self.sigma <= self.delta:
             raise ConfigError(
                 "sigma must exceed delta (oscillator frequency must be positive)"
@@ -92,13 +89,10 @@ class DispersiveParams:
             ResonanceError: If ``n * omega_o`` is lost in the rounding of
                 ``omega_q``, so that ``delta`` and ``sigma`` coincide.
         """
-        omega_q = float(omega_q)
-        omega_o = float(omega_o)
-        if omega_o <= 0:
-            raise ConfigError("oscillator frequency must be positive")
-        n = _integer("coupling order n", n)
-        shift = n * omega_o
-        if shift > 0 and math.isfinite(omega_q) and omega_q - shift == omega_q + shift:
+        omega_q = _real("qubit frequency omega_q", omega_q)
+        omega_o = _real("oscillator frequency omega_o", omega_o, above=0)
+        shift = _integer("coupling order n", n, 1) * omega_o
+        if omega_q - shift == omega_q + shift:
             raise ResonanceError(
                 f"n * omega_o = {shift!r} is lost in the rounding of "
                 f"omega_q = {omega_q!r}: delta and sigma coincide"
@@ -231,7 +225,9 @@ def _cross_strengths(
 def _number_polys(n: int) -> tuple[tuple[int, ...], ...]:
     """Rows ``(P+, P-, Px)`` of the order-``n`` photon-number polynomials:
     cross-Kerr ``P+ = Cplus``, self-Kerr ``P- = Cminus`` without its constant
-    (an exact zero) and exchange ``Px = Cminus`` from degree 0.
+    ``Cminus(n, 0) = n!`` and exchange ``Px = Cminus`` from degree 0.  The
+    dropped constant is not zero: it is the offset ``n! (chi - xi) / 2``,
+    the same for every level.
 
     Raises:
         ResonanceError: Above :data:`MAX_FLOAT_ORDER`, before any table is
@@ -254,7 +250,7 @@ def _poly_value(coeffs, j: int) -> float:
         ResonanceError: If the value is beyond the float range.
     """
     try:
-        return float(eval_int_poly(coeffs, j))
+        return float(_horner(coeffs, j))
     except OverflowError:
         raise ResonanceError(
             f"photon-number polynomial of degree {len(coeffs) - 1} is beyond "
@@ -291,10 +287,7 @@ def dispersive_level(
     """
     if qubit not in ("e", "g"):
         raise ConfigError(f"qubit must be 'e' or 'g', got {qubit!r}")
-    j = _integer("photon number j", j)
-    if j < 0:
-        raise ConfigError("photon number j must be non-negative")
-
+    j = _integer("photon number j", j, 0)
     chi, xi = params._strengths(regime)
     plus, minus, _ = _number_polys(params.n)
     p_plus = _poly_value(plus, j)
@@ -329,9 +322,7 @@ def njc_doublet(params: DispersiveParams, l: int) -> tuple[float, float]:
     Raises:
         ResonanceError: If the square root is beyond the float range.
     """
-    l = _integer("doublet index l", l)
-    if l < 0:
-        raise ConfigError("doublet index l must be non-negative")
+    l = _integer("doublet index l", l, 0)
     n = params.n
     ratio = 1.0
     for i in range(1, n + 1):
@@ -362,12 +353,8 @@ def critical_photon_number(n: int, g: float, delta: float) -> float:
             that is not a finite number ``>= 0`` or a ``delta`` that is not a
             finite number.
     """
-    n = _integer("coupling order n", n)
-    if n < 1:
-        raise ConfigError("coupling order n must be >= 1")
-    g = _real("coupling strength g", g)
-    if g < 0:
-        raise ConfigError("coupling strength g must be non-negative")
+    n = _integer("coupling order n", n, 1)
+    g = _real("coupling strength g", g, 0)
     delta = _real("detuning delta", delta)
     if g == 0.0:
         return math.inf
@@ -429,15 +416,6 @@ def _moment_poly(coeffs, alpha_abs: float) -> float:
     return acc
 
 
-def _check_alpha(alpha_abs: float) -> float:
-    alpha_abs = float(alpha_abs)
-    if not (math.isfinite(alpha_abs) and alpha_abs >= 0):
-        raise ConfigError(
-            f"alpha_abs must be finite and non-negative, got {alpha_abs!r}"
-        )
-    return alpha_abs
-
-
 def dressed_qubit_frequency(
     params: DispersiveParams, alpha_abs: float, regime: str = "rwa"
 ) -> float:
@@ -463,7 +441,7 @@ def dressed_qubit_frequency(
             :meth:`DispersiveParams.require_dispersive`), or where ``g**2``, a
             polynomial coefficient or the result is beyond the float range.
     """
-    alpha_abs = _check_alpha(alpha_abs)
+    alpha_abs = _real("alpha_abs", alpha_abs, 0)
     params.require_dispersive(regime)
     chi, xi = params._strengths(regime)
     average = _moment_poly(_number_polys(params.n)[0], alpha_abs)
@@ -511,8 +489,7 @@ def effective_two_qubit_params(spec, alpha_abs: float) -> tuple[float, float, fl
     p1.require_dispersive("rwa")
     p2.require_dispersive("rwa")
 
-    alpha_abs = _check_alpha(alpha_abs)
-
+    alpha_abs = _real("alpha_abs", alpha_abs, 0)
     w1 = dressed_qubit_frequency(p1, alpha_abs)
     w2 = dressed_qubit_frequency(p2, alpha_abs)
 

@@ -69,11 +69,19 @@ from .eigensolve import (
     solve_lowest,
     track_levels,
 )
-from .errors import ConfigError, DispersiveNphotonError, ResonanceError, SolverError
+from .errors import (
+    ConfigError,
+    DispersiveNphotonError,
+    ResonanceError,
+    SolverError,
+    _integer,
+    _real,
+)
 from .models import (
     ALL_MODELS,
     CLOSED_FORM_MODELS,
     SystemSpec,
+    _sweep_index,
     build_model,
     with_swept,
 )
@@ -161,38 +169,28 @@ def _write_lines(out_path: Optional[str], lines: Iterable[str]) -> None:
 def parse_sweep(text: str) -> tuple[str, np.ndarray]:
     """Parse ``"var:from:to:steps"`` into a variable name and grid values.
 
-    Variables: ``g`` (every coupling), ``g<i>`` (coupling of qubit or
-    coupling entry ``i``), ``eta`` (stabilizer strength).
+    The variables are those of :func:`.models.with_swept`.  The endpoints
+    must be finite and the steps lie in [1, :data:`MAX_STEPS`].
 
     Raises:
-        ConfigError: On malformed syntax, a non-finite endpoint, an unknown
-            variable or more than :data:`MAX_STEPS` steps.
+        ConfigError: On malformed syntax, an unknown variable or a number
+            out of its bounds.
     """
     parts = text.split(":")
     if len(parts) != 4:
         raise ConfigError(
             f"sweep {text!r} is not of the form 'var:from:to:steps'"
         )
-    var = parts[0]
-    if var != "eta" and not (
-        var == "g" or (var.startswith("g") and var[1:].isdigit())
-    ):
-        raise ConfigError(
-            f"unknown sweep variable {var!r}; expected 'g', 'g<i>', or 'eta'"
-        )
-    try:
-        start = float(parts[1])
-        stop = float(parts[2])
-        steps = int(parts[3])
+    _sweep_index(parts[0])
+    try:  # the command-line text, parsed before the rule checks it
+        start, stop, steps = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise ConfigError(f"sweep {text!r}: {exc}") from None
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(f"sweep {text!r} endpoints must be finite")
-    if steps < 1:
-        raise ConfigError(f"sweep {text!r} must have at least one step")
-    if steps > MAX_STEPS:
-        raise ConfigError(f"--sweep {text!r} has more than {MAX_STEPS} steps")
-    return var, np.linspace(start, stop, steps)
+    what = f"--sweep {text!r}"
+    start = _real(f"{what} start", start)
+    stop = _real(f"{what} stop", stop)
+    steps = _integer(f"{what} steps", steps, 1, MAX_STEPS)
+    return parts[0], np.linspace(start, stop, steps)
 
 
 def _usable_cpus() -> int:
@@ -211,9 +209,7 @@ def resolve_threads(flag_value: Optional[int]) -> int:
     """
     if flag_value is None:
         return _usable_cpus()
-    if int(flag_value) < 1:
-        raise ConfigError(f"--threads must be >= 1, got {flag_value}")
-    return int(flag_value)
+    return _integer("--threads", flag_value, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +217,23 @@ def resolve_threads(flag_value: Optional[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_start(args: argparse.Namespace, extra: str) -> tuple[SystemSpec, list]:
+def _sweep_start(
+    args: argparse.Namespace, extra: str, *bounds
+) -> tuple[SystemSpec, list]:
     """Validate a ``spectrum`` or ``levels`` run; return its spec and header.
 
     The header is the provenance line and the column line.  ``extra`` names
     the command's own float option (``nbar_max`` or ``continuity_floor``),
-    which must be finite like ``physical_scale``.  Nothing is built here: the
-    first grid point's build raises the model's configuration errors.
+    which must be finite like ``physical_scale`` and lie within ``bounds``
+    (``lo, hi``) when given.  Nothing is built here: the first grid point's
+    build raises the model's configuration errors.
     """
-    if args.k < 1:
-        raise ConfigError("-k/--num-levels must be >= 1")
-    if args.max_iters is not None and args.max_iters < 1:
-        raise ConfigError("--max-iters must be >= 1")
-    for key in ("physical_scale", extra):
-        value = getattr(args, key)
-        if value is not None and not math.isfinite(value):
-            flag = "--" + key.replace("_", "-")
-            raise ConfigError(f"{flag} must be finite, got {value!r}")
+    _integer("-k/--num-levels", args.k, 1)
+    if args.max_iters is not None:
+        _integer("--max-iters", args.max_iters, 1)
+    _real("--physical-scale", args.physical_scale)
+    if getattr(args, extra) is not None:
+        _real("--" + extra.replace("_", "-"), getattr(args, extra), *bounds)
     spec = SystemSpec.from_json_file(args.config)
     return spec, [_provenance_line(args, spec), ",".join(SWEEP_COLUMNS)]
 
@@ -312,7 +308,7 @@ def _row(
         if p is None:
             continue
         try:
-            energies[column] = dispersive_level(p, config, int(fock[0]), regime)
+            energies[column] = dispersive_level(p, config, fock[0], regime)
         except ResonanceError:
             pass
     scale = args.physical_scale
@@ -321,7 +317,7 @@ def _row(
             name or "",
             _fmt(value),
             config,
-            ";".join(str(int(j)) for j in fock),
+            ";".join(str(j) for j in fock),
             *(_fmt(None if e is None else e * scale) for e in energies),
             _fmt(overlap),
             _fmt(bool(terminated)),
@@ -401,11 +397,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_levels(args: argparse.Namespace) -> int:
-    spec, lines = _sweep_start(args, "continuity_floor")
-    if not 0.0 <= args.continuity_floor <= 1.0:
-        raise ConfigError(
-            f"--continuity-floor must lie in [0, 1], got {args.continuity_floor!r}"
-        )
+    spec, lines = _sweep_start(args, "continuity_floor", 0, 1)
     sweep_name, values = parse_sweep(args.sweep)
 
     specs, results, failures = [], [], []
@@ -439,10 +431,8 @@ def _cmd_levels(args: argparse.Namespace) -> int:
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
-    if not 1 <= args.steps <= MAX_STEPS:
-        raise ConfigError(f"--steps must lie in [1, {MAX_STEPS}], got {args.steps}")
-    if not math.isfinite(args.t_end):
-        raise ConfigError(f"--t-end must be finite, got {args.t_end!r}")
+    _integer("--steps", args.steps, 1, MAX_STEPS)
+    _real("--t-end", args.t_end)
     spec = SystemSpec.from_json_file(args.config)
     if spec.topology != "single":
         raise ConfigError("dynamics presets require the 'single' topology")
@@ -490,8 +480,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 
 
 def _cmd_coeff_table(args: argparse.Namespace) -> int:
-    if args.n_max < 1:
-        raise ConfigError("--n-max must be >= 1")
+    _integer("--n-max", args.n_max, 1)
     tables = (
         ("cplus", lambda n: commutator_poly(n)[0]),
         ("cminus", lambda n: commutator_poly(n)[1]),
@@ -510,12 +499,10 @@ def _cmd_coeff_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_critical_nph(args: argparse.Namespace) -> int:
-    if not args.omega_o > 0:
-        raise ConfigError(f"--omega-o must be positive, got {args.omega_o!r}")
-    if args.delta is not None:
-        delta = args.delta
-    else:
-        delta = args.omega_q - args.n * args.omega_o
+    omega_o = _real("--omega-o", args.omega_o, above=0)
+    delta = args.delta
+    if delta is None:
+        delta = _real("--omega-q", args.omega_q) - args.n * omega_o
     print(_fmt(critical_photon_number(args.n, args.g, delta)))
     return 0
 

@@ -62,14 +62,6 @@ def _s2_row(n: int) -> tuple[int, ...]:
     return _row(_S2_ROWS, n, lambda m, k: k)
 
 
-def _check_range(n: int, k: int, what: str) -> tuple[int, int]:
-    n = _integer(f"{what} n", n)
-    k = _integer(f"{what} k", k)
-    if n < 0 or not 0 <= k <= n:
-        raise ConfigError(f"{what} index (n={n}, k={k}) out of range")
-    return n, k
-
-
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind ``s2(n, k)`` (non-negative).
 
@@ -79,8 +71,8 @@ def stirling2(n: int, k: int) -> int:
     Raises:
         ConfigError: Unless ``0 <= k <= n``.
     """
-    n, k = _check_range(n, k, "stirling2")
-    return _s2_row(n)[k]
+    n = _integer("stirling2 n", n, 0)
+    return _s2_row(n)[_integer("stirling2 k", k, 0, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +89,7 @@ def normal_order_aadag(n: int) -> tuple[int, ...]:
         least ``n`` levels below the truncation edge
         (``c[k] = (-1)^(n+k) s1(n+1, k+1)``).
     """
-    n = _integer("normal_order_aadag n", n)
-    if n < 0:
-        raise ConfigError("normal_order_aadag requires n >= 0")
+    n = _integer("normal_order_aadag n", n, 0)
     row = _s1_row(n + 1)
     return tuple((-1) ** (n + k) * row[k + 1] for k in range(n + 1))
 
@@ -125,10 +115,8 @@ def c_coeff(n: int, k: int, sign: str) -> int:
     """
     if sign not in ("plus", "minus"):
         raise ConfigError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    n = _integer("c_coeff n", n)
-    if n < 1:
-        raise ConfigError("c_coeff requires n >= 1")
-    _check_range(n, k, "c_coeff")
+    n = _integer("c_coeff n", n, 1)
+    k = _integer("c_coeff k", k, 0, n)
     first = (-1) ** (n + k) * _s1_row(n + 1)[k + 1]
     second = _s1_row(n)[k]
     return first + second if sign == "plus" else first - second
@@ -144,18 +132,22 @@ def commutator_poly(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         ``n`` (degrees ``0..n-1`` of the commutator polynomial; its exact
         zero at degree ``n`` is trimmed).
     """
-    n = _integer("commutator_poly n", n)
-    if n < 1:
-        raise ConfigError("commutator_poly requires n >= 1")
+    n = _integer("commutator_poly n", n, 1)
     cplus = tuple(c_coeff(n, k, "plus") for k in range(n + 1))
     cminus = tuple(c_coeff(n, k, "minus") for k in range(n))
     return cplus, cminus
 
 
 def eval_int_poly(coeffs, x: int) -> int:
-    """Exact integer evaluation of ``sum_k coeffs[k] x^k`` (Horner form)."""
-    x = int(x)
+    """Exact integer evaluation of ``sum_k coeffs[k] x^k`` (Horner form);
+    ``x`` and every coefficient follow the integer rule of :mod:`.errors`."""
+    coeffs = [_integer("eval_int_poly coefficient", c) for c in coeffs]
+    return _horner(coeffs, _integer("eval_int_poly x", x))
+
+
+def _horner(coeffs, x: int) -> int:
+    """``sum_k coeffs[k] x^k`` of Python integers, in Horner form."""
     acc = 0
-    for c in reversed(tuple(coeffs)):
-        acc = acc * x + int(c)
+    for c in reversed(coeffs):
+        acc = acc * x + c
     return acc

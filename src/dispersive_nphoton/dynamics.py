@@ -36,7 +36,14 @@ from .eigensolve import (
     _submatrix,
     _tridiagonal_eigh,
 )
-from .errors import ConfigError, PropagationError, TruncationError
+from .errors import (
+    ConfigError,
+    PropagationError,
+    TruncationError,
+    _complex,
+    _integer,
+    _real,
+)
 from .fockspace import HilbertLayout, SparseOperator, _csr_one_norm
 
 #: Presets understood by :func:`preset_state`.
@@ -70,6 +77,7 @@ class StateVector:
     norm_tol: float = 1e-12
 
     def __post_init__(self) -> None:
+        self.norm_tol = _real("norm_tol", self.norm_tol, 0)
         amps = np.asarray(self.amplitudes, dtype=np.complex128).copy()
         if amps.shape != (self.layout.total_dim,):
             raise ConfigError(
@@ -114,7 +122,7 @@ def superposition(
     """
     amps = np.zeros(layout.total_dim, dtype=np.complex128)
     for coeff, occs in terms:
-        amps[layout.basis_index(occs)] += complex(coeff)
+        amps[layout.basis_index(occs)] += _complex("superposition coefficient", coeff)
     nrm = np.linalg.norm(amps)
     if nrm == 0.0:
         raise ConfigError("superposition terms cancel to the zero vector")
@@ -129,14 +137,13 @@ def coherent_state(alpha: complex, trunc: int) -> StateVector:
     must stay below 1e-10; the retained amplitudes are then renormalized.
 
     Raises:
-        ConfigError: If ``alpha`` is not finite.
+        ConfigError: If ``alpha`` is not a finite number or ``trunc`` not an
+            integer.
         TruncationError: If the guard or the tail-mass bound fails.
     """
-    trunc = int(trunc)
-    alpha = complex(alpha)
+    trunc = _integer("coherent state truncation", trunc)
+    alpha = _complex("coherent amplitude", alpha)
     mod = abs(alpha)
-    if not math.isfinite(mod):
-        raise ConfigError(f"coherent amplitude must be finite, got {alpha!r}")
     if (mod + 3.0) ** 2 > trunc:
         raise TruncationError(
             f"coherent amplitude |alpha|={mod:.3g} needs at least "
@@ -273,10 +280,8 @@ def propagator(h: SparseOperator, krylov_dim: int, local_tol: float):
     by the rule of :func:`evolve`, whose arguments are all checked here."""
     if not h.hermitian:
         raise ConfigError("propagator requires a certified-hermitian generator")
-    if int(krylov_dim) < 2:
-        raise ConfigError(f"krylov_dim must be >= 2, got {krylov_dim!r}")
-    if not (math.isfinite(local_tol) and local_tol > 0):
-        raise ConfigError(f"local_tol must be finite and positive, got {local_tol!r}")
+    krylov_dim = _integer("krylov_dim", krylov_dim, 2)
+    local_tol = _real("local_tol", local_tol, above=0)
     mat, members, starts = _blocks(h)
     sizes = np.diff(starts)
     by_size = np.argsort(sizes, kind="stable")
@@ -292,9 +297,7 @@ def propagator(h: SparseOperator, krylov_dim: int, local_tol: float):
     def step(state: StateVector, t: float) -> StateVector:
         if state.layout != h.layout:
             raise ConfigError("generator and state live on different layouts")
-        t = float(t)
-        if not math.isfinite(t):
-            raise ConfigError(f"evolution time {t!r} is not finite")
+        t = _real("evolution time t", t)
         if t == 0.0:
             return StateVector(h.layout, state.amplitudes, norm_tol=1e-8)
         psi = np.zeros_like(state.amplitudes)
@@ -315,7 +318,7 @@ def propagator(h: SparseOperator, krylov_dim: int, local_tol: float):
 def _krylov_evolve(mat, psi, t, krylov_dim, local_tol):
     """``exp(-i mat t) psi`` by adaptive Krylov substeps (see :func:`evolve`)."""
     dim = mat.shape[0]
-    krylov_dim = min(int(krylov_dim), dim)
+    krylov_dim = min(krylov_dim, dim)
     theta = float(np.real(mat.diagonal()).mean())
     floor = 1e-14 * _csr_one_norm(mat.indices, mat.data)
 
@@ -429,11 +432,10 @@ def partial_trace(
     if not isinstance(obj, (StateVector, DensityMatrix)):
         raise ConfigError("partial_trace expects a StateVector or DensityMatrix")
     layout = obj.layout
-    keep = sorted({int(i) for i in keep})
+    last = layout.n_subsystems - 1
+    keep = sorted({_integer("kept subsystem index", i, 0, last) for i in keep})
     if not keep:
         raise ConfigError("keep must select at least one subsystem")
-    if keep[0] < 0 or keep[-1] >= layout.n_subsystems:
-        raise ConfigError(f"keep indices {keep} out of range")
     traced = [i for i in range(layout.n_subsystems) if i not in keep]
     kept_layout = HilbertLayout(tuple(layout.subsystems[i] for i in keep))
     dim_keep = kept_layout.total_dim

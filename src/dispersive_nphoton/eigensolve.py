@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, IterationLimitError
+from .errors import CapacityError, ConfigError, IterationLimitError, _integer, _real
 from .fockspace import (
     _CSR,
     HilbertLayout,
@@ -90,7 +90,7 @@ class SpectrumResult:
         """
         if self.labels is None:
             raise KeyError("result has no labels; run label_by_overlap first")
-        fock = tuple(int(f) for f in fock)
+        fock = tuple(_integer("Fock occupation", f, 0) for f in fock)
         for i, entry in enumerate(self.labels):
             if entry is not None and entry[0] == config and entry[1] == fock:
                 return float(self.energies[i])
@@ -312,7 +312,7 @@ def _block_eigh(
                         f"block of {s} states is not a chain and exceeds the dense "
                         f"limit {DENSE_LIMIT}; use eigs_lowest for its lowest levels"
                     )
-                budget = int(max_iters or min(s, max(30 * keep, 2500)))
+                budget = max_iters or int(min(s, max(30 * keep, 2500)))
                 # The block's own entries: local[c] is each column's position.
                 sub = _CSR(indptr, local[c], v)
                 vals, vecs, converged = _lanczos(sub, keep, tol, budget)
@@ -346,10 +346,9 @@ def _solve_blocks(h, k, method, want_states=True, tol=1e-10, max_iters=None):
     and positive and ``max_iters < 1``."""
     if not h.hermitian:
         raise ConfigError("the eigensolvers require a certified-hermitian operator")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ConfigError(f"tol must be finite and positive, got {tol!r}")
-    if max_iters is not None and int(max_iters) < 1:
-        raise ConfigError(f"max_iters must be >= 1, got {max_iters!r}")
+    tol = _real("tol", tol, above=0)
+    if max_iters is not None:
+        max_iters = _integer("max_iters", max_iters, 1)
     mat, members, starts = _blocks(h)
     parts, failed = _block_eigh(
         mat, members, starts, k, method, want_states, tol, max_iters
@@ -594,9 +593,7 @@ def eigs_lowest(
             exception's ``partial`` attribute carries the best available
             result, merged over all blocks.
     """
-    k = int(k)
-    if not 1 <= k <= h.total_dim:
-        raise ConfigError(f"k={k} out of range for dimension {h.total_dim}")
+    k = _integer("k", k, 1, h.total_dim)
     return _solve_blocks(h, k, "lanczos", tol=tol, max_iters=max_iters)
 
 
@@ -624,9 +621,8 @@ def solve_lowest(
     """
     if method not in ("auto", "dense", "lanczos"):
         raise ConfigError(f"unknown eigensolver method {method!r}")
-    if int(k) < 1:
-        raise ConfigError(f"k={k} must be at least 1")
-    return _solve_blocks(h, min(int(k), h.total_dim), method, max_iters=max_iters)
+    k = min(_integer("k", k, 1), h.total_dim)
+    return _solve_blocks(h, k, method, max_iters=max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -687,14 +683,14 @@ def filter_by_mean_photon(
 
     Raises:
         ConfigError: If the result lacks mean photon numbers (solve with
-            eigenvectors first).
+            eigenvectors first) or ``nbar_max`` is not a finite number.
     """
     if result.mean_photons is None:
         raise ConfigError(
             "filter_by_mean_photon requires mean photon numbers "
             "(solve with eigenvectors)"
         )
-    mask = result.mean_photons < float(nbar_max)
+    mask = result.mean_photons < _real("nbar_max", nbar_max)
     labels = None
     if result.labels is not None:
         labels = [lab for lab, keep in zip(result.labels, mask) if keep]
@@ -751,10 +747,7 @@ def track_levels(
         ConfigError: On empty input, missing eigenvectors, mixed layouts, or
             a floor outside [0, 1].
     """
-    if not 0.0 <= continuity_floor <= 1.0:
-        raise ConfigError(
-            f"continuity_floor must lie in [0, 1], got {continuity_floor!r}"
-        )
+    continuity_floor = _real("continuity_floor", continuity_floor, 0, 1)
     results = list(results)
     if not results:
         raise ConfigError("track_levels requires at least one result")

@@ -9,13 +9,16 @@ selection or configuration) is a :class:`ConfigError`, which is also a
 LAPACK argument and ``_tridiagonal_eigh``'s non-finite entry.  They report a
 defect of the package, not an input.
 
-:func:`_real` and :func:`_integer` are the package's one rule for numeric
-arguments: a finite real number, and an integer or a whole real number.
-Booleans, strings and fractions are refused as a :class:`ConfigError`.
+:func:`_integer`, :func:`_real` and :func:`_complex` are the package's one
+rule for numeric arguments: an integer or a whole real number, a finite real
+number, and a finite complex number, each within the optional bounds given.
+Booleans, strings, fractions and values out of bounds are refused as a
+:class:`ConfigError` naming the argument.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 
@@ -87,27 +90,48 @@ class PropagationError(SolverError):
 # ---------------------------------------------------------------------------
 
 
-def _real(what: str, value) -> float:
-    """``float(value)`` for a finite real number, else :class:`ConfigError`
-    naming ``what`` (strings and booleans are not numbers here)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+def _bound(what: str, value, lo, hi, above=-math.inf):
+    """``value`` if ``lo <= value <= hi`` and ``value > above``, else
+    :class:`ConfigError` naming ``what`` and the bound."""
+    if lo <= value <= hi and value > above:
+        return value
+    if hi < math.inf:
+        rule = f"lie in [{lo}, {hi}]"
+    else:
+        rule = f"be > {above}" if above > -math.inf else f"be >= {lo}"
+    raise ConfigError(f"{what} must {rule}, got {value!r}")
+
+
+def _number(what: str, value, kind, convert):
+    """``convert(value)`` for a finite number of the ABC ``kind``, else
+    :class:`ConfigError` (strings and booleans are not numbers here)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
-        value = float(value)
+        value = convert(value)
     except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
+        value = convert(math.inf)
+    if not cmath.isfinite(value):
         raise ConfigError(f"{what} must be finite, got {value!r}")
     return value
 
 
-def _integer(what: str, value) -> int:
-    """``int(value)`` for an integer or a whole real number (``3.0`` is 3),
-    else :class:`ConfigError` naming ``what``: booleans, strings and
-    fractional numbers are refused."""
-    if not isinstance(value, bool):
-        if isinstance(value, numbers.Integral):
-            return int(value)
-        if isinstance(value, numbers.Real) and float(value).is_integer():
-            return int(value)
+def _real(what: str, value, lo=-math.inf, hi=math.inf, above=-math.inf) -> float:
+    """``float(value)`` for a finite real number within the bounds."""
+    return _bound(what, _number(what, value, numbers.Real, float), lo, hi, above)
+
+
+def _complex(what: str, value) -> complex:
+    """``complex(value)`` for a finite number."""
+    return _number(what, value, numbers.Number, complex)
+
+
+def _integer(what: str, value, lo=-math.inf, hi=math.inf) -> int:
+    """``int(value)`` for an integer or a whole real number (``3.0`` is 3)
+    within the bounds; booleans and fractional numbers are refused."""
+    if not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        return _bound(what, int(value), lo, hi)
     raise ConfigError(f"{what} must be an integer, got {value!r}")

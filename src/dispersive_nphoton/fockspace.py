@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, _integer
 
 QUBIT = "qubit"
 OSCILLATOR = "oscillator"
@@ -78,16 +78,17 @@ class HilbertLayout:
     subsystems: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        subs = tuple((str(kind), int(dim)) for kind, dim in self.subsystems)
-        if not subs:
-            raise ConfigError("layout must contain at least one subsystem")
-        for kind, dim in subs:
+        subs = []
+        for kind, dim in self.subsystems:
             if kind not in _KINDS:
                 raise ConfigError(f"unknown subsystem kind {kind!r}")
+            dim = _integer(f"{kind} dimension", dim, 2)
             if kind == QUBIT and dim != 2:
                 raise ConfigError("qubit subsystems must have dimension 2")
-            if kind == OSCILLATOR and dim < 2:
-                raise ConfigError("oscillator truncation dimension must be >= 2")
+            subs.append((str(kind), dim))
+        subs = tuple(subs)
+        if not subs:
+            raise ConfigError("layout must contain at least one subsystem")
         total = math.prod(dim for _, dim in subs)
         if total > MAX_TOTAL_DIM:
             raise CapacityError(
@@ -143,19 +144,12 @@ class HilbertLayout:
             )
         index = 0
         for occ, (kind, dim) in zip(occupations, self.subsystems):
-            occ = int(occ)
-            if not 0 <= occ < dim:
-                raise ConfigError(
-                    f"occupation {occ} out of range for {kind} of dimension {dim}"
-                )
-            index = index * dim + occ
+            index = index * dim + _integer(f"{kind} occupation", occ, 0, dim - 1)
         return index
 
     def basis_occupations(self, index: int) -> tuple[int, ...]:
         """Inverse of :meth:`basis_index`."""
-        index = int(index)
-        if not 0 <= index < self.total_dim:
-            raise ConfigError(f"basis index {index} out of range")
+        index = _integer("basis index", index, 0, self.total_dim - 1)
         occs = []
         for _, dim in reversed(self.subsystems):
             occs.append(index % dim)
@@ -197,10 +191,8 @@ def qubit_oscillator_layout(n_qubits: int, truncs: Sequence[int]) -> HilbertLayo
         n_qubits: Number of qubit subsystems (placed first).
         truncs: Truncation dimension of each oscillator, in order.
     """
-    subs = tuple((QUBIT, 2) for _ in range(int(n_qubits))) + tuple(
-        (OSCILLATOR, int(t)) for t in truncs
-    )
-    return HilbertLayout(subs)
+    qubits = ((QUBIT, 2),) * _integer("number of qubits", n_qubits, 0)
+    return HilbertLayout(qubits + tuple((OSCILLATOR, t) for t in truncs))
 
 
 # ---------------------------------------------------------------------------
@@ -504,21 +496,13 @@ class SparseOperator:
 # ---------------------------------------------------------------------------
 
 
-def _oscillator_layout(dim: int) -> HilbertLayout:
-    return HilbertLayout(((OSCILLATOR, int(dim)),))
-
-
-def _qubit_layout() -> HilbertLayout:
-    return HilbertLayout(((QUBIT, 2),))
-
-
 def destroy(dim: int) -> SparseOperator:
     """Truncated annihilation operator with ``<j-1| a |j> = sqrt(j)``.
 
     Args:
         dim: Number of retained Fock levels (must be at least 2).
     """
-    layout = _oscillator_layout(dim)
+    layout = HilbertLayout(((OSCILLATOR, dim),))
     j = np.arange(1, layout.total_dim)
     return SparseOperator.from_coo(layout, j - 1, j, np.sqrt(j))
 
@@ -530,14 +514,14 @@ def create(dim: int) -> SparseOperator:
 
 def number(dim: int) -> SparseOperator:
     """Number operator ``diag(0, 1, ..., dim-1)``."""
-    layout = _oscillator_layout(dim)
+    layout = HilbertLayout(((OSCILLATOR, dim),))
     j = np.arange(layout.total_dim)
     return SparseOperator.from_coo(layout, j, j, j)
 
 
 def identity(dim: int, kind: str = OSCILLATOR) -> SparseOperator:
     """Identity operator on a single subsystem of the given kind."""
-    return _identity(HilbertLayout(((kind, int(dim)),)))
+    return _identity(HilbertLayout(((kind, dim),)))
 
 
 def _identity(layout: HilbertLayout) -> SparseOperator:
@@ -576,7 +560,7 @@ def pauli(which: str) -> SparseOperator:
             f"unknown qubit operator {which!r}; expected one of "
             f"{sorted(_PAULI_MATRICES)}"
         ) from None
-    return SparseOperator.from_dense(_qubit_layout(), mat)
+    return SparseOperator.from_dense(HilbertLayout(((QUBIT, 2),)), mat)
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +577,7 @@ def op_pow(a: SparseOperator, exponent: int) -> SparseOperator:
     the third power on), so such a result is re-symmetrized to keep the
     Hermiticity certificate.
     """
-    exponent = int(exponent)
-    if exponent < 0:
-        raise ConfigError("operator power requires a non-negative exponent")
+    exponent = _integer("operator power exponent", exponent, 0)
     if exponent == 0:
         return _identity(a.layout)
     result = a
@@ -627,9 +609,7 @@ def embed(
 
     factor_map: dict[int, SparseOperator] = {}
     for index, op in factors:
-        index = int(index)
-        if not 0 <= index < layout.n_subsystems:
-            raise ConfigError(f"subsystem index {index} out of range")
+        index = _integer("subsystem index", index, 0, layout.n_subsystems - 1)
         if index in factor_map:
             raise ConfigError(f"subsystem index {index} appears more than once")
         if not isinstance(op, SparseOperator):
@@ -668,10 +648,8 @@ def guard_band_mask(
         order: Number of quanta moved per operator application.
         band: Number of nested applications to protect against (default 2).
     """
-    order = int(order)
-    band = int(band)
-    if order < 0 or band < 0:
-        raise ConfigError("order and band must be non-negative")
+    order = _integer("guard band order", order, 0)
+    band = _integer("guard band band", band, 0)
     occs = layout.occupation_vectors()
     mask = np.ones(layout.total_dim, dtype=bool)
     for i in layout.oscillator_indices:

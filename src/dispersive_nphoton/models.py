@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -61,6 +62,10 @@ ALL_MODELS = tuple(dict.fromkeys(m for ms in MODELS_BY_TOPOLOGY.values() for m i
 #: Single-topology models whose unstabilized levels
 #: :func:`.analytic.dispersive_level` describes.
 CLOSED_FORM_MODELS = ("nR", "nJC", "dispersive")
+
+#: Sweep variables: ``g`` (every coupling strength), ``g<i>`` (strength of
+#: qubit or coupling ``i``, in ASCII digits) and ``eta`` (stabilizer strength).
+_SWEEP_VARIABLE = re.compile(r"g([0-9]*)|eta")
 
 #: Interaction kind of every exact model; ``dispersive`` is the other path.
 _EXACT_KINDS = {
@@ -112,12 +117,8 @@ class QubitSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega_q", _real("qubit frequency", self.omega_q))
-        object.__setattr__(self, "n", _integer("qubit coupling order n", self.n))
-        object.__setattr__(self, "g", _real("qubit coupling strength g", self.g))
-        if self.n < 1:
-            raise ConfigError("qubit coupling order n must be >= 1")
-        if self.g < 0:
-            raise ConfigError("qubit coupling strength g must be non-negative")
+        object.__setattr__(self, "n", _integer("qubit coupling order n", self.n, 1))
+        object.__setattr__(self, "g", _real("qubit coupling strength g", self.g, 0))
 
 
 @dataclass(frozen=True)
@@ -134,12 +135,10 @@ class OscillatorSpec:
     trunc: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", _real("oscillator frequency", self.omega))
-        object.__setattr__(self, "trunc", _integer("oscillator truncation", self.trunc))
-        if self.omega <= 0:
-            raise ConfigError("oscillator frequency must be positive")
-        if self.trunc < 2:
-            raise ConfigError("oscillator truncation must be >= 2")
+        omega = _real("oscillator frequency", self.omega, above=0)
+        object.__setattr__(self, "omega", omega)
+        trunc = _integer("oscillator truncation", self.trunc, 2)
+        object.__setattr__(self, "trunc", trunc)
 
 
 @dataclass(frozen=True)
@@ -163,12 +162,8 @@ class CouplingSpec:
         object.__setattr__(
             self, "oscillator", _integer("coupling oscillator", self.oscillator)
         )
-        object.__setattr__(self, "n", _integer("coupling order n", self.n))
-        object.__setattr__(self, "g", _real("coupling strength g", self.g))
-        if self.n < 1:
-            raise ConfigError("coupling order n must be >= 1")
-        if self.g < 0:
-            raise ConfigError("coupling strength g must be non-negative")
+        object.__setattr__(self, "n", _integer("coupling order n", self.n, 1))
+        object.__setattr__(self, "g", _real("coupling strength g", self.g, 0))
 
 
 @dataclass(frozen=True)
@@ -191,25 +186,21 @@ class StabilizerSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "form", str(self.form))
-        object.__setattr__(self, "eta", _real("stabilizer strength eta", self.eta))
+        object.__setattr__(self, "eta", _real("stabilizer strength eta", self.eta, 0))
         if self.m is not None:
-            object.__setattr__(self, "m", _integer("stabilizer power m", self.m))
+            object.__setattr__(self, "m", _integer("stabilizer power m", self.m, 1))
         if self.form not in STABILIZER_FORMS:
             raise ConfigError(
                 f"stabilizer form must be one of {STABILIZER_FORMS}, "
                 f"got {self.form!r}"
             )
-        if self.eta < 0:
-            raise ConfigError("stabilizer strength eta must be non-negative")
-        if self.m is not None and self.m < 1:
-            raise ConfigError("stabilizer power m must be >= 1")
 
     def power(self, n: int) -> int:
         """Effective power ``m`` for interaction order ``n``."""
         if self.m is not None:
             return self.m
         if self.form == "number_power":
-            return n // 2 + 1
+            return _integer("coupling order n", n, 1) // 2 + 1
         raise ConfigError(
             "full_position_power stabilizer requires an explicit even power m"
         )
@@ -263,14 +254,10 @@ class SystemSpec:
                     f"{self.topology!r} topologies; leave the list empty"
                 )
         else:
-            seen = set()
+            seen, modes = set(), len(self.oscillators)
             for c in self.couplings:
-                if not 0 <= c.qubit < len(self.qubits):
-                    raise ConfigError(f"coupling references missing qubit {c.qubit}")
-                if not 0 <= c.oscillator < len(self.oscillators):
-                    raise ConfigError(
-                        f"coupling references missing oscillator {c.oscillator}"
-                    )
+                _integer("coupling qubit", c.qubit, 0, len(self.qubits) - 1)
+                _integer("coupling oscillator", c.oscillator, 0, modes - 1)
                 if c.oscillator in seen:
                     raise ConfigError(
                         f"oscillator {c.oscillator} has more than one coupling"
@@ -320,7 +307,7 @@ class SystemSpec:
 
     def qubit_params(self, index: int = 0) -> DispersiveParams:
         """Dispersive parameters of qubit ``index`` against oscillator 0."""
-        q = self.qubits[index]
+        q = self.qubits[_integer("qubit index", index, 0, len(self.qubits) - 1)]
         return DispersiveParams.from_frequencies(
             q.omega_q, q.n, q.g, self.oscillators[0].omega
         )
@@ -397,16 +384,31 @@ class SystemSpec:
         return cls.from_json(text)
 
 
-def with_swept(spec: SystemSpec, var: str, value: float) -> SystemSpec:
-    """Copy of ``spec`` with one sweep variable replaced.
-
-    Supported variables: ``"g"`` (every coupling strength), ``"g<i>"``
-    (strength of qubit/coupling ``i``), ``"eta"`` (stabilizer strength).
+def _sweep_index(var: str) -> Optional[int]:
+    """``i`` of the sweep variable ``g<i>`` (see ``_SWEEP_VARIABLE``), None
+    for ``g`` and ``eta``.
 
     Raises:
-        ConfigError: For an unknown variable or a missing target.
+        ConfigError: For any other variable.
     """
-    value = float(value)
+    match = isinstance(var, str) and _SWEEP_VARIABLE.fullmatch(var)
+    if not match:
+        raise ConfigError(
+            f"unknown sweep variable {var!r}; expected 'g', 'g<i>', or 'eta'"
+        )
+    return int(match[1]) if match[1] else None
+
+
+def with_swept(spec: SystemSpec, var: str, value: float) -> SystemSpec:
+    """Copy of ``spec`` with the sweep variable ``var`` (see
+    ``_SWEEP_VARIABLE``) set to ``value``, which the replaced spec field
+    checks.
+
+    Raises:
+        ConfigError: For an unknown variable, a missing target or a value
+            the field refuses.
+    """
+    idx = _sweep_index(var)
     if var == "eta":
         if spec.stabilizer is None:
             raise ConfigError("sweep variable 'eta' requires a stabilizer")
@@ -419,20 +421,12 @@ def with_swept(spec: SystemSpec, var: str, value: float) -> SystemSpec:
             dataclasses.replace(c, g=value) for c in spec.couplings
         )
         return dataclasses.replace(spec, qubits=qubits, couplings=couplings)
-    if var.startswith("g") and var[1:].isdigit():
-        idx = int(var[1:])
-        if spec.topology == "multimode":
-            if not 0 <= idx < len(spec.couplings):
-                raise ConfigError(f"sweep variable {var!r}: no coupling {idx}")
-            couplings = list(spec.couplings)
-            couplings[idx] = dataclasses.replace(couplings[idx], g=value)
-            return dataclasses.replace(spec, couplings=tuple(couplings))
-        if not 0 <= idx < len(spec.qubits):
-            raise ConfigError(f"sweep variable {var!r}: no qubit {idx}")
-        qubits = list(spec.qubits)
-        qubits[idx] = dataclasses.replace(qubits[idx], g=value)
-        return dataclasses.replace(spec, qubits=tuple(qubits))
-    raise ConfigError(f"unknown sweep variable {var!r}")
+    field = "couplings" if spec.topology == "multimode" else "qubits"
+    entries = list(getattr(spec, field))
+    if idx >= len(entries):
+        raise ConfigError(f"sweep variable {var!r}: no {field[:-1]} {idx}")
+    entries[idx] = dataclasses.replace(entries[idx], g=value)
+    return dataclasses.replace(spec, **{field: tuple(entries)})
 
 
 # ---------------------------------------------------------------------------

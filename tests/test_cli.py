@@ -69,6 +69,18 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_with_out(tmp_path, argv):
+    """:func:`run_cli` with ``--out`` for a command that takes it; for a
+    refused run, the output file must not exist afterwards."""
+    out_path = tmp_path / "refused.csv"
+    if argv[0] not in ("critical-nph", "dressed-freq"):
+        argv = [*argv, "--out", str(out_path)]
+    code, out, err = run_cli(argv)
+    if code == 2:
+        assert not out_path.exists()
+    return code, out, err
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -592,9 +604,9 @@ class TestExitCodes:
         assert {row[1] for row in rows[:-1]} == {"0"}
         assert rows[-1] == ["g", "0.02", "", "", "", "", "", "", "1", "0"]
 
-    def test_coeff_table_n_max_below_one_exits_2(self):
-        code, out, err = run_cli(["coeff-table", "--n-max", "0"])
-        assert (code, out, err) == (2, "", "error: --n-max must be >= 1\n")
+    def test_coeff_table_n_max_below_one_exits_2(self, tmp_path):
+        code, out, err = run_with_out(tmp_path, ["coeff-table", "--n-max", "0"])
+        assert (code, out, err) == (2, "", "error: --n-max must be >= 1, got 0\n")
 
     def test_first_grid_point_raises_config_errors(self, tmp_path):
         # The unswept model is not built up front; the workers' first build
@@ -629,12 +641,13 @@ class TestExitCodes:
     )
     def test_num_levels_below_one_exits_2(self, tmp_path, command, extra):
         cfg = write_config(tmp_path, SINGLE)
-        code, out, err = run_cli(
-            [command, "--config", cfg, "--model", "nR", *extra]
+        code, out, err = run_with_out(
+            tmp_path, [command, "--config", cfg, "--model", "nR", *extra]
         )
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "num-levels" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("max_iters", ["0", "-5"])
     @pytest.mark.parametrize(
@@ -647,13 +660,15 @@ class TestExitCodes:
     )
     def test_max_iters_below_one_exits_2(self, tmp_path, command, extra, max_iters):
         cfg = write_config(tmp_path, SINGLE)
-        code, out, err = run_cli(
+        code, out, err = run_with_out(
+            tmp_path,
             [command, "--config", cfg, "--model", "nR", "--max-iters", max_iters]
-            + extra
+            + extra,
         )
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "max-iters" in err
+        assert err.count("\n") == 1
 
     # The ids keep the test names stable across versions of the suite.
     @pytest.mark.parametrize("flag", ["0", "-3"], ids=["0-None", "-3-None"])
@@ -668,7 +683,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path, SINGLE)
         argv = ["spectrum", "--config", cfg, "--model", "nR", "-k", "2"]
         argv += ["--sweep", "g:0:0.02:3"]
-        code, out, err = run_cli(argv + ["--threads", flag])
+        code, out, err = run_with_out(tmp_path, argv + ["--threads", flag])
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
@@ -914,18 +929,19 @@ class TestDynamicsCommand:
     )
     def test_rejects_bad_run_parameters(self, tmp_path, extra):
         cfg = write_config(tmp_path, DYN)
-        code, out, err = run_cli(
+        code, out, err = run_with_out(
+            tmp_path,
             [
                 "dynamics",
                 "--config", cfg,
                 "--model", "nR",
                 "--state", "bell",
                 *extra,
-            ]
+            ],
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestEffectiveTwoQubit:
@@ -972,6 +988,8 @@ class TestScalarInputValidation:
             ([*DYNAMICS_BELL, "--local-tol", "nan"], DYN),
             ([*DRESSED_FREQ, "--n", "2", "--g", "-1"], None),
             ([*DRESSED_FREQ, "--n", "0", "--g", "0.01"], None),
+            (["critical-nph", "--n", "0", "--g", "0.01", "--delta", "0.5"], None),
+            ([*DRESSED_FREQ, "--n", "2", "--g", "0.01", "--omega-o", "0"], None),
         ],
         ids=[
             "dressed-alpha-negative",
@@ -987,15 +1005,30 @@ class TestScalarInputValidation:
             "dynamics-local-tol-nan",
             "dressed-g-negative",
             "dressed-n-0",
+            "critical-n-0",
+            "dressed-omega-o-0",
         ],
     )
     def test_invalid_input_exits_2(self, tmp_path, argv, config):
         if config is not None:
             argv = [*argv, "--config", write_config(tmp_path, config)]
-        code, out, err = run_cli(argv)
+        code, out, err = run_with_out(tmp_path, argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    # "²" and "٠" pass str.isdigit, but a sweep index is ASCII digits only.
+    @pytest.mark.parametrize("var", ["g²", "g٠"])
+    @pytest.mark.parametrize("command", ["spectrum", "levels"])
+    def test_sweep_index_of_non_ascii_digits_exits_2(self, tmp_path, command, var):
+        argv = [command, "--model", "nR", "--sweep", f"{var}:0:0.1:2"]
+        argv += ["--config", write_config(tmp_path, SINGLE)]
+        code, out, err = run_with_out(tmp_path, argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: unknown sweep variable {var!r}; "
+            "expected 'g', 'g<i>', or 'eta'\n"
+        )
 
 
 NAN_G = {**SINGLE, "qubits": [{**SINGLE["qubits"][0], "g": float("nan")}]}
@@ -1022,6 +1055,7 @@ class TestNonFiniteInputs:
             ([*LEVELS, "--physical-scale", "inf"], SINGLE),
             ([*SPECTRUM, "--nbar-max", "nan"], SINGLE),
             ([*LEVELS, "--continuity-floor", "nan"], SINGLE),
+            (["critical-nph", "--n", "2", "--g", "0.01", "--omega-q", "nan"], None),
         ],
         ids=[
             "critical-g-nan",
@@ -1037,12 +1071,13 @@ class TestNonFiniteInputs:
             "levels-physical-scale-inf",
             "spectrum-nbar-max-nan",
             "levels-continuity-floor-nan",
+            "critical-omega-q-nan",
         ],
     )
     def test_exits_2(self, tmp_path, argv, config):
         if config is not None:
             argv = [*argv, "--config", write_config(tmp_path, config)]
-        code, out, err = run_cli(argv)
+        code, out, err = run_with_out(tmp_path, argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "finite" in err
@@ -1069,7 +1104,7 @@ class TestStepCountBound:
             argv += ["--state", "bell", "--t-end", "1", "--steps", str(steps)]
         else:
             argv += ["--sweep", f"g:0:0.1:{steps}"]
-        code, out, err = run_cli(argv)
+        code, out, err = run_with_out(tmp_path, argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -1340,7 +1375,7 @@ class TestProvenanceRule:
 @pytest.mark.parametrize("floor", ["2", "-0.1"])
 def test_continuity_floor_outside_unit_interval_exits_2(tmp_path, floor):
     argv = [*LEVELS, "--continuity-floor", floor, "--config"]
-    code, out, err = run_cli([*argv, write_config(tmp_path, SINGLE)])
+    code, out, err = run_with_out(tmp_path, [*argv, write_config(tmp_path, SINGLE)])
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "[0, 1]" in err

@@ -181,7 +181,7 @@ class TestReorderingRows:
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_commutator_poly_needs_positive_order(n):
-    with pytest.raises(ValueError, match="n >= 1"):
+    with pytest.raises(ValueError, match=f"commutator_poly n must be >= 1, got {n}"):
         commutator_poly(n)
 
 

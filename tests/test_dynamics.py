@@ -269,7 +269,7 @@ class TestEvolve:
     def test_non_finite_time_rejected(self, t):
         spec = single(trunc=8)
         psi0 = basis_state(spec.layout(), (0, 0))
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="evolution time t must be finite"):
             evolve(build_model(spec, "nR"), psi0, t)
 
     @pytest.mark.parametrize("krylov_dim", [1, 0, -3])
@@ -344,7 +344,7 @@ class TestPropagatorStep:
     def test_non_finite_time_refused(self, t):
         spec = single(trunc=8)
         step = dynamics.propagator(build_model(spec, "nR"), 30, 1e-10)
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="evolution time t must be finite"):
             step(basis_state(spec.layout(), (0, 0)), t)
 
 

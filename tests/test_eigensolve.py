@@ -273,7 +273,7 @@ class TestSolveLowest:
     @pytest.mark.parametrize("k", [0, -3])
     def test_rejects_k_below_one(self, method, k):
         h = build_model(single(trunc=8), "nR")
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
             solve_lowest(h, k, method)
 
     @pytest.mark.parametrize("method", ["auto", "dense", "lanczos"])
@@ -1354,23 +1354,23 @@ class TestErrorTaxonomy:
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda: destroy(1), "oscillator truncation dimension must be >= 2"),
+            (lambda: destroy(1), "oscillator dimension must be >= 2, got 1"),
             (lambda: HilbertLayout(()), "layout must contain at least one subsystem"),
-            (lambda: stirling2(-1, 0), "stirling2 index (n=-1, k=0) out of range"),
+            (lambda: stirling2(-1, 0), "stirling2 n must be >= 0, got -1"),
             (
                 lambda: critical_photon_number(0, 0.1, 1.0),
-                "coupling order n must be >= 1",
+                "coupling order n must be >= 1, got 0",
             ),
             (
                 lambda: DispersiveParams.from_frequencies(2.5, 2, -0.1),
-                "coupling strength g must be non-negative",
+                "coupling strength g must be >= 0, got -0.1",
             ),
             (
                 lambda: coherent_state(float("nan"), 10),
                 "coherent amplitude must be finite, got (nan+0j)",
             ),
             (lambda: propagator(number(4), 1, 1e-10), "krylov_dim must be >= 2, got 1"),
-            (lambda: solve_lowest(number(4), 0), "k=0 must be at least 1"),
+            (lambda: solve_lowest(number(4), 0), "k must be >= 1, got 0"),
             (lambda: track_levels([]), "track_levels requires at least one result"),
         ],
         ids=[

@@ -170,7 +170,7 @@ class TestSpecValidation:
     def test_refusals_pinned_by_message(self):
         cases = [
             (lambda: CouplingSpec(0, 0, 0, 0.1), "coupling order n must be >= 1"),
-            (lambda: CouplingSpec(0, 0, 1, -0.1), "strength g must be non-negative"),
+            (lambda: CouplingSpec(0, 0, 1, -0.1), "strength g must be >= 0, got -0.1"),
             (lambda: StabilizerSpec("number_power", 0.1, m=0), "power m must be >= 1"),
             (
                 lambda: SystemSpec("single", (), (OscillatorSpec(1.0, 8),)),
