@@ -27,6 +27,14 @@ echo '{"topology": "multiqubit", "qubits": [{"omega_q": 8.0, "n": 2, "g": 0.02},
 python -c "import sys; from dispersive_nphoton import cli; code = cli.main(['spectrum', '--config', sys.argv[1], '--model', 'nDicke', '-k', '6', '--out', sys.argv[2]]); loaded = sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse'))); assert code == 0 and loaded == ['scipy.linalg._flapack'], (code, loaded)" "$dicke" "$tmp/dicke.csv"
 # Lanczos blocks run on NumPy CSR arrays: no scipy.sparse module.
 python -c "import sys; from dispersive_nphoton import cli; code = cli.main(['spectrum', '--config', sys.argv[1], '--model', 'nR', '-k', '6', '--method', 'lanczos', '--out', sys.argv[2]]); bad = sorted(m for m in sys.modules if m.startswith('scipy.sparse')); assert code == 0 and not bad, (code, bad)" "$chains" "$tmp/chains_lanczos.csv"
+# Lanczos reaches the levels of nDicke with two identical qubits that are
+# antisymmetric under their swap: its 12 lowest agree with dense within 1e-9.
+twins="$tmp/twins.json"
+echo '{"topology": "multiqubit", "qubits": [{"omega_q": 8.0, "n": 2, "g": 0.02}, {"omega_q": 8.0, "n": 2, "g": 0.02}], "oscillators": [{"trunc": 300}]}' > "$twins"
+for method in lanczos dense; do
+  dn spectrum --config "$twins" --model nDicke -k 12 --method "$method" --out "$tmp/twins_$method.csv"
+done
+paste -d, "$tmp/twins_lanczos.csv" "$tmp/twins_dense.csv" | awk -F, 'NR > 2 { rows++; d = $5 - $15; if (d > 1e-9 || d < -1e-9) bad++ } END { exit !(rows == 12 && bad == 0) }'
 dn spectrum --config "$cfg" --model nR -k 4
 dn dynamics --config "$cfg" --model nR --state bell --t-end 10 --steps 2
 big="$tmp/trunc400.json"

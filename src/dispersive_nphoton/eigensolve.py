@@ -24,10 +24,8 @@ photon number (:func:`filter_by_mean_photon`), and following levels
 through a parameter sweep by state overlap (:func:`track_levels`); both of
 these overlap matchings are one greedy assignment, :func:`_greedy_pairs`.
 
-Determinism: every routine here is free of randomness — the Lanczos start
-vector is the normalized all-ones vector of each block and breakdown
-restarts inject canonical basis vectors in index order — so repeated runs
-give bit-identical results.
+Determinism: each block's Lanczos start and restarts are draws of its own
+``numpy.random.default_rng(0)``, so its bits depend on that block alone.
 """
 
 from __future__ import annotations
@@ -500,30 +498,27 @@ def _lanczos(mat, k: int, tol: float, max_iters: int):
     connected block of at least two states (so it has a nonzero entry).
 
     Runs :func:`_lanczos_run` from one convergence check to the next.  An
-    exact breakdown restarts the recursion, which takes at least one step
-    before the next check, even when the breakdown fell on a check: its
-    beta of zero would pass any check.
+    exact breakdown restarts it from the next draw, and the restarted run
+    steps at least once before a check (its zero beta would pass any).
 
-    Returns ``(energies, states, converged)``; when the budget runs out,
-    ``converged`` is False and the pairs are the best available.
+    Returns ``(energies, states, converged)``; ``converged`` is False, and
+    the pairs the best available, when the budget runs out or a restart
+    draw is lost in the basis (short of ``dim`` steps: lost orthogonality).
     """
     dim = mat.shape[0]
     norm1 = _csr_one_norm(mat.indices, mat.data)
     floor = 1e-14 * norm1
     basis = np.empty((dim, min(max_iters + 1, max(2 * k + 16, 64))), dtype=mat.dtype)
-    basis[:, 0] = 1.0 / np.sqrt(dim)
     alphas, betas = [], []  # betas[i] links v_i and v_{i+1}
+    rng = np.random.default_rng(0)  # numpy.random loads here, not at start-up
 
-    def _restarts():
-        # Canonical basis vectors in index order, orthogonalized against the
-        # basis so far; those that keep enough norm are restart vectors.
-        for i in range(dim):
-            e = np.zeros(dim, dtype=mat.dtype)
-            e[i] = 1.0
-            e = _reorthogonalize(basis[:, : len(alphas)], e)
-            nrm = np.linalg.norm(e)
-            if nrm > 1e-8:
-                yield e / nrm
+    def _draw():
+        # The next Gaussian vector, orthogonalized against the basis and
+        # normalized; None when it keeps no more than 1e-8 of its norm.
+        e = rng.standard_normal(dim)
+        w = _reorthogonalize(basis[:, : len(alphas)], e)
+        nrm = np.linalg.norm(w)
+        return w / nrm if nrm > 1e-8 * np.linalg.norm(e) else None
 
     def _result(converged: bool):
         vals, small = _tridiagonal_eigh(alphas, betas, k)
@@ -531,7 +526,7 @@ def _lanczos(mat, k: int, tol: float, max_iters: int):
         states /= np.linalg.norm(states, axis=0, keepdims=True)
         return vals, states, converged
 
-    restarts = _restarts()
+    basis[:, 0] = _draw()
     next_check = min(max_iters, max(k + 2, 20))
     while True:
         steps = min(next_check, dim)
@@ -546,11 +541,11 @@ def _lanczos(mat, k: int, tol: float, max_iters: int):
         if m >= dim:  # the recursion spans the space: T is exact
             return _result(True)
         if betas[-1] <= floor:
-            # Exact invariant subspace: decouple and restart deterministically.
+            # Exact invariant subspace: decouple and restart from a new draw.
             betas[-1] = 0.0
-            start = None if m >= max_iters else next(restarts, None)
+            start = None if m >= max_iters else _draw()
             if start is None:
-                return _result(m < max_iters)
+                return _result(False)
         else:
             # Converged once every requested Ritz residual |beta_m s_mi| is
             # within tol of the 1-norm.
@@ -573,8 +568,8 @@ def eigs_lowest(
 
     Every block above one state runs Lanczos for its lowest ``min(k, s)``
     pairs, chain or not (the ``"lanczos"`` rule of :func:`_block_eigh`).
-    The start vector is the block's normalized all-ones vector, and an exact
-    breakdown restarts from canonical basis vectors in index order.
+    Each block's start and restarts are draws of its own
+    ``numpy.random.default_rng(0)``, so its bits depend on that block alone.
     Convergence requires every requested Ritz residual ``|beta_m s_{m,i}|``
     to fall below ``tol`` times the block's 1-norm.
 

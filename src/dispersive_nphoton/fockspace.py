@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, _integer
+from .errors import CapacityError, ConfigError, _complex, _integer
 
 QUBIT = "qubit"
 OSCILLATOR = "oscillator"
@@ -455,6 +455,7 @@ class SparseOperator:
     def __mul__(self, scalar) -> "SparseOperator":
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
+        _complex("operator factor", scalar)
         return SparseOperator(self.layout, self.entries * scalar)
 
     __rmul__ = __mul__
@@ -462,6 +463,8 @@ class SparseOperator:
     def __truediv__(self, scalar) -> "SparseOperator":
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
+        if _complex("operator divisor", scalar) == 0:
+            raise ConfigError(f"operator divisor must be nonzero, got {scalar!r}")
         return SparseOperator(self.layout, self.entries / scalar)
 
     def __neg__(self) -> "SparseOperator":

@@ -1678,15 +1678,16 @@ class TestImportHygiene:
         ids=["levels-nJC", "dynamics-nR", "spectrum-chains"],
     )
     def test_runs_do_not_load_numpy_ma(self, tmp_path, argv, payload):
+        # Nor numpy.random, which only a Lanczos block loads.
         probe = (
             "import contextlib, io, sys\n"
             "from dispersive_nphoton import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = cli.main(sys.argv[1:])\n"
-            "print(code, 'numpy.ma' in sys.modules)"
+            "print(code, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules)"
         )
         argv = [*argv, "--config", write_config(tmp_path, payload)]
-        assert self._probe(probe, argv).split() == ["0", "False"]
+        assert self._probe(probe, argv).split() == ["0", "False", "False"]
 
     def _probe(self, probe, argv=()):
         """Standard output of ``python -c probe *argv`` in a fresh interpreter."""

@@ -130,28 +130,68 @@ class TestLanczos:
         assert np.max(np.abs(low.energies - dense.energies[:10])) <= 1e-9 * scale
         assert residuals(h, low).max() <= 1e-8 * max(1.0, h.one_norm())
 
-    def test_breakdown_restart_finds_other_invariant_subspace(self):
-        # sigma_x (x) 1: the all-ones start vector is an exact +1 eigenvector,
-        # so the first Krylov step breaks down having seen only half the
-        # spectrum; the deterministic restart must still reach the -1 branch.
+    @staticmethod
+    def _spy_runs(monkeypatch):
+        """Record ``(steps asked, steps taken, broke down)`` of every call of
+        :func:`eigensolve._lanczos_run`."""
+        runs, real = [], eigensolve._lanczos_run
+
+        def spy(mat, basis, alphas, betas, steps, floor, shift):
+            w = real(mat, basis, alphas, betas, steps, floor, shift)
+            runs.append((steps, len(alphas), betas[-1] <= floor))
+            return w
+
+        monkeypatch.setattr(eigensolve, "_lanczos_run", spy)
+        return runs
+
+    @staticmethod
+    def _first_draw(monkeypatch, start):
+        """Make ``start`` the first draw of every block's generator; the
+        later draws are those of ``default_rng(0)``."""
+        real = np.random.default_rng
+
+        def default_rng(seed):
+            gen, first = real(seed), [np.asarray(start, dtype=float)]
+
+            def standard_normal(n):
+                return first.pop() if first else gen.standard_normal(n)
+
+            return SimpleNamespace(standard_normal=standard_normal)
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+
+    def test_breakdown_restart_finds_other_invariant_subspace(self, monkeypatch):
+        # sigma_x (x) 1: four blocks of two states.  The all-ones start of
+        # each is an exact +1 eigenvector, so the first Krylov step breaks
+        # down having seen only half the block; the restart must still reach
+        # the -1 branch.
         layout = qubit_oscillator_layout(1, [4])
         h = embed(layout, [(0, pauli("x"))])
+        self._first_draw(monkeypatch, np.ones(2))
+        runs = self._spy_runs(monkeypatch)
         res = eigs_lowest(h, 2)
         np.testing.assert_allclose(res.energies, [-1.0, -1.0], atol=1e-12)
+        assert runs[0::2] == [(2, 1, True)] * 4
 
-    def test_degenerate_diagonal_via_restarts(self):
-        layout = qubit_oscillator_layout(1, [3])
-        h = SparseOperator.from_dense(layout, np.diag([0.0, 0, 1, 1, 2, 2]))
+    def test_degenerate_diagonal_via_restarts(self, monkeypatch):
+        # One connected block, the 6-cycle with hopping -1: its levels -2,
+        # -1, -1, 1, 1, 2 hold two degenerate pairs, so one start spans at
+        # most 4 of them.  The recursion breaks down at step 4, and the
+        # restart finds the second copy of -1.
+        full = -(np.roll(np.eye(6), 1, axis=1) + np.roll(np.eye(6), -1, axis=1))
+        h = SparseOperator.from_dense(qubit_oscillator_layout(1, [3]), full)
+        runs = self._spy_runs(monkeypatch)
         res = eigs_lowest(h, 4)
-        np.testing.assert_allclose(res.energies, [0, 0, 1, 1], atol=1e-12)
+        np.testing.assert_allclose(res.energies, [-2, -1, -1, 1], atol=1e-12)
+        assert runs[0][1:] == (4, True)
 
     @staticmethod
     def _paired_path(pairs):
         # Pairs (2j, 2j + 1), each linked by 3.0; each half carries the same
         # path with unequal hoppings and there is no diagonal, so both rows of
-        # a pair sum in the same order.  The all-ones start stays exactly
-        # symmetric under the swap of the halves, and the recursion breaks
-        # down at step ``pairs``.
+        # a pair sum in the same order.  From the all-ones start the
+        # recursion stays exactly symmetric under the swap of the halves, and
+        # it breaks down at step ``pairs``.
         dim = 2 * pairs
         full = np.zeros((dim, dim))
         for j in range(pairs - 1):
@@ -168,24 +208,31 @@ class TestLanczos:
         assert min(betas[:-1]) > 0.1 and betas[-1] <= 1e-30
         return h, full
 
-    def test_exact_breakdown_on_first_check(self):
-        # The breakdown falls on step 20, the first convergence check.  The
-        # restarted recursion has beta = 0 there; checked at once, it would
-        # pass.
+    def test_exact_breakdown_on_first_check(self, monkeypatch):
+        # From the all-ones start the breakdown falls on step 20, the first
+        # convergence check.  The restarted recursion has beta = 0 there;
+        # checked at once, it would pass.
         h, full = self._paired_path(20)
+        self._first_draw(monkeypatch, np.ones(40))
+        runs = self._spy_runs(monkeypatch)
         res = eigs_lowest(h, 3)
         want = np.linalg.eigvalsh(full)[:3]
         assert np.max(np.abs(res.energies - want)) <= 1e-12
+        assert runs[0] == (20, 20, True)
 
-    def test_exact_breakdown_on_check_at_full_basis(self):
+    def test_exact_breakdown_on_check_at_full_basis(self, monkeypatch):
         # At k = 27 the basis starts with 2k + 16 = 70 columns and the checks
-        # fall at steps 29, 49 and 69, so the breakdown on step 69 restarts
-        # in the last column.  The restarted recursion takes one step before
-        # its check, and the column after that step needs a larger basis.
+        # fall at steps 29, 49 and 69, so from the all-ones start the
+        # breakdown on step 69 restarts in the last column.  The restarted
+        # recursion takes one step before its check, and the column after
+        # that step needs a larger basis.
         h, full = self._paired_path(69)
+        self._first_draw(monkeypatch, np.ones(138))
+        runs = self._spy_runs(monkeypatch)
         res = eigs_lowest(h, 27)
         want = np.linalg.eigvalsh(full)[:27]
         assert np.max(np.abs(res.energies - want)) <= 1e-12
+        assert runs[:3] == [(29, 29, False), (49, 49, False), (69, 69, True)]
 
     def test_iteration_limit_carries_partial(self):
         h = build_model(single(trunc=100), "nR")
@@ -195,22 +242,104 @@ class TestLanczos:
         assert isinstance(partial, SpectrumResult)
         assert 1 <= partial.k <= 6
 
-    #: A star of three states.  From the all-ones start the recursion spans
-    #: the invariant plane of -sqrt(2) and +sqrt(2) in two steps; the third
-    #: level, 0 on (0, 1, -1), is orthogonal to the start.
-    STAR = [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+    #: A star of four states, a centre and three leaves: its levels are
+    #: -sqrt(3), 0, 0 and sqrt(3).  Any one start spans at most three Krylov
+    #: directions, one of them in the degenerate level 0, so the recursion
+    #: breaks down at step 3 with one 0 missed.
+    STAR = [[0.0, 1.0, 1.0, 1.0], [1.0, 0, 0, 0], [1.0, 0, 0, 0], [1.0, 0, 0, 0]]
 
-    def test_breakdown_at_the_budget(self):
-        h = SparseOperator.from_dense(HilbertLayout((("oscillator", 3),)), self.STAR)
-        with pytest.raises(IterationLimitError, match="within 2 iterations") as info:
-            eigs_lowest(h, 2, max_iters=2)
+    def test_breakdown_at_the_budget(self, monkeypatch):
+        h = SparseOperator.from_dense(HilbertLayout((("oscillator", 4),)), self.STAR)
+        runs = self._spy_runs(monkeypatch)
+        with pytest.raises(IterationLimitError, match="within 3 iterations") as info:
+            eigs_lowest(h, 3, max_iters=3)
+        assert runs == [(3, 3, True)]
         partial = info.value.partial
-        root2 = np.sqrt(2.0)
-        np.testing.assert_allclose(partial.energies, [-root2, root2], atol=1e-14)
-        assert np.abs(partial.energies).min() > 1.0  # the level 0 is missed
-        res = eigs_lowest(h, 2, max_iters=3)  # restarts and finds it
-        np.testing.assert_allclose(res.energies, [-root2, 0.0], atol=1e-14)
+        root3 = np.sqrt(3.0)
+        np.testing.assert_allclose(partial.energies, [-root3, 0, root3], atol=1e-14)
+        res = eigs_lowest(h, 3, max_iters=4)  # restarts and finds the other 0
+        np.testing.assert_allclose(res.energies, [-root3, 0, 0], atol=1e-14)
         assert residuals(h, res).max() <= 1e-14
+
+    def test_failed_restart_draw_is_not_converged(self, monkeypatch):
+        # From the all-ones start the recursion spans the plane of -sqrt(3)
+        # and sqrt(3) and breaks down at step 2.  The restart draw
+        # (0, 1, 1, 1) lies in that plane and keeps none of its norm.  Two
+        # steps fall short of the block's four states, so the run must not
+        # report success.
+        h = SparseOperator.from_dense(HilbertLayout((("oscillator", 4),)), self.STAR)
+        draws = [np.array([0.0, 1, 1, 1]), np.ones(4)]
+        monkeypatch.setattr(
+            np.random,
+            "default_rng",
+            lambda seed: SimpleNamespace(standard_normal=lambda n: draws.pop()),
+        )
+        runs = self._spy_runs(monkeypatch)
+        with pytest.raises(IterationLimitError) as info:
+            eigs_lowest(h, 3)
+        assert runs == [(4, 2, True)] and not draws
+        root3 = np.sqrt(3.0)
+        np.testing.assert_allclose(info.value.partial.energies, [-root3, root3])
+
+    @pytest.mark.parametrize("method", ["lanczos", "auto"])
+    def test_identical_qubits_dicke(self, monkeypatch, method):
+        # The swap of two identical qubits commutes with nDicke, so a start
+        # symmetric under it would never reach the antisymmetric levels.
+        h = build_model(identical_pair(), "nDicke")
+        dense = solve_lowest(h, 12, "dense")
+        # Swap parity <psi|P|psi> of each level: some are antisymmetric.
+        states = dense.states.reshape(2, 2, -1, 12)
+        parity = np.einsum("abmk,bamk->k", states.conj(), states).real
+        assert np.any(parity < -0.5)
+        monkeypatch.setattr(eigensolve, "DENSE_LIMIT", 100)
+        calls, lanczos = [], eigensolve._lanczos
+        monkeypatch.setattr(
+            eigensolve, "_lanczos", lambda *a: calls.append(1) or lanczos(*a)
+        )
+        res = solve_lowest(h, 12, method)
+        assert calls
+        assert np.max(np.abs(res.energies - dense.energies)) <= 1e-12
+
+    def test_block_bits_do_not_depend_on_other_blocks(self, monkeypatch):
+        # Each block draws from its own generator: the 90-state block gives
+        # the same bits after the 20-state block as alone.
+        h, small, _ = TestPerBlockPolicy._mixed_blocks()
+        large = np.setdiff1d(np.arange(110), small)
+        alone = SparseOperator.from_dense(
+            qubit_oscillator_layout(0, (90,)), h.toarray()[np.ix_(large, large)]
+        )
+        runs, lanczos = [], eigensolve._lanczos
+
+        def spy(mat, *args):
+            runs.append((mat.shape[0], lanczos(mat, *args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(eigensolve, "_lanczos", spy)
+        eigs_lowest(h, 6)
+        eigs_lowest(alone, 6)
+        assert [size for size, _ in runs] == [20, 90, 90]
+        (vals, states, converged), (vals_alone, states_alone, _) = (
+            out for _, out in runs[1:]
+        )
+        assert converged
+        assert np.array_equal(vals, vals_alone)
+        assert np.array_equal(states, states_alone)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="an exact degeneracy inside one connected block: one start "
+        "vector sees one copy of each level",
+    )
+    def test_degeneracy_inside_one_block(self):
+        # The path of 10 states times the triangle of hopping 3: dim 30, 20
+        # distinct levels, each of the 10 lowest doubly degenerate.  The run
+        # converges on one copy of each before any breakdown.
+        path = np.diag(np.ones(9), 1) + np.diag(np.ones(9), -1)
+        triangle = 3.0 * (np.ones((3, 3)) - np.eye(3))
+        full = np.kron(path, np.eye(3)) + np.kron(np.eye(10), triangle)
+        h = SparseOperator.from_dense(HilbertLayout((("oscillator", 30),)), full)
+        want = np.linalg.eigvalsh(full)[:3]
+        assert np.max(np.abs(eigs_lowest(h, 3).energies - want)) <= 1e-9
 
     def test_zero_operator(self):
         layout = qubit_oscillator_layout(1, [5])

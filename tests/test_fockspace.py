@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dispersive_nphoton import fockspace
-from dispersive_nphoton.errors import CapacityError
+from dispersive_nphoton.errors import CapacityError, ConfigError
 from dispersive_nphoton.fockspace import (
     HilbertLayout,
     SparseOperator,
@@ -156,6 +156,29 @@ class TestOperatorAlgebra:
         a = destroy(3)
         np.testing.assert_allclose((2 * a / 4).toarray(), 0.5 * a.toarray())
         np.testing.assert_allclose((-a).toarray(), -a.toarray())
+
+    @pytest.mark.parametrize(
+        "scalar", [np.float64(0.5), np.int64(2), np.complex128(1j), 3, 0.25j]
+    )
+    def test_scalars_of_any_number_type(self, scalar):
+        a = number(3)
+        np.testing.assert_array_equal((a * scalar).toarray(), a.toarray() * scalar)
+        np.testing.assert_array_equal((scalar * a).toarray(), a.toarray() * scalar)
+        np.testing.assert_array_equal((a / scalar).toarray(), a.toarray() / scalar)
+
+    @pytest.mark.parametrize(
+        "scalar", [float("nan"), float("inf"), complex(0, float("nan")), True, False]
+    )
+    def test_scalar_outside_the_number_rule(self, scalar):
+        a = number(3)
+        for scale in (lambda: a * scalar, lambda: scalar * a, lambda: a / scalar):
+            with pytest.raises(ConfigError, match="operator (factor|divisor)"):
+                scale()
+
+    @pytest.mark.parametrize("zero", [0, 0.0, np.float64(0.0), 0j])
+    def test_division_by_zero(self, zero):
+        with pytest.raises(ConfigError, match="divisor must be nonzero"):
+            number(3) / zero
 
     def test_layout_mismatch_raises(self):
         with pytest.raises(ValueError):
