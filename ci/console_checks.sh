@@ -7,9 +7,14 @@
 #
 # Every command runs `python -m dispersive_nphoton.cli`, the same `main` as the
 # installed `dispersive-nphoton` entry point.  Scratch files go to $RUNNER_TEMP,
-# or to a fresh temporary directory.
+# or to a fresh temporary directory that is removed on exit.
 set -eu
-tmp="${RUNNER_TEMP:-$(mktemp -d)}"
+if [ -n "${RUNNER_TEMP:-}" ]; then
+  tmp="$RUNNER_TEMP"
+else
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' EXIT
+fi
 dn() { python -m dispersive_nphoton.cli "$@"; }
 cfg="$tmp/single.json"
 echo '{"topology": "single", "qubits": [{"omega_q": 2.5, "n": 2, "g": 0.02}], "oscillators": [{"trunc": 8}]}' > "$cfg"
@@ -72,6 +77,9 @@ status_2() {
   test "$status" -eq 2
 }
 status_2 dn dynamics --config "$cfg" --model nR --state bell --t-end 10 --no-cross-k0
+# eigs_lowest alone sets the Lanczos budget: the CLI has no --max-iters.
+status_2 dn spectrum --config "$cfg" --model nR -k 4 --method lanczos --max-iters 3
+status_2 dn levels --config "$cfg" --model nR -k 4 --sweep g:0:0.02:2 --max-iters 3
 # One second-order answer: P(N) from k = 0 and the exact coherent moments.
 # The options that chose another are refused.
 pair="$tmp/pair.json"

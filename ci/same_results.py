@@ -107,9 +107,10 @@ CLI_RUNS = [
         for topology, models in MODELS_BY_TOPOLOGY.items()
         for model in models
     ),
-    ("max-iters-3", _sized(STABILIZED, 300),
-     ["spectrum", "--model", "nR", "-k", "6", "--method", "lanczos",
-      "--max-iters", "3"]),
+    # Fails on its own: two Krylov vectors need more substeps than allowed.
+    ("dynamics-krylov-dim-2", KRYLOV,
+     ["dynamics", "--model", "nR", "--state", "plus_coherent_2", "--t-end", "100",
+      "--steps", "2", "--krylov-dim", "2", "--out", "out.csv"]),
     ("dynamics-krylov-4200", KRYLOV,
      ["dynamics", "--model", "nR", "--state", "plus_coherent_2", "--t-end", "10",
       "--steps", "2", "--out", "out.csv"]),
@@ -169,7 +170,7 @@ def library_items():
         for k in (1, 6):
             yield f"eigs_lowest/{name}/k{k}", _spectrum(eigs_lowest(h, k))
         try:
-            result, status = solve_lowest(h, 6, "lanczos", max_iters=3), "ok"
+            result, status = eigs_lowest(h, 6, max_iters=3), "ok"
         except IterationLimitError as exc:
             result, status = exc.partial, "partial"
         yield f"max_iters_3/{name}/{status}", _spectrum(result)

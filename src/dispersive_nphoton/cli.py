@@ -15,9 +15,9 @@ Tabular output is CSV preceded by one comment line::
     # provenance: {"command": ..., "config": {...}, ...}
 
 holding a deterministic JSON record (sorted keys, no timestamps) of every
-parsed option except ``--out``, ``--threads`` and the hidden ``--max-iters``;
-``--config`` is replaced by the resolved configuration, which feeds back
-into :meth:`SystemSpec.from_dict`.  Floats are rendered with ``%.12g``,
+parsed option that can move an output byte, so every option but ``--out``
+and ``--threads``; ``--config`` is replaced by the resolved configuration,
+which feeds back into :meth:`SystemSpec.from_dict`.  Floats are rendered with ``%.12g``,
 booleans as ``0``/``1``, missing values as empty fields.
 
 ``spectrum`` and ``levels`` share one grid-point solve (build, solve, label,
@@ -135,13 +135,13 @@ def _fmt(value) -> str:
 def _provenance_line(
     args: argparse.Namespace, spec: Optional[SystemSpec] = None
 ) -> str:
-    """The ``# provenance:`` line of a run: every parsed option but four.
+    """The ``# provenance:`` line of a run: every parsed option but three.
 
     Left out are ``out`` and ``threads`` (the output bytes do not depend on
-    them), the hidden ``max_iters`` and the handler ``func``.  ``spec``, when
-    given, replaces the ``--config`` file name by the resolved configuration.
+    them) and the handler ``func``.  ``spec``, when given, replaces the
+    ``--config`` file name by the resolved configuration.
     """
-    left_out = ("out", "threads", "max_iters", "func")
+    left_out = ("out", "threads", "func")
     record = {k: v for k, v in vars(args).items() if k not in left_out}
     if spec is not None:
         record["config"] = spec.to_dict()
@@ -229,8 +229,6 @@ def _sweep_start(
     build raises the model's configuration errors.
     """
     _integer("-k/--num-levels", args.k, 1)
-    if args.max_iters is not None:
-        _integer("--max-iters", args.max_iters, 1)
     _real("--physical-scale", args.physical_scale)
     if getattr(args, extra) is not None:
         _real("--" + extra.replace("_", "-"), getattr(args, extra), *bounds)
@@ -252,7 +250,7 @@ def _solve_point(
     if name is not None:
         spec = with_swept(spec, name, value)
     h = build_model(spec, args.model, args.regime, args.squeezing)
-    return spec, solve_lowest(h, args.k, args.method, args.max_iters)
+    return spec, solve_lowest(h, args.k, args.method)
 
 
 def _closed_form_params(spec: SystemSpec, model: str) -> list:
@@ -593,7 +591,6 @@ def _add_sweep_command(sub, name: str, summary: str, sweep_required: bool):
         help="eigenpair method per block (auto: exact for chains and blocks "
         "up to %d states, Lanczos above)" % DENSE_LIMIT,
     )
-    p.add_argument("--max-iters", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument(
         "--physical-scale",
         type=float,

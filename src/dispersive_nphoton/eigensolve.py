@@ -252,9 +252,9 @@ def _block_eigh(
     energies, vectors)`` of a group of blocks of ``s`` states: ``rows[b]``
     holds block ``b``'s ascending basis indices, ``energies[b]`` its lowest
     energies and ``vectors[b]`` (``None`` without states) their ``(s, c)``
-    columns.  ``failed`` holds ``(lowest basis index, size, budget)`` of
-    each block whose Lanczos run did not converge.  The per-block solver
-    rule is stated here alone.  The size groups are walked once; each block
+    columns.  ``failed`` holds ``(lowest basis index, size, budget, steps
+    taken)`` of each block whose Lanczos run did not converge.  The
+    per-block solver rule is stated here alone.  The size groups are walked once; each block
     takes the first solver that fits:
 
     - up to ``_BATCH_MAX`` states: ``numpy.linalg.eigh``, batched per size;
@@ -313,9 +313,9 @@ def _block_eigh(
                 budget = max_iters or int(min(s, max(30 * keep, 2500)))
                 # The block's own entries: local[c] is each column's position.
                 sub = _CSR(indptr, local[c], v)
-                vals, vecs, converged = _lanczos(sub, keep, tol, budget)
+                vals, vecs, converged, steps = _lanczos(sub, keep, tol, budget)
                 if not converged:
-                    failed.append((rows[0, 0], s, budget))
+                    failed.append((rows[0, 0], s, budget, steps))
             else:
                 stack = np.zeros((len(group), s, s), dtype=mat.data.dtype)
                 stack[r // s, r % s, local[c]] = v
@@ -337,11 +337,11 @@ def _block_eigh(
 
 def _solve_blocks(h, k, method, want_states=True, tol=1e-10, max_iters=None):
     """Lowest ``k`` eigenpairs of ``h``: :func:`_block_eigh`, then
-    :func:`_merge_lowest`; a Lanczos block out of budget raises
-    ``IterationLimitError`` with the merged result as ``partial``.  Every
-    public solver comes here, so this alone refuses (``ConfigError``) an
-    operator that is not certified Hermitian, a ``tol`` that is not finite
-    and positive and ``max_iters < 1``."""
+    :func:`_merge_lowest`; a Lanczos block that did not converge raises
+    ``IterationLimitError``, naming the first one's cause, with the merged
+    result as ``partial``.  Every public solver comes here, so this alone
+    refuses (``ConfigError``) an operator that is not certified Hermitian,
+    a ``tol`` that is not finite and positive and ``max_iters < 1``."""
     if not h.hermitian:
         raise ConfigError("the eigensolvers require a certified-hermitian operator")
     tol = _real("tol", tol, above=0)
@@ -353,11 +353,13 @@ def _solve_blocks(h, k, method, want_states=True, tol=1e-10, max_iters=None):
     )
     result = _merge_lowest(h, parts, k, mat.data.dtype, want_states)
     if failed:
-        _, size, budget = min(failed)
+        _, size, budget, steps = min(failed)
+        cause = f"did not converge within {budget} iterations"
+        if steps < budget:
+            cause = f"lost a restart draw after {steps} of {budget} iterations"
         raise IterationLimitError(
-            f"Lanczos did not converge within {budget} iterations in "
-            f"{len(failed)} of {len(starts) - 1} blocks (first: {size} states; "
-            f"k={k}, dim={h.total_dim}, tol={tol:g})",
+            f"Lanczos {cause} in {len(failed)} of {len(starts) - 1} blocks "
+            f"(first: {size} states; k={k}, dim={h.total_dim}, tol={tol:g})",
             partial=result,
         )
     return result
@@ -501,9 +503,10 @@ def _lanczos(mat, k: int, tol: float, max_iters: int):
     exact breakdown restarts it from the next draw, and the restarted run
     steps at least once before a check (its zero beta would pass any).
 
-    Returns ``(energies, states, converged)``; ``converged`` is False, and
-    the pairs the best available, when the budget runs out or a restart
-    draw is lost in the basis (short of ``dim`` steps: lost orthogonality).
+    Returns ``(energies, states, converged, steps)``; ``converged`` is
+    False, and the pairs the best available, when the budget runs out or a
+    restart draw is lost in the basis (short of ``dim`` steps: lost
+    orthogonality).
     """
     dim = mat.shape[0]
     norm1 = _csr_one_norm(mat.indices, mat.data)
@@ -524,7 +527,7 @@ def _lanczos(mat, k: int, tol: float, max_iters: int):
         vals, small = _tridiagonal_eigh(alphas, betas, k)
         states = basis[:, : len(alphas)] @ small.astype(mat.dtype)
         states /= np.linalg.norm(states, axis=0, keepdims=True)
-        return vals, states, converged
+        return vals, states, converged, len(alphas)
 
     basis[:, 0] = _draw()
     next_check = min(max_iters, max(k + 2, 20))
@@ -578,13 +581,13 @@ def eigs_lowest(
         k: Number of lowest eigenpairs.
         tol: Relative residual tolerance (finite and positive).
         max_iters: Iteration budget of each block (``>= 1``); the default
-            is that of :func:`_block_eigh`.
+            is that of :func:`_block_eigh`.  No other public entry sets it.
 
     Raises:
         ConfigError: If the operator is not certified Hermitian, ``k`` is
             out of range, ``tol`` is not finite and positive, or
             ``max_iters < 1``.
-        IterationLimitError: If a block exhausts its budget; the
+        IterationLimitError: If a block does not converge; the
             exception's ``partial`` attribute carries the best available
             result, merged over all blocks.
     """
@@ -592,32 +595,27 @@ def eigs_lowest(
     return _solve_blocks(h, k, "lanczos", tol=tol, max_iters=max_iters)
 
 
-def solve_lowest(
-    h: SparseOperator,
-    k: int,
-    method: str = "auto",
-    max_iters: Optional[int] = None,
-) -> SpectrumResult:
+def solve_lowest(h: SparseOperator, k: int, method: str = "auto") -> SpectrumResult:
     """Lowest ``min(k, dim)`` eigenpairs by ``"dense"``, ``"lanczos"`` or
     ``"auto"``.
 
     The method is applied block by block, by the rule of
     :func:`_block_eigh`: ``"auto"`` is that rule, ``"dense"`` raises where
     it would run Lanczos, and ``"lanczos"`` runs Lanczos on every block
-    above one state, as :func:`eigs_lowest` does.
+    above one state, as :func:`eigs_lowest` does at its default budget.
 
     Raises:
-        ConfigError: If ``k < 1``, ``max_iters < 1``, the method is unknown
-            or the operator is not certified Hermitian.
+        ConfigError: If ``k < 1``, the method is unknown or the operator
+            is not certified Hermitian.
         CapacityError: If ``"dense"`` meets a block that the rule sends
             to Lanczos.
-        IterationLimitError: If a Lanczos block exhausts its budget (see
+        IterationLimitError: If a Lanczos block does not converge (see
             :func:`eigs_lowest`).
     """
     if method not in ("auto", "dense", "lanczos"):
         raise ConfigError(f"unknown eigensolver method {method!r}")
     k = min(_integer("k", k, 1), h.total_dim)
-    return _solve_blocks(h, k, method, max_iters=max_iters)
+    return _solve_blocks(h, k, method)
 
 
 # ---------------------------------------------------------------------------

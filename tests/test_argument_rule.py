@@ -99,7 +99,7 @@ BASE = {
     "with_swept": (dn.with_swept, {"spec": SPEC, "var": "g", "value": 0.03}),
     "two_qubit_block": (dn.two_qubit_block, {"j": 3, "spec": PAIR}),
     "eigs_lowest": (dn.eigs_lowest, {"h": H, "k": 2, "tol": 1e-10, "max_iters": 50}),
-    "solve_lowest": (solve_lowest, {"h": H, "k": 2, "max_iters": 50}),
+    "solve_lowest": (solve_lowest, {"h": H, "k": 2}),
     "filter_by_mean_photon": (
         dn.filter_by_mean_photon,
         {"result": RESULT, "nbar_max": 3.0},

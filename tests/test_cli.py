@@ -508,6 +508,18 @@ class TestWorkerCount:
 
 
 class TestExitCodes:
+    @pytest.fixture
+    def capped(self, monkeypatch):
+        """Every grid point's Lanczos blocks get a budget of 3 iterations
+        (the CLI runs in process, so its solve is patched)."""
+        import dispersive_nphoton.cli as cli
+
+        monkeypatch.setattr(
+            cli,
+            "solve_lowest",
+            lambda h, k, method: dispersive_nphoton.eigs_lowest(h, k, max_iters=3),
+        )
+
     def test_missing_config_exits_2(self, tmp_path):
         code, _, err = run_cli(
             [
@@ -537,7 +549,7 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
 
-    def test_solver_failure_exits_3_with_flag_row(self, tmp_path):
+    def test_solver_failure_exits_3_with_flag_row(self, tmp_path, capped):
         cfg = write_config(tmp_path, SINGLE)
         out_path = tmp_path / "partial.csv"
         code, _, err = run_cli(
@@ -547,7 +559,6 @@ class TestExitCodes:
                 "--model", "nR",
                 "-k", "2",
                 "--method", "lanczos",
-                "--max-iters", "3",
                 "--out", str(out_path),
             ]
         )
@@ -561,7 +572,7 @@ class TestExitCodes:
         assert rows[0][2] == "" and rows[0][4] == ""
         assert rows[0][8] == "1"
 
-    def test_sweep_solver_failure_keeps_completed_points(self, tmp_path):
+    def test_sweep_solver_failure_keeps_completed_points(self, tmp_path, capped):
         cfg = write_config(tmp_path, SINGLE)
         out_path = tmp_path / "partial_sweep.csv"
         code, _, _ = run_cli(
@@ -572,7 +583,6 @@ class TestExitCodes:
                 "-k", "2",
                 "--sweep", "g:0:0.02:2",
                 "--method", "lanczos",
-                "--max-iters", "3",
                 "--threads", "1",
                 "--out", str(out_path),
             ]
@@ -583,7 +593,7 @@ class TestExitCodes:
         assert {row[1] for row in rows} == {"0", "0.02"}
         assert any(row[8] == "1" for row in rows)
 
-    def test_levels_stops_at_first_failed_point(self, tmp_path):
+    def test_levels_stops_at_first_failed_point(self, tmp_path, capped):
         cfg = write_config(tmp_path, {**SINGLE, "oscillators": [{"trunc": 60}]})
         code, out, err = run_cli(
             [
@@ -592,7 +602,6 @@ class TestExitCodes:
                 "--model", "nR",
                 "--sweep", "g:0:0.04:3",
                 "--method", "lanczos",
-                "--max-iters", "3",
             ]
         )
         assert code == 3
@@ -659,16 +668,16 @@ class TestExitCodes:
         ],
     )
     def test_max_iters_below_one_exits_2(self, tmp_path, command, extra, max_iters):
+        # There is no --max-iters option: the parser refuses any value, and
+        # no output file is written.
         cfg = write_config(tmp_path, SINGLE)
-        code, out, err = run_with_out(
-            tmp_path,
-            [command, "--config", cfg, "--model", "nR", "--max-iters", max_iters]
-            + extra,
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "max-iters" in err
-        assert err.count("\n") == 1
+        out_path = tmp_path / "refused.csv"
+        argv = [command, "--config", cfg, "--model", "nR", "--out", str(out_path)]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--max-iters", max_iters, *extra])
+        assert exc.value.code == 2
+        assert not out_path.exists()
+        assert "max_iters" not in vars(build_parser().parse_args([*argv, *extra]))
 
     # The ids keep the test names stable across versions of the suite.
     @pytest.mark.parametrize("flag", ["0", "-3"], ids=["0-None", "-3-None"])
@@ -1297,14 +1306,14 @@ def destinations(command):
 
 
 #: Parsed options the provenance record leaves out.
-UNRECORDED = {"out", "threads", "max_iters", "func"}
+UNRECORDED = {"out", "threads", "func"}
 
 
 class TestProvenanceRule:
     @pytest.mark.parametrize(
         "argv, config",
         [
-            ([*SPECTRUM, "--threads", "1", "--max-iters", "500"], SINGLE),
+            ([*SPECTRUM, "--threads", "1"], SINGLE),
             (LEVELS, SINGLE),
             (["dynamics", "--model", "nR", "--state", "bell", "--t-end", "1"], DYN),
             (["coeff-table", "--n-max", "1"], None),
@@ -1312,7 +1321,7 @@ class TestProvenanceRule:
         ],
         ids=["spectrum", "levels", "dynamics", "coeff-table", "eff-2q"],
     )
-    def test_csv_records_every_option_but_four(self, tmp_path, argv, config):
+    def test_csv_records_every_option_but_three(self, tmp_path, argv, config):
         if config is not None:
             argv = [*argv, "--config", write_config(tmp_path, config)]
         code, out, _ = run_cli(argv)

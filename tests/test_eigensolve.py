@@ -1,6 +1,7 @@
 """Dense/Lanczos solvers, labeling, photon filtering, and level tracking."""
 
 import importlib.machinery
+import inspect
 import pickle
 import sys
 from types import SimpleNamespace
@@ -275,7 +276,8 @@ class TestLanczos:
             lambda seed: SimpleNamespace(standard_normal=lambda n: draws.pop()),
         )
         runs = self._spy_runs(monkeypatch)
-        with pytest.raises(IterationLimitError) as info:
+        message = r"Lanczos lost a restart draw after 2 of 4 iterations in 1 of 1 "
+        with pytest.raises(IterationLimitError, match=message) as info:
             eigs_lowest(h, 3)
         assert runs == [(4, 2, True)] and not draws
         root3 = np.sqrt(3.0)
@@ -318,7 +320,7 @@ class TestLanczos:
         eigs_lowest(h, 6)
         eigs_lowest(alone, 6)
         assert [size for size, _ in runs] == [20, 90, 90]
-        (vals, states, converged), (vals_alone, states_alone, _) = (
+        (vals, states, converged, _), (vals_alone, states_alone, *_) = (
             out for _, out in runs[1:]
         )
         assert converged
@@ -408,9 +410,12 @@ class TestSolveLowest:
     @pytest.mark.parametrize("method", ["auto", "dense", "lanczos"])
     @pytest.mark.parametrize("max_iters", [0, -5])
     def test_rejects_max_iters_below_one(self, method, max_iters):
+        # The budget is no parameter of solve_lowest; _solve_blocks, which
+        # eigs_lowest sets it through, refuses it below one by any method.
+        assert list(inspect.signature(solve_lowest).parameters) == ["h", "k", "method"]
         h = build_model(single(trunc=100), "nR")
         with pytest.raises(ValueError, match="max_iters"):
-            solve_lowest(h, 6, method, max_iters)
+            eigensolve._solve_blocks(h, 6, method, max_iters=max_iters)
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -542,7 +547,7 @@ class TestBlockSolver:
         _, failed = eigensolve._block_eigh(
             mat, members, starts, 1, "lanczos", max_iters=1
         )
-        assert failed == [(0, 2, 1), (2, 2, 1)]
+        assert failed == [(0, 2, 1, 1), (2, 2, 1, 1)]
 
     @pytest.mark.parametrize("method", ["lanczos", "auto", "dense"])
     def test_two_identical_blocks(self, method):
@@ -1155,7 +1160,7 @@ class TestPerBlockPolicy:
         monkeypatch.setattr(eigensolve, "DENSE_LIMIT", 64)
         pattern = r"1 of 2 blocks \(first: 90 states"
         with pytest.raises(IterationLimitError, match=pattern) as exc_info:
-            solve_lowest(h, 12, "auto", max_iters=3)
+            eigensolve._solve_blocks(h, 12, "auto", max_iters=3)
         partial = exc_info.value.partial
         # Three Ritz values from the 90-state block; the rest is the
         # 20-state block, solved exactly.
