@@ -53,6 +53,13 @@ cmp "$tmp/dynamics1.csv" "$tmp/dynamics2.csv"
 dn spectrum --config "$cfg" --model nR -k 4 --sweep g:0:0.02:3 --threads 1 --out "$tmp/threads.csv"
 DISPERSIVE_NPHOTON_THREADS=abc dn spectrum --config "$cfg" --model nR -k 4 --sweep g:0:0.02:3 --threads 1 --out "$tmp/threads_env.csv"
 cmp "$tmp/threads.csv" "$tmp/threads_env.csv"
+# Forked pool workers inherit the CLI's OPENBLAS_THREAD_TIMEOUT and import the
+# pool class only when one starts: a chain-block sweep writes the same bytes
+# with two workers as with one.
+for threads in 1 2; do
+  dn spectrum --config "$chains" --model nR -k 6 --sweep g:0.005:0.015:3 --threads "$threads" --out "$tmp/chains_sweep$threads.csv"
+done
+cmp "$tmp/chains_sweep1.csv" "$tmp/chains_sweep2.csv"
 # Runs the command given; passes if it exits 2 with one "error: " line.
 exits_2() {
   status=0

@@ -19,148 +19,103 @@ which a qubit exchanges ``n`` oscillator quanta at a time:
   dispersive dynamics (:mod:`.dynamics`).
 
 All frequencies are expressed in units of the (first) oscillator frequency.
+
+The public names load on first use: ``import dispersive_nphoton`` imports
+no submodule (and so no NumPy); ``dispersive_nphoton.evolve`` imports
+:mod:`.dynamics` the first time it is read.
 """
 
-from .analytic import (
-    DispersiveParams,
-    critical_photon_number,
-    dispersive_level,
-    dressed_qubit_frequency,
-    effective_two_qubit_params,
-    njc_doublet,
-)
-from .combinatorics import (
-    c_coeff,
-    commutator_poly,
-    eval_int_poly,
-    normal_order_aadag,
-    stirling2,
-)
-from .dynamics import (
-    DensityMatrix,
-    StateVector,
-    basis_state,
-    coherent_state,
-    evolve,
-    expectation,
-    fidelity,
-    partial_trace,
-    preset_state,
-    superposition,
-    tensor_state,
-)
-from .eigensolve import (
-    LevelCurve,
-    SpectrumResult,
-    eigh_dense,
-    eigs_lowest,
-    filter_by_mean_photon,
-    label_by_overlap,
-    track_levels,
-)
-from .errors import (
-    CapacityError,
-    ConfigError,
-    DispersiveNphotonError,
-    IterationLimitError,
-    PropagationError,
-    ResonanceError,
-    SolverError,
-    TruncationError,
-)
-from .fockspace import (
-    HilbertLayout,
-    SparseOperator,
-    create,
-    destroy,
-    embed,
-    guard_band_mask,
-    identity,
-    number,
-    op_pow,
-    pauli,
-    position,
-    qubit_oscillator_layout,
-)
-from .models import (
-    CouplingSpec,
-    OscillatorSpec,
-    QubitSpec,
-    StabilizerSpec,
-    SystemSpec,
-    build_model,
-    charge_operator,
-    two_qubit_block,
-    with_swept,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "DispersiveNphotonError",
-    "ConfigError",
-    "TruncationError",
-    "ResonanceError",
-    "CapacityError",
-    "SolverError",
-    "IterationLimitError",
-    "PropagationError",
-    # fockspace
-    "HilbertLayout",
-    "SparseOperator",
-    "destroy",
-    "create",
-    "number",
-    "identity",
-    "position",
-    "pauli",
-    "op_pow",
-    "embed",
-    "guard_band_mask",
-    "qubit_oscillator_layout",
-    # combinatorics
-    "stirling2",
-    "c_coeff",
-    "normal_order_aadag",
-    "commutator_poly",
-    "eval_int_poly",
-    # analytic
-    "DispersiveParams",
-    "dispersive_level",
-    "njc_doublet",
-    "critical_photon_number",
-    "dressed_qubit_frequency",
-    "effective_two_qubit_params",
-    # models
-    "QubitSpec",
-    "OscillatorSpec",
-    "CouplingSpec",
-    "StabilizerSpec",
-    "SystemSpec",
-    "with_swept",
-    "build_model",
-    "two_qubit_block",
-    "charge_operator",
-    # eigensolve
-    "SpectrumResult",
-    "LevelCurve",
-    "eigh_dense",
-    "eigs_lowest",
-    "label_by_overlap",
-    "filter_by_mean_photon",
-    "track_levels",
-    # dynamics
-    "StateVector",
-    "DensityMatrix",
-    "basis_state",
-    "superposition",
-    "coherent_state",
-    "tensor_state",
-    "preset_state",
-    "expectation",
-    "evolve",
-    "partial_trace",
-    "fidelity",
-]
+#: Submodule -> the public names it provides, in ``__all__`` order.
+_EXPORTS = {
+    "errors": (
+        "DispersiveNphotonError",
+        "ConfigError",
+        "TruncationError",
+        "ResonanceError",
+        "CapacityError",
+        "SolverError",
+        "IterationLimitError",
+        "PropagationError",
+    ),
+    "fockspace": (
+        "HilbertLayout",
+        "SparseOperator",
+        "destroy",
+        "create",
+        "number",
+        "identity",
+        "position",
+        "pauli",
+        "op_pow",
+        "embed",
+        "guard_band_mask",
+        "qubit_oscillator_layout",
+    ),
+    "combinatorics": (
+        "stirling2",
+        "c_coeff",
+        "normal_order_aadag",
+        "commutator_poly",
+        "eval_int_poly",
+    ),
+    "analytic": (
+        "DispersiveParams",
+        "dispersive_level",
+        "njc_doublet",
+        "critical_photon_number",
+        "dressed_qubit_frequency",
+        "effective_two_qubit_params",
+    ),
+    "models": (
+        "QubitSpec",
+        "OscillatorSpec",
+        "CouplingSpec",
+        "StabilizerSpec",
+        "SystemSpec",
+        "with_swept",
+        "build_model",
+        "two_qubit_block",
+        "charge_operator",
+    ),
+    "eigensolve": (
+        "SpectrumResult",
+        "LevelCurve",
+        "eigh_dense",
+        "eigs_lowest",
+        "label_by_overlap",
+        "filter_by_mean_photon",
+        "track_levels",
+    ),
+    "dynamics": (
+        "StateVector",
+        "DensityMatrix",
+        "basis_state",
+        "superposition",
+        "coherent_state",
+        "tensor_state",
+        "preset_state",
+        "expectation",
+        "evolve",
+        "partial_trace",
+        "fidelity",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

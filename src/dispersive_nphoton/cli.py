@@ -38,15 +38,22 @@ grid order, so output bytes do not depend on the worker count.
 
 from __future__ import annotations
 
+import os
+
+# OpenBLAS reads this once, when NumPy (and later SciPy's LAPACK extension)
+# loads it, so it is set before ``import numpy``.  At its floor of 2**4
+# cycles, idle BLAS workers sleep at once instead of spinning on
+# ``sched_yield`` for about 0.1 s after start-up and after every threaded
+# call.  Thread counts and summation order stay the same, so output bits do.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 import argparse
 import contextlib
 import functools
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -383,6 +390,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if workers <= 1:
         outcomes = [solve(point) for point in points]
     else:
+        # concurrent.futures.process loads here, not in a serial run.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(solve, points))
 

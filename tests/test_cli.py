@@ -459,8 +459,6 @@ class TestWorkerCount:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        import dispersive_nphoton.cli as cli
-
         made = []
 
         class RecordingPool:
@@ -476,7 +474,8 @@ class TestWorkerCount:
             def map(self, fn, items):
                 return list(map(fn, items))
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # The CLI imports the pool class only when it starts one.
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         return made
@@ -683,12 +682,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag", ["0", "-3"], ids=["0-None", "-3-None"])
     def test_threads_below_one_exits_2(self, tmp_path, monkeypatch, flag):
         # The count is refused before any worker pool is made.
-        import dispersive_nphoton.cli as cli
-
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         cfg = write_config(tmp_path, SINGLE)
         argv = ["spectrum", "--config", cfg, "--model", "nR", "-k", "2"]
         argv += ["--sweep", "g:0:0.02:3"]
@@ -1447,6 +1444,63 @@ class TestModuleEntryPoint:
         assert dispersive_nphoton.__version__ in proc.stdout
 
 
+#: Records ``OPENBLAS_THREAD_TIMEOUT`` as NumPy is first imported, then
+#: enters the CLI as ``python -m`` does (``module``) or as the console
+#: script does (``import``).
+_TIMEOUT_PROBE = """
+import contextlib, io, json, os, runpy, sys
+
+seen = []
+
+class Hook:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+
+sys.meta_path.insert(0, Hook())
+if sys.argv[1] == "module":
+    sys.argv[1:] = ["--version"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        runpy.run_module("dispersive_nphoton.cli", run_name="__main__")
+else:
+    import dispersive_nphoton.cli
+print(json.dumps(seen))
+"""
+
+
+class TestBlasThreadTimeout:
+    """The CLI sets OpenBLAS's idle-thread timeout before NumPy loads
+    OpenBLAS, which reads it only then; a caller's value is kept."""
+
+    @staticmethod
+    def _seen(entry, value):
+        src = str(Path(dispersive_nphoton.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+        if value is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = value
+        proc = subprocess.run(
+            [sys.executable, "-c", _TIMEOUT_PROBE, entry],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("entry", ["module", "import"])
+    def test_set_before_numpy_loads(self, entry):
+        assert self._seen(entry, None) == ["4"]
+
+    @pytest.mark.parametrize("entry", ["module", "import"])
+    def test_caller_value_is_kept(self, entry):
+        assert self._seen(entry, "9") == ["9"]
+
+
 #: A qubit frequency whose rounding swallows n * omega_o = 1.
 SWAMPED = {
     "topology": "single",
@@ -1778,6 +1832,42 @@ class TestImportHygiene:
         )
         argv = [*argv, "--config", write_config(tmp_path, payload)]
         assert self._scipy_loaded(probe, argv) == [0, []]
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (
+                ["levels", "--model", "nJC", "-k", "10", "--sweep", "g:0:0.2:3"],
+                {**SINGLE, "oscillators": [{"trunc": 60}]},
+            ),
+            (
+                [
+                    "dynamics", "--model", "nR", "--state", "plus_coherent_2",
+                    "--t-end", "10", "--steps", "2",
+                ],
+                {**SINGLE, "oscillators": [{"trunc": 60}]},
+            ),
+            (
+                [
+                    "spectrum", "--model", "nR", "-k", "6", "--sweep",
+                    "g:0.01:0.02:3", "--threads", "1",
+                ],
+                NR3,
+            ),
+        ],
+        ids=["levels-nJC", "dynamics-nR", "spectrum-sweep-serial"],
+    )
+    def test_serial_runs_load_no_process_pool(self, tmp_path, argv, payload):
+        probe = (
+            "import contextlib, io, sys\n"
+            "from dispersive_nphoton import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "print(code, 'concurrent.futures.process' in sys.modules,"
+            " 'multiprocessing' in sys.modules)"
+        )
+        argv = [*argv, "--config", write_config(tmp_path, payload)]
+        assert self._probe(probe, argv).split() == ["0", "False", "False"]
 
     def test_import_and_validation_build_load_no_scipy(self, tmp_path):
         # The CLI import and the build of the stabilized n=3 nR sweep at
