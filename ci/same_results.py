@@ -4,7 +4,8 @@ Prints one line per item, ``<name> <sha256>``.  A library item hashes the
 dtype, shape and bytes of the arrays it returns: lowest eigenpairs by every
 method on every model, Lanczos pairs and an ``IterationLimitError``'s
 partial result on larger blocks, sparse products, the dense subset driver
-on blocks that are not chains, and Krylov propagation.
+on blocks that are not chains, the joint solve of chains of unequal sizes,
+and Krylov propagation.
 A CLI item hashes the exit code, standard output, standard error and every
 file the run writes.  The script uses the ``dispersive_nphoton`` found on
 ``PYTHONPATH``, so one copy of it compares two trees.  From the root of a
@@ -96,6 +97,13 @@ DENSE = [
     ("full_nR-200", _sized(SMALL["single"], 200), "full_nR"),
 ]
 
+#: n=3 ``nR`` at trunc 302: six chains of 100 and 101 states, whose lowest
+#: levels ``auto`` takes from one tridiagonal solve of all of them.
+CHAINS = {
+    **_sized(SMALL["single"], 302),
+    "qubits": [{"omega_q": 3.5, "n": 3, "g": 0.05}],
+}
+
 #: Krylov propagation: nR n=2 at trunc 4200, blocks past the exact budget.
 KRYLOV = _sized(SMALL["single"], 4200)
 
@@ -181,6 +189,8 @@ def library_items():
     for name, config, model in DENSE:
         h = _model(config, model)
         yield f"auto/{name}/k6", _spectrum(solve_lowest(h, 6, "auto"))
+    h = _model(CHAINS, "nR")
+    yield "auto/nR-chains-302/k40", _spectrum(solve_lowest(h, 40, "auto"))
     # One complex Hermitian block of 150 states.
     rng = np.random.default_rng(26)
     a = rng.normal(size=(150, 150)) + 1j * rng.normal(size=(150, 150))

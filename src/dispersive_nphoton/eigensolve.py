@@ -246,21 +246,26 @@ def _merge_lowest(h, parts, k, dtype, want_states=True):
 def _block_eigh(
     mat, members, starts, k, method, want_states=True, tol=1e-10, max_iters=None
 ):
-    """Lowest ``min(k, s)`` eigenpairs of every block of ``mat`` by ``method``.
+    """Lowest ``min(k, s)`` eigenpairs of every block of ``mat`` by ``method``
+    (of a chain, its levels among the lowest ``k`` of all chains).
 
     Returns ``(parts, failed)``.  Each part is the record ``(rows,
     energies, vectors)`` of a group of blocks of ``s`` states: ``rows[b]``
     holds block ``b``'s ascending basis indices, ``energies[b]`` its lowest
     energies and ``vectors[b]`` (``None`` without states) their ``(s, c)``
-    columns.  ``failed`` holds ``(lowest basis index, size, budget, steps
+    columns.  A chain is a group of its own, and has no record when it
+    keeps no level.  ``failed`` holds ``(lowest basis index, size, budget, steps
     taken)`` of each block whose Lanczos run did not converge.  The
     per-block solver rule is stated here alone.  The size groups are walked once; each block
     takes the first solver that fits:
 
     - up to ``_BATCH_MAX`` states: ``numpy.linalg.eigh``, batched per size;
     - a real chain of any size (as every n-photon Rabi parity block is;
-      see :func:`_chain`): the tridiagonal solver :func:`_tridiagonal_eigh`
-      on its diagonal and off-diagonal, with no matrix copy;
+      see :func:`_chain`): walked into its diagonal and off-diagonal, with
+      no matrix copy, and solved once the walk is done, with every other
+      chain, by :func:`_chain_eigh`: one ``dstebz`` bisection for the
+      lowest ``k`` of all chains, or ``dstevd`` per chain when ``k``
+      covers every chain state;
     - up to :data:`DENSE_LIMIT` states: :func:`_lowest_eigh` for the
       lowest ``k`` pairs, or ``numpy.linalg.eigh`` for all of them (the
       subset driver loses orthogonality on full spectra);
@@ -278,7 +283,7 @@ def _block_eigh(
     local = np.zeros(len(mat.indptr) - 1, dtype=np.intp)
     local[members] = np.arange(len(members)) - np.repeat(starts[:-1], sizes)
     real = not np.iscomplexobj(mat.data)
-    parts, failed = [], []
+    parts, failed, chains = [], [], []
     # Ascending sizes without np.unique, which imports numpy.ma.
     for s in np.flatnonzero(np.bincount(sizes)):
         keep = min(k, s)
@@ -293,18 +298,9 @@ def _block_eigh(
             if not batched and method != "lanczos" and real:
                 chain = _chain(r, local[c], v, s)
             if chain is not None:
-                order, diagonal, off_diagonal = chain
-                out = _tridiagonal_eigh(
-                    diagonal,
-                    off_diagonal,
-                    keep if keep < s else None,
-                    eigvals_only=not want_states,
-                )
-                vals, vecs = out if want_states else (out, None)
-                if want_states:
-                    vecs = np.empty_like(out[1])
-                    vecs[order] = out[1]
-            elif not batched and (method == "lanczos" or s > DENSE_LIMIT):
+                chains.append((rows, *chain))
+                continue
+            if not batched and (method == "lanczos" or s > DENSE_LIMIT):
                 if method == "dense":
                     raise CapacityError(
                         f"block of {s} states is not a chain and exceeds the dense "
@@ -332,7 +328,47 @@ def _block_eigh(
             if vecs is not None:
                 vecs = vecs.reshape(len(group), s, -1)[:, :, :keep]
             parts.append((rows, vals, vecs))
+    if chains:
+        parts += _chain_eigh(chains, k, want_states)
     return parts, failed
+
+
+def _chain_eigh(chains, k, want_states):
+    """Records ``(rows, energies, vectors)`` of the lowest ``k`` pairs over
+    all ``chains``, one per chain that keeps a level.  Each chain is
+    ``(rows, order, diagonal, off_diagonal)``: its record's basis rows and
+    its tridiagonal form from :func:`_chain`.
+
+    When ``k`` covers every chain state, each chain gets its full spectrum
+    from ``dstevd`` (a joint solve would hold an S x S matrix).  Otherwise
+    the chains go end to end, with exact zero couplings between them, into
+    one tridiagonal of S states, whose lowest ``k`` come from one ``dstebz``
+    call (its Sturm counts run over every chain, so no chain's level is
+    missed), and their vectors from ``dstein`` per chain: see
+    :func:`_tridiagonal_eigh`.  Memory stays O(S + dim k).
+    """
+    # dstebz drops the surplus of values tied at the k-th from the first
+    # chains: in descending order of lowest basis index, a tie at the cut
+    # keeps the lower chain, as the merge's tie rule does.
+    chains.sort(key=lambda chain: -chain[0][0, 0])
+    ends = np.cumsum([len(diagonal) for _, _, diagonal, _ in chains])
+    if k >= ends[-1]:
+        solved = []
+        for _, _, diagonal, off_diagonal in chains:
+            out = _tridiagonal_eigh(diagonal, off_diagonal, None, not want_states)
+            solved.append(out if want_states else (out, None))
+    else:
+        diagonal = np.concatenate([d for _, _, d, _ in chains])
+        off_diagonal = np.concatenate([np.append(e, 0.0) for _, _, _, e in chains])
+        solved = _tridiagonal_eigh(diagonal, off_diagonal, k, not want_states, ends)
+    records = []
+    for (rows, order, _, _), (vals, vecs) in zip(chains, solved):
+        if len(vals):
+            if vecs is not None:
+                # Back from the walk's order to the block's.
+                vecs = vecs[np.argsort(order)][None]
+            records.append((rows, vals[None], vecs))
+    return records
 
 
 def _solve_blocks(h, k, method, want_states=True, tol=1e-10, max_iters=None):
@@ -456,7 +492,7 @@ def _lowest_eigh(a: np.ndarray, k: int, want_states: bool):
 
 
 def _tridiagonal_eigh(
-    alphas, betas, k: Optional[int] = None, eigvals_only: bool = False
+    alphas, betas, k: Optional[int] = None, eigvals_only: bool = False, ends=None
 ):
     """Lowest ``min(k, m)`` eigenpairs of the symmetric tridiagonal ``T``
     with diagonal ``alphas`` and off-diagonal ``betas``; all when k is None,
@@ -467,6 +503,15 @@ def _tridiagonal_eigh(
     ``k``, ``dstebz`` by index, then ``dstein`` for the vectors (the two
     give different last bits).  Raises ``ValueError`` on a value that is not
     finite and ``numpy.linalg.LinAlgError`` when LAPACK fails.
+
+    ``ends`` (lowest ``k`` only) are the ascending end positions of the
+    pieces that exact zero couplings cut ``T`` into.  ``dstebz`` splits at
+    every such zero, so its one call finds the lowest ``k`` of all pieces,
+    and the pairs come back as one ``(w, v)`` per piece, ascending by a
+    stable sort: ``v`` (``None`` without states) from a ``dstein`` call on
+    that piece alone, as a solve of the piece by itself calls it.  Where
+    values tie at the ``k``-th, ``dstebz`` drops the surplus from the first
+    pieces.
     """
     a = np.asarray(alphas, dtype=float)
     b = np.asarray(betas[: len(a) - 1], dtype=float)
@@ -487,12 +532,41 @@ def _tridiagonal_eigh(
     )
     _lapack_check(info, "stebz (eigh_tridiagonal)")
     w = w[:m]
+    if ends is not None:
+        return _split_pieces(lapack, a, b, w, iblock[:m], isplit, ends, eigvals_only)
     if eigvals_only:
         return w
     v, info = lapack.dstein(a, b, w, iblock, isplit)
     _lapack_check(info, "stein (eigh_tridiagonal)", "eigenvectors failed to converge")
     order = np.argsort(w)
     return w[order], v[:, order]
+
+
+def _split_pieces(lapack, a, b, w, iblock, isplit, ends, eigvals_only):
+    """The ``(w, v)`` of every piece of ``T`` that ends at ``ends`` (see
+    :func:`_tridiagonal_eigh`), from the lowest values ``w`` of ``dstebz``,
+    in its block order, and its blocks ``iblock`` and ``isplit`` (Fortran
+    numbering)."""
+    # The last row of every dstebz block, up to the last row of T.
+    last = isplit[: np.argmax(isplit == len(a)) + 1]
+    piece = np.searchsorted(ends, last[iblock - 1] - 1, side="right")
+    pieces, start = [], 0
+    for p, end in enumerate(ends):
+        at = piece == p
+        v = None
+        if not eigvals_only and at.any():
+            # The piece's iblock and isplit: its blocks renumbered from 1,
+            # padded to its size.
+            blocks = np.zeros((2, end - start), dtype=isplit.dtype)
+            blocks[0, : np.count_nonzero(at)] = iblock[at] - np.sum(last <= start)
+            mine = last[(last > start) & (last <= end)] - start
+            blocks[1, : len(mine)] = mine
+            v, info = lapack.dstein(a[start:end], b[start : end - 1], w[at], *blocks)
+            _lapack_check(info, "stein", "eigenvectors failed to converge")
+        order = np.argsort(w[at], kind="stable")
+        pieces.append((w[at][order], None if v is None else v[:, order]))
+        start = end
+    return pieces
 
 
 def _lanczos(mat, k: int, tol: float, max_iters: int):

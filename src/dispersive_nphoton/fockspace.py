@@ -254,24 +254,26 @@ def _extension(name: str, folder: str, fallback: str):
     """The SciPy extension ``scipy/<folder>/<stem>``, registered as the
     module ``name`` whose last component is ``stem``.
 
-    The extension is loaded from its file, which skips the import of its
-    SciPy package (``scipy.linalg`` or ``scipy.sparse``), and is registered
-    under ``name``, so that later calls, and any import of that name, share
-    it.  Where the file is not found, the module ``fallback`` serves.
+    The extension is loaded from its file, found through the import spec
+    of the ``scipy`` package, which is not imported (nor is ``scipy.linalg``
+    or ``scipy.sparse``).  It is registered under ``name``, so that later
+    calls, and any import of that name, share it.  Where the file is not
+    found, or SciPy is not installed, the module ``fallback`` serves (and a
+    missing SciPy raises its ``ImportError``).
     """
     if name in sys.modules:
         return sys.modules[name]
-    import scipy
-
-    stem = name.rpartition(".")[2]
-    path = os.path.join(os.path.dirname(scipy.__file__), folder, stem)
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        if os.path.isfile(path + suffix):
-            spec = importlib.util.spec_from_file_location(name, path + suffix)
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[name] = module
-            spec.loader.exec_module(module)
-            return module
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is not None:
+        stem = name.rpartition(".")[2]
+        path = os.path.join(scipy.submodule_search_locations[0], folder, stem)
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            if os.path.isfile(path + suffix):
+                spec = importlib.util.spec_from_file_location(name, path + suffix)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[name] = module
+                spec.loader.exec_module(module)
+                return module
     return importlib.import_module(fallback)
 
 

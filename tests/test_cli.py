@@ -1635,6 +1635,8 @@ class TestImportHygiene:
             "scipy.sparse.linalg",
         ):
             assert name not in loaded
+        # The extension is found without importing the scipy package.
+        assert loaded == ["scipy.linalg._flapack"]
 
     @pytest.mark.parametrize(
         "model, payload",
@@ -1680,6 +1682,7 @@ class TestImportHygiene:
         (code, calls), loaded = self._scipy_loaded(probe, argv)
         assert (code, calls) == (0, 4)
         assert self._solver_modules(loaded) == ["scipy.linalg._flapack"]
+        assert loaded == ["scipy.linalg._flapack"]
 
     @staticmethod
     def _solver_modules(loaded):
@@ -1789,6 +1792,27 @@ class TestImportHygiene:
             "print('ok')"
         )
         assert self._probe(probe) == "ok\n"
+
+    def test_missing_scipy_raises_import_error(self):
+        # With no scipy package to find, the fallback import raises.
+        probe = (
+            "import importlib.util, sys\n"
+            "real = importlib.util.find_spec\n"
+            "def find_spec(name, *args):\n"
+            "    return None if name == 'scipy' else real(name, *args)\n"
+            "importlib.util.find_spec = find_spec\n"
+            "class Missing:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ModuleNotFoundError(name, name=name)\n"
+            "sys.meta_path.insert(0, Missing())\n"
+            "from dispersive_nphoton import eigensolve\n"
+            "try:\n"
+            "    eigensolve._lapack()\n"
+            "except ImportError as exc:\n"
+            "    print(type(exc).__name__, exc.name)\n"
+        )
+        assert self._probe(probe) == "ModuleNotFoundError scipy\n"
 
     # Without the solver modules, no SciPy at all: the operators, the model
     # assembly and the block finder are NumPy alone.

@@ -776,6 +776,169 @@ class TestChainBlocks:
         assert np.max(np.abs(res.energies - want)) <= 1e-12 * np.abs(want).max()
 
 
+def _nR_chains(n, trunc):
+    """``nR`` at ``trunc``: 2n chain blocks, of unequal sizes unless 2n
+    divides ``2 trunc``."""
+    return build_model(single(omega_q=n + 0.5, n=n, g=0.05, trunc=trunc), "nR")
+
+
+def _per_chain_lowest(h, k):
+    """Lowest ``k`` pairs of ``h``, whose blocks are chains or single
+    states, with every block solved on its own, by
+    ``_tridiagonal_eigh`` for its lowest ``min(k, s)``, and merged by
+    (energy, lowest basis index, index within the chain): the solve of each
+    chain before chains were solved together."""
+    mat, members, starts = eigensolve._blocks(h)
+    energies, lowest, index, columns = [], [], [], []
+    for a, b in zip(starts[:-1], starts[1:]):
+        idx = members[a:b]
+        sub = eigensolve._submatrix(mat, idx)
+        order, diagonal, off_diagonal = (
+            ([0], sub.diagonal(), []) if b - a == 1 else _chain_of(sub)
+        )
+        w, v = eigensolve._tridiagonal_eigh(diagonal, off_diagonal, min(k, b - a))
+        states = np.zeros((h.total_dim, len(w)))
+        states[idx[order]] = v
+        energies.append(w)
+        lowest.append(np.full(len(w), idx[0]))
+        index.append(np.arange(len(w)))
+        columns.append(states)
+    energies, lowest, index = map(np.concatenate, (energies, lowest, index))
+    keep = np.lexsort((index, lowest, energies))[:k]
+    return energies[keep], np.hstack(columns)[:, keep]
+
+
+class TestJointChains:
+    """Below every chain state, the chains' lowest ``k`` come from one
+    ``dstebz`` call on all chains end to end; full spectra stay per chain."""
+
+    @staticmethod
+    def _ulp_norm(h):
+        return np.finfo(float).eps * h.one_norm()
+
+    @pytest.mark.parametrize("k", [1, 5, 9, 170, 500])
+    @pytest.mark.parametrize("n, trunc", [(2, 301), (3, 302)])
+    def test_matches_per_chain_solves(self, n, trunc, k):
+        # Chains of 150/151 (n=2) and 100/101 states (n=3): k=5 and 9 span
+        # several chains, 170 and 500 exceed one chain but not the total.
+        h = _nR_chains(n, trunc)
+        sizes = np.bincount(_block_labels(h))
+        assert len(sizes) == 2 * n and len(set(sizes)) == 2
+        assert k < h.total_dim
+        res = solve_lowest(h, k)
+        want, want_states = _per_chain_lowest(h, k)
+        assert np.abs(res.energies - want).max() <= 4 * self._ulp_norm(h)
+        labels = _block_labels(h)
+        chain_of = [labels[np.flatnonzero(column)[0]] for column in res.states.T]
+        assert chain_of == [
+            labels[np.flatnonzero(column)[0]] for column in want_states.T
+        ]
+        if k > 1:
+            assert len(set(chain_of)) > 1
+        # Each state matches its per-chain counterpart up to sign.
+        signs = np.sign(np.sum(res.states * want_states, axis=0))
+        assert np.abs(res.states - want_states * signs).max() <= 1e-10
+
+    @pytest.mark.parametrize("k", [1, 5, 170])
+    def test_energies_without_states(self, k):
+        h = _nR_chains(3, 302)
+        with_states = solve_lowest(h, k)
+        mat, members, starts = eigensolve._blocks(h)
+        parts, failed = eigensolve._block_eigh(
+            mat, members, starts, k, "auto", want_states=False
+        )
+        assert failed == [] and all(vectors is None for _, _, vectors in parts)
+        result = eigensolve._merge_lowest(h, parts, k, mat.data.dtype, False)
+        assert result.states is None and result.mean_photons is None
+        assert np.array_equal(result.energies, with_states.energies)
+
+    @pytest.mark.parametrize("k", [1, 6, 40, 170])
+    @pytest.mark.parametrize("n, trunc", [(2, 301), (3, 302)])
+    def test_residuals_and_orthonormality(self, n, trunc, k):
+        # At criterion 8's bounds for exact solvers.
+        h = _nR_chains(n, trunc)
+        res = solve_lowest(h, k)
+        scale = max(1.0, float(np.abs(res.energies).max()))
+        resid = h.toarray() @ res.states - res.states * res.energies
+        assert np.abs(resid).max() / scale <= 1e-12
+        gram = res.states.T @ res.states
+        assert np.abs(gram - np.eye(k)).max() <= 1e-12
+
+    def test_chains_without_kept_levels_drop_out(self):
+        h = _nR_chains(3, 302)
+        mat, members, starts = eigensolve._blocks(h)
+        parts, _ = eigensolve._block_eigh(mat, members, starts, 2, "auto")
+        assert sum(energies.size for _, energies, _ in parts) == 2
+        assert len(parts) <= 2
+        for rows, energies, vectors in parts:
+            assert rows.shape[0] == energies.shape[0] == vectors.shape[0] == 1
+            assert vectors.shape[1:] == (rows.shape[1], energies.shape[1])
+
+    def test_one_bisection_for_all_chains(self, monkeypatch):
+        h = _nR_chains(3, 302)
+        calls = self._count_drivers(monkeypatch)
+        solve_lowest(h, 8)
+        assert calls["dstebz"] == 1 and calls["dstevd"] == 0
+        # One dstein per chain that keeps a level.
+        assert 1 <= calls["dstein"] <= 6
+
+    @pytest.mark.parametrize("want_states", [True, False])
+    def test_full_spectra_stay_per_chain(self, monkeypatch, want_states):
+        h = _nR_chains(2, 301)
+        calls = self._count_drivers(monkeypatch)
+        res = eigh_dense(h, want_states=want_states)
+        assert calls == {"dstevd": 4, "dstebz": 0, "dstein": 0}
+        calls.update(dstevd=0)
+        assert solve_lowest(h, h.total_dim).k == res.k == h.total_dim
+        assert calls == {"dstevd": 4, "dstebz": 0, "dstein": 0}
+
+    @staticmethod
+    def _count_drivers(monkeypatch):
+        """Count the tridiagonal LAPACK calls of every later solve."""
+        lapack = eigensolve._lapack()
+        calls = dict.fromkeys(("dstevd", "dstebz", "dstein"), 0)
+
+        def counted(name):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return getattr(lapack, name)(*args, **kwargs)
+
+            return call
+
+        proxy = SimpleNamespace(**{name: counted(name) for name in calls})
+        monkeypatch.setattr(eigensolve, "_lapack", lambda: proxy)
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 40, 199])
+    @pytest.mark.parametrize("gap", [0, 37])
+    def test_tied_chains_at_two_offsets(self, gap, k):
+        # One tridiagonal placed twice, at rows 10.. and 110 + gap..: every
+        # level ties across the copies.  Each tied pair has the same energy
+        # bits and the same state bits on its copy's rows, the lower copy
+        # first; a cut through a pair keeps the lower copy, as the merge of
+        # per-chain solves keeps it.
+        rng = np.random.default_rng(5)
+        s = 100
+        t = np.diag(rng.normal(size=s))
+        t += np.diag(off := rng.normal(size=s - 1), 1) + np.diag(off, -1)
+        dim = 2 * s + 50
+        lower, upper = np.arange(s) + 10, np.arange(s) + 10 + s + gap
+        full = np.diag(100.0 + np.arange(dim))
+        full[np.ix_(lower, lower)] = t
+        full[np.ix_(upper, upper)] = t
+        h = SparseOperator.from_dense(HilbertLayout((("oscillator", dim),)), full)
+        res = solve_lowest(h, k)
+        first, second = res.states[:, 0::2], res.states[:, 1::2]
+        pairs = second.shape[1]
+        assert np.array_equal(res.energies[0::2][:pairs], res.energies[1::2])
+        assert np.array_equal(first[lower][:, :pairs], second[upper])
+        assert not first[upper].any() and not second[lower].any()
+        want, want_states = _per_chain_lowest(h, k)
+        assert np.abs(res.energies - want).max() <= 4 * self._ulp_norm(h)
+        signs = np.sign(np.sum(res.states * want_states, axis=0))
+        assert np.abs(res.states - want_states * signs).max() <= 1e-10
+
+
 def _chain_of(sub):
     """:func:`eigensolve._chain` of a connected block given as sorted CSR."""
     rows = np.repeat(np.arange(sub.shape[0]), np.diff(sub.indptr))
